@@ -112,7 +112,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = resolve_config(args)
-    except (UnknownSuite, ValueError) as exc:
+    except (UnknownSuite, ValueError, OSError) as exc:
         parser.error(str(exc))
 
     reports, code = run_all(cfg)

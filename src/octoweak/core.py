@@ -234,6 +234,12 @@ def mul(x: CplxOcton, y: CplxOcton) -> CplxOcton:
     return CplxOcton._wrap(prod @ _FLAT_TENSOR)
 
 
+def mul_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """:func:`mul` row by row on (..., 8) coefficient arrays, broadcast together."""
+    x, y = np.broadcast_arrays(x, y)
+    return (x[..., :, None] * y[..., None, :]).reshape(x.shape[:-1] + (64,)) @ _FLAT_TENSOR
+
+
 def conj_oct(x: CplxOcton) -> CplxOcton:
     """Octonionic conjugation: fixes the scalar slot, negates e1..e7."""
     c = x.c.copy()

@@ -1,31 +1,34 @@
 """Spacetime-dependent values: polynomial fields with octonion coefficients.
 
-A field is a finite sum of monomials x0^d0 x1^d1 x2^d2 x3^d3 times a
-:class:`~octoweak.core.CplxOcton` coefficient.  Polynomials keep
-differentiation and linear pullback exact, so any residual seen by the
-verification suites comes from the algebra, not from discretization.
+A field stores one monomial x0^d0 x1^d1 x2^d2 x3^d3 per row: an integer
+exponent matrix E of shape (M, 4) and a coefficient array C of shape (M, 8).
+Its value at p is prod(p**E, axis=1) @ C, and differentiation is exact, so
+any residual seen by the verification suites comes from the algebra, not
+from discretization.  Transformed fields are differentiated by the pointwise
+chain rule, and exp(u) by the differential of its closed form.
 """
 
 from __future__ import annotations
 
+import cmath
 import numbers
+from functools import lru_cache
 from itertools import product as iter_product
 
 import numpy as np
 
-from .core import CplxOcton, bar_star, conj_complex, exp_assoc, inner, mul
+from .core import CplxOcton, _cos_sinc, bar_star, exp_assoc, mul_rows
 from .errors import DomainViolation
-from .grading import AB_CLOSURE, SubspaceTag, draw, in_subspace
+from .grading import AB_CLOSURE, SubspaceTag, draw_rows, in_subspace
 from .lorentz import EBAR_UPPER, Theta, eta_inverse_transform, lambda_S, lambda_V_real
 
 Degree = tuple[int, int, int, int]
 
-#: The tail of the derivative-of-exponential series is cut once its term
-#: bound drops below this.
-DEXP_TAIL_TOL = 1e-14
-_DEXP_MAX_TERMS = 120
+#: Below this |omega^2| the factor (cos(omega) - sinc(omega))/omega^2 in
+#: :func:`dexp_at` is summed from its Taylor series, which cancels no digits.
+DEXP_TAYLOR_Z = 1e-2
 
-_ZERO = CplxOcton.zero()
+_EBAR_UPPER = np.array([e.c for e in EBAR_UPPER])
 
 
 def _as_point(p) -> np.ndarray:
@@ -40,11 +43,13 @@ def _as_point(p) -> np.ndarray:
 class PolyField:
     """Multivariate polynomial in x0..x3 with octonion coefficients.
 
-    ``tag`` optionally constrains every coefficient to a subspace; tagged
-    fields take values in that subspace at every real point.
+    ``exps`` (M, 4) holds one multi-degree per row and ``coeffs`` (M, 8) the
+    matching coefficients; both are read-only.  ``tag`` optionally
+    constrains every coefficient to a subspace; tagged fields take values in
+    that subspace at every real point.
     """
 
-    __slots__ = ("terms", "max_total_degree", "tag")
+    __slots__ = ("exps", "coeffs", "max_total_degree", "tag")
 
     def __init__(
         self,
@@ -53,29 +58,36 @@ class PolyField:
         tag: SubspaceTag | None = None,
     ) -> None:
         clean: dict[Degree, CplxOcton] = {}
-        top = 0
         for deg, coeff in terms.items():
             deg = tuple(int(d) for d in deg)
             if len(deg) != 4 or min(deg) < 0:
                 raise ValueError(f"bad multi-degree {deg}")
             if not isinstance(coeff, CplxOcton):
                 raise TypeError("coefficients must be CplxOcton")
+            if tag is not None and not in_subspace(coeff, tag):
+                raise DomainViolation(f"coefficient of {deg} is not in subspace {tag.value}")
             if np.any(coeff.c != 0):
                 clean[deg] = coeff
-                top = max(top, sum(deg))
+        top = max(map(sum, clean), default=0)
         if max_total_degree is None:
             max_total_degree = top
         if top > max_total_degree:
             raise ValueError("terms exceed max_total_degree")
-        if tag is not None:
-            for deg, coeff in clean.items():
-                if not in_subspace(coeff, tag):
-                    raise DomainViolation(
-                        f"coefficient of {deg} is not in subspace {tag.value}"
-                    )
-        self.terms = clean
+        exps = np.array(list(clean), dtype=np.int64).reshape(-1, 4)
+        coeffs = np.array([c.c for c in clean.values()], dtype=np.complex128).reshape(-1, 8)
+        self._set(exps, coeffs, max_total_degree, tag)
+
+    def _set(self, exps, coeffs, max_total_degree, tag) -> None:
+        exps.flags.writeable = coeffs.flags.writeable = False
+        self.exps, self.coeffs, self.tag = exps, coeffs, tag
         self.max_total_degree = int(max_total_degree)
-        self.tag = tag
+
+    @classmethod
+    def _from_arrays(cls, exps, coeffs, max_total_degree, tag) -> "PolyField":
+        # trusted internal constructor: rows are distinct and in the subspace
+        field = object.__new__(cls)
+        field._set(exps, coeffs, max_total_degree, tag)
+        return field
 
     @classmethod
     def constant(cls, coeff: CplxOcton, tag: SubspaceTag | None = None) -> "PolyField":
@@ -85,62 +97,57 @@ class PolyField:
     def zero(cls, tag: SubspaceTag | None = None) -> "PolyField":
         return cls({}, max_total_degree=0, tag=tag)
 
+    @property
+    def terms(self) -> dict[Degree, CplxOcton]:
+        """The nonzero terms as a fresh {multi-degree: coefficient} dict."""
+        rows = zip(self.exps.tolist(), self.coeffs)
+        return {tuple(d): CplxOcton._wrap(c.copy()) for d, c in rows if c.any()}
+
     def __call__(self, p) -> CplxOcton:
         return eval_at(self, p)
 
     def __add__(self, other: "PolyField") -> "PolyField":
         if not isinstance(other, PolyField):
             return NotImplemented
-        terms = dict(self.terms)
-        for deg, coeff in other.terms.items():
-            terms[deg] = terms[deg] + coeff if deg in terms else coeff
+        exps, row = np.unique(np.concatenate([self.exps, other.exps]), axis=0, return_inverse=True)
+        coeffs = np.zeros((len(exps), 8), dtype=np.complex128)
+        np.add.at(coeffs, row.reshape(-1), np.concatenate([self.coeffs, other.coeffs]))
         tag = self.tag if self.tag is other.tag else None
-        return PolyField(terms, max(self.max_total_degree, other.max_total_degree), tag)
+        degree = max(self.max_total_degree, other.max_total_degree)
+        return PolyField._from_arrays(exps, coeffs, degree, tag)
 
     def __sub__(self, other: "PolyField") -> "PolyField":
         return self + (-other)
 
     def __neg__(self) -> "PolyField":
-        return PolyField(
-            {d: -c for d, c in self.terms.items()}, self.max_total_degree, self.tag
-        )
+        return PolyField._from_arrays(self.exps, -self.coeffs, self.max_total_degree, self.tag)
 
     def __mul__(self, scalar):
         if not isinstance(scalar, numbers.Complex):
             return NotImplemented
         z = complex(scalar)
-        tag = self.tag if (self.tag is None or z.imag == 0.0) else self._complex_scaled_tag()
-        return PolyField(
-            {d: c * z for d, c in self.terms.items()}, self.max_total_degree, tag
-        )
+        # A and B are complex-linear; the +- eigenspaces are only real-linear
+        keep = self.tag is None or z.imag == 0.0 or self.tag in (SubspaceTag.A, SubspaceTag.B)
+        tag = self.tag if keep else None
+        return PolyField._from_arrays(self.exps, self.coeffs * z, self.max_total_degree, tag)
 
     __rmul__ = __mul__
 
-    def _complex_scaled_tag(self) -> SubspaceTag | None:
-        # A and B are complex-linear; the +- eigenspaces are only real-linear
-        return self.tag if self.tag in (SubspaceTag.A, SubspaceTag.B) else None
-
     def scale_left(self, m: CplxOcton) -> "PolyField":
         """Coefficientwise left product m * coeff."""
-        return PolyField(
-            {d: mul(m, c) for d, c in self.terms.items()},
-            self.max_total_degree,
-            _scaled_tag(self.tag, m),
+        return PolyField._from_arrays(
+            self.exps, mul_rows(m.c, self.coeffs), self.max_total_degree, _scaled_tag(self.tag, m)
         )
 
     def scale_right(self, m: CplxOcton) -> "PolyField":
         """Coefficientwise right product coeff * m."""
-        return PolyField(
-            {d: mul(c, m) for d, c in self.terms.items()},
-            self.max_total_degree,
-            _scaled_tag(self.tag, m),
+        return PolyField._from_arrays(
+            self.exps, mul_rows(self.coeffs, m.c), self.max_total_degree, _scaled_tag(self.tag, m)
         )
 
     def __repr__(self) -> str:
-        return (
-            f"PolyField({len(self.terms)} terms, deg<={self.max_total_degree}, "
-            f"tag={self.tag.value if self.tag else None})"
-        )
+        tag = self.tag.value if self.tag else None
+        return f"PolyField({len(self.terms)} terms, deg<={self.max_total_degree}, tag={tag})"
 
 
 def _scaled_tag(tag: SubspaceTag | None, m: CplxOcton) -> SubspaceTag | None:
@@ -152,90 +159,40 @@ def _scaled_tag(tag: SubspaceTag | None, m: CplxOcton) -> SubspaceTag | None:
     return None
 
 
+def _value(f: PolyField, pt: np.ndarray) -> np.ndarray:
+    return np.prod(pt ** f.exps, axis=1) @ f.coeffs
+
+
 def eval_at(f: PolyField, p) -> CplxOcton:
-    """Horner-style evaluation, nesting variable by variable."""
-    pt = _as_point(p)
-    items = [(deg, coeff) for deg, coeff in f.terms.items()]
-    return _horner(items, pt, 0)
-
-
-def _horner(items: list[tuple[Degree, CplxOcton]], pt: np.ndarray, axis: int) -> CplxOcton:
-    if not items:
-        return _ZERO
-    if axis == 3:
-        bydeg = {deg[3]: coeff for deg, coeff in items}
-        acc = _ZERO
-        for d in range(max(bydeg), -1, -1):
-            acc = acc * pt[3] + bydeg.get(d, _ZERO)
-        return acc
-    groups: dict[int, list[tuple[Degree, CplxOcton]]] = {}
-    for deg, coeff in items:
-        groups.setdefault(deg[axis], []).append((deg, coeff))
-    acc = _ZERO
-    for d in range(max(groups), -1, -1):
-        acc = acc * pt[axis] + _horner(groups.get(d, []), pt, axis + 1)
-    return acc
+    """Value at a real point: the monomials at p times the coefficient rows."""
+    return CplxOcton._wrap(_value(f, _as_point(p)))
 
 
 def partial(f: PolyField, mu: int) -> PolyField:
     """Exact formal partial derivative along x_mu."""
     if not 0 <= mu <= 3:
         raise ValueError("axis must be in 0..3")
-    terms: dict[Degree, CplxOcton] = {}
-    for deg, coeff in f.terms.items():
-        d = deg[mu]
-        if d == 0:
-            continue
-        newdeg = list(deg)
-        newdeg[mu] = d - 1
-        key = tuple(newdeg)
-        bumped = coeff * float(d)
-        terms[key] = terms[key] + bumped if key in terms else bumped
-    return PolyField(terms, max(0, f.max_total_degree - 1), f.tag)
+    d = f.exps[:, mu]
+    keep = d > 0
+    exps = f.exps[keep]
+    exps[:, mu] -= 1
+    coeffs = f.coeffs[keep] * d[keep, None]
+    return PolyField._from_arrays(exps, coeffs, max(0, f.max_total_degree - 1), f.tag)
 
 
-def _scalar_poly_mul(p: dict[Degree, float], q: dict[Degree, float]) -> dict[Degree, float]:
-    out: dict[Degree, float] = {}
-    for d1, v1 in p.items():
-        for d2, v2 in q.items():
-            key = (d1[0] + d2[0], d1[1] + d2[1], d1[2] + d2[2], d1[3] + d2[3])
-            out[key] = out.get(key, 0.0) + v1 * v2
-    return out
+def _jet(f: PolyField, pt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f and its four partial derivatives at pt, as an (8,) and a (4, 8) array."""
+    return _value(f, pt), np.array([_value(partial(f, rho), pt) for rho in range(4)])
 
 
-def pullback_linear(f: PolyField, m: np.ndarray) -> PolyField:
-    """The field x -> f(Mx) for a real matrix M, expanded exactly."""
-    arr = np.asarray(m)
-    if arr.shape != (4, 4):
-        raise ValueError("pullback needs a 4x4 matrix")
-    if np.iscomplexobj(arr):
-        if float(np.max(np.abs(arr.imag))) > 1e-10 * max(1.0, float(np.max(np.abs(arr.real)))):
-            raise ValueError("pullback matrix must be real within tolerance")
-        arr = arr.real
-    arr = arr.astype(float)
-
-    unit_deg: Degree = (0, 0, 0, 0)
-    rows: list[dict[Degree, float]] = []
-    for mu in range(4):
-        row: dict[Degree, float] = {}
-        for nu in range(4):
-            if arr[mu, nu] != 0.0:
-                key = tuple(1 if k == nu else 0 for k in range(4))
-                row[key] = arr[mu, nu]
-        rows.append(row)
-
-    terms: dict[Degree, CplxOcton] = {}
-    for deg, coeff in f.terms.items():
-        expansion: dict[Degree, float] = {unit_deg: 1.0}
-        for mu in range(4):
-            for _ in range(deg[mu]):
-                expansion = _scalar_poly_mul(expansion, rows[mu])
-        for newdeg, val in expansion.items():
-            if val == 0.0:
-                continue
-            scaled = coeff * val
-            terms[newdeg] = terms[newdeg] + scaled if newdeg in terms else scaled
-    return PolyField(terms, f.max_total_degree, f.tag)
+@lru_cache(maxsize=16)
+def _monomials(degree: int) -> np.ndarray:
+    # every multi-degree of total degree <= degree, in lexicographic order;
+    # read-only, since every field of that degree shares it
+    degs = [d for d in iter_product(range(degree + 1), repeat=4) if sum(d) <= degree]
+    exps = np.array(degs, dtype=np.int64).reshape(-1, 4)
+    exps.flags.writeable = False
+    return exps
 
 
 def random_field(
@@ -246,44 +203,48 @@ def random_field(
 ) -> PolyField:
     """Field with one coefficient per monomial of total degree <= degree.
 
-    Multi-indices are visited in lexicographic order, so the draw is a pure
-    function of the generator state.
+    Multi-indices are taken in lexicographic order and all coefficients come
+    from one draw, equal to one :func:`~octoweak.grading.draw` per monomial
+    in that order, so the field is a pure function of the generator state.
     """
-    terms: dict[Degree, CplxOcton] = {}
-    for deg in sorted(
-        d for d in iter_product(range(degree + 1), repeat=4) if sum(d) <= degree
-    ):
-        terms[deg] = draw(tag, rng, bound)
-    return PolyField(terms, degree, tag)
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    exps = _monomials(int(degree))
+    return PolyField._from_arrays(exps, draw_rows(tag, rng, len(exps), bound), degree, tag)
+
+
+def _require_spinor(f: PolyField) -> None:
+    if f.tag not in (SubspaceTag.A, SubspaceTag.B):
+        raise DomainViolation("field must be tagged A or B")
+
+
+def _bilinear(value: np.ndarray, grads: np.ndarray) -> complex:
+    """sum_rho <value*, ebar^rho grads[rho]> for a value and its four gradients."""
+    return complex(np.conj(value) @ mul_rows(_EBAR_UPPER, grads).sum(axis=0))
 
 
 def dirac_scalar(f: PolyField, p) -> complex:
     """The first-derivative bilinear sum_rho <f*, ebar^rho d_rho f> at p."""
-    if f.tag not in (SubspaceTag.A, SubspaceTag.B):
-        raise DomainViolation("field must be tagged A or B")
-    pt = _as_point(p)
-    left = conj_complex(eval_at(f, pt))
-    total = 0.0 + 0.0j
-    for rho in range(4):
-        total += inner(left, mul(EBAR_UPPER[rho], eval_at(partial(f, rho), pt)))
-    return total
+    _require_spinor(f)
+    return _bilinear(*_jet(f, _as_point(p)))
 
 
 def lorentz_invariance_residual(f: PolyField, theta: Theta, p) -> float:
-    """Compare the derivative bilinear of the transformed field at the
-    transformed point against the untransformed value.
+    """Change of the derivative bilinear under a Lorentz transformation.
 
-    The transformed field is L f(L_V^{-1} x) for an A-tagged field and
-    bar_star(L) f(L_V^{-1} x) for a B-tagged one.
+    The transformed field is f'(x) = L f(M x), M = L_V^{-1}, with L the spinor
+    transformation (bar_star of it for a B-tagged field).  At x' = L_V p the
+    chain rule gives d_rho f'(x') = L sum_sigma M[sigma, rho] (d_sigma f)(M x').
     """
-    if f.tag not in (SubspaceTag.A, SubspaceTag.B):
-        raise DomainViolation("field must be tagged A or B")
+    _require_spinor(f)
     pt = _as_point(p)
     lam = lambda_S(theta)
     lv = lambda_V_real(theta)
-    factor = lam if f.tag is SubspaceTag.A else bar_star(lam)
-    f_prime = pullback_linear(f, eta_inverse_transform(lv)).scale_left(factor)
-    return abs(dirac_scalar(f_prime, lv @ pt) - dirac_scalar(f, pt))
+    factor = (lam if f.tag is SubspaceTag.A else bar_star(lam)).c
+    m = eta_inverse_transform(lv)
+    value, grads = _jet(f, m @ (lv @ pt))
+    transformed = _bilinear(mul_rows(factor, value), mul_rows(factor, m.T @ grads))
+    return abs(transformed - dirac_scalar(f, pt))
 
 
 def _require_a_valued(u: PolyField) -> None:
@@ -300,34 +261,21 @@ def exp_field_at(u: PolyField, p) -> CplxOcton:
 def dexp_at(u: PolyField, mu: int, p) -> CplxOcton:
     """Partial derivative of exp(u) along x_mu at p.
 
-    Sums the series sum_m 1/m! sum_l u^l (d_mu u) u^(m-1-l); everything lives
-    in the associative subalgebra so the groupings are unambiguous.  The tail
-    is cut when m/m! * |u|^(m-1) * |du| falls below ``DEXP_TAIL_TOL``.
+    Differentiates exp(s + v) = e^s (cos w + sinc w v), w^2 = <v, v>: with
+    a = <v, d_mu v>, d cos w = -sinc w a and d sinc w = ((cos w - sinc w)/w^2) a.
     """
     _require_a_valued(u)
     pt = _as_point(p)
-    uval = eval_at(u, pt)
-    du = eval_at(partial(u, mu), pt)
-    umag = abs(uval)
-    dmag = abs(du)
-    if dmag == 0.0:
-        return _ZERO
-
-    acc = _ZERO
-    left_powers = [CplxOcton.one()]  # u^l
-    right_products = [du]  # du * u^j
-    fact = 1.0
-    for m in range(1, _DEXP_MAX_TERMS + 1):
-        fact *= m
-        while len(left_powers) < m:
-            left_powers.append(mul(left_powers[-1], uval))
-            right_products.append(mul(right_products[-1], uval))
-        term = _ZERO
-        for l in range(m):
-            term = term + mul(left_powers[l], right_products[m - 1 - l])
-        acc = acc + term * (1.0 / fact)
-        if (m / fact) * (umag ** (m - 1)) * dmag < DEXP_TAIL_TOL:
-            break
+    uval, du = _value(u, pt), _value(partial(u, mu), pt)
+    s, v, ds, dv = complex(uval[0]), uval[1:4], complex(du[0]), du[1:4]
+    z, a = complex(v @ v), complex(v @ dv)
+    cos_w, sinc_w = _cos_sinc(z)
+    if abs(z) < DEXP_TAYLOR_Z:
+        sinc_rate = -1 / 3 + z * (1 / 30 - z * (1 / 840 - z / 45360))
     else:
-        raise ArithmeticError("derivative-of-exponential series did not converge")
-    return acc
+        sinc_rate = (cos_w - sinc_w) / z
+    es = cmath.exp(s)
+    c = np.zeros(8, dtype=np.complex128)
+    c[0] = es * (ds * cos_w - sinc_w * a)
+    c[1:4] = es * ((ds * sinc_w + sinc_rate * a) * v + sinc_w * dv)
+    return CplxOcton._wrap(c)

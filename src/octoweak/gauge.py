@@ -124,7 +124,7 @@ def covariance_residual_alpha(
     u_inv = exp_assoc(-uval)
     aval = eval_at(alpha, p)
     # d_rho(alpha U^-1) via the product rule; the U^-1 factor differentiates
-    # through the series for exp(-u)
+    # through the closed-form derivative of exp(-u)
     d_aprime = mul(eval_at(partial(alpha, rho), p), u_inv) + mul(
         aval, dexp_at(-u, rho, p)
     )

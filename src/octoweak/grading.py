@@ -42,24 +42,28 @@ class IPMoveForm(Enum):
     RR = "RR"  # <z, xy> = <z y~, x>
 
 
+#: The one subspace table: per tag, an (ndof, 8) matrix whose rows unit * e_slot
+#: are a real basis of the subspace.  Projections, membership checks and draws
+#: all read it; row order fixes how draws consume the RNG stream.
+_DOF = {
+    tag: np.array([np.eye(8)[a] * unit for a, unit in rows], dtype=np.complex128)
+    for tag, rows in {
+        SubspaceTag.FULL_CO: [(a, unit) for a in range(8) for unit in (1.0, 1j)],
+        SubspaceTag.A: [(a, unit) for a in range(4) for unit in (1.0, 1j)],
+        SubspaceTag.B: [(a, unit) for a in range(4, 8) for unit in (1.0, 1j)],
+        SubspaceTag.A_MINUS: [(0, 1j), (1, 1.0), (2, 1.0), (3, 1.0)],
+        SubspaceTag.A_PLUS: [(0, 1.0), (1, 1j), (2, 1j), (3, 1j)],
+    }.items()
+}
+
+#: Each table entry as a projector on the 16 real coordinates: the rows of the
+#: real form R = m.view(float64) are orthonormal, so Re(x m^H) m = x R^T R.
+_PROJECTOR = {tag: m.view(np.float64).T @ m.view(np.float64) for tag, m in _DOF.items()}
+
+
 def project(x: CplxOcton, tag: SubspaceTag) -> CplxOcton:
     """Orthogonal projection onto the tagged subspace."""
-    if tag is SubspaceTag.FULL_CO:
-        return x
-    c = np.zeros(8, dtype=np.complex128)
-    if tag is SubspaceTag.A:
-        c[:4] = x.c[:4]
-    elif tag is SubspaceTag.B:
-        c[4:] = x.c[4:]
-    elif tag is SubspaceTag.A_MINUS:
-        c[0] = 1j * x.c[0].imag
-        c[1:4] = x.c[1:4].real
-    elif tag is SubspaceTag.A_PLUS:
-        c[0] = x.c[0].real
-        c[1:4] = 1j * x.c[1:4].imag
-    else:
-        raise ValueError(f"unhandled tag {tag}")
-    return CplxOcton._wrap(c)
+    return CplxOcton._wrap((x.c.view(np.float64) @ _PROJECTOR[tag]).view(np.complex128))
 
 
 def membership_defect(x: CplxOcton, tag: SubspaceTag) -> float:
@@ -79,39 +83,23 @@ def require_member(x: CplxOcton, tag: SubspaceTag, name: str = "argument") -> No
         )
 
 
-# real basis vectors of each subspace, as rows of an (ndof, 8) complex matrix
-def _dof_matrix(tag: SubspaceTag) -> np.ndarray:
-    rows = []
-    if tag is SubspaceTag.FULL_CO:
-        slots, units = range(8), (1.0, 1j)
-    elif tag is SubspaceTag.A:
-        slots, units = range(4), (1.0, 1j)
-    elif tag is SubspaceTag.B:
-        slots, units = range(4, 8), (1.0, 1j)
-    elif tag is SubspaceTag.A_MINUS:
-        rows = [(0, 1j), (1, 1.0), (2, 1.0), (3, 1.0)]
-        slots, units = None, None
-    elif tag is SubspaceTag.A_PLUS:
-        rows = [(0, 1.0), (1, 1j), (2, 1j), (3, 1j)]
-        slots, units = None, None
-    else:
-        raise ValueError(f"unhandled tag {tag}")
-    if not rows:
-        rows = [(a, unit) for a in slots for unit in units]
-    m = np.zeros((len(rows), 8), dtype=np.complex128)
-    for r, (a, unit) in enumerate(rows):
-        m[r, a] = unit
-    return m
-
-
-_DOF = {tag: _dof_matrix(tag) for tag in SubspaceTag}
-
-
 def draw(tag: SubspaceTag, rng: np.random.Generator, bound: float = 1.0) -> CplxOcton:
     """One element with uniform coefficients on the subspace's real dof."""
     m = _DOF[tag]
     coeffs = rng.uniform(-bound, bound, size=m.shape[0])
     return CplxOcton._wrap(coeffs @ m)
+
+
+def draw_rows(
+    tag: SubspaceTag, rng: np.random.Generator, n: int, bound: float = 1.0
+) -> np.ndarray:
+    """n elements as the rows of an (n, 8) array, in one call.
+
+    The values and the generator state afterwards are those of n calls of
+    :func:`draw`.
+    """
+    m = _DOF[tag]
+    return rng.uniform(-bound, bound, size=(n, m.shape[0])) @ m
 
 
 def sample(tag: SubspaceTag, rng_seed: int, bound: float = 1.0) -> CplxOcton:

@@ -10,6 +10,7 @@ those inverted checks guard the only-if halves of the claims.
 from __future__ import annotations
 
 import json
+import math
 import time
 import zlib
 from dataclasses import dataclass, fields as dc_fields
@@ -59,8 +60,9 @@ NEG_CONTROL_MIN = 1e-3
 #: Rotation parameter bound for the Lorentz-invariance sweeps.
 PROP1_THETA_BOUND = 1.5
 
-#: Coefficient bound and cap for local gauge parameters, keeping the
-#: derivative-of-exponential tail below its truncation tolerance.
+#: Coefficient bound and value cap for local gauge parameters.  They fix how
+#: the gauge suites, the acceptance criteria and the benchmark draw u; the
+#: closed-form derivative of exp(u) itself needs no cap.
 GAUGE_PARAM_BOUND = 0.5
 GAUGE_PARAM_VALUE_CAP = 0.9
 
@@ -85,10 +87,12 @@ class SuiteConfig:
     def __post_init__(self):
         if self.samples_per_suite is not None and self.samples_per_suite < 1:
             raise ValueError("samples_per_suite must be >= 1")
-        if self.tol_exact <= 0 or self.tol_series <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.theta_bound <= 0:
-            raise ValueError("theta_bound must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if not all(0 < t < math.inf for t in (self.tol_exact, self.tol_series)):
+            raise ValueError("tolerances must be positive and finite")
+        if not 0 < self.theta_bound < math.inf:
+            raise ValueError("theta_bound must be positive and finite")
         if self.field_degree < 0:
             raise ValueError("field_degree must be >= 0")
         known = set(_REGISTRY)
@@ -423,7 +427,8 @@ def run_suite(suite_id: str, cfg: SuiteConfig) -> SuiteReport:
     start = time.perf_counter()
     residuals, controls_ok = sdef.runner(cfg, n, rng)
     elapsed_ms = int((time.perf_counter() - start) * 1000)
-    worst = float(max(residuals))
+    # np.max keeps a NaN that Python's max may skip; NaN and inf never pass
+    worst = float(np.max(residuals))
     tol = sdef.tolerance(cfg)
     return SuiteReport(
         suite_id=suite_id,

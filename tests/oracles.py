@@ -2,8 +2,10 @@
 
 Each oracle takes a different code path from the implementation it
 verifies: products come from a generic doubling recursion instead of the
-frozen table, exponentials from plain series summation instead of closed
-forms, derivatives from central differences instead of formal calculus.
+frozen table, exponentials and their derivatives from plain series
+summation instead of closed forms, pulled-back fields from symbolic
+expansion instead of the pointwise chain rule, derivatives from central
+differences instead of formal calculus.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from octoweak.core import CplxOcton, mul
+from octoweak.fields import PolyField, eval_at, partial
 
 
 def cd_conj(x: np.ndarray) -> np.ndarray:
@@ -88,3 +91,47 @@ def central_difference(fn, p, mu: int, h: float = 1e-5) -> CplxOcton:
     pp[mu] += h
     pm[mu] -= h
     return (fn(pp) - fn(pm)) * (1.0 / (2.0 * h))
+
+
+def dexp_series(u: PolyField, mu: int, p, tail_tol: float = 1e-14) -> CplxOcton:
+    """Derivative of exp(u) along x_mu by the series sum_m 1/m! sum_l u^l du u^(m-1-l).
+
+    u is A-valued, so the groupings are unambiguous.  The tail is cut once
+    m/m! * |u|^(m-1) * |du| falls below ``tail_tol``.
+    """
+    uval, du = eval_at(u, p), eval_at(partial(u, mu), p)
+    acc = CplxOcton.zero()
+    left, right = [CplxOcton.one()], [du]  # u^l and du u^j
+    fact = 1.0
+    for m in range(1, 121):
+        fact *= m
+        left.append(mul(left[-1], uval))
+        right.append(mul(right[-1], uval))
+        for l in range(m):
+            acc = acc + mul(left[l], right[m - 1 - l]) * (1.0 / fact)
+        if (m / fact) * abs(uval) ** (m - 1) * abs(du) < tail_tol:
+            return acc
+    raise ArithmeticError("derivative-of-exponential series did not converge")
+
+
+def pullback_linear(f: PolyField, m) -> PolyField:
+    """The field x -> f(Mx) for a real 4x4 matrix M, expanded term by term."""
+    arr = np.asarray(m)
+    if arr.shape != (4, 4) or np.abs(arr.imag).max() > 1e-10 * max(1.0, np.abs(arr.real).max()):
+        raise ValueError("pullback needs a real 4x4 matrix")
+    arr = arr.real.astype(float)
+    terms: dict = {}
+    for deg, coeff in f.terms.items():
+        # multiply out prod_mu (sum_nu M[mu, nu] x_nu)^deg[mu]
+        expansion = {(0, 0, 0, 0): 1.0}
+        for mu in range(4):
+            for _ in range(deg[mu]):
+                grown: dict = {}
+                for d, val in expansion.items():
+                    for nu in range(4):
+                        key = tuple(d[k] + (k == nu) for k in range(4))
+                        grown[key] = grown.get(key, 0.0) + val * arr[mu, nu]
+                expansion = grown
+        for newdeg, val in expansion.items():
+            terms[newdeg] = terms[newdeg] + coeff * val if newdeg in terms else coeff * val
+    return PolyField(terms, f.max_total_degree, f.tag)

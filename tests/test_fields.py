@@ -1,12 +1,15 @@
 import cmath
 import math
+from itertools import product as iter_product
 
 import numpy as np
 import pytest
 
-from octoweak.core import E, IM, ONE, CplxOcton, inner, isclose, mul
+from octoweak import fields
+from octoweak.core import E, IM, ONE, CplxOcton, bar_star, inner, isclose, mul
 from octoweak.errors import DomainViolation
 from octoweak.fields import (
+    DEXP_TAYLOR_Z,
     PolyField,
     dexp_at,
     dirac_scalar,
@@ -14,13 +17,12 @@ from octoweak.fields import (
     exp_field_at,
     lorentz_invariance_residual,
     partial,
-    pullback_linear,
     random_field,
 )
 from octoweak.grading import SubspaceTag, draw, in_subspace
-from octoweak.lorentz import EBAR_UPPER, Theta
+from octoweak.lorentz import EBAR_UPPER, Theta, eta_inverse_transform, lambda_S, lambda_V_real
 
-from oracles import central_difference, eval_naive
+from oracles import central_difference, dexp_series, eval_naive, pullback_linear
 
 
 def x_power(mu, coeff):
@@ -207,6 +209,36 @@ def test_invariance_residual_random_parameters_both_tags():
             assert lorentz_invariance_residual(f, theta, p) < 1e-9
 
 
+def _symbolic_invariance_residual(f, lam, theta, p):
+    # the transformed field expanded term by term, then differentiated formally
+    lv = lambda_V_real(theta)
+    factor = lam if f.tag is SubspaceTag.A else bar_star(lam)
+    f_prime = pullback_linear(f, eta_inverse_transform(lv)).scale_left(factor)
+    return abs(dirac_scalar(f_prime, lv @ p) - dirac_scalar(f, p))
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_invariance_residual_matches_the_symbolic_pullback(degree, monkeypatch):
+    rng = np.random.default_rng(60 + degree)
+    cases = []
+    for tag in (SubspaceTag.A, SubspaceTag.B):
+        for _ in range(5):
+            f = random_field(rng, degree, tag)
+            theta, other = Theta.random(rng, 1.5), Theta.random(rng, 1.5)
+            cases.append((f, theta, other, rng.uniform(-1, 1, 4)))
+    for f, theta, _, p in cases:
+        symbolic = _symbolic_invariance_residual(f, lambda_S(theta), theta, p)
+        assert lorentz_invariance_residual(f, theta, p) < 1e-9 and symbolic < 1e-9
+    # a spinor transformation that does not match L_V leaves an O(1) residual,
+    # which both routes must reproduce
+    for f, theta, other, p in cases:
+        monkeypatch.setattr(fields, "lambda_S", lambda _theta: lambda_S(other))
+        pointwise = lorentz_invariance_residual(f, theta, p)
+        symbolic = _symbolic_invariance_residual(f, lambda_S(other), theta, p)
+        assert symbolic > 1e-3
+        assert abs(pointwise - symbolic) <= 1e-10 * symbolic
+
+
 def test_invariance_residual_requires_tagged_field():
     f = PolyField.constant(ONE)
     with pytest.raises(DomainViolation):
@@ -241,6 +273,45 @@ def test_dexp_matches_finite_differences():
         for mu in range(4):
             fd = central_difference(lambda q: exp_field_at(u, q), p, mu)
             assert abs(dexp_at(u, mu, p) - fd) < 1e-7
+
+
+def _linear_field(value, grads, tag):
+    # u(x) = value + sum_mu x_mu grads[mu]: at the origin u = value, d_mu u = grads[mu]
+    terms = {(0, 0, 0, 0): CplxOcton(value)}
+    for mu in range(4):
+        terms[tuple(int(k == mu) for k in range(4))] = CplxOcton(grads[mu])
+    return PolyField(terms, tag=tag)
+
+
+def _vector_part(rng, tag, omega_sq, long):
+    """A vector part v with |<v, v>| = omega_sq; ``long`` keeps |v| near 1."""
+    if long:  # v = a + i b with a orthogonal to b and |a|^2 - |b|^2 = omega_sq
+        a = rng.normal(size=3)
+        a /= np.linalg.norm(a)
+        b = rng.normal(size=3)
+        b -= (b @ a) * a
+        b *= math.sqrt(1.0 - omega_sq) / np.linalg.norm(b)
+        return a + 1j * b
+    v = draw(tag, rng).c[1:4]
+    return v * math.sqrt(omega_sq / abs(np.dot(v, v)))
+
+
+def test_dexp_closed_form_matches_series_oracle():
+    rng = np.random.default_rng(54)
+    origin = (0.0, 0.0, 0.0, 0.0)
+    omega_sqs = np.logspace(-12, 0, 25)
+    assert omega_sqs[0] < DEXP_TAYLOR_Z < omega_sqs[-1]
+    worst = 0.0
+    for tag, long in ((SubspaceTag.A_MINUS, False), (SubspaceTag.A, False), (SubspaceTag.A, True)):
+        for omega_sq in omega_sqs:
+            value = draw(tag, rng, 0.5).c.copy()
+            value[1:4] = _vector_part(rng, tag, omega_sq, long)
+            assert math.isclose(abs(np.dot(value[1:4], value[1:4])), omega_sq, rel_tol=1e-3)
+            u = _linear_field(value, [draw(tag, rng).c for _ in range(4)], tag)
+            for mu in range(4):
+                want = dexp_series(u, mu, origin)
+                worst = max(worst, abs(dexp_at(u, mu, origin) - want) / abs(want))
+    assert worst < 1e-11
 
 
 def test_exp_field_requires_quaternionic_values():
@@ -282,6 +353,16 @@ def test_scale_left_right_follow_the_closure_table():
     p = rng.uniform(-1, 1, 4)
     assert abs(eval_at(f.scale_left(a), p) - mul(a, eval_at(f, p))) < 1e-13
     assert abs(eval_at(f.scale_right(b), p) - mul(eval_at(f, p), b)) < 1e-13
+
+
+def test_random_field_equals_one_draw_per_monomial_in_order():
+    degrees = [d for d in iter_product(range(4), repeat=4) if sum(d) <= 3]
+    for tag in SubspaceTag:
+        rng_field, rng_draws = np.random.default_rng(55), np.random.default_rng(55)
+        f = random_field(rng_field, 3, tag, 0.5)
+        assert f.exps.tolist() == [list(d) for d in sorted(degrees)]
+        assert np.array_equal(f.coeffs, [draw(tag, rng_draws, 0.5).c for _ in degrees])
+        assert rng_field.random() == rng_draws.random()
 
 
 def test_random_field_values_stay_in_the_tagged_subspace():

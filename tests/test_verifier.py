@@ -1,7 +1,10 @@
 import json
+import math
+from dataclasses import replace
 
 import pytest
 
+from octoweak import suites
 from octoweak.cli import main, parse_config_file
 from octoweak.errors import UnknownSuite
 from octoweak.suites import (
@@ -35,6 +38,22 @@ def test_config_validation():
     assert cfg.suites == suite_ids()
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(seed=-1),
+        dict(tol_exact=math.nan),
+        dict(tol_series=math.nan),
+        dict(tol_series=math.inf),
+        dict(theta_bound=math.inf),
+        dict(theta_bound=math.nan),
+    ],
+)
+def test_config_rejects_negative_seeds_and_non_finite_bounds(bad):
+    with pytest.raises(ValueError):
+        SuiteConfig(**bad)
+
+
 def test_run_suite_gamma5():
     report = run_suite("gamma5", SuiteConfig())
     assert report.passed
@@ -46,6 +65,22 @@ def test_run_suite_lorentz_algebra_is_exhaustive():
     report = run_suite("lorentz-algebra", SuiteConfig(**FAST))
     assert report.passed
     assert report.samples == 256  # sample override does not shrink exhaustive sweeps
+
+
+def test_a_nan_residual_fails_the_suite(monkeypatch):
+    gamma5 = suites._REGISTRY["gamma5"]
+    nan_runner = replace(gamma5, runner=lambda cfg, n, rng: ([1e-20, math.nan], True))
+    monkeypatch.setitem(suites._REGISTRY, "gamma5", nan_runner)
+    report = run_suite("gamma5", SuiteConfig())
+    assert not report.passed
+    assert math.isnan(report.max_residual)
+
+
+@pytest.mark.parametrize("seed", [1, 5])
+@pytest.mark.parametrize("suite_id", ["prop1-A", "prop1-B"])
+def test_prop1_passes_on_cubic_fields(suite_id, seed):
+    report = run_suite(suite_id, SuiteConfig(seed=seed, field_degree=3))
+    assert report.passed, report.max_residual
 
 
 def test_run_suite_unknown_id():
@@ -152,6 +187,26 @@ def test_cli_rejects_unknown_suite(capsys):
     with pytest.raises(SystemExit) as err:
         main(["--suite", "bogus"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, config_text",
+    [
+        (["--seed", "-1"], None),
+        (["--config", "missing.cfg"], None),
+        (["--tol-exact", "nan"], None),
+        (["--config", "run.cfg"], "theta_bound = inf\n"),
+    ],
+)
+def test_cli_hostile_config_is_a_one_line_usage_error(argv, config_text, tmp_path, capsys):
+    if config_text is not None:
+        (tmp_path / "run.cfg").write_text(config_text)
+    argv = [str(tmp_path / a) if a.endswith(".cfg") else a for a in argv]
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--suite", "gamma5"])
+    assert err.value.code == 2
+    errors = [ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]
+    assert len(errors) == 1 and "Traceback" not in errors[0]
 
 
 def test_cli_failing_run_exit_code(capsys):
