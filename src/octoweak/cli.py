@@ -22,7 +22,11 @@ _FLOAT_KEYS = {"tol_exact", "tol_series", "theta_bound"}
 
 
 def parse_config_file(path: str) -> dict:
-    """Flat ``key = value`` file mirroring the SuiteConfig fields."""
+    """Flat ``key = value`` file mirroring the SuiteConfig fields.
+
+    ``key: value`` is accepted too: a line splits at its first ``=``, or at
+    its first ``:`` if it has no ``=``.
+    """
     values: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):

@@ -20,15 +20,13 @@ import numpy as np
 from .core import CplxOcton, _cos_sinc, bar_star, exp_assoc, mul_rows
 from .errors import DomainViolation
 from .grading import AB_CLOSURE, SubspaceTag, draw_rows, in_subspace
-from .lorentz import EBAR_UPPER, Theta, eta_inverse_transform, lambda_S, lambda_V_real
+from .lorentz import EBAR_UPPER_ROWS, Theta, eta_inverse_transform, lambda_S, lambda_V_real
 
 Degree = tuple[int, int, int, int]
 
 #: Below this |omega^2| the factor (cos(omega) - sinc(omega))/omega^2 in
 #: :func:`dexp_at` is summed from its Taylor series, which cancels no digits.
 DEXP_TAYLOR_Z = 1e-2
-
-_EBAR_UPPER = np.array([e.c for e in EBAR_UPPER])
 
 
 def _as_point(p) -> np.ndarray:
@@ -220,7 +218,7 @@ def _require_spinor(f: PolyField) -> None:
 
 def _bilinear(value: np.ndarray, grads: np.ndarray) -> complex:
     """sum_rho <value*, ebar^rho grads[rho]> for a value and its four gradients."""
-    return complex(np.conj(value) @ mul_rows(_EBAR_UPPER, grads).sum(axis=0))
+    return complex(np.conj(value) @ mul_rows(EBAR_UPPER_ROWS, grads).sum(axis=0))
 
 
 def dirac_scalar(f: PolyField, p) -> complex:

@@ -11,11 +11,24 @@ from __future__ import annotations
 
 import cmath
 
-from .core import CplxOcton, associator, bar_star, conj_oct, exp_assoc, mul, scal
+import numpy as np
+
+from .core import (
+    CplxOcton,
+    abs_rows,
+    associator_rows,
+    bar_star_rows,
+    coeffs,
+    conj_oct_rows,
+    exp_assoc,
+    mul,
+    rowwise,
+    scal,
+)
 from .errors import DomainViolation
 from .fields import PolyField, dexp_at, dirac_scalar, eval_at, partial
 from .grading import SubspaceTag, require_member
-from .lorentz import Theta, lambda_S
+from .lorentz import lambda_S
 
 #: Forms 1 and 3 of the complement covariant derivative must agree this well.
 FORM_AGREEMENT_TOL = 1e-12
@@ -166,16 +179,17 @@ def scal_ww_residual(W: ConnectionField, u: PolyField, rho: int, p) -> complex:
     return shift + scal(eval_at(partial(u, rho), p))
 
 
-def general_coupling_residual(
-    r1: float, r2: float, theta: Theta, w_val: CplxOcton, beta_val: CplxOcton
-) -> float:
+@rowwise
+def general_coupling_residual(r1, r2, theta, w_val, beta_val):
     """Associator obstruction || [bar_star(L), r1 W + r2 conj_oct(W), beta] ||.
 
     Vanishes for every spinor transformation exactly when the middle slot is
     a pure scalar, i.e. when r1 = r2; unequal weights leave a vector part
-    that fails to associate.
+    that fails to associate.  Takes single values (a float comes back) or
+    row arrays: weights (n,), parameters (n, 4, 4), values (n, 8).
     """
     require_member(w_val, SubspaceTag.A_MINUS, "W value")
     require_member(beta_val, SubspaceTag.B, "beta value")
-    middle = r1 * w_val + r2 * conj_oct(w_val)
-    return abs(associator(bar_star(lambda_S(theta)), middle, beta_val))
+    middle = np.asarray(r1)[..., None] * w_val + np.asarray(r2)[..., None] * conj_oct_rows(w_val)
+    lam = bar_star_rows(coeffs(lambda_S(theta)))
+    return abs_rows(associator_rows(lam, middle, beta_val))

@@ -9,6 +9,8 @@ i, e1, e2, e3) is the anti-Hermitian sector used for gauge parameters.
 
 The ``residual_*`` evaluators return left-hand side minus right-hand side
 of an exchange identity; their contract is to vanish within tolerance.
+They take single values or (..., 8) coefficient arrays evaluated row by
+row.
 """
 
 from __future__ import annotations
@@ -17,7 +19,18 @@ from enum import Enum
 
 import numpy as np
 
-from .core import CplxOcton, bar_star, conj_oct, inner, mul
+from .core import (
+    CplxOcton,
+    _row_matmul,
+    abs_rows,
+    bar_star,
+    coeffs,
+    conj_oct_rows,
+    inner_rows,
+    mul,
+    mul_rows,
+    rowwise,
+)
 from .errors import DomainViolation
 
 #: A vector is "in" a subspace when its complementary projection is below
@@ -61,33 +74,66 @@ _DOF = {
 _PROJECTOR = {tag: m.view(np.float64).T @ m.view(np.float64) for tag, m in _DOF.items()}
 
 
-def project(x: CplxOcton, tag: SubspaceTag) -> CplxOcton:
-    """Orthogonal projection onto the tagged subspace."""
-    return CplxOcton._wrap((x.c.view(np.float64) @ _PROJECTOR[tag]).view(np.complex128))
+def project(x, tag: SubspaceTag):
+    """Orthogonal projection onto the tagged subspace, of a value or row by row."""
+    rows = np.ascontiguousarray(coeffs(x))
+    out = _row_matmul(rows.view(np.float64), _PROJECTOR[tag]).view(np.complex128)
+    return CplxOcton._wrap(out) if isinstance(x, CplxOcton) else out
 
 
-def membership_defect(x: CplxOcton, tag: SubspaceTag) -> float:
+def _membership(rows: np.ndarray, tag: SubspaceTag):
+    # per row: the magnitude outside the subspace, and whether it is within tolerance
+    defect = abs_rows(rows - project(rows, tag))
+    return defect, defect <= MEMBERSHIP_TOL * np.maximum(1.0, abs_rows(rows))
+
+
+@rowwise
+def membership_defect(x, tag: SubspaceTag):
     """Magnitude of the part of x outside the tagged subspace."""
-    return abs(x - project(x, tag))
+    return _membership(x, tag)[0]
 
 
-def in_subspace(x: CplxOcton, tag: SubspaceTag) -> bool:
-    return membership_defect(x, tag) <= MEMBERSHIP_TOL * max(1.0, abs(x))
+@rowwise
+def in_subspace(x, tag: SubspaceTag):
+    return _membership(x, tag)[1]
 
 
-def require_member(x: CplxOcton, tag: SubspaceTag, name: str = "argument") -> None:
-    if not in_subspace(x, tag):
-        raise DomainViolation(
-            f"{name} is not in subspace {tag.value} "
-            f"(defect {membership_defect(x, tag):.3g})"
-        )
+def require_member(x, tag: SubspaceTag, name: str = "argument") -> None:
+    """Raise :class:`DomainViolation` unless x, or every row of x, is in the subspace."""
+    defect, ok = _membership(coeffs(x), tag)
+    if not np.all(ok):
+        worst = float(np.max(defect[~ok]))
+        raise DomainViolation(f"{name} is not in subspace {tag.value} (defect {worst:.3g})")
 
 
 def draw(tag: SubspaceTag, rng: np.random.Generator, bound: float = 1.0) -> CplxOcton:
     """One element with uniform coefficients on the subspace's real dof."""
     m = _DOF[tag]
-    coeffs = rng.uniform(-bound, bound, size=m.shape[0])
-    return CplxOcton._wrap(coeffs @ m)
+    dof = rng.uniform(-bound, bound, size=m.shape[0])
+    return CplxOcton._wrap(dof @ m)
+
+
+def draw_block(
+    tags, rng: np.random.Generator, n: int, bound: float = 1.0
+) -> list[np.ndarray]:
+    """n samples of one element per tag, as one (n, 8) array per tag.
+
+    One uniform call fills an (n, total dof) array in C order, which reads
+    the stream as n rounds of ``[draw(tag, rng, bound) for tag in tags]``
+    would: values and the generator state afterwards are the same.
+    """
+    block = rng.uniform(-bound, bound, size=(n, sum(len(_DOF[tag]) for tag in tags)))
+    out, start = [], 0
+    for tag in tags:
+        stop = start + len(_DOF[tag])
+        out.append(dof_rows(tag, block[:, start:stop]))
+        start = stop
+    return out
+
+
+def dof_rows(tag: SubspaceTag, dof: np.ndarray) -> np.ndarray:
+    """Elements, (..., 8), from real coefficients (..., ndof) on the tag's table rows."""
+    return _row_matmul(dof, _DOF[tag])
 
 
 def draw_rows(
@@ -98,8 +144,7 @@ def draw_rows(
     The values and the generator state afterwards are those of n calls of
     :func:`draw`.
     """
-    m = _DOF[tag]
-    return rng.uniform(-bound, bound, size=(n, m.shape[0])) @ m
+    return dof_rows(tag, rng.uniform(-bound, bound, size=(n, len(_DOF[tag]))))
 
 
 def sample(tag: SubspaceTag, rng_seed: int, bound: float = 1.0) -> CplxOcton:
@@ -109,11 +154,16 @@ def sample(tag: SubspaceTag, rng_seed: int, bound: float = 1.0) -> CplxOcton:
     return draw(tag, np.random.default_rng(rng_seed), bound)
 
 
-def residual_ab(a: CplxOcton, b: CplxOcton) -> CplxOcton:
+# The residuals take CplxOcton arguments, or (..., 8) arrays whose rows are
+# checked and evaluated together (see core.rowwise).
+
+
+@rowwise
+def residual_ab(a, b):
     """a b - b conj_oct(a), for a in A and b in B."""
     require_member(a, SubspaceTag.A, "a")
     require_member(b, SubspaceTag.B, "b")
-    return mul(a, b) - mul(b, conj_oct(a))
+    return mul_rows(a, b) - mul_rows(b, conj_oct_rows(a))
 
 
 def _require_ab_pairs(a, a2, b, b2):
@@ -125,54 +175,59 @@ def _require_ab_pairs(a, a2, b, b2):
             require_member(x, SubspaceTag.B, name)
 
 
-def residual_aab(a: CplxOcton, a2: CplxOcton, b: CplxOcton) -> CplxOcton:
+@rowwise
+def residual_aab(a, a2, b):
     """(a a')b - a'(a b)  [order of the A factors reverses]."""
     _require_ab_pairs(a, a2, b, None)
-    return mul(mul(a, a2), b) - mul(a2, mul(a, b))
+    return mul_rows(mul_rows(a, a2), b) - mul_rows(a2, mul_rows(a, b))
 
 
-def residual_baa(a: CplxOcton, a2: CplxOcton, b: CplxOcton) -> CplxOcton:
+@rowwise
+def residual_baa(a, a2, b):
     """b(a' a) - (b a)a'  [order of the A factors reverses]."""
     _require_ab_pairs(a, a2, b, None)
-    return mul(b, mul(a2, a)) - mul(mul(b, a), a2)
+    return mul_rows(b, mul_rows(a2, a)) - mul_rows(mul_rows(b, a), a2)
 
 
-def residual_bba(a: CplxOcton, b: CplxOcton, b2: CplxOcton) -> CplxOcton:
+@rowwise
+def residual_bba(a, b, b2):
     """(b b')a - (a b)b'  [order of the B factors does not reverse]."""
     _require_ab_pairs(a, None, b, b2)
-    return mul(mul(b, b2), a) - mul(mul(a, b), b2)
+    return mul_rows(mul_rows(b, b2), a) - mul_rows(mul_rows(a, b), b2)
 
 
-def residual_abb(a: CplxOcton, b: CplxOcton, b2: CplxOcton) -> CplxOcton:
+@rowwise
+def residual_abb(a, b, b2):
     """a(b' b) - b'(b a)  [order of the B factors does not reverse]."""
     _require_ab_pairs(a, None, b, b2)
-    return mul(a, mul(b2, b)) - mul(b2, mul(b, a))
+    return mul_rows(a, mul_rows(b2, b)) - mul_rows(b2, mul_rows(b, a))
 
 
-def residual_abba(a: CplxOcton, a2: CplxOcton, b: CplxOcton, b2: CplxOcton) -> CplxOcton:
+@rowwise
+def residual_abba(a, a2, b, b2):
     """(a b)(b' a') - a'(b b')a; the right side associates since b b' lands in A."""
     _require_ab_pairs(a, a2, b, b2)
-    return mul(mul(a, b), mul(b2, a2)) - mul(mul(a2, mul(b, b2)), a)
+    return mul_rows(mul_rows(a, b), mul_rows(b2, a2)) - mul_rows(mul_rows(a2, mul_rows(b, b2)), a)
 
 
-def residual_zvengrowski(x: CplxOcton, y: CplxOcton, z: CplxOcton) -> CplxOcton:
+@rowwise
+def residual_zvengrowski(x, y, z):
     """x(y~ z) + y(x~ z) - 2<x,y>z; holds on the whole algebra."""
-    lhs = mul(x, mul(conj_oct(y), z)) + mul(y, mul(conj_oct(x), z))
-    return lhs - (2.0 * inner(x, y)) * z
+    lhs = mul_rows(x, mul_rows(conj_oct_rows(y), z)) + mul_rows(y, mul_rows(conj_oct_rows(x), z))
+    return lhs - (2.0 * inner_rows(x, y))[..., None] * z
 
 
-def residual_ipmove(
-    form: IPMoveForm, x: CplxOcton, y: CplxOcton, z: CplxOcton
-) -> complex:
+@rowwise
+def residual_ipmove(form: IPMoveForm, x, y, z):
     """LHS - RHS of the selected inner-product move."""
     if form is IPMoveForm.LL:
-        return inner(mul(x, y), z) - inner(y, mul(conj_oct(x), z))
+        return inner_rows(mul_rows(x, y), z) - inner_rows(y, mul_rows(conj_oct_rows(x), z))
     if form is IPMoveForm.LR:
-        return inner(mul(x, y), z) - inner(x, mul(z, conj_oct(y)))
+        return inner_rows(mul_rows(x, y), z) - inner_rows(x, mul_rows(z, conj_oct_rows(y)))
     if form is IPMoveForm.RL:
-        return inner(z, mul(x, y)) - inner(mul(conj_oct(x), z), y)
+        return inner_rows(z, mul_rows(x, y)) - inner_rows(mul_rows(conj_oct_rows(x), z), y)
     if form is IPMoveForm.RR:
-        return inner(z, mul(x, y)) - inner(mul(z, conj_oct(y)), x)
+        return inner_rows(z, mul_rows(x, y)) - inner_rows(mul_rows(z, conj_oct_rows(y)), x)
     raise ValueError(f"unhandled form {form}")
 
 

@@ -9,19 +9,23 @@ matrices exponentiated by scaling and squaring.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .core import (
     E,
     CplxOcton,
+    _row_matmul,
+    abs_rows,
     bar_star,
+    bar_star_rows,
+    coeffs,
     commutator,
     conj_complex,
     conj_oct,
     exp_assoc,
+    exp_rows,
     mul,
+    mul_rows,
 )
 from .grading import SubspaceTag, require_member
 
@@ -34,6 +38,14 @@ E_LOWER = (CplxOcton.scalar(1j), E[1], E[2], E[3])
 E_UPPER = (CplxOcton.scalar(-1j), E[1], E[2], E[3])
 EBAR_LOWER = tuple(conj_oct(e) for e in E_LOWER)
 EBAR_UPPER = tuple(conj_oct(e) for e in E_UPPER)
+#: ebar^rho as the rows of a (4, 8) coefficient array.
+EBAR_UPPER_ROWS = np.array([e.c for e in EBAR_UPPER])
+EBAR_UPPER_ROWS.flags.writeable = False
+
+#: Upper-triangle slots (mu < nu) of the six Lorentz parameters, in the order
+#: :meth:`Theta.random` draws them; the last three are the rotations.
+THETA_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+ROTATION_PAIRS = THETA_PAIRS[3:]
 
 #: Taylor/squaring parameters for :func:`mat_exp`.
 MAT_EXP_NORM_CAP = 0.5
@@ -63,13 +75,9 @@ class Theta:
     @classmethod
     def from_upper(cls, entries: dict[tuple[int, int], float]) -> "Theta":
         """Build from upper-triangle values {(mu, nu): theta^{mu nu}}, mu < nu."""
-        arr = np.zeros((4, 4))
-        for (mu, nu), val in entries.items():
-            if not (0 <= mu < nu <= 3):
-                raise ValueError("upper-triangle indices required (mu < nu)")
-            arr[mu, nu] = val
-            arr[nu, mu] = -val
-        return cls(arr)
+        if not all(0 <= mu < nu <= 3 for mu, nu in entries):
+            raise ValueError("upper-triangle indices required (mu < nu)")
+        return cls(theta_rows(list(entries.values()), tuple(entries)))
 
     @classmethod
     def single(cls, mu: int, nu: int, value: float) -> "Theta":
@@ -78,16 +86,14 @@ class Theta:
     @classmethod
     def random(cls, rng: np.random.Generator, bound: float) -> "Theta":
         """Uniform entries in [-bound, bound] on the six free parameters."""
-        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
         vals = rng.uniform(-bound, bound, size=6)
-        return cls.from_upper(dict(zip(pairs, vals)))
+        return cls.from_upper(dict(zip(THETA_PAIRS, vals)))
 
     @classmethod
     def random_rotation(cls, rng: np.random.Generator, bound: float) -> "Theta":
         """Rotation-only draw: all boost entries theta^{0i} stay zero."""
-        pairs = [(1, 2), (1, 3), (2, 3)]
         vals = rng.uniform(-bound, bound, size=3)
-        return cls.from_upper(dict(zip(pairs, vals)))
+        return cls.from_upper(dict(zip(ROTATION_PAIRS, vals)))
 
     def __neg__(self) -> "Theta":
         return Theta(-self.m)
@@ -112,48 +118,81 @@ def v_gen(mu: int, nu: int) -> np.ndarray:
 
 _S_GEN = tuple(tuple(s_gen(mu, nu) for nu in range(4)) for mu in range(4))
 _V_GEN = tuple(tuple(v_gen(mu, nu) for nu in range(4)) for mu in range(4))
+_S_PAIRS = np.array([_S_GEN[mu][nu].c for mu, nu in THETA_PAIRS])
+_V_PAIRS = np.array([_V_GEN[mu][nu] for mu, nu in THETA_PAIRS])
+
+
+def theta_rows(values, pairs=THETA_PAIRS) -> np.ndarray:
+    """Stack of antisymmetric parameter matrices, (..., 4, 4), from upper-triangle
+    values (..., len(pairs)): the array form of :meth:`Theta.from_upper`."""
+    values = np.asarray(values, dtype=float)
+    out = np.zeros(values.shape[:-1] + (4, 4))
+    for k, (mu, nu) in enumerate(pairs):
+        out[..., mu, nu] = values[..., k]
+        out[..., nu, mu] = -values[..., k]
+    return out
 
 
 def mat_exp(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring on an 18-term Taylor sum."""
+    """Matrix exponential by scaling-and-squaring on an 18-term Taylor sum.
+
+    Takes one square matrix or a stack (..., k, k); each matrix is scaled by
+    its own 1-norm.  A matrix whose norm is not finite is not scaled, and its
+    exponential comes out non-finite.
+    """
     a = np.asarray(m, dtype=np.complex128)
-    n1 = float(np.abs(a).sum(axis=0).max()) if a.size else 0.0
-    squarings = max(0, math.ceil(math.log2(n1 / MAT_EXP_NORM_CAP))) if n1 > MAT_EXP_NORM_CAP else 0
-    a = a / (2.0**squarings)
-    acc = np.eye(a.shape[0], dtype=np.complex128)
-    term = np.eye(a.shape[0], dtype=np.complex128)
-    for k in range(1, MAT_EXP_TERMS + 1):
-        term = term @ a / k
-        acc = acc + term
-    for _ in range(squarings):
-        acc = acc @ acc
+    with np.errstate(all="ignore"):
+        ratio = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0) / MAT_EXP_NORM_CAP
+        scale = (ratio > 1.0) & (ratio < np.inf)
+        squarings = np.ceil(np.log2(ratio, out=np.zeros(np.shape(ratio)), where=scale))
+        a = a * np.exp2(-squarings)[..., None, None]
+        acc = term = np.eye(a.shape[-1], dtype=np.complex128)
+        for k in range(1, MAT_EXP_TERMS + 1):
+            term = term @ a / k
+            acc = acc + term
+        for step in range(int(squarings.max(initial=0))):
+            redo = squarings > step
+            acc = acc @ acc if redo.all() else np.where(redo[..., None, None], acc @ acc, acc)
     return acc
 
 
-def _spinor_generator_sum(theta: Theta) -> CplxOcton:
-    acc = np.zeros(8, dtype=np.complex128)
-    for mu in range(4):
-        for nu in range(mu + 1, 4):
-            t = theta.m[mu, nu]
-            if t != 0.0:
-                acc = acc + (2.0 * t) * _S_GEN[mu][nu].c
-    return CplxOcton._wrap(-0.5j * acc)
+def _theta_m(theta) -> np.ndarray:
+    return theta.m if isinstance(theta, Theta) else np.asarray(theta, dtype=float)
 
 
-def lambda_S(theta: Theta) -> CplxOcton:
-    """Spinor transformation exp(-(i/2) theta^{mu nu} S_mu_nu)."""
-    return exp_assoc(_spinor_generator_sum(theta))
+_PAIR_MU, _PAIR_NU = (np.array(ix) for ix in zip(*THETA_PAIRS))
 
 
-def lambda_V(theta: Theta) -> np.ndarray:
-    """Vector transformation exp(-(i/2) theta^{mu nu} V_mu_nu); real up to roundoff."""
-    g = np.zeros((4, 4), dtype=np.complex128)
-    for mu in range(4):
-        for nu in range(mu + 1, 4):
-            t = theta.m[mu, nu]
-            if t != 0.0:
-                g += (2.0 * t) * _V_GEN[mu][nu]
-    return mat_exp(-0.5j * g)
+def _generator_sum(theta, gens: np.ndarray) -> np.ndarray:
+    # sum of 2 theta^{mu nu} G_{mu nu} over mu < nu, per parameter matrix.  Each
+    # entry of the sum gets at most one nonzero real and one nonzero imaginary
+    # term, so the contraction is exact whatever order it adds in, and equals
+    # the term-by-term sum bit for bit
+    t = 2.0 * _theta_m(theta)[..., _PAIR_MU, _PAIR_NU]
+    out = _row_matmul(t, gens.reshape(len(THETA_PAIRS), -1))
+    return out.reshape(t.shape[:-1] + gens.shape[1:])
+
+
+def lambda_S(theta):
+    """Spinor transformation exp(-(i/2) theta^{mu nu} S_mu_nu).
+
+    A :class:`Theta` gives a CplxOcton; an (..., 4, 4) stack of parameter
+    matrices gives (..., 8) rows.  A single Theta goes through the scalar
+    :func:`exp_assoc`, whose Python complex arithmetic rounds differently from
+    numpy's, so single values stay what they have always been.
+    """
+    u = -0.5j * _generator_sum(theta, _S_PAIRS)
+    if isinstance(theta, Theta):
+        return exp_assoc(CplxOcton._wrap(u))
+    return exp_rows(u)
+
+
+def lambda_V(theta) -> np.ndarray:
+    """Vector transformation exp(-(i/2) theta^{mu nu} V_mu_nu); real up to roundoff.
+
+    A :class:`Theta` gives a 4x4 matrix, an (..., 4, 4) parameter stack a stack.
+    """
+    return mat_exp(-0.5j * _generator_sum(theta, _V_PAIRS))
 
 
 def lambda_V_real(theta: Theta) -> np.ndarray:
@@ -164,17 +203,23 @@ def lambda_V_real(theta: Theta) -> np.ndarray:
     return lv.real.copy()
 
 
-def double_cover_residual(theta: Theta) -> float:
-    """Max over rho of || bar_star(L) ebar^rho L - (L_V)^rho_sigma ebar^sigma ||."""
-    lam = lambda_S(theta)
-    lam_bs = bar_star(lam)
-    lv = lambda_V(theta)
-    worst = 0.0
-    for rho in range(4):
-        lhs = mul(mul(lam_bs, EBAR_UPPER[rho]), lam)
-        rhs = CplxOcton._wrap(sum(lv[rho, s] * EBAR_UPPER[s].c for s in range(4)))
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+def double_cover_residual(theta):
+    """Max over rho of || bar_star(L) ebar^rho L - (L_V)^rho_sigma ebar^sigma ||.
+
+    A float for a :class:`Theta`, an array for an (..., 4, 4) parameter stack.
+    """
+    lam = coeffs(lambda_S(theta))
+    lam_bs = bar_star_rows(lam)
+    rhs = lambda_V(theta) @ EBAR_UPPER_ROWS
+    # one rho at a time keeps the temporaries at one product per row
+    worst = np.max(
+        [
+            abs_rows(mul_rows(mul_rows(lam_bs, ebar), lam) - rhs[..., rho, :])
+            for rho, ebar in enumerate(EBAR_UPPER_ROWS)
+        ],
+        axis=0,
+    )
+    return float(worst) if isinstance(theta, Theta) else worst
 
 
 def lorentz_algebra_residual(mu: int, nu: int, rho: int, sigma: int) -> CplxOcton:

@@ -18,7 +18,15 @@ from typing import Callable
 
 import numpy as np
 
-from .core import E, ONE, associator, bar_star, mul, norm
+from .core import (
+    E,
+    ONE,
+    abs_rows,
+    associator_rows,
+    bar_star_rows,
+    mul_rows,
+    norm_rows,
+)
 from .errors import UnknownSuite
 from .fields import PolyField, eval_at, lorentz_invariance_residual, random_field
 from .gauge import (
@@ -34,7 +42,9 @@ from .grading import (
     AB_CLOSURE,
     IPMoveForm,
     SubspaceTag,
+    dof_rows,
     draw,
+    draw_block,
     membership_defect,
     residual_ab,
     residual_aab,
@@ -46,12 +56,15 @@ from .grading import (
     residual_zvengrowski,
 )
 from .lorentz import (
+    ROTATION_PAIRS,
+    THETA_PAIRS,
     Theta,
     double_cover_residual,
     gamma5_analogue,
     infinitesimal_dc_residual,
     lambda_S,
     lorentz_algebra_residual,
+    theta_rows,
 )
 
 #: Negative-control witnesses must exceed this residual floor.
@@ -59,6 +72,11 @@ NEG_CONTROL_MIN = 1e-3
 
 #: Rotation parameter bound for the Lorentz-invariance sweeps.
 PROP1_THETA_BOUND = 1.5
+
+#: Largest accepted ``field_degree``.  A field of degree d has C(d + 4, 4)
+#: monomials and is built from (d + 1)**4 candidate exponents; 12 gives 1820
+#: monomials, room for the degree-9 Lorentz-invariance checks.
+MAX_FIELD_DEGREE = 12
 
 #: Coefficient bound and value cap for local gauge parameters.  They fix how
 #: the gauge suites, the acceptance criteria and the benchmark draw u; the
@@ -91,10 +109,11 @@ class SuiteConfig:
             raise ValueError("seed must be >= 0")
         if not all(0 < t < math.inf for t in (self.tol_exact, self.tol_series)):
             raise ValueError("tolerances must be positive and finite")
-        if not 0 < self.theta_bound < math.inf:
-            raise ValueError("theta_bound must be positive and finite")
-        if self.field_degree < 0:
-            raise ValueError("field_degree must be >= 0")
+        # parameters are drawn from [-theta_bound, theta_bound], whose width must be finite
+        if not (0 < self.theta_bound and math.isfinite(2 * self.theta_bound)):
+            raise ValueError("theta_bound must be positive, with 2 * theta_bound finite")
+        if not 0 <= self.field_degree <= MAX_FIELD_DEGREE:
+            raise ValueError(f"field_degree must be in 0..{MAX_FIELD_DEGREE}")
         known = set(_REGISTRY)
         unknown = [s for s in self.suites if s not in known]
         if unknown:
@@ -141,74 +160,108 @@ def _rng_for(cfg: SuiteConfig, suite_id: str) -> np.random.Generator:
     return np.random.default_rng([cfg.seed, zlib.crc32(suite_id.encode())])
 
 
-def _full(rng):
-    return draw(SubspaceTag.FULL_CO, rng)
+#: Sampled suites draw and evaluate at most this many samples at a time; the
+#: cap bounds the size of the temporary arrays.
+BLOCK_ROWS = 256
+
+_FULL = SubspaceTag.FULL_CO
+
+
+def _blocked(n: int, block) -> np.ndarray:
+    """Residuals of n samples: ``block(m)`` draws and evaluates m of them."""
+    return np.concatenate(
+        [block(min(BLOCK_ROWS, n - start)) for start in range(0, n, BLOCK_ROWS)]
+    )
+
+
+def _sampled(tags, residual):
+    """Runner for a residual of one draw per tag per sample, bound 1."""
+
+    def run(cfg, n, rng):
+        return _blocked(n, lambda m: residual(*draw_block(tags, rng, m))), True
+
+    return run
+
+
+def _sampled_theta(pairs, residual):
+    """Runner for a residual of Lorentz parameters drawn on ``pairs`` within theta_bound."""
+
+    def run(cfg, n, rng):
+        b = cfg.theta_bound
+
+        def block(m):
+            return residual(theta_rows(rng.uniform(-b, b, size=(m, len(pairs))), pairs))
+
+        return _blocked(n, block), True
+
+    return run
+
+
+# ---------------------------------------------------------------- residuals
+#
+# Each takes the drawn inputs of a block as arrays and returns one residual
+# per row.
+
+
+def _composition(x, y):
+    scale = np.maximum(1.0, abs_rows(x) ** 2 * abs_rows(y) ** 2)
+    return np.abs(norm_rows(mul_rows(x, y)) - norm_rows(x) * norm_rows(y)) / scale
+
+
+def _alternativity(x, y):
+    return np.maximum(abs_rows(associator_rows(x, x, y)), abs_rows(associator_rows(x, y, y)))
+
+
+def _ip_moves(x, y, z):
+    return np.max([np.abs(residual_ipmove(f, x, y, z)) for f in IPMoveForm], axis=0)
+
+
+def _zvengrowski(x, y, z):
+    return abs_rows(residual_zvengrowski(x, y, z))
+
+
+_AB_TAGS = (SubspaceTag.A, SubspaceTag.A, SubspaceTag.B, SubspaceTag.B)
+
+
+def _ab_identities(a, a2, b, b2):
+    return np.max(
+        abs_rows(
+            [
+                residual_ab(a, b),
+                residual_aab(a, a2, b),
+                residual_baa(a, a2, b),
+                residual_bba(a, b, b2),
+                residual_abb(a, b, b2),
+                residual_abba(a, a2, b, b2),
+            ]
+        ),
+        axis=0,
+    )
+
+
+_CLOSURE_TAGS = tuple(tag for pair in AB_CLOSURE for tag in pair)
+
+
+def _grading_closure(*xs):
+    # xs holds x, y for each (tag_x, tag_y) of the closure table in turn
+    worst = []
+    for (x, y), target in zip(zip(xs[::2], xs[1::2]), AB_CLOSURE.values()):
+        p = mul_rows(x, y)
+        worst.append(membership_defect(p, target) / np.maximum(1.0, abs_rows(p)))
+    return np.max(worst, axis=0)
+
+
+def _unitarity(theta):
+    lam = lambda_S(theta)
+    return abs_rows(mul_rows(bar_star_rows(lam), lam) - ONE.c)
+
+
+def _selfconj(theta):
+    lam = lambda_S(theta)
+    return abs_rows(bar_star_rows(lam) - lam)
 
 
 # ---------------------------------------------------------------- runners
-
-def _run_composition(cfg, n, rng):
-    res = []
-    for _ in range(n):
-        x, y = _full(rng), _full(rng)
-        scale = max(1.0, abs(x) ** 2 * abs(y) ** 2)
-        res.append(abs(norm(mul(x, y)) - norm(x) * norm(y)) / scale)
-    return res, True
-
-
-def _run_alternativity(cfg, n, rng):
-    res = []
-    for _ in range(n):
-        x, y = _full(rng), _full(rng)
-        res.append(max(abs(associator(x, x, y)), abs(associator(x, y, y))))
-    return res, True
-
-
-def _run_ip_moves(cfg, n, rng):
-    res = []
-    for _ in range(n):
-        x, y, z = _full(rng), _full(rng), _full(rng)
-        res.append(max(abs(residual_ipmove(f, x, y, z)) for f in IPMoveForm))
-    return res, True
-
-
-def _run_zvengrowski(cfg, n, rng):
-    res = []
-    for _ in range(n):
-        x, y, z = _full(rng), _full(rng), _full(rng)
-        res.append(abs(residual_zvengrowski(x, y, z)))
-    return res, True
-
-
-def _run_ab_identities(cfg, n, rng):
-    res = []
-    for _ in range(n):
-        a, a2 = draw(SubspaceTag.A, rng), draw(SubspaceTag.A, rng)
-        b, b2 = draw(SubspaceTag.B, rng), draw(SubspaceTag.B, rng)
-        res.append(
-            max(
-                abs(residual_ab(a, b)),
-                abs(residual_aab(a, a2, b)),
-                abs(residual_baa(a, a2, b)),
-                abs(residual_bba(a, b, b2)),
-                abs(residual_abb(a, b, b2)),
-                abs(residual_abba(a, a2, b, b2)),
-            )
-        )
-    return res, True
-
-
-def _run_grading_closure(cfg, n, rng):
-    res = []
-    for _ in range(n):
-        worst = 0.0
-        for pair, target in AB_CLOSURE.items():
-            x, y = draw(pair[0], rng), draw(pair[1], rng)
-            p = mul(x, y)
-            worst = max(worst, membership_defect(p, target) / max(1.0, abs(p)))
-        res.append(worst)
-    return res, True
-
 
 def _run_lorentz_algebra(cfg, n, rng):
     res = [
@@ -231,26 +284,17 @@ def _run_infinitesimal_dc(cfg, n, rng):
     return res, True
 
 
-def _run_double_cover(cfg, n, rng):
-    return [double_cover_residual(Theta.random(rng, cfg.theta_bound)) for _ in range(n)], True
-
-
-def _run_rotation_unitarity(cfg, n, rng):
-    res = []
-    for _ in range(n):
-        lam = lambda_S(Theta.random_rotation(rng, cfg.theta_bound))
-        res.append(abs(mul(bar_star(lam), lam) - ONE))
-    return res, True
-
-
 def _run_boost_selfconj(cfg, n, rng):
-    res = []
-    for _ in range(n):
-        axis = int(rng.integers(1, 4))
-        chi = float(rng.uniform(-cfg.theta_bound, cfg.theta_bound))
-        lam = lambda_S(Theta.single(0, axis, chi))
-        res.append(abs(bar_star(lam) - lam))
-    return res, True
+    # the axis is an integer draw between the uniform ones, so the inputs are
+    # read sample by sample; only the arithmetic is batched
+    def block(m):
+        chi = np.zeros((m, 3))
+        for i in range(m):
+            axis = int(rng.integers(1, 4))
+            chi[i, axis - 1] = float(rng.uniform(-cfg.theta_bound, cfg.theta_bound))
+        return _selfconj(theta_rows(chi, THETA_PAIRS[:3]))
+
+    return _blocked(n, block), True
 
 
 def _run_gamma5(cfg, n, rng):
@@ -328,20 +372,25 @@ def _run_prop3(cfg, n, rng):
 
 
 def _run_prop4(cfg, n, rng):
-    res = []
-    for _ in range(n):
-        r = float(rng.uniform(0.1, 1.0))
-        res.append(
-            general_coupling_residual(
-                0.5 * r,
-                0.5 * r,
-                Theta.random(rng, cfg.theta_bound),
-                draw(SubspaceTag.A_MINUS, rng),
-                draw(SubspaceTag.B, rng),
-            )
+    # mixed bounds: the inputs are read sample by sample, the arithmetic is batched
+    def block(m):
+        r, theta = np.zeros(m), np.zeros((m, 6))
+        w, beta = np.zeros((m, 4)), np.zeros((m, 8))
+        for i in range(m):
+            r[i] = float(rng.uniform(0.1, 1.0))
+            theta[i] = rng.uniform(-cfg.theta_bound, cfg.theta_bound, size=6)
+            w[i] = rng.uniform(-1.0, 1.0, size=4)
+            beta[i] = rng.uniform(-1.0, 1.0, size=8)
+        return general_coupling_residual(
+            0.5 * r,
+            0.5 * r,
+            theta_rows(theta),
+            dof_rows(SubspaceTag.A_MINUS, w),
+            dof_rows(SubspaceTag.B, beta),
         )
+
     witness = general_coupling_residual(**PROP4_WITNESS)
-    return res, witness > NEG_CONTROL_MIN
+    return _blocked(n, block), witness > NEG_CONTROL_MIN
 
 
 def _run_prop5(cfg, n, rng):
@@ -382,14 +431,18 @@ def _run_lemma4(cfg, n, rng):
 
 
 _SUITES = [
-    _SuiteDef("ip-moves", 1000, _exact(), _run_ip_moves),
-    _SuiteDef("zvengrowski", 1000, _exact(), _run_zvengrowski),
-    _SuiteDef("ab-identities", 1000, _exact(), _run_ab_identities),
-    _SuiteDef("grading-closure", 1000, _exact(), _run_grading_closure),
+    _SuiteDef("ip-moves", 1000, _exact(), _sampled((_FULL,) * 3, _ip_moves)),
+    _SuiteDef("zvengrowski", 1000, _exact(), _sampled((_FULL,) * 3, _zvengrowski)),
+    _SuiteDef("ab-identities", 1000, _exact(), _sampled(_AB_TAGS, _ab_identities)),
+    _SuiteDef("grading-closure", 1000, _exact(), _sampled(_CLOSURE_TAGS, _grading_closure)),
     _SuiteDef("lorentz-algebra", 256, _exact(), _run_lorentz_algebra, exhaustive=True),
     _SuiteDef("infinitesimal-dc", 64, _exact(), _run_infinitesimal_dc, exhaustive=True),
-    _SuiteDef("double-cover", 500, _series(0.1), _run_double_cover),
-    _SuiteDef("rotation-unitarity", 500, _series(0.01), _run_rotation_unitarity),
+    _SuiteDef(
+        "double-cover", 500, _series(0.1), _sampled_theta(THETA_PAIRS, double_cover_residual)
+    ),
+    _SuiteDef(
+        "rotation-unitarity", 500, _series(0.01), _sampled_theta(ROTATION_PAIRS, _unitarity)
+    ),
     _SuiteDef("boost-selfconj", 500, _series(0.01), _run_boost_selfconj),
     _SuiteDef("gamma5", 1, _fixed(1e-14), _run_gamma5, exhaustive=True),
     _SuiteDef("prop1-A", 200, _series(0.1), _prop1_runner(SubspaceTag.A)),
@@ -400,8 +453,8 @@ _SUITES = [
     _SuiteDef("prop5", 300, _series(), _run_prop5),
     _SuiteDef("lemma3", 300, _series(), _run_lemma3),
     _SuiteDef("lemma4", 300, _series(), _run_lemma4),
-    _SuiteDef("composition-law", 1000, _exact(), _run_composition),
-    _SuiteDef("alternativity", 1000, _exact(), _run_alternativity),
+    _SuiteDef("composition-law", 1000, _exact(), _sampled((_FULL,) * 2, _composition)),
+    _SuiteDef("alternativity", 1000, _exact(), _sampled((_FULL,) * 2, _alternativity)),
 ]
 _REGISTRY = {s.suite_id: s for s in _SUITES}
 
@@ -425,7 +478,10 @@ def run_suite(suite_id: str, cfg: SuiteConfig) -> SuiteReport:
         n = cfg.samples_per_suite
     rng = _rng_for(cfg, suite_id)
     start = time.perf_counter()
-    residuals, controls_ok = sdef.runner(cfg, n, rng)
+    # overflow shows as an inf or NaN residual, which fails the suite; numpy's
+    # floating-point warnings would only repeat that
+    with np.errstate(all="ignore"):
+        residuals, controls_ok = sdef.runner(cfg, n, rng)
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     # np.max keeps a NaN that Python's max may skip; NaN and inf never pass
     worst = float(np.max(residuals))
@@ -456,23 +512,34 @@ def _config_dict(cfg: SuiteConfig) -> dict:
     return out
 
 
+def _json_float(x: float):
+    # strict JSON has no NaN or Infinity; they are written as strings
+    if math.isfinite(x):
+        return x
+    return "NaN" if math.isnan(x) else ("Infinity" if x > 0 else "-Infinity")
+
+
 def render_json(reports: list[SuiteReport], cfg: SuiteConfig) -> str:
-    """Machine-readable report; timing is omitted so identical runs match byte for byte."""
+    """Machine-readable report; timing is omitted so identical runs match byte for byte.
+
+    The output is strict JSON: a residual that is not finite is written as
+    the string "NaN", "Infinity" or "-Infinity".
+    """
     payload = {
         "config": _config_dict(cfg),
         "suites": [
             {
                 "suite_id": r.suite_id,
                 "samples": r.samples,
-                "max_residual": r.max_residual,
-                "mean_residual": r.mean_residual,
+                "max_residual": _json_float(r.max_residual),
+                "mean_residual": _json_float(r.mean_residual),
                 "passed": r.passed,
             }
             for r in reports
         ],
         "passed": all(r.passed for r in reports),
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def render_text(reports: list[SuiteReport], cfg: SuiteConfig) -> str:

@@ -5,15 +5,35 @@ verifies: products come from a generic doubling recursion instead of the
 frozen table, exponentials and their derivatives from plain series
 summation instead of closed forms, pulled-back fields from symbolic
 expansion instead of the pointwise chain rule, derivatives from central
-differences instead of formal calculus.
+differences instead of formal calculus, and the sampled algebra suites
+from one draw and one scalar evaluation per sample instead of blocks of
+rows.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from octoweak.core import CplxOcton, mul
+from octoweak.core import ONE, CplxOcton, associator, bar_star, conj_oct, mul, norm
 from octoweak.fields import PolyField, eval_at, partial
+from octoweak.grading import (
+    AB_CLOSURE,
+    IPMoveForm,
+    SubspaceTag,
+    draw,
+    membership_defect,
+    require_member,
+    residual_ab,
+    residual_aab,
+    residual_abb,
+    residual_abba,
+    residual_baa,
+    residual_bba,
+    residual_ipmove,
+    residual_zvengrowski,
+)
+from octoweak.lorentz import EBAR_UPPER, Theta, lambda_S, lambda_V
+from octoweak.suites import NEG_CONTROL_MIN, PROP4_WITNESS
 
 
 def cd_conj(x: np.ndarray) -> np.ndarray:
@@ -135,3 +155,152 @@ def pullback_linear(f: PolyField, m) -> PolyField:
         for newdeg, val in expansion.items():
             terms[newdeg] = terms[newdeg] + coeff * val if newdeg in terms else coeff * val
     return PolyField(terms, f.max_total_degree, f.tag)
+
+
+# ------------------------------------------------- per-sample suite runners
+#
+# The sampled algebra suites as one draw and one scalar evaluation per
+# sample, with the (cfg, n, rng) -> (residuals, controls_ok) contract of the
+# registered runners.  They read the generator in the same order.
+
+
+def _full(rng):
+    return draw(SubspaceTag.FULL_CO, rng)
+
+
+def run_composition(cfg, n, rng):
+    res = []
+    for _ in range(n):
+        x, y = _full(rng), _full(rng)
+        scale = max(1.0, abs(x) ** 2 * abs(y) ** 2)
+        res.append(abs(norm(mul(x, y)) - norm(x) * norm(y)) / scale)
+    return res, True
+
+
+def run_alternativity(cfg, n, rng):
+    res = []
+    for _ in range(n):
+        x, y = _full(rng), _full(rng)
+        res.append(max(abs(associator(x, x, y)), abs(associator(x, y, y))))
+    return res, True
+
+
+def run_ip_moves(cfg, n, rng):
+    res = []
+    for _ in range(n):
+        x, y, z = _full(rng), _full(rng), _full(rng)
+        res.append(max(abs(residual_ipmove(f, x, y, z)) for f in IPMoveForm))
+    return res, True
+
+
+def run_zvengrowski(cfg, n, rng):
+    res = []
+    for _ in range(n):
+        x, y, z = _full(rng), _full(rng), _full(rng)
+        res.append(abs(residual_zvengrowski(x, y, z)))
+    return res, True
+
+
+def run_ab_identities(cfg, n, rng):
+    res = []
+    for _ in range(n):
+        a, a2 = draw(SubspaceTag.A, rng), draw(SubspaceTag.A, rng)
+        b, b2 = draw(SubspaceTag.B, rng), draw(SubspaceTag.B, rng)
+        res.append(
+            max(
+                abs(residual_ab(a, b)),
+                abs(residual_aab(a, a2, b)),
+                abs(residual_baa(a, a2, b)),
+                abs(residual_bba(a, b, b2)),
+                abs(residual_abb(a, b, b2)),
+                abs(residual_abba(a, a2, b, b2)),
+            )
+        )
+    return res, True
+
+
+def run_grading_closure(cfg, n, rng):
+    res = []
+    for _ in range(n):
+        worst = 0.0
+        for pair, target in AB_CLOSURE.items():
+            x, y = draw(pair[0], rng), draw(pair[1], rng)
+            p = mul(x, y)
+            worst = max(worst, membership_defect(p, target) / max(1.0, abs(p)))
+        res.append(worst)
+    return res, True
+
+
+def double_cover_residual(theta: Theta) -> float:
+    """The double-cover residual with scalar products and a summed right side."""
+    lam = lambda_S(theta)
+    lam_bs = bar_star(lam)
+    lv = lambda_V(theta)
+    worst = 0.0
+    for rho in range(4):
+        lhs = mul(mul(lam_bs, EBAR_UPPER[rho]), lam)
+        rhs = CplxOcton._wrap(sum(lv[rho, s] * EBAR_UPPER[s].c for s in range(4)))
+        worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+def run_double_cover(cfg, n, rng):
+    return [double_cover_residual(Theta.random(rng, cfg.theta_bound)) for _ in range(n)], True
+
+
+def run_rotation_unitarity(cfg, n, rng):
+    res = []
+    for _ in range(n):
+        lam = lambda_S(Theta.random_rotation(rng, cfg.theta_bound))
+        res.append(abs(mul(bar_star(lam), lam) - ONE))
+    return res, True
+
+
+def run_boost_selfconj(cfg, n, rng):
+    res = []
+    for _ in range(n):
+        axis = int(rng.integers(1, 4))
+        chi = float(rng.uniform(-cfg.theta_bound, cfg.theta_bound))
+        lam = lambda_S(Theta.single(0, axis, chi))
+        res.append(abs(bar_star(lam) - lam))
+    return res, True
+
+
+def general_coupling_residual(r1, r2, theta, w_val, beta_val) -> float:
+    """The coupling-weight associator with scalar products."""
+    require_member(w_val, SubspaceTag.A_MINUS, "W value")
+    require_member(beta_val, SubspaceTag.B, "beta value")
+    middle = r1 * w_val + r2 * conj_oct(w_val)
+    return abs(associator(bar_star(lambda_S(theta)), middle, beta_val))
+
+
+def run_prop4(cfg, n, rng):
+    res = []
+    for _ in range(n):
+        r = float(rng.uniform(0.1, 1.0))
+        res.append(
+            general_coupling_residual(
+                0.5 * r,
+                0.5 * r,
+                Theta.random(rng, cfg.theta_bound),
+                draw(SubspaceTag.A_MINUS, rng),
+                draw(SubspaceTag.B, rng),
+            )
+        )
+    witness = general_coupling_residual(**PROP4_WITNESS)
+    return res, witness > NEG_CONTROL_MIN
+
+
+#: Reference route of each sampled algebra suite, by suite id.
+SUITE_RUNNERS = {
+    "ip-moves": run_ip_moves,
+    "zvengrowski": run_zvengrowski,
+    "ab-identities": run_ab_identities,
+    "grading-closure": run_grading_closure,
+    "double-cover": run_double_cover,
+    "rotation-unitarity": run_rotation_unitarity,
+    "boost-selfconj": run_boost_selfconj,
+    "prop4-dichotomy": run_prop4,
+    "composition-law": run_composition,
+    "alternativity": run_alternativity,
+}

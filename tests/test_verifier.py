@@ -2,12 +2,15 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from octoweak import suites
 from octoweak.cli import main, parse_config_file
 from octoweak.errors import UnknownSuite
 from octoweak.suites import (
+    BLOCK_ROWS,
+    MAX_FIELD_DEGREE,
     SuiteConfig,
     render_json,
     render_text,
@@ -16,8 +19,17 @@ from octoweak.suites import (
     suite_ids,
 )
 
+from oracles import SUITE_RUNNERS
+
 #: Trimmed sample count so harness tests stay quick; acceptance runs defaults.
 FAST = dict(samples_per_suite=25)
+
+
+def _strict_json(text: str):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def test_registry_contents():
@@ -257,3 +269,82 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     bad.write_text("volume = 11\n")
     with pytest.raises(ValueError):
         parse_config_file(str(bad))
+
+
+# ------------------------------------------------------- batched suite runners
+
+
+@pytest.mark.parametrize("suite_id", sorted(SUITE_RUNNERS))
+def test_batched_runner_matches_its_per_sample_reference(suite_id):
+    n = 300
+    assert n > BLOCK_ROWS  # crosses a block boundary
+    cfg = SuiteConfig(seed=2024)
+    rng_batched, rng_ref = suites._rng_for(cfg, suite_id), suites._rng_for(cfg, suite_id)
+    got, got_ok = suites._REGISTRY[suite_id].runner(cfg, n, rng_batched)
+    want, want_ok = SUITE_RUNNERS[suite_id](cfg, n, rng_ref)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape == (n,)
+    assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, float(np.max(want)))
+    assert got_ok == want_ok
+    # the batched draws read the stream exactly as the per-sample ones did
+    assert rng_batched.bit_generator.state == rng_ref.bit_generator.state
+
+
+def test_json_report_is_strict_when_residuals_overflow(tmp_path, capsys):
+    (tmp_path / "run.cfg").write_text("theta_bound = 800\n")
+    argv = ["--config", str(tmp_path / "run.cfg"), "--suite", "double-cover", "--samples", "50"]
+    code = main(argv + ["--report", "json"])
+    assert code == 1
+    payload = _strict_json(capsys.readouterr().out)
+    assert payload["passed"] is False
+    row = payload["suites"][0]
+    assert row["passed"] is False and row["max_residual"] in ("NaN", "Infinity")
+
+
+def test_json_report_encodes_each_non_finite_residual_as_a_string():
+    cfg = SuiteConfig(suites=("gamma5",))
+    rows = [
+        suites.SuiteReport("gamma5", 1, value, 1.5, False, 0)
+        for value in (math.nan, math.inf, -math.inf)
+    ]
+    payload = _strict_json(render_json(rows, cfg))
+    assert [r["max_residual"] for r in payload["suites"]] == ["NaN", "Infinity", "-Infinity"]
+    assert payload["suites"][0]["mean_residual"] == 1.5
+
+
+@pytest.mark.parametrize("bound", ["1000", "1e300"])
+def test_huge_theta_bound_ends_in_fail_rows(bound, tmp_path, capsys):
+    (tmp_path / "run.cfg").write_text(f"theta_bound = {bound}\n")
+    four = ["double-cover", "rotation-unitarity", "boost-selfconj", "prop4-dichotomy"]
+    argv = ["--config", str(tmp_path / "run.cfg"), "--samples", "20", "--report", "json"]
+    code = main(argv + [a for sid in four for a in ("--suite", sid)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in out + err
+    payload = _strict_json(out)
+    assert [r["suite_id"] for r in payload["suites"]] == four
+    failed = {r["suite_id"] for r in payload["suites"] if not r["passed"]}
+    assert {"double-cover", "prop4-dichotomy"} <= failed
+
+
+def test_field_degree_is_capped():
+    assert SuiteConfig(field_degree=MAX_FIELD_DEGREE).field_degree == MAX_FIELD_DEGREE
+    assert MAX_FIELD_DEGREE >= 9
+    for degree in (MAX_FIELD_DEGREE + 1, 10**6):
+        with pytest.raises(ValueError):
+            SuiteConfig(field_degree=degree)
+
+
+def test_theta_bound_must_leave_a_finite_draw_range():
+    SuiteConfig(theta_bound=1e300)
+    with pytest.raises(ValueError):
+        SuiteConfig(theta_bound=1e308)
+
+
+@pytest.mark.parametrize("line", ["field_degree = 1000000", "theta_bound = 1e308"])
+def test_cli_out_of_range_config_is_a_usage_error(line, tmp_path, capsys):
+    (tmp_path / "run.cfg").write_text(line + "\n")
+    with pytest.raises(SystemExit) as err:
+        main(["--config", str(tmp_path / "run.cfg"), "--suite", "gamma5"])
+    assert err.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
