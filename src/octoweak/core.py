@@ -122,6 +122,27 @@ def structure_table() -> StructureTable:
     return _TABLE
 
 
+#: Single-value classes that :func:`rowwise` unwraps, each with the attribute
+#: that holds an instance's array.
+_SINGLE_VALUES: dict[type, str] = {}
+
+
+def single_value(attr: str):
+    """Class decorator: :func:`rowwise` functions see an instance as its ``attr`` array."""
+
+    def register(cls):
+        _SINGLE_VALUES[cls] = attr
+        return cls
+
+    return register
+
+
+def _array_of(a):
+    attr = _SINGLE_VALUES.get(type(a))
+    return a if attr is None else getattr(a, attr)
+
+
+@single_value("c")
 class CplxOcton:
     """One element of the complexified octonions: 8 complex coefficients.
 
@@ -240,57 +261,38 @@ def mul(x: CplxOcton, y: CplxOcton) -> CplxOcton:
 # The *_rows functions act row by row on (..., 8) coefficient arrays, with the
 # leading axes broadcast together.
 
-#: Contractions of up to this many rows are one 2-D product; larger ones are a
-#: stack of single-row products, (n, 1, k) @ (k, j).  OpenBLAS 0.3.31 spreads
-#: a 2-D complex product over threads from about 128-256 rows, which on a
-#: 2-vCPU VM with no thread cap took about 8 ms instead of 0.1 ms; a stack of
-#: single rows is never spread, but at 35 rows it took 9.2 us against 6.6 us
-#: for the 2-D product.  Both forms give the same bits as the scalar product.
-FLAT_ROWS = 64
-
-
-def coeffs(x) -> np.ndarray:
-    """The coefficient array of a :class:`CplxOcton`, or x itself as complex rows."""
-    return x.c if isinstance(x, CplxOcton) else np.asarray(x, dtype=np.complex128)
-
-
 def rowwise(fn):
-    """Let fn, written on row arrays, also take the scalar arguments.
+    """Let fn, written on row arrays, also take single values.
 
-    Called with no numpy array among its arguments, fn sees each
-    :class:`CplxOcton` as its (8,) coefficient array, and its result comes
-    back as a scalar routine returns it: an (8,) array as a CplxOcton, a 0-d
-    array or numpy scalar as a Python number, anything else unchanged.
+    Called with no numpy array among its arguments, fn sees each single value
+    (an instance of a :func:`single_value` class) as its array, and its result
+    comes back as a single-value routine returns it: an (8,) array as a
+    CplxOcton, a 0-d array or numpy scalar as a Python number, anything else
+    unchanged.
     """
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         if any(isinstance(a, np.ndarray) for a in (*args, *kwargs.values())):
             return fn(*args, **kwargs)
-        out = fn(
-            *(coeffs(a) if isinstance(a, CplxOcton) else a for a in args),
-            **{k: coeffs(a) if isinstance(a, CplxOcton) else a for k, a in kwargs.items()},
-        )
+        out = fn(*map(_array_of, args), **{k: _array_of(a) for k, a in kwargs.items()})
         if isinstance(out, np.ndarray) and out.shape == (8,):
             return CplxOcton._wrap(out)
         if isinstance(out, (np.ndarray, np.generic)) and out.ndim == 0:
             return out.item()
         return out
 
+    # cProfile files calls under the code object; one per decorated function,
+    # named after it, keeps their counts and times apart instead of pooled
+    # under a single "wrapper"
+    wrapper.__code__ = wrapper.__code__.replace(co_name=fn.__name__)
     return wrapper
-
-
-def _row_matmul(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    if x.ndim == 1 or x.ndim == 2 and len(x) <= FLAT_ROWS:
-        return x @ m
-    return (x[..., None, :] @ m)[..., 0, :]
 
 
 def mul_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """:func:`mul` row by row."""
     x, y = np.broadcast_arrays(x, y)
-    outer = (x[..., :, None] * y[..., None, :]).reshape(x.shape[:-1] + (64,))
-    return _row_matmul(outer, _FLAT_TENSOR)
+    return (x[..., :, None] * y[..., None, :]).reshape(x.shape[:-1] + (64,)) @ _FLAT_TENSOR
 
 
 #: Octonionic conjugation as a sign per slot.

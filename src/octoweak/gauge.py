@@ -18,7 +18,6 @@ from .core import (
     abs_rows,
     associator_rows,
     bar_star_rows,
-    coeffs,
     conj_oct_rows,
     exp_assoc,
     mul,
@@ -191,5 +190,5 @@ def general_coupling_residual(r1, r2, theta, w_val, beta_val):
     require_member(w_val, SubspaceTag.A_MINUS, "W value")
     require_member(beta_val, SubspaceTag.B, "beta value")
     middle = np.asarray(r1)[..., None] * w_val + np.asarray(r2)[..., None] * conj_oct_rows(w_val)
-    lam = bar_star_rows(coeffs(lambda_S(theta)))
+    lam = bar_star_rows(lambda_S(theta))
     return abs_rows(associator_rows(lam, middle, beta_val))

@@ -21,10 +21,8 @@ import numpy as np
 
 from .core import (
     CplxOcton,
-    _row_matmul,
     abs_rows,
     bar_star,
-    coeffs,
     conj_oct_rows,
     inner_rows,
     mul,
@@ -74,11 +72,16 @@ _DOF = {
 _PROJECTOR = {tag: m.view(np.float64).T @ m.view(np.float64) for tag, m in _DOF.items()}
 
 
+def ndof(tag: SubspaceTag) -> int:
+    """Number of real parameters of the tagged subspace (the rows of its table entry)."""
+    return len(_DOF[tag])
+
+
+@rowwise
 def project(x, tag: SubspaceTag):
     """Orthogonal projection onto the tagged subspace, of a value or row by row."""
-    rows = np.ascontiguousarray(coeffs(x))
-    out = _row_matmul(rows.view(np.float64), _PROJECTOR[tag]).view(np.complex128)
-    return CplxOcton._wrap(out) if isinstance(x, CplxOcton) else out
+    real = np.ascontiguousarray(x, dtype=np.complex128).view(np.float64)
+    return (real @ _PROJECTOR[tag]).view(np.complex128)
 
 
 def _membership(rows: np.ndarray, tag: SubspaceTag):
@@ -100,9 +103,9 @@ def in_subspace(x, tag: SubspaceTag):
 
 def require_member(x, tag: SubspaceTag, name: str = "argument") -> None:
     """Raise :class:`DomainViolation` unless x, or every row of x, is in the subspace."""
-    defect, ok = _membership(coeffs(x), tag)
+    ok = in_subspace(x, tag)
     if not np.all(ok):
-        worst = float(np.max(defect[~ok]))
+        worst = float(np.max(np.where(ok, 0.0, membership_defect(x, tag))))
         raise DomainViolation(f"{name} is not in subspace {tag.value} (defect {worst:.3g})")
 
 
@@ -122,10 +125,10 @@ def draw_block(
     the stream as n rounds of ``[draw(tag, rng, bound) for tag in tags]``
     would: values and the generator state afterwards are the same.
     """
-    block = rng.uniform(-bound, bound, size=(n, sum(len(_DOF[tag]) for tag in tags)))
+    block = rng.uniform(-bound, bound, size=(n, sum(map(ndof, tags))))
     out, start = [], 0
     for tag in tags:
-        stop = start + len(_DOF[tag])
+        stop = start + ndof(tag)
         out.append(dof_rows(tag, block[:, start:stop]))
         start = stop
     return out
@@ -133,7 +136,7 @@ def draw_block(
 
 def dof_rows(tag: SubspaceTag, dof: np.ndarray) -> np.ndarray:
     """Elements, (..., 8), from real coefficients (..., ndof) on the tag's table rows."""
-    return _row_matmul(dof, _DOF[tag])
+    return dof @ _DOF[tag]
 
 
 def draw_rows(
@@ -144,7 +147,7 @@ def draw_rows(
     The values and the generator state afterwards are those of n calls of
     :func:`draw`.
     """
-    return dof_rows(tag, rng.uniform(-bound, bound, size=(n, len(_DOF[tag]))))
+    return dof_rows(tag, rng.uniform(-bound, bound, size=(n, ndof(tag))))
 
 
 def sample(tag: SubspaceTag, rng_seed: int, bound: float = 1.0) -> CplxOcton:

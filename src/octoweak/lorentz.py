@@ -14,11 +14,9 @@ import numpy as np
 from .core import (
     E,
     CplxOcton,
-    _row_matmul,
     abs_rows,
     bar_star,
     bar_star_rows,
-    coeffs,
     commutator,
     conj_complex,
     conj_oct,
@@ -26,6 +24,8 @@ from .core import (
     exp_rows,
     mul,
     mul_rows,
+    rowwise,
+    single_value,
 )
 from .grading import SubspaceTag, require_member
 
@@ -43,8 +43,9 @@ EBAR_UPPER_ROWS = np.array([e.c for e in EBAR_UPPER])
 EBAR_UPPER_ROWS.flags.writeable = False
 
 #: Upper-triangle slots (mu < nu) of the six Lorentz parameters, in the order
-#: :meth:`Theta.random` draws them; the last three are the rotations.
+#: :meth:`Theta.random` draws them: the three boosts, then the three rotations.
 THETA_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+BOOST_PAIRS = THETA_PAIRS[:3]
 ROTATION_PAIRS = THETA_PAIRS[3:]
 
 #: Taylor/squaring parameters for :func:`mat_exp`.
@@ -52,6 +53,7 @@ MAT_EXP_NORM_CAP = 0.5
 MAT_EXP_TERMS = 18
 
 
+@single_value("m")
 class Theta:
     """Antisymmetric real 4x4 block of boost/rotation parameters."""
 
@@ -156,37 +158,35 @@ def mat_exp(m: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _theta_m(theta) -> np.ndarray:
-    return theta.m if isinstance(theta, Theta) else np.asarray(theta, dtype=float)
-
-
 _PAIR_MU, _PAIR_NU = (np.array(ix) for ix in zip(*THETA_PAIRS))
 
 
-def _generator_sum(theta, gens: np.ndarray) -> np.ndarray:
+def _generator_sum(theta: np.ndarray, gens: np.ndarray) -> np.ndarray:
     # sum of 2 theta^{mu nu} G_{mu nu} over mu < nu, per parameter matrix.  Each
     # entry of the sum gets at most one nonzero real and one nonzero imaginary
     # term, so the contraction is exact whatever order it adds in, and equals
     # the term-by-term sum bit for bit
-    t = 2.0 * _theta_m(theta)[..., _PAIR_MU, _PAIR_NU]
-    out = _row_matmul(t, gens.reshape(len(THETA_PAIRS), -1))
+    t = 2.0 * np.asarray(theta, dtype=float)[..., _PAIR_MU, _PAIR_NU]
+    out = t @ gens.reshape(len(THETA_PAIRS), -1)
     return out.reshape(t.shape[:-1] + gens.shape[1:])
 
 
+@rowwise
 def lambda_S(theta):
     """Spinor transformation exp(-(i/2) theta^{mu nu} S_mu_nu).
 
     A :class:`Theta` gives a CplxOcton; an (..., 4, 4) stack of parameter
-    matrices gives (..., 8) rows.  A single Theta goes through the scalar
+    matrices gives (..., 8) rows.  One parameter matrix goes through the scalar
     :func:`exp_assoc`, whose Python complex arithmetic rounds differently from
     numpy's, so single values stay what they have always been.
     """
     u = -0.5j * _generator_sum(theta, _S_PAIRS)
-    if isinstance(theta, Theta):
-        return exp_assoc(CplxOcton._wrap(u))
+    if u.ndim == 1:
+        return exp_assoc(CplxOcton._wrap(u)).c
     return exp_rows(u)
 
 
+@rowwise
 def lambda_V(theta) -> np.ndarray:
     """Vector transformation exp(-(i/2) theta^{mu nu} V_mu_nu); real up to roundoff.
 
@@ -203,12 +203,13 @@ def lambda_V_real(theta: Theta) -> np.ndarray:
     return lv.real.copy()
 
 
+@rowwise
 def double_cover_residual(theta):
     """Max over rho of || bar_star(L) ebar^rho L - (L_V)^rho_sigma ebar^sigma ||.
 
     A float for a :class:`Theta`, an array for an (..., 4, 4) parameter stack.
     """
-    lam = coeffs(lambda_S(theta))
+    lam = lambda_S(theta)
     lam_bs = bar_star_rows(lam)
     rhs = lambda_V(theta) @ EBAR_UPPER_ROWS
     # one rho at a time keeps the temporaries at one product per row
@@ -219,7 +220,7 @@ def double_cover_residual(theta):
         ],
         axis=0,
     )
-    return float(worst) if isinstance(theta, Theta) else worst
+    return worst
 
 
 def lorentz_algebra_residual(mu: int, nu: int, rho: int, sigma: int) -> CplxOcton:

@@ -46,6 +46,7 @@ from .grading import (
     draw,
     draw_block,
     membership_defect,
+    ndof,
     residual_ab,
     residual_aab,
     residual_abb,
@@ -56,6 +57,7 @@ from .grading import (
     residual_zvengrowski,
 )
 from .lorentz import (
+    BOOST_PAIRS,
     ROTATION_PAIRS,
     THETA_PAIRS,
     Theta,
@@ -160,9 +162,12 @@ def _rng_for(cfg: SuiteConfig, suite_id: str) -> np.random.Generator:
     return np.random.default_rng([cfg.seed, zlib.crc32(suite_id.encode())])
 
 
-#: Sampled suites draw and evaluate at most this many samples at a time; the
-#: cap bounds the size of the temporary arrays.
-BLOCK_ROWS = 256
+#: Sampled suites draw and evaluate at most this many samples at a time.  The
+#: cap bounds the temporary arrays and keeps every contraction a small 2-D
+#: product: OpenBLAS 0.3.31 spreads the (m, 64) @ (64, 8) complex product of
+#: mul_rows over threads from m = 128 rows, which on a busy 2-vCPU host made
+#: one call about 10x slower.  Blocks of 64 to 256 rows ran equally fast.
+BLOCK_ROWS = 64
 
 _FULL = SubspaceTag.FULL_CO
 
@@ -288,11 +293,11 @@ def _run_boost_selfconj(cfg, n, rng):
     # the axis is an integer draw between the uniform ones, so the inputs are
     # read sample by sample; only the arithmetic is batched
     def block(m):
-        chi = np.zeros((m, 3))
+        chi = np.zeros((m, len(BOOST_PAIRS)))
         for i in range(m):
             axis = int(rng.integers(1, 4))
             chi[i, axis - 1] = float(rng.uniform(-cfg.theta_bound, cfg.theta_bound))
-        return _selfconj(theta_rows(chi, THETA_PAIRS[:3]))
+        return _selfconj(theta_rows(chi, BOOST_PAIRS))
 
     return _blocked(n, block), True
 
@@ -374,13 +379,13 @@ def _run_prop3(cfg, n, rng):
 def _run_prop4(cfg, n, rng):
     # mixed bounds: the inputs are read sample by sample, the arithmetic is batched
     def block(m):
-        r, theta = np.zeros(m), np.zeros((m, 6))
-        w, beta = np.zeros((m, 4)), np.zeros((m, 8))
+        r, theta = np.zeros(m), np.zeros((m, len(THETA_PAIRS)))
+        w, beta = np.zeros((m, ndof(SubspaceTag.A_MINUS))), np.zeros((m, ndof(SubspaceTag.B)))
         for i in range(m):
             r[i] = float(rng.uniform(0.1, 1.0))
-            theta[i] = rng.uniform(-cfg.theta_bound, cfg.theta_bound, size=6)
-            w[i] = rng.uniform(-1.0, 1.0, size=4)
-            beta[i] = rng.uniform(-1.0, 1.0, size=8)
+            theta[i] = rng.uniform(-cfg.theta_bound, cfg.theta_bound, size=theta.shape[1])
+            w[i] = rng.uniform(-1.0, 1.0, size=w.shape[1])
+            beta[i] = rng.uniform(-1.0, 1.0, size=beta.shape[1])
         return general_coupling_residual(
             0.5 * r,
             0.5 * r,

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from octoweak.core import (
-    FLAT_ROWS,
     CplxOcton,
     abs_rows,
     associator,
@@ -39,6 +38,9 @@ from octoweak.grading import (
     draw_rows,
     in_subspace,
     membership_defect,
+    ndof,
+    project,
+    require_member,
     residual_ab,
     residual_aab,
     residual_abb,
@@ -49,6 +51,7 @@ from octoweak.grading import (
     residual_zvengrowski,
 )
 from octoweak.lorentz import (
+    BOOST_PAIRS,
     MAT_EXP_NORM_CAP,
     ROTATION_PAIRS,
     THETA_PAIRS,
@@ -111,6 +114,17 @@ def test_theta_rows_equals_theta_constructors():
         assert np.array_equal(got, Theta.from_upper(dict(zip(THETA_PAIRS, v))).m)
     rot = theta_rows(vals[:, :3], ROTATION_PAIRS)
     assert np.all(rot[:, 0, :] == 0) and np.array_equal(rot[:, 1, 2], vals[:, 0])
+    boost = theta_rows(vals[:, :3], BOOST_PAIRS)
+    assert np.all(boost[:, 1:, 1:] == 0) and np.array_equal(boost[:, 0, 3], vals[:, 2])
+
+
+def test_ndof_is_the_real_dimension_of_each_subspace():
+    rng = np.random.default_rng(26)
+    for tag, dim in zip(SubspaceTag, (16, 8, 8, 4, 4)):
+        assert ndof(tag) == dim
+        # the projector onto the subspace has rank ndof on the 16 real coordinates
+        image = project(rng.standard_normal((40, 8)) + 1j * rng.standard_normal((40, 8)), tag)
+        assert np.linalg.matrix_rank(image.view(np.float64)) == dim
 
 
 # ------------------------------------------------------------------ kernels
@@ -118,7 +132,6 @@ def test_theta_rows_equals_theta_constructors():
 
 @pytest.mark.parametrize("n", [35, 300])
 def test_mul_rows_matches_mul_bit_for_bit(n):
-    assert 35 <= FLAT_ROWS < 300  # one 2-D product, and a stack of single rows
     x, y = _rows(SubspaceTag.FULL_CO, 1, n), _rows(SubspaceTag.FULL_CO, 2, n)
     want = np.array([mul(a, b).c for a, b in zip(_values(x), _values(y))])
     assert np.array_equal(mul_rows(x, y), want)
@@ -211,6 +224,10 @@ def test_lambda_maps_on_a_stack_match_single_thetas():
     _close(lambda_V(thetas), [lambda_V(t) for t in singles])
     _close(double_cover_residual(thetas), [double_cover_residual(t) for t in singles])
     assert isinstance(double_cover_residual(singles[0]), float)
+    # one parameter matrix as an array takes the single-value route, unwrapped
+    assert isinstance(lambda_S(singles[0]), CplxOcton)
+    assert np.array_equal(lambda_S(thetas[0]), lambda_S(singles[0]).c)
+    assert np.array_equal(lambda_V(thetas[0]), lambda_V(singles[0]))
 
 
 def test_general_coupling_residual_on_rows_matches_single_values():
@@ -277,3 +294,21 @@ def test_one_bad_row_raises_domain_violation():
     w[0, 0] = 1.0  # a real scalar part leaves the anti-Hermitian sector
     with pytest.raises(DomainViolation):
         general_coupling_residual(np.ones(N), np.ones(N), _thetas(23), w, b)
+
+
+def test_require_member_reports_the_worst_bad_row():
+    a = _rows(SubspaceTag.A, 24)
+    a[5, 4] = 0.25
+    a[9, 6] = 0.5
+    with pytest.raises(DomainViolation, match=r"defect 0\.5\b"):
+        require_member(a, SubspaceTag.A, "a")
+    require_member(a[:5], SubspaceTag.A, "a")
+    with pytest.raises(DomainViolation, match="defect 0.25"):
+        require_member(CplxOcton(a[5]), SubspaceTag.A, "a")
+
+
+def test_each_rowwise_function_has_its_own_code_object():
+    # profilers key calls by code object: shared code would pool their counts
+    fns = (in_subspace, membership_defect, project, lambda_S, lambda_V, residual_ab, residual_abba)
+    assert len({fn.__code__ for fn in fns}) == len(fns)
+    assert [fn.__code__.co_name for fn in fns] == [fn.__name__ for fn in fns]
