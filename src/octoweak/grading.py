@@ -85,9 +85,14 @@ def project(x, tag: SubspaceTag):
 
 
 def _membership(rows: np.ndarray, tag: SubspaceTag):
-    # per row: the magnitude outside the subspace, and whether it is within tolerance
+    # per row: the magnitude outside the subspace, and whether it is within
+    # tolerance.  The bound MEMBERSHIP_TOL * max(1, |x|) is at least
+    # MEMBERSHIP_TOL, so |x| is needed only when some defect exceeds that
     defect = abs_rows(rows - project(rows, tag))
-    return defect, defect <= MEMBERSHIP_TOL * np.maximum(1.0, abs_rows(rows))
+    ok = defect <= MEMBERSHIP_TOL
+    if not ok.all():
+        ok = defect <= MEMBERSHIP_TOL * np.maximum(1.0, abs_rows(rows))
+    return defect, ok
 
 
 @rowwise
@@ -101,10 +106,11 @@ def in_subspace(x, tag: SubspaceTag):
     return _membership(x, tag)[1]
 
 
+@rowwise
 def require_member(x, tag: SubspaceTag, name: str = "argument") -> None:
     """Raise :class:`DomainViolation` unless x, or every row of x, is in the subspace."""
     ok = in_subspace(x, tag)
-    if not np.all(ok):
+    if not ok.all():
         worst = float(np.max(np.where(ok, 0.0, membership_defect(x, tag))))
         raise DomainViolation(f"{name} is not in subspace {tag.value} (defect {worst:.3g})")
 

@@ -77,9 +77,13 @@ class Theta:
     @classmethod
     def from_upper(cls, entries: dict[tuple[int, int], float]) -> "Theta":
         """Build from upper-triangle values {(mu, nu): theta^{mu nu}}, mu < nu."""
-        if not all(0 <= mu < nu <= 3 for mu, nu in entries):
-            raise ValueError("upper-triangle indices required (mu < nu)")
-        return cls(theta_rows(list(entries.values()), tuple(entries)))
+        arr = np.zeros((4, 4))
+        for (mu, nu), val in entries.items():
+            if not (0 <= mu < nu <= 3):
+                raise ValueError("upper-triangle indices required (mu < nu)")
+            arr[mu, nu] = val
+            arr[nu, mu] = -val
+        return cls(arr)
 
     @classmethod
     def single(cls, mu: int, nu: int, value: float) -> "Theta":
@@ -128,10 +132,10 @@ def theta_rows(values, pairs=THETA_PAIRS) -> np.ndarray:
     """Stack of antisymmetric parameter matrices, (..., 4, 4), from upper-triangle
     values (..., len(pairs)): the array form of :meth:`Theta.from_upper`."""
     values = np.asarray(values, dtype=float)
+    mu, nu = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     out = np.zeros(values.shape[:-1] + (4, 4))
-    for k, (mu, nu) in enumerate(pairs):
-        out[..., mu, nu] = values[..., k]
-        out[..., nu, mu] = -values[..., k]
+    out[..., mu, nu] = values
+    out[..., nu, mu] = -values
     return out
 
 
@@ -145,16 +149,21 @@ def mat_exp(m: np.ndarray) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
     with np.errstate(all="ignore"):
         ratio = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0) / MAT_EXP_NORM_CAP
-        scale = (ratio > 1.0) & (ratio < np.inf)
-        squarings = np.ceil(np.log2(ratio, out=np.zeros(np.shape(ratio)), where=scale))
+        squarings = np.ceil(np.log2(np.maximum(ratio, 1.0)))
+        squarings = np.where(squarings < np.inf, squarings, 0.0)  # inf or NaN: unscaled
         a = a * np.exp2(-squarings)[..., None, None]
         acc = term = np.eye(a.shape[-1], dtype=np.complex128)
         for k in range(1, MAT_EXP_TERMS + 1):
             term = term @ a / k
             acc = acc + term
-        for step in range(int(squarings.max(initial=0))):
-            redo = squarings > step
-            acc = acc @ acc if redo.all() else np.where(redo[..., None, None], acc @ acc, acc)
+        # every matrix squares at least `common` times; past that, only those
+        # whose own count is not yet reached
+        steps = int(squarings.max(initial=0))
+        common = int(squarings.min(initial=steps))
+        for _ in range(common):
+            acc = acc @ acc
+        for step in range(common, steps):
+            acc = np.where((squarings > step)[..., None, None], acc @ acc, acc)
     return acc
 
 

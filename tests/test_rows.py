@@ -282,6 +282,17 @@ def test_membership_on_rows():
     _close(membership_defect(a, SubspaceTag.A), single)
 
 
+def test_membership_tolerance_scales_with_the_magnitude():
+    a = _rows(SubspaceTag.A, 27)
+    a[2] *= 1e6
+    a[2, 5] = 1e-6  # above MEMBERSHIP_TOL, within MEMBERSHIP_TOL * |x|
+    a[4, 5] = 1e-6  # the same defect on a row of unit size
+    ok = in_subspace(a, SubspaceTag.A)
+    assert ok[2] and not ok[4] and ok.sum() == N - 1
+    assert in_subspace(CplxOcton(a[2]), SubspaceTag.A) is True
+    require_member(np.delete(a, 4, axis=0), SubspaceTag.A)
+
+
 def test_one_bad_row_raises_domain_violation():
     a, b = _rows(SubspaceTag.A, 20), _rows(SubspaceTag.B, 21)
     bad_a = a.copy()
