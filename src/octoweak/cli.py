@@ -67,6 +67,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol-series", type=float, help="base tolerance for series-backed checks"
     )
     parser.add_argument(
+        "--theta-bound", type=float, help="bound of the drawn Lorentz parameters"
+    )
+    parser.add_argument(
+        "--field-degree", type=int, help="total degree of the random polynomial fields"
+    )
+    parser.add_argument(
         "--suite",
         action="append",
         metavar="ID",
@@ -98,6 +104,10 @@ def resolve_config(args: argparse.Namespace) -> SuiteConfig:
         values["tol_exact"] = args.tol_exact
     if args.tol_series is not None:
         values["tol_series"] = args.tol_series
+    if args.theta_bound is not None:
+        values["theta_bound"] = args.theta_bound
+    if args.field_degree is not None:
+        values["field_degree"] = args.field_degree
     if args.suite:
         values["suites"] = tuple(args.suite)
     return SuiteConfig(**values)

@@ -6,18 +6,21 @@ Its value at p is prod(p**E, axis=1) @ C, and differentiation is exact, so
 any residual seen by the verification suites comes from the algebra, not
 from discretization.  Transformed fields are differentiated by the pointwise
 chain rule, and exp(u) by the differential of its closed form.
+
+The *_rows functions evaluate many fields of one exponent matrix at once, as
+a coefficient stack (..., M, 8) with one point (..., 4) per field; the
+single-field functions are one-row calls of them.
 """
 
 from __future__ import annotations
 
-import cmath
 import numbers
 from functools import lru_cache
 from itertools import product as iter_product
 
 import numpy as np
 
-from .core import CplxOcton, _cos_sinc, bar_star, exp_assoc, mul_rows
+from .core import CplxOcton, _cos_sinc_rows, bar_star_rows, exp_assoc, inner_rows, mul_rows
 from .errors import DomainViolation
 from .grading import AB_CLOSURE, SubspaceTag, draw_rows, in_subspace
 from .lorentz import EBAR_UPPER_ROWS, Theta, eta_inverse_transform, lambda_S, lambda_V_real
@@ -25,7 +28,7 @@ from .lorentz import EBAR_UPPER_ROWS, Theta, eta_inverse_transform, lambda_S, la
 Degree = tuple[int, int, int, int]
 
 #: Below this |omega^2| the factor (cos(omega) - sinc(omega))/omega^2 in
-#: :func:`dexp_at` is summed from its Taylor series, which cancels no digits.
+#: :func:`dexp_rows` is summed from its Taylor series, which cancels no digits.
 DEXP_TAYLOR_Z = 1e-2
 
 
@@ -157,13 +160,57 @@ def _scaled_tag(tag: SubspaceTag | None, m: CplxOcton) -> SubspaceTag | None:
     return None
 
 
-def _value(f: PolyField, pt: np.ndarray) -> np.ndarray:
-    return np.prod(pt ** f.exps, axis=1) @ f.coeffs
+def _jet_exponents(exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # exponents (5, M, 4) and integer factors (5, M) of the monomials and of
+    # their derivatives along x0..x3, d_rho x^E = E_rho x^(E - e_rho).  A
+    # monomial without x_rho keeps the exponents 0 under its factor 0, so its
+    # derivative is an exact zero wherever the point is finite
+    shifted = exps[None] - np.eye(4, dtype=np.int64)[:, None, :]
+    powers = np.where(exps.T[:, :, None] > 0, shifted, 0)
+    factors = np.concatenate([np.ones((1, len(exps))), exps.T])
+    return np.concatenate([exps[None], powers]), factors
+
+
+def jet_rows(exps: np.ndarray, coeffs: np.ndarray, points: np.ndarray):
+    """Each field's value and its four gradients at its own point.
+
+    The fields share the exponent matrix ``exps`` (M, 4); ``coeffs``
+    (..., M, 8) holds their coefficients and ``points`` (..., 4) their points,
+    with the leading axes broadcast together.  Returns the values (..., 8) and
+    the gradients (..., 4, 8), row rho the derivative along x_rho.  Real
+    coefficients (..., M, k), such as the real parameters of a subspace, give
+    real values (..., k) and gradients (..., 4, k).
+    """
+    powers, factors = _jet_exponents(exps)
+    # each coordinate's powers once, then looked up per monomial
+    table = points[..., :, None] ** np.arange(exps.max(initial=0) + 1)
+    monos = table[..., 0, powers[..., 0]]
+    monos *= factors
+    for axis in range(1, 4):
+        monos *= table[..., axis, powers[..., axis]]
+    # real monomials times the real and imaginary parts side by side: one
+    # real contraction
+    coeffs = np.ascontiguousarray(coeffs, dtype=np.result_type(coeffs, np.float64))
+    jet = (monos @ coeffs.view(np.float64)).view(coeffs.dtype)
+    return jet[..., 0, :], jet[..., 1:, :]
+
+
+def _jet(f: PolyField, p) -> tuple[np.ndarray, np.ndarray]:
+    """f and its four partial derivatives at p, as an (8,) and a (4, 8) array."""
+    return jet_rows(f.exps, f.coeffs, _as_point(p))
+
+
+def _jet_along(f: PolyField, mu: int, p) -> tuple[np.ndarray, np.ndarray]:
+    """f and its partial derivative along x_mu at p, as two (8,) arrays."""
+    if not 0 <= mu <= 3:
+        raise ValueError("axis must be in 0..3")
+    value, grads = _jet(f, p)
+    return value, grads[mu]
 
 
 def eval_at(f: PolyField, p) -> CplxOcton:
     """Value at a real point: the monomials at p times the coefficient rows."""
-    return CplxOcton._wrap(_value(f, _as_point(p)))
+    return CplxOcton._wrap(_jet(f, p)[0])
 
 
 def partial(f: PolyField, mu: int) -> PolyField:
@@ -178,15 +225,12 @@ def partial(f: PolyField, mu: int) -> PolyField:
     return PolyField._from_arrays(exps, coeffs, max(0, f.max_total_degree - 1), f.tag)
 
 
-def _jet(f: PolyField, pt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """f and its four partial derivatives at pt, as an (8,) and a (4, 8) array."""
-    return _value(f, pt), np.array([_value(partial(f, rho), pt) for rho in range(4)])
-
-
 @lru_cache(maxsize=16)
-def _monomials(degree: int) -> np.ndarray:
-    # every multi-degree of total degree <= degree, in lexicographic order;
-    # read-only, since every field of that degree shares it
+def monomials(degree: int) -> np.ndarray:
+    """Every multi-degree of total degree <= degree, (M, 4), in lexicographic order.
+
+    Read-only: every random field of that degree shares it.
+    """
     degs = [d for d in iter_product(range(degree + 1), repeat=4) if sum(d) <= degree]
     exps = np.array(degs, dtype=np.int64).reshape(-1, 4)
     exps.flags.writeable = False
@@ -207,42 +251,63 @@ def random_field(
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    exps = _monomials(int(degree))
+    exps = monomials(int(degree))
     return PolyField._from_arrays(exps, draw_rows(tag, rng, len(exps), bound), degree, tag)
 
 
-def _require_spinor(f: PolyField) -> None:
-    if f.tag not in (SubspaceTag.A, SubspaceTag.B):
+def _require_spinor(tag: SubspaceTag | None) -> None:
+    if tag not in (SubspaceTag.A, SubspaceTag.B):
         raise DomainViolation("field must be tagged A or B")
 
 
-def _bilinear(value: np.ndarray, grads: np.ndarray) -> complex:
-    """sum_rho <value*, ebar^rho grads[rho]> for a value and its four gradients."""
-    return complex(np.conj(value) @ mul_rows(EBAR_UPPER_ROWS, grads).sum(axis=0))
+#: Row (rho, b) is ebar^rho e_b: sum_rho ebar^rho g_rho is g.reshape(..., 32) @ this.
+_EBAR_LEFT = mul_rows(EBAR_UPPER_ROWS[:, None, :], np.eye(8)).reshape(32, 8)
+
+
+def bilinear_rows(values: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """sum_rho <value*, ebar^rho grads[rho]> row by row.
+
+    Takes values (..., 8) and their four gradients (..., 4, 8).
+    """
+    left = grads.reshape(grads.shape[:-2] + (32,)) @ _EBAR_LEFT
+    return inner_rows(np.conj(values), left)
 
 
 def dirac_scalar(f: PolyField, p) -> complex:
     """The first-derivative bilinear sum_rho <f*, ebar^rho d_rho f> at p."""
-    _require_spinor(f)
-    return _bilinear(*_jet(f, _as_point(p)))
+    _require_spinor(f.tag)
+    return complex(bilinear_rows(*_jet(f, p)))
+
+
+def lorentz_invariance_rows(tag, lam, lv, jet_at, points) -> np.ndarray:
+    """Change of the derivative bilinear under a Lorentz transformation, row by row.
+
+    Each row is a field of the spinor type ``tag``, a spinor transformation
+    ``lam`` (..., 8), the real vector transformation ``lv`` (..., 4, 4) and a
+    point (..., 4); ``jet_at(q)`` gives the fields' values (..., 8) and
+    gradients (..., 4, 8) at points q (..., 4), as :func:`jet_rows` does.  The
+    transformed field is f'(x) = L f(M x), M = L_V^{-1}, with L the spinor
+    transformation (bar_star of it for a B-valued field).  At x' = L_V p the
+    chain rule gives d_rho f'(x') = L sum_sigma M[sigma, rho] (d_sigma f)(M x').
+    """
+    _require_spinor(tag)
+    factor = lam if tag is SubspaceTag.A else bar_star_rows(lam)
+    m = eta_inverse_transform(lv)
+    value, grads = jet_at((m @ (lv @ points[..., None]))[..., 0])
+    # one rho at a time keeps the temporaries at one product per row
+    pulled = np.swapaxes(m, -1, -2) @ grads
+    moved = np.stack([mul_rows(factor, pulled[..., rho, :]) for rho in range(4)], axis=-2)
+    transformed = bilinear_rows(mul_rows(factor, value), moved)
+    return np.abs(transformed - bilinear_rows(*jet_at(points)))
 
 
 def lorentz_invariance_residual(f: PolyField, theta: Theta, p) -> float:
-    """Change of the derivative bilinear under a Lorentz transformation.
+    """:func:`lorentz_invariance_rows` for one field, parameter and point."""
+    def jet_at(q):
+        return jet_rows(f.exps, f.coeffs, q)
 
-    The transformed field is f'(x) = L f(M x), M = L_V^{-1}, with L the spinor
-    transformation (bar_star of it for a B-tagged field).  At x' = L_V p the
-    chain rule gives d_rho f'(x') = L sum_sigma M[sigma, rho] (d_sigma f)(M x').
-    """
-    _require_spinor(f)
-    pt = _as_point(p)
-    lam = lambda_S(theta)
-    lv = lambda_V_real(theta)
-    factor = (lam if f.tag is SubspaceTag.A else bar_star(lam)).c
-    m = eta_inverse_transform(lv)
-    value, grads = _jet(f, m @ (lv @ pt))
-    transformed = _bilinear(mul_rows(factor, value), mul_rows(factor, m.T @ grads))
-    return abs(transformed - dirac_scalar(f, pt))
+    lam, lv = lambda_S(theta).c, lambda_V_real(theta)
+    return float(lorentz_invariance_rows(f.tag, lam, lv, jet_at, _as_point(p)))
 
 
 def _require_a_valued(u: PolyField) -> None:
@@ -256,24 +321,32 @@ def exp_field_at(u: PolyField, p) -> CplxOcton:
     return exp_assoc(eval_at(u, p))
 
 
-def dexp_at(u: PolyField, mu: int, p) -> CplxOcton:
-    """Partial derivative of exp(u) along x_mu at p.
+def dexp_rows(u: np.ndarray, du: np.ndarray) -> np.ndarray:
+    """Derivative of exp(u) along a direction in which u changes by du, row by row.
 
-    Differentiates exp(s + v) = e^s (cos w + sinc w v), w^2 = <v, v>: with
-    a = <v, d_mu v>, d cos w = -sinc w a and d sinc w = ((cos w - sinc w)/w^2) a.
+    u and du are quaternionic rows (..., 8), broadcast together.  Differentiates
+    exp(s + v) = e^s (cos w + sinc w v), w^2 = <v, v>: with a = <v, dv>,
+    d cos w = -sinc w a and d sinc w = ((cos w - sinc w)/w^2) a.  Below
+    |w^2| = DEXP_TAYLOR_Z the last factor is summed from its Taylor series.
     """
+    u, du = np.broadcast_arrays(u, du)
+    s, v, ds, dv = u[..., 0], u[..., 1:4], du[..., 0], du[..., 1:4]
+    z, a = inner_rows(v, v), inner_rows(v, dv)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cos_w, sinc_w = _cos_sinc_rows(z)
+        small = np.abs(z) < DEXP_TAYLOR_Z
+        taylor = -1 / 3 + z * (1 / 30 - z * (1 / 840 - z / 45360))
+        sinc_rate = np.where(small, taylor, (cos_w - sinc_w) / np.where(small, 1, z))
+        es = np.exp(s)
+        out = np.zeros(u.shape, dtype=np.complex128)
+        out[..., 0] = es * (ds * cos_w - sinc_w * a)
+        out[..., 1:4] = es[..., None] * (
+            (ds * sinc_w + sinc_rate * a)[..., None] * v + sinc_w[..., None] * dv
+        )
+    return out
+
+
+def dexp_at(u: PolyField, mu: int, p) -> CplxOcton:
+    """Partial derivative of exp(u) along x_mu at p (see :func:`dexp_rows`)."""
     _require_a_valued(u)
-    pt = _as_point(p)
-    uval, du = _value(u, pt), _value(partial(u, mu), pt)
-    s, v, ds, dv = complex(uval[0]), uval[1:4], complex(du[0]), du[1:4]
-    z, a = complex(v @ v), complex(v @ dv)
-    cos_w, sinc_w = _cos_sinc(z)
-    if abs(z) < DEXP_TAYLOR_Z:
-        sinc_rate = -1 / 3 + z * (1 / 30 - z * (1 / 840 - z / 45360))
-    else:
-        sinc_rate = (cos_w - sinc_w) / z
-    es = cmath.exp(s)
-    c = np.zeros(8, dtype=np.complex128)
-    c[0] = es * (ds * cos_w - sinc_w * a)
-    c[1:4] = es * ((ds * sinc_w + sinc_rate * a) * v + sinc_w * dv)
-    return CplxOcton._wrap(c)
+    return CplxOcton._wrap(dexp_rows(*_jet_along(u, mu, p)))

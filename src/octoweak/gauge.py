@@ -20,12 +20,14 @@ from .core import (
     bar_star_rows,
     conj_oct_rows,
     exp_assoc,
+    exp_rows,
     mul,
+    mul_rows,
     rowwise,
     scal,
 )
 from .errors import DomainViolation
-from .fields import PolyField, dexp_at, dirac_scalar, eval_at, partial
+from .fields import PolyField, _jet, _jet_along, bilinear_rows, dexp_rows, eval_at
 from .grading import SubspaceTag, require_member
 from .lorentz import lambda_S
 
@@ -65,41 +67,120 @@ def _require_field_tag(f: PolyField, tag: SubspaceTag, name: str) -> None:
         raise DomainViolation(f"{name} must be a {tag.value} tagged field")
 
 
+# The *_rows functions take the values and derivatives of the fields at the
+# point, one sample per row: (..., 8) arrays, with the leading axes broadcast
+# together.  u is the gauge parameter, du its derivative along x_rho, w the
+# value of W_rho.  The PolyField-taking functions evaluate one sample.
+
+
+def transport_rows(w, u, du) -> np.ndarray:
+    """Transported connection U w U^-1 - (d_rho U) U^-1, U = exp(u), row by row."""
+    u_inv = exp_rows(-u)
+    return mul_rows(mul_rows(exp_rows(u), w), u_inv) - mul_rows(dexp_rows(u, du), u_inv)
+
+
+def cov_der_alpha_rows(a, da, w) -> np.ndarray:
+    """D_rho alpha = d_rho alpha - alpha W_rho, row by row."""
+    return da - mul_rows(a, w)
+
+
+def cov_der_beta_rows(b, db, w, r) -> np.ndarray:
+    """D_rho beta = d_rho beta + r beta Scal(W_rho), row by row, weights r (...,).
+
+    Computed through the scalar-part form; the symmetrized form
+    (r/2)(beta W + W beta) is evaluated alongside and must agree on every
+    row, which pins the exchange identity the equivalence rests on.
+    """
+    r = np.asarray(r)[..., None]
+    form3 = db + (r * w[..., :1]) * b
+    form1 = db + (0.5 * r) * (mul_rows(b, w) + mul_rows(w, b))
+    if np.any(abs_rows(form3 - form1) > FORM_AGREEMENT_TOL * np.maximum(1.0, abs_rows(form3))):
+        raise ArithmeticError("covariant-derivative forms disagree")
+    return form3
+
+
+def _require_gauge_rows(u, w=None) -> None:
+    require_member(u, SubspaceTag.A_MINUS, "gauge parameter value")
+    if w is not None:
+        require_member(w, SubspaceTag.A_MINUS, "W value")
+
+
+def global_alpha_rows(a, grads, u) -> np.ndarray:
+    """Change of the derivative bilinear under alpha -> alpha exp(-u), row by row.
+
+    Takes alpha's values (..., 8) and gradients (..., 4, 8) and constant
+    parameters u (..., 8); vanishes exactly when bar_star(u) = -u.
+    """
+    require_member(a, SubspaceTag.A, "alpha value")
+    require_member(u, SubspaceTag.A, "u")
+    big_u_inv = exp_rows(-u)
+    moved = np.stack([mul_rows(grads[..., rho, :], big_u_inv) for rho in range(4)], axis=-2)
+    primed = bilinear_rows(mul_rows(a, big_u_inv), moved)
+    return np.abs(primed - bilinear_rows(a, grads))
+
+
+def covariance_alpha_rows(a, da, w, u, du) -> np.ndarray:
+    """|| D_rho(alpha') with transported W  -  (D_rho alpha) U^-1 ||, row by row."""
+    require_member(a, SubspaceTag.A, "alpha value")
+    _require_gauge_rows(u, w)
+    u_inv = exp_rows(-u)
+    # d_rho(alpha U^-1) via the product rule; the U^-1 factor differentiates
+    # through the closed-form derivative of exp(-u)
+    d_aprime = mul_rows(da, u_inv) + mul_rows(a, dexp_rows(-u, -du))
+    primed = d_aprime - mul_rows(mul_rows(a, u_inv), transport_rows(w, u, du))
+    return abs_rows(primed - mul_rows(cov_der_alpha_rows(a, da, w), u_inv))
+
+
+def covariance_beta_rows(b, db, w, u, du, r) -> np.ndarray:
+    """|| D_rho(beta') with transported W  -  (D_rho beta) exp(r Scal(u)) ||, row by row."""
+    require_member(b, SubspaceTag.B, "beta value")
+    _require_gauge_rows(u, w)
+    r = np.asarray(r)
+    phase = np.exp(r * u[..., 0])
+    d_phase = r * du[..., 0] * phase
+    d_bprime = db * phase[..., None] + b * d_phase[..., None]
+    w_scal = r * transport_rows(w, u, du)[..., 0]
+    primed = d_bprime + w_scal[..., None] * (b * phase[..., None])
+    return abs_rows(primed - cov_der_beta_rows(b, db, w, r) * phase[..., None])
+
+
+def scal_der_u_rows(u, du) -> np.ndarray:
+    """<1, (d_rho U) U^-1> - <1, d_rho u>, row by row; zero for exponential group elements."""
+    _require_gauge_rows(u)
+    return mul_rows(dexp_rows(u, du), exp_rows(-u))[..., 0] - du[..., 0]
+
+
+def scal_ww_rows(w, u, du) -> np.ndarray:
+    """Scal(W' - W) + Scal(d_rho u), row by row; zero under the connection transport law."""
+    _require_gauge_rows(u, w)
+    return (transport_rows(w, u, du) - w)[..., 0] + du[..., 0]
+
+
+def _value(f: PolyField, p) -> np.ndarray:
+    return eval_at(f, p).c
+
+
 def transform_W_at(W: ConnectionField, u: PolyField, rho: int, p) -> CplxOcton:
     """Transported connection U W_rho U^-1 - (d_rho U) U^-1 at a point."""
     require_gauge_param(u)
-    uval = eval_at(u, p)
-    big_u = exp_assoc(uval)
-    big_u_inv = exp_assoc(-uval)
-    d_u = dexp_at(u, rho, p)
-    wval = eval_at(W[rho], p)
-    return mul(mul(big_u, wval), big_u_inv) - mul(d_u, big_u_inv)
+    uval, du = _jet_along(u, rho, p)
+    return CplxOcton._wrap(transport_rows(_value(W[rho], p), uval, du))
 
 
 def cov_der_alpha_at(alpha: PolyField, W: ConnectionField, rho: int, p) -> CplxOcton:
     """D_rho alpha = d_rho alpha - alpha W_rho at a point."""
     _require_field_tag(alpha, SubspaceTag.A, "alpha")
-    return eval_at(partial(alpha, rho), p) - mul(eval_at(alpha, p), eval_at(W[rho], p))
+    a, da = _jet_along(alpha, rho, p)
+    return CplxOcton._wrap(cov_der_alpha_rows(a, da, _value(W[rho], p)))
 
 
 def cov_der_beta_at(
     beta: PolyField, W: ConnectionField, rho: int, p, r: float
 ) -> CplxOcton:
-    """D_rho beta = d_rho beta + r beta Scal(W_rho) at a point.
-
-    Computed through the scalar-part form; the symmetrized form
-    (r/2)(beta W + W beta) is evaluated alongside and must agree, which
-    pins the exchange identity the equivalence rests on.
-    """
+    """D_rho beta = d_rho beta + r beta Scal(W_rho) at a point (see :func:`cov_der_beta_rows`)."""
     _require_field_tag(beta, SubspaceTag.B, "beta")
-    db = eval_at(partial(beta, rho), p)
-    bval = eval_at(beta, p)
-    wval = eval_at(W[rho], p)
-    form3 = db + (r * scal(wval)) * bval
-    form1 = db + (0.5 * r) * (mul(bval, wval) + mul(wval, bval))
-    if abs(form3 - form1) > FORM_AGREEMENT_TOL * max(1.0, abs(form3)):
-        raise ArithmeticError("covariant-derivative forms disagree")
-    return form3
+    b, db = _jet_along(beta, rho, p)
+    return CplxOcton._wrap(cov_der_beta_rows(b, db, _value(W[rho], p), r))
 
 
 def transform_alpha_gauge_at(alpha: PolyField, u: PolyField, p) -> CplxOcton:
@@ -121,9 +202,7 @@ def global_alpha_invariance_residual(alpha: PolyField, u_const: CplxOcton, p) ->
     alpha -> alpha exp(-u).  Vanishes exactly when bar_star(u) = -u.
     """
     _require_field_tag(alpha, SubspaceTag.A, "alpha")
-    require_member(u_const, SubspaceTag.A, "u")
-    alpha_prime = alpha.scale_right(exp_assoc(-u_const))
-    return abs(dirac_scalar(alpha_prime, p) - dirac_scalar(alpha, p))
+    return float(global_alpha_rows(*_jet(alpha, p), u_const.c))
 
 
 def covariance_residual_alpha(
@@ -132,18 +211,8 @@ def covariance_residual_alpha(
     """|| D_rho(alpha') with transported W  -  (D_rho alpha) U^-1 ||."""
     _require_field_tag(alpha, SubspaceTag.A, "alpha")
     require_gauge_param(u)
-    uval = eval_at(u, p)
-    u_inv = exp_assoc(-uval)
-    aval = eval_at(alpha, p)
-    # d_rho(alpha U^-1) via the product rule; the U^-1 factor differentiates
-    # through the closed-form derivative of exp(-u)
-    d_aprime = mul(eval_at(partial(alpha, rho), p), u_inv) + mul(
-        aval, dexp_at(-u, rho, p)
-    )
-    w_prime = transform_W_at(W, u, rho, p)
-    primed = d_aprime - mul(mul(aval, u_inv), w_prime)
-    reference = mul(cov_der_alpha_at(alpha, W, rho, p), u_inv)
-    return abs(primed - reference)
+    a, da = _jet_along(alpha, rho, p)
+    return float(covariance_alpha_rows(a, da, _value(W[rho], p), *_jet_along(u, rho, p)))
 
 
 def covariance_residual_beta(
@@ -152,30 +221,20 @@ def covariance_residual_beta(
     """|| D_rho(beta') with transported W  -  (D_rho beta) exp(r Scal(u)) ||."""
     _require_field_tag(beta, SubspaceTag.B, "beta")
     require_gauge_param(u)
-    uval = eval_at(u, p)
-    phase = cmath.exp(r * scal(uval))
-    bval = eval_at(beta, p)
-    d_phase = r * scal(eval_at(partial(u, rho), p)) * phase
-    d_bprime = eval_at(partial(beta, rho), p) * phase + bval * d_phase
-    w_prime = transform_W_at(W, u, rho, p)
-    primed = d_bprime + (r * scal(w_prime)) * (bval * phase)
-    reference = cov_der_beta_at(beta, W, rho, p, r) * phase
-    return abs(primed - reference)
+    b, db = _jet_along(beta, rho, p)
+    return float(covariance_beta_rows(b, db, _value(W[rho], p), *_jet_along(u, rho, p), r))
 
 
 def scal_der_u_residual(u: PolyField, mu: int, p) -> complex:
     """<1, (d_mu U) U^-1> - <1, d_mu u>; zero for exponential group elements."""
     require_gauge_param(u)
-    lhs = scal(mul(dexp_at(u, mu, p), exp_assoc(-eval_at(u, p))))
-    rhs = scal(eval_at(partial(u, mu), p))
-    return lhs - rhs
+    return complex(scal_der_u_rows(*_jet_along(u, mu, p)))
 
 
 def scal_ww_residual(W: ConnectionField, u: PolyField, rho: int, p) -> complex:
     """Scal(W' - W) + Scal(d_rho u); zero under the connection transport law."""
     require_gauge_param(u)
-    shift = scal(transform_W_at(W, u, rho, p) - eval_at(W[rho], p))
-    return shift + scal(eval_at(partial(u, rho), p))
+    return complex(scal_ww_rows(_value(W[rho], p), *_jet_along(u, rho, p)))
 
 
 @rowwise

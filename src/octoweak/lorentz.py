@@ -144,7 +144,8 @@ def mat_exp(m: np.ndarray) -> np.ndarray:
 
     Takes one square matrix or a stack (..., k, k); each matrix is scaled by
     its own 1-norm.  A matrix whose norm is not finite is not scaled, and its
-    exponential comes out non-finite.
+    exponential comes out non-finite, as does one whose squarings overflow;
+    the squaring stops once only such matrices have squarings left.
     """
     a = np.asarray(m, dtype=np.complex128)
     with np.errstate(all="ignore"):
@@ -160,10 +161,17 @@ def mat_exp(m: np.ndarray) -> np.ndarray:
         # whose own count is not yet reached
         steps = int(squarings.max(initial=0))
         common = int(squarings.min(initial=steps))
-        for _ in range(common):
-            acc = acc @ acc
-        for step in range(common, steps):
-            acc = np.where((squarings > step)[..., None, None], acc @ acc, acc)
+        for step in range(steps):
+            if step < common:
+                acc = acc @ acc
+            else:
+                acc = np.where((squarings > step)[..., None, None], acc @ acc, acc)
+            # the square of a non-finite matrix is non-finite, so once no
+            # finite matrix has squarings left, none can change
+            if not np.isfinite(acc).all():
+                finite = np.isfinite(acc).all(axis=(-2, -1))
+                if not np.any(finite & (squarings > step + 1)):
+                    break
     return acc
 
 
@@ -204,10 +212,15 @@ def lambda_V(theta) -> np.ndarray:
     return mat_exp(-0.5j * _generator_sum(theta, _V_PAIRS))
 
 
-def lambda_V_real(theta: Theta) -> np.ndarray:
-    """Real-cast vector transformation; raises if the imaginary fuzz is large."""
+def lambda_V_real(theta) -> np.ndarray:
+    """Real-cast vector transformation; raises if the imaginary fuzz is large.
+
+    Takes a :class:`Theta` or an (..., 4, 4) parameter stack; each matrix of a
+    stack is checked against its own scale.
+    """
     lv = lambda_V(theta)
-    if float(np.max(np.abs(lv.imag))) > 1e-10 * max(1.0, float(np.max(np.abs(lv.real)))):
+    imag = np.abs(lv.imag).max(axis=(-2, -1))
+    if np.any(imag > 1e-10 * np.maximum(1.0, np.abs(lv.real).max(axis=(-2, -1)))):
         raise ArithmeticError("vector transformation has non-negligible imaginary part")
     return lv.real.copy()
 
@@ -284,5 +297,8 @@ def gamma5_analogue() -> CplxOcton:
 
 
 def eta_inverse_transform(lv: np.ndarray) -> np.ndarray:
-    """Group inverse via the metric: eta L^T eta (exact for eta-preserving L)."""
-    return ETA @ lv.T @ ETA
+    """Group inverse via the metric: eta L^T eta (exact for eta-preserving L).
+
+    Takes one 4x4 matrix or an (..., 4, 4) stack.
+    """
+    return ETA @ np.swapaxes(lv, -1, -2) @ ETA

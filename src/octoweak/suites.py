@@ -14,7 +14,7 @@ import math
 import time
 import zlib
 from dataclasses import dataclass, fields as dc_fields
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,22 +28,21 @@ from .core import (
     norm_rows,
 )
 from .errors import UnknownSuite
-from .fields import PolyField, eval_at, lorentz_invariance_residual, random_field
+from .fields import PolyField, jet_rows, lorentz_invariance_rows, monomials
 from .gauge import (
-    ConnectionField,
-    covariance_residual_alpha,
-    covariance_residual_beta,
+    covariance_alpha_rows,
+    covariance_beta_rows,
     general_coupling_residual,
     global_alpha_invariance_residual,
-    scal_der_u_residual,
-    scal_ww_residual,
+    global_alpha_rows,
+    scal_der_u_rows,
+    scal_ww_rows,
 )
 from .grading import (
     AB_CLOSURE,
     IPMoveForm,
     SubspaceTag,
     dof_rows,
-    draw,
     draw_block,
     membership_defect,
     ndof,
@@ -65,6 +64,7 @@ from .lorentz import (
     gamma5_analogue,
     infinitesimal_dc_residual,
     lambda_S,
+    lambda_V_real,
     lorentz_algebra_residual,
     theta_rows,
 )
@@ -127,14 +127,20 @@ class SuiteConfig:
         return _lookup(suite_id).tolerance(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SuiteReport:
+    """One suite's verdict.  ``message`` names the error a failed suite raised, if any.
+
+    Slotted: a benchmark or a caller that keeps many reports keeps no dict per report.
+    """
+
     suite_id: str
     samples: int
     max_residual: float
     mean_residual: float
     passed: bool
     elapsed_ms: int
+    message: str | None = None
 
 
 @dataclass(frozen=True)
@@ -200,6 +206,65 @@ def _sampled_theta(pairs, residual):
         return _blocked(n, block), True
 
     return run
+
+
+# ------------------------------------------------------- per-sample inputs
+#
+# Suites that draw integers, several bounds or whole fields within one sample
+# read their inputs sample by sample, with the calls and in the order of one
+# draw per sample, into arrays; only the arithmetic is batched.
+
+
+class _Input(NamedTuple):
+    """One input of a sample: ``read`` draws it, a value of ``shape`` and ``dtype``."""
+
+    read: Callable[[np.random.Generator], object]
+    shape: tuple = ()
+    dtype: type = float
+
+
+def _read_block(rng, m: int, inputs) -> list[np.ndarray]:
+    """m samples, each read as ``[x.read(rng) for x in inputs]``, into one array per input."""
+    blocks = [np.empty((m,) + x.shape, x.dtype) for x in inputs]
+    for i in range(m):
+        for x, block in zip(inputs, blocks):
+            block[i] = x.read(rng)
+    return blocks
+
+
+def _per_sample(n: int, rng, inputs, residual) -> np.ndarray:
+    """Residuals of n samples read one at a time; ``residual`` takes a block's arrays."""
+    return _blocked(n, lambda m: residual(*_read_block(rng, m, inputs)))
+
+
+def _uniform(low: float, high: float, shape: tuple = ()) -> _Input:
+    size = shape or None  # a single draw as a float: a 0-d array costs more
+    return _Input(lambda rng: rng.uniform(low, high, size), shape)
+
+
+def _params(tag: SubspaceTag, shape: tuple = (), bound: float = 1.0) -> _Input:
+    """Real parameters of elements of ``tag`` filling ``shape``, read in one call as that
+    many successive :func:`draw` calls read them; ``dof_rows`` makes them elements."""
+    return _uniform(-bound, bound, shape + (ndof(tag),))
+
+
+def _field(tag: SubspaceTag, degree: int, bound: float = 1.0) -> _Input:
+    """The real parameters of one :func:`random_field` draw, one row per monomial."""
+    return _params(tag, (len(monomials(degree)),), bound)
+
+
+def _jets(tag: SubspaceTag, degree: int, params, points):
+    """Values (m, 8) and gradients (m, 4, 8) of fields given by their real parameters.
+
+    The jets are taken of the parameters, (m, M, ndof), and ``dof_rows``,
+    which is linear, turns them into elements.
+    """
+    value, grads = jet_rows(monomials(degree), params, points)
+    return dof_rows(tag, value), dof_rows(tag, grads)
+
+
+_POINT = _uniform(-1.0, 1.0, (4,))
+_AXIS = _Input(lambda rng: rng.integers(4), dtype=np.intp)
 
 
 # ---------------------------------------------------------------- residuals
@@ -308,13 +373,16 @@ def _run_gamma5(cfg, n, rng):
 
 def _prop1_runner(tag: SubspaceTag):
     def run(cfg, n, rng):
-        res = []
-        for _ in range(n):
-            f = random_field(rng, cfg.field_degree, tag)
-            theta = Theta.random(rng, PROP1_THETA_BOUND)
-            p = rng.uniform(-1.0, 1.0, 4)
-            res.append(lorentz_invariance_residual(f, theta, p))
-        return res, True
+        def residual(f, theta, p):
+            theta = theta_rows(theta)
+            lam, lv = lambda_S(theta), lambda_V_real(theta)
+            return lorentz_invariance_rows(
+                tag, lam, lv, lambda q: _jets(tag, cfg.field_degree, f, q), p
+            )
+
+        bound = PROP1_THETA_BOUND
+        inputs = (_field(tag, cfg.field_degree), _uniform(-bound, bound, (6,)), _POINT)
+        return _per_sample(n, rng, inputs, residual), True
 
     return run
 
@@ -333,106 +401,108 @@ PROP4_WITNESS = dict(
 
 
 def _run_prop2(cfg, n, rng):
-    res = []
-    for _ in range(n):
-        alpha = random_field(rng, cfg.field_degree, SubspaceTag.A)
-        u0 = draw(SubspaceTag.A_MINUS, rng)
-        p = rng.uniform(-1.0, 1.0, 4)
-        res.append(global_alpha_invariance_residual(alpha, u0, p))
+    def residual(alpha, u0, p):
+        u0 = dof_rows(SubspaceTag.A_MINUS, u0)
+        return global_alpha_rows(*_jets(SubspaceTag.A, cfg.field_degree, alpha, p), u0)
+
+    inputs = (_field(SubspaceTag.A, cfg.field_degree), _params(SubspaceTag.A_MINUS), _POINT)
+    res = _per_sample(n, rng, inputs, residual)
     witness = global_alpha_invariance_residual(
         PROP2_WITNESS_ALPHA, PROP2_WITNESS_U, PROP2_WITNESS_POINT
     )
     return res, witness > NEG_CONTROL_MIN
 
 
-def _gauge_param(cfg, rng, at) -> PolyField:
-    u = random_field(rng, min(2, cfg.field_degree), SubspaceTag.A_MINUS, GAUGE_PARAM_BOUND)
-    m = abs(eval_at(u, at))
-    if m > GAUGE_PARAM_VALUE_CAP:
-        u = u * (GAUGE_PARAM_VALUE_CAP / m)
-    return u
+def _gauge_param(cfg) -> _Input:
+    return _field(SubspaceTag.A_MINUS, min(2, cfg.field_degree), GAUGE_PARAM_BOUND)
 
 
-def _connection(cfg, rng) -> ConnectionField:
-    return ConnectionField(
-        [random_field(rng, cfg.field_degree, SubspaceTag.A_MINUS) for _ in range(4)]
-    )
+def _connection(cfg) -> _Input:
+    # the components W_0..W_3: four random_field draws
+    return _params(SubspaceTag.A_MINUS, (4, len(monomials(cfg.field_degree))))
+
+
+def _along(grads, rho):
+    # each row's gradient along its own axis
+    return grads[np.arange(len(rho)), rho]
+
+
+def _field_jet(tag: SubspaceTag, degree: int, params, p, rho):
+    """Fields' values and derivatives along rho at each sample's point."""
+    value, grads = _jets(tag, degree, params, p)
+    return value, _along(grads, rho)
+
+
+def _gauge_param_jet(cfg, u, p, rho):
+    """u and d_rho u at each sample's point, u scaled to the value cap where it exceeds it."""
+    value, du = _field_jet(SubspaceTag.A_MINUS, min(2, cfg.field_degree), u, p, rho)
+    mag = abs_rows(value)
+    scale = np.where(mag > GAUGE_PARAM_VALUE_CAP, GAUGE_PARAM_VALUE_CAP / mag, 1.0)[:, None]
+    return value * scale, du * scale
+
+
+def _connection_value(cfg, w, p, rho):
+    """The value of each sample's connection component W_rho at its point."""
+    return _field_jet(SubspaceTag.A_MINUS, cfg.field_degree, _along(w, rho), p, rho)[0]
 
 
 def _run_prop3(cfg, n, rng):
-    res = []
-    for _ in range(n):
-        p = rng.uniform(-1.0, 1.0, 4)
-        u = _gauge_param(cfg, rng, p)
-        res.append(
-            covariance_residual_alpha(
-                random_field(rng, cfg.field_degree, SubspaceTag.A),
-                _connection(cfg, rng),
-                u,
-                int(rng.integers(4)),
-                p,
-            )
+    def residual(p, u, alpha, w, rho):
+        return covariance_alpha_rows(
+            *_field_jet(SubspaceTag.A, cfg.field_degree, alpha, p, rho),
+            _connection_value(cfg, w, p, rho),
+            *_gauge_param_jet(cfg, u, p, rho),
         )
-    return res, True
+
+    alpha = _field(SubspaceTag.A, cfg.field_degree)
+    inputs = (_POINT, _gauge_param(cfg), alpha, _connection(cfg), _AXIS)
+    return _per_sample(n, rng, inputs, residual), True
 
 
 def _run_prop4(cfg, n, rng):
-    # mixed bounds: the inputs are read sample by sample, the arithmetic is batched
-    def block(m):
-        r, theta = np.zeros(m), np.zeros((m, len(THETA_PAIRS)))
-        w, beta = np.zeros((m, ndof(SubspaceTag.A_MINUS))), np.zeros((m, ndof(SubspaceTag.B)))
-        for i in range(m):
-            r[i] = float(rng.uniform(0.1, 1.0))
-            theta[i] = rng.uniform(-cfg.theta_bound, cfg.theta_bound, size=theta.shape[1])
-            w[i] = rng.uniform(-1.0, 1.0, size=w.shape[1])
-            beta[i] = rng.uniform(-1.0, 1.0, size=beta.shape[1])
-        return general_coupling_residual(
-            0.5 * r,
-            0.5 * r,
-            theta_rows(theta),
-            dof_rows(SubspaceTag.A_MINUS, w),
-            dof_rows(SubspaceTag.B, beta),
-        )
+    def residual(r, theta, w, beta):
+        w, beta = dof_rows(SubspaceTag.A_MINUS, w), dof_rows(SubspaceTag.B, beta)
+        return general_coupling_residual(0.5 * r, 0.5 * r, theta_rows(theta), w, beta)
 
+    b = cfg.theta_bound
+    inputs = (
+        _uniform(0.1, 1.0),
+        _uniform(-b, b, (len(THETA_PAIRS),)),
+        _params(SubspaceTag.A_MINUS),
+        _params(SubspaceTag.B),
+    )
     witness = general_coupling_residual(**PROP4_WITNESS)
-    return _blocked(n, block), witness > NEG_CONTROL_MIN
+    return _per_sample(n, rng, inputs, residual), witness > NEG_CONTROL_MIN
 
 
 def _run_prop5(cfg, n, rng):
-    res = []
-    for _ in range(n):
-        p = rng.uniform(-1.0, 1.0, 4)
-        u = _gauge_param(cfg, rng, p)
-        r = float(rng.uniform(0.25, 1.5))
-        res.append(
-            covariance_residual_beta(
-                random_field(rng, cfg.field_degree, SubspaceTag.B),
-                _connection(cfg, rng),
-                u,
-                int(rng.integers(4)),
-                p,
-                r,
-            )
+    def residual(p, u, r, beta, w, rho):
+        return covariance_beta_rows(
+            *_field_jet(SubspaceTag.B, cfg.field_degree, beta, p, rho),
+            _connection_value(cfg, w, p, rho),
+            *_gauge_param_jet(cfg, u, p, rho),
+            r,
         )
-    return res, True
+
+    beta = _field(SubspaceTag.B, cfg.field_degree)
+    inputs = (_POINT, _gauge_param(cfg), _uniform(0.25, 1.5), beta, _connection(cfg), _AXIS)
+    return _per_sample(n, rng, inputs, residual), True
 
 
 def _run_lemma3(cfg, n, rng):
-    res = []
-    for _ in range(n):
-        p = rng.uniform(-1.0, 1.0, 4)
-        u = _gauge_param(cfg, rng, p)
-        res.append(abs(scal_der_u_residual(u, int(rng.integers(4)), p)))
-    return res, True
+    def residual(p, u, rho):
+        return np.abs(scal_der_u_rows(*_gauge_param_jet(cfg, u, p, rho)))
+
+    return _per_sample(n, rng, (_POINT, _gauge_param(cfg), _AXIS), residual), True
 
 
 def _run_lemma4(cfg, n, rng):
-    res = []
-    for _ in range(n):
-        p = rng.uniform(-1.0, 1.0, 4)
-        u = _gauge_param(cfg, rng, p)
-        res.append(abs(scal_ww_residual(_connection(cfg, rng), u, int(rng.integers(4)), p)))
-    return res, True
+    def residual(p, u, w, rho):
+        w_rho = _connection_value(cfg, w, p, rho)
+        return np.abs(scal_ww_rows(w_rho, *_gauge_param_jet(cfg, u, p, rho)))
+
+    inputs = (_POINT, _gauge_param(cfg), _connection(cfg), _AXIS)
+    return _per_sample(n, rng, inputs, residual), True
 
 
 _SUITES = [
@@ -476,7 +546,12 @@ def _lookup(suite_id: str) -> _SuiteDef:
 
 
 def run_suite(suite_id: str, cfg: SuiteConfig) -> SuiteReport:
-    """Run one registered suite; deterministic given cfg.seed."""
+    """Run one registered suite; deterministic given cfg.seed.
+
+    An ArithmeticError or ValueError raised inside the suite, the library's
+    own refusals (DomainViolation is a ValueError), ends it as a FAIL report
+    whose ``message`` names the error.
+    """
     sdef = _lookup(suite_id)
     n = sdef.default_samples
     if cfg.samples_per_suite is not None and not sdef.exhaustive:
@@ -485,8 +560,13 @@ def run_suite(suite_id: str, cfg: SuiteConfig) -> SuiteReport:
     start = time.perf_counter()
     # overflow shows as an inf or NaN residual, which fails the suite; numpy's
     # floating-point warnings would only repeat that
-    with np.errstate(all="ignore"):
-        residuals, controls_ok = sdef.runner(cfg, n, rng)
+    try:
+        with np.errstate(all="ignore"):
+            residuals, controls_ok = sdef.runner(cfg, n, rng)
+    except (ArithmeticError, ValueError) as exc:
+        elapsed_ms = int((time.perf_counter() - start) * 1000)
+        message = f"{type(exc).__name__}: {exc}"
+        return SuiteReport(suite_id, 0, math.nan, math.nan, False, elapsed_ms, message)
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     # np.max keeps a NaN that Python's max may skip; NaN and inf never pass
     worst = float(np.max(residuals))
@@ -528,20 +608,24 @@ def render_json(reports: list[SuiteReport], cfg: SuiteConfig) -> str:
     """Machine-readable report; timing is omitted so identical runs match byte for byte.
 
     The output is strict JSON: a residual that is not finite is written as
-    the string "NaN", "Infinity" or "-Infinity".
+    the string "NaN", "Infinity" or "-Infinity".  A suite that raised has a
+    ``message`` key naming the error; other rows have none.
     """
+    rows = []
+    for r in reports:
+        row = {
+            "suite_id": r.suite_id,
+            "samples": r.samples,
+            "max_residual": _json_float(r.max_residual),
+            "mean_residual": _json_float(r.mean_residual),
+            "passed": r.passed,
+        }
+        if r.message is not None:
+            row["message"] = r.message
+        rows.append(row)
     payload = {
         "config": _config_dict(cfg),
-        "suites": [
-            {
-                "suite_id": r.suite_id,
-                "samples": r.samples,
-                "max_residual": _json_float(r.max_residual),
-                "mean_residual": _json_float(r.mean_residual),
-                "passed": r.passed,
-            }
-            for r in reports
-        ],
+        "suites": rows,
         "passed": all(r.passed for r in reports),
     }
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
@@ -558,6 +642,7 @@ def render_text(reports: list[SuiteReport], cfg: SuiteConfig) -> str:
             f"{'PASS' if r.passed else 'FAIL'}  {r.suite_id:<18} "
             f"samples={r.samples:<5d} max={r.max_residual:<12.3e} "
             f"mean={r.mean_residual:<12.3e} tol={tol:<8.0e} ({r.elapsed_ms} ms)"
+            + ("" if r.message is None else f"  error: {r.message}")
         )
     good = sum(r.passed for r in reports)
     lines.append(f"{good}/{len(reports)} suites passed")

@@ -5,9 +5,8 @@ verifies: products come from a generic doubling recursion instead of the
 frozen table, exponentials and their derivatives from plain series
 summation instead of closed forms, pulled-back fields from symbolic
 expansion instead of the pointwise chain rule, derivatives from central
-differences instead of formal calculus, and the sampled algebra suites
-from one draw and one scalar evaluation per sample instead of blocks of
-rows.
+differences instead of formal calculus, and the sampled suites from one
+draw and one single-value evaluation per sample instead of blocks of rows.
 """
 
 from __future__ import annotations
@@ -15,7 +14,15 @@ from __future__ import annotations
 import numpy as np
 
 from octoweak.core import ONE, CplxOcton, associator, bar_star, conj_oct, mul, norm
-from octoweak.fields import PolyField, eval_at, partial
+from octoweak.fields import PolyField, eval_at, lorentz_invariance_residual, partial, random_field
+from octoweak.gauge import (
+    ConnectionField,
+    covariance_residual_alpha,
+    covariance_residual_beta,
+    global_alpha_invariance_residual,
+    scal_der_u_residual,
+    scal_ww_residual,
+)
 from octoweak.grading import (
     AB_CLOSURE,
     IPMoveForm,
@@ -33,7 +40,16 @@ from octoweak.grading import (
     residual_zvengrowski,
 )
 from octoweak.lorentz import EBAR_UPPER, Theta, lambda_S, lambda_V
-from octoweak.suites import NEG_CONTROL_MIN, PROP4_WITNESS
+from octoweak.suites import (
+    GAUGE_PARAM_BOUND,
+    GAUGE_PARAM_VALUE_CAP,
+    NEG_CONTROL_MIN,
+    PROP1_THETA_BOUND,
+    PROP2_WITNESS_ALPHA,
+    PROP2_WITNESS_POINT,
+    PROP2_WITNESS_U,
+    PROP4_WITNESS,
+)
 
 
 def cd_conj(x: np.ndarray) -> np.ndarray:
@@ -159,8 +175,8 @@ def pullback_linear(f: PolyField, m) -> PolyField:
 
 # ------------------------------------------------- per-sample suite runners
 #
-# The sampled algebra suites as one draw and one scalar evaluation per
-# sample, with the (cfg, n, rng) -> (residuals, controls_ok) contract of the
+# The sampled suites as one draw and one single-value evaluation per sample,
+# with the (cfg, n, rng) -> (residuals, controls_ok) contract of the
 # registered runners.  They read the generator in the same order.
 
 
@@ -289,6 +305,113 @@ def run_prop4(cfg, n, rng):
         )
     witness = general_coupling_residual(**PROP4_WITNESS)
     return res, witness > NEG_CONTROL_MIN
+
+
+def _prop1_runner(tag):
+    def run(cfg, n, rng):
+        res = []
+        for _ in range(n):
+            f = random_field(rng, cfg.field_degree, tag)
+            theta = Theta.random(rng, PROP1_THETA_BOUND)
+            p = rng.uniform(-1.0, 1.0, 4)
+            res.append(lorentz_invariance_residual(f, theta, p))
+        return res, True
+
+    return run
+
+
+def run_prop2(cfg, n, rng):
+    res = []
+    for _ in range(n):
+        alpha = random_field(rng, cfg.field_degree, SubspaceTag.A)
+        u0 = draw(SubspaceTag.A_MINUS, rng)
+        p = rng.uniform(-1.0, 1.0, 4)
+        res.append(global_alpha_invariance_residual(alpha, u0, p))
+    witness = global_alpha_invariance_residual(
+        PROP2_WITNESS_ALPHA, PROP2_WITNESS_U, PROP2_WITNESS_POINT
+    )
+    return res, witness > NEG_CONTROL_MIN
+
+
+def gauge_param(cfg, rng, at) -> PolyField:
+    """A gauge parameter as the gauge suites draw it, its value at ``at`` capped."""
+    u = random_field(rng, min(2, cfg.field_degree), SubspaceTag.A_MINUS, GAUGE_PARAM_BOUND)
+    m = abs(eval_at(u, at))
+    if m > GAUGE_PARAM_VALUE_CAP:
+        u = u * (GAUGE_PARAM_VALUE_CAP / m)
+    return u
+
+
+def connection(cfg, rng) -> ConnectionField:
+    return ConnectionField(
+        [random_field(rng, cfg.field_degree, SubspaceTag.A_MINUS) for _ in range(4)]
+    )
+
+
+def run_prop3(cfg, n, rng):
+    res = []
+    for _ in range(n):
+        p = rng.uniform(-1.0, 1.0, 4)
+        u = gauge_param(cfg, rng, p)
+        res.append(
+            covariance_residual_alpha(
+                random_field(rng, cfg.field_degree, SubspaceTag.A),
+                connection(cfg, rng),
+                u,
+                int(rng.integers(4)),
+                p,
+            )
+        )
+    return res, True
+
+
+def run_prop5(cfg, n, rng):
+    res = []
+    for _ in range(n):
+        p = rng.uniform(-1.0, 1.0, 4)
+        u = gauge_param(cfg, rng, p)
+        r = float(rng.uniform(0.25, 1.5))
+        res.append(
+            covariance_residual_beta(
+                random_field(rng, cfg.field_degree, SubspaceTag.B),
+                connection(cfg, rng),
+                u,
+                int(rng.integers(4)),
+                p,
+                r,
+            )
+        )
+    return res, True
+
+
+def run_lemma3(cfg, n, rng):
+    res = []
+    for _ in range(n):
+        p = rng.uniform(-1.0, 1.0, 4)
+        u = gauge_param(cfg, rng, p)
+        res.append(abs(scal_der_u_residual(u, int(rng.integers(4)), p)))
+    return res, True
+
+
+def run_lemma4(cfg, n, rng):
+    res = []
+    for _ in range(n):
+        p = rng.uniform(-1.0, 1.0, 4)
+        u = gauge_param(cfg, rng, p)
+        res.append(abs(scal_ww_residual(connection(cfg, rng), u, int(rng.integers(4)), p)))
+    return res, True
+
+
+#: Reference route of each field and gauge suite, by suite id.
+FIELD_SUITE_RUNNERS = {
+    "prop1-A": _prop1_runner(SubspaceTag.A),
+    "prop1-B": _prop1_runner(SubspaceTag.B),
+    "prop2": run_prop2,
+    "prop3": run_prop3,
+    "prop5": run_prop5,
+    "lemma3": run_lemma3,
+    "lemma4": run_lemma4,
+}
 
 
 #: Reference route of each sampled algebra suite, by suite id.

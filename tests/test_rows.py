@@ -2,7 +2,9 @@
 
 A stack of inputs must give, row by row, what one scalar call per row gives.
 The arithmetic is the same apart from the order of a few sums, so rows
-agree to 1e-14 of their scale; the product itself matches bit for bit.
+agree to 1e-14 of their scale; the product itself matches bit for bit.  The
+batched field and gauge suites must give what their per-sample references
+in ``oracles`` give, from the same inputs.
 """
 
 import warnings
@@ -10,7 +12,9 @@ import warnings
 import numpy as np
 import pytest
 
+from octoweak import fields, gauge, lorentz, suites
 from octoweak.core import (
+    E,
     CplxOcton,
     abs_rows,
     associator,
@@ -29,11 +33,22 @@ from octoweak.core import (
     norm_rows,
 )
 from octoweak.errors import DomainViolation, NotInAssociativeSubalgebra
+from octoweak.fields import (
+    DEXP_TAYLOR_Z,
+    PolyField,
+    dexp_rows,
+    eval_at,
+    jet_rows,
+    monomials,
+    partial,
+    random_field,
+)
 from octoweak.gauge import general_coupling_residual
 from octoweak.grading import (
     IPMoveForm,
     SubspaceTag,
     draw,
+    dof_rows,
     draw_block,
     draw_rows,
     in_subspace,
@@ -59,11 +74,16 @@ from octoweak.lorentz import (
     _S_PAIRS,
     _V_PAIRS,
     double_cover_residual,
+    eta_inverse_transform,
     lambda_S,
     lambda_V,
+    lambda_V_real,
     mat_exp,
     theta_rows,
 )
+from octoweak.suites import SuiteConfig
+
+import oracles
 
 N = 40
 
@@ -208,6 +228,37 @@ def test_mat_exp_non_finite_or_huge_norm_gives_non_finite_not_an_error():
     assert np.allclose(out[2], mat_exp(m[2]))
 
 
+def test_mat_exp_stops_squaring_a_huge_matrix_without_touching_the_others():
+    rng = np.random.default_rng(28)
+    ordinary = rng.uniform(-3, 3, (5, 4, 4)) + 1j * rng.uniform(-3, 3, (5, 4, 4))
+    huge = np.full((1, 4, 4), 1e300)  # about 1000 squarings, overflowing after a few
+    mixed = np.concatenate([ordinary[:2], huge, ordinary[2:]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = mat_exp(mixed)
+    assert np.array_equal(np.delete(out, 2, axis=0), mat_exp(ordinary))
+    assert not np.all(np.isfinite(out[2]))
+
+
+def test_stacked_lorentz_helpers_match_single_calls():
+    thetas = _thetas(29)
+    lv = lambda_V_real(thetas)
+    assert lv.dtype == float and lv.shape == (N, 4, 4)
+    _close(lv, [lambda_V_real(Theta(t)) for t in thetas])
+    # a signed transpose: exact, row by row
+    assert np.array_equal(eta_inverse_transform(lv), [eta_inverse_transform(m) for m in lv])
+    assert np.allclose(eta_inverse_transform(lv) @ lv, np.eye(4), atol=1e-12)
+
+
+def test_lambda_V_real_checks_each_matrix_against_its_own_scale(monkeypatch):
+    big = np.eye(4) * 1e8 + 1e-4j  # fuzz within 1e-10 of the matrix's scale
+    small = np.eye(4) + 1e-4j  # the same fuzz on a unit matrix
+    monkeypatch.setattr(lorentz, "lambda_V", lambda theta: theta)
+    assert np.array_equal(lambda_V_real(np.array([big, big])), [big.real, big.real])
+    with pytest.raises(ArithmeticError):
+        lambda_V_real(np.array([big, small]))
+
+
 def test_generator_sums_are_exact_contractions():
     # at most one nonzero real and one nonzero imaginary term per entry: the
     # contraction over the six parameters then rounds nothing
@@ -323,3 +374,112 @@ def test_each_rowwise_function_has_its_own_code_object():
     fns = (in_subspace, membership_defect, project, lambda_S, lambda_V, residual_ab, residual_abba)
     assert len({fn.__code__ for fn in fns}) == len(fns)
     assert [fn.__code__.co_name for fn in fns] == [fn.__name__ for fn in fns]
+
+
+# ------------------------------------------------------------- field kernels
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_jet_rows_matches_eval_at_and_partial(degree):
+    rng = np.random.default_rng(31 + degree)
+    exps = monomials(degree)
+    coeffs = draw_rows(SubspaceTag.FULL_CO, rng, N * len(exps)).reshape(N, len(exps), 8)
+    points = rng.uniform(-1.5, 1.5, (N, 4))
+    values, grads = jet_rows(exps, coeffs, points)
+    assert values.shape == (N, 8) and grads.shape == (N, 4, 8)
+    polys = [PolyField._from_arrays(exps, c, degree, None) for c in coeffs]
+    _close(values, [oracles.eval_naive(f, p).c for f, p in zip(polys, points)])
+    want = [[eval_at(partial(f, rho), p).c for rho in range(4)] for f, p in zip(polys, points)]
+    _close(grads, want)
+    # one field against many points broadcasts
+    _close(jet_rows(exps, coeffs[0], points)[0], [eval_at(polys[0], p).c for p in points])
+
+
+def test_jet_rows_gradient_along_an_absent_coordinate_is_exactly_zero():
+    f = PolyField({(0, 3, 0, 0): E[2]})  # x1^3 at x1 = 1e200 overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, grads = jet_rows(f.exps, f.coeffs, np.array([0.5, 1e200, 0.0, 0.0]))
+    assert not np.all(np.isfinite(values))
+    assert np.array_equal(grads[[0, 2, 3]], np.zeros((3, 8)))
+
+
+def test_dexp_rows_matches_the_series_across_the_taylor_boundary():
+    rng = np.random.default_rng(32)
+    omega_sqs = np.logspace(-10, 0.5, 30)
+    assert omega_sqs[0] < DEXP_TAYLOR_Z < omega_sqs[-1]
+    u = _rows(SubspaceTag.A, 33, len(omega_sqs), 0.5)
+    du = _rows(SubspaceTag.A, 34, len(omega_sqs))
+    for row, omega_sq in zip(u, omega_sqs):
+        row[1:4] *= np.sqrt(omega_sq / abs(np.dot(row[1:4], row[1:4])))
+    got = dexp_rows(u, du)
+    origin = (0.0, 0.0, 0.0, 0.0)
+    for got_row, value, grad in zip(got, u, du):
+        # u(x) = value + x0 grad: at the origin u = value and d_0 u = grad
+        field = PolyField({(0, 0, 0, 0): CplxOcton(value), (1, 0, 0, 0): CplxOcton(grad)})
+        want = oracles.dexp_series(field, 0, origin).c
+        assert np.max(np.abs(got_row - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+# ------------------------------------------------------- field and gauge suites
+
+
+def test_per_sample_inputs_read_the_stream_as_single_draws():
+    cfg = SuiteConfig(field_degree=3)
+    inputs = (suites._POINT, suites._gauge_param(cfg), suites._connection(cfg), suites._AXIS)
+    block_rng, loop_rng = np.random.default_rng(35), np.random.default_rng(35)
+    p, u, w, rho = suites._read_block(block_rng, 70, inputs)
+    a_minus = SubspaceTag.A_MINUS
+    for i in range(70):
+        assert np.array_equal(p[i], loop_rng.uniform(-1.0, 1.0, 4))
+        want_u = random_field(loop_rng, 2, a_minus, suites.GAUGE_PARAM_BOUND)
+        assert np.array_equal(dof_rows(a_minus, u[i]), want_u.coeffs)
+        for k in range(4):
+            want_w = random_field(loop_rng, 3, a_minus).coeffs
+            assert np.array_equal(dof_rows(a_minus, w[i, k]), want_w)
+        assert rho[i] == int(loop_rng.integers(4))
+    assert block_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+def test_jets_of_real_parameters_map_to_jets_of_the_elements():
+    rng = np.random.default_rng(36)
+    exps = monomials(2)
+    params = rng.uniform(-1, 1, (N, len(exps), ndof(SubspaceTag.B)))
+    points = rng.uniform(-1, 1, (N, 4))
+    real_value, real_grads = jet_rows(exps, params, points)
+    value, grads = jet_rows(exps, dof_rows(SubspaceTag.B, params), points)
+    assert real_value.dtype == float and real_grads.shape == (N, 4, ndof(SubspaceTag.B))
+    assert np.array_equal(dof_rows(SubspaceTag.B, real_value), value)
+    assert np.array_equal(dof_rows(SubspaceTag.B, real_grads), grads)
+
+
+def _break_identities(monkeypatch):
+    # group elements scaled off the group and a spinor transformation that
+    # does not match L_V: every residual becomes O(1) and depends on the inputs
+    monkeypatch.setattr(gauge, "exp_rows", lambda u: 1.5 * exp_rows(u))
+    for module in (fields, suites):
+        monkeypatch.setattr(module, "lambda_S", lambda theta: lambda_S(-theta))
+
+
+@pytest.mark.parametrize("broken", [False, True])
+@pytest.mark.parametrize("degree", [2, 3])
+@pytest.mark.parametrize("suite_id", sorted(oracles.FIELD_SUITE_RUNNERS))
+def test_batched_field_runner_matches_its_per_sample_reference(
+    suite_id, degree, broken, monkeypatch
+):
+    if broken:
+        _break_identities(monkeypatch)
+    n = 150
+    assert n > 2 * suites.BLOCK_ROWS  # crosses block boundaries, ends on a part block
+    cfg = SuiteConfig(seed=2025, field_degree=degree)
+    rng_batched, rng_ref = suites._rng_for(cfg, suite_id), suites._rng_for(cfg, suite_id)
+    got, got_ok = suites._REGISTRY[suite_id].runner(cfg, n, rng_batched)
+    want, want_ok = oracles.FIELD_SUITE_RUNNERS[suite_id](cfg, n, rng_ref)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape == (n,)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, want))
+    assert got_ok == want_ok
+    assert rng_batched.bit_generator.state == rng_ref.bit_generator.state
+    if broken:  # residuals that tell the inputs apart
+        assert np.median(want) > 1e-3
+    else:
+        assert want.max() < cfg.suite_tolerance(suite_id)

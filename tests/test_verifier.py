@@ -7,7 +7,7 @@ import pytest
 
 from octoweak import suites
 from octoweak.cli import main, parse_config_file
-from octoweak.errors import UnknownSuite
+from octoweak.errors import DomainViolation, UnknownSuite
 from octoweak.suites import (
     BLOCK_ROWS,
     MAX_FIELD_DEGREE,
@@ -339,6 +339,46 @@ def test_theta_bound_must_leave_a_finite_draw_range():
     SuiteConfig(theta_bound=1e300)
     with pytest.raises(ValueError):
         SuiteConfig(theta_bound=1e308)
+
+
+def test_an_error_inside_one_suite_is_a_fail_row_and_the_run_goes_on(monkeypatch, capsys):
+    def refuse(cfg, n, rng):
+        raise DomainViolation("gauge parameter value is not in subspace A- (defect 0.5)")
+
+    prop3 = replace(suites._REGISTRY["prop3"], runner=refuse)
+    monkeypatch.setitem(suites._REGISTRY, "prop3", prop3)
+    argv = ["--samples", "20", "--suite", "gamma5", "--suite", "prop3", "--suite", "lemma3"]
+    assert main(argv + ["--report", "json"]) == 1
+    rows = _strict_json(capsys.readouterr().out)["suites"]
+    assert [r["passed"] for r in rows] == [True, False, True]
+    assert rows[1]["message"] == (
+        "DomainViolation: gauge parameter value is not in subspace A- (defect 0.5)"
+    )
+    assert "message" not in rows[0] and "message" not in rows[2]
+    assert main(argv) == 1
+    text = capsys.readouterr().out
+    assert "FAIL  prop3" in text and "error: DomainViolation: gauge parameter" in text
+    assert "2/3 suites passed" in text
+
+
+def test_cli_theta_bound_and_field_degree_flags_override_the_config_file(tmp_path, capsys):
+    (tmp_path / "run.cfg").write_text("theta_bound = 1.0\nfield_degree = 3\n")
+    base = ["--config", str(tmp_path / "run.cfg"), "--suite", "gamma5", "--report", "json"]
+    assert main(base) == 0
+    assert _strict_json(capsys.readouterr().out)["config"]["field_degree"] == 3
+    assert main(base + ["--theta-bound", "0.5", "--field-degree", "1"]) == 0
+    config = _strict_json(capsys.readouterr().out)["config"]
+    assert config["theta_bound"] == 0.5 and config["field_degree"] == 1
+
+
+@pytest.mark.parametrize("flag", [["--field-degree", "13"], ["--theta-bound", "1e308"]])
+def test_cli_out_of_range_flag_is_a_usage_error(flag, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(flag + ["--suite", "gamma5"])
+    assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert "Traceback" not in err_text
+    assert err_text.strip().splitlines()[-1].startswith("octoweak: error: ")
 
 
 @pytest.mark.parametrize("line", ["field_degree = 1000000", "theta_bound = 1e308"])
