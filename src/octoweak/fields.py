@@ -160,15 +160,25 @@ def _scaled_tag(tag: SubspaceTag | None, m: CplxOcton) -> SubspaceTag | None:
     return None
 
 
-def _jet_exponents(exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # exponents (5, M, 4) and integer factors (5, M) of the monomials and of
-    # their derivatives along x0..x3, d_rho x^E = E_rho x^(E - e_rho).  A
-    # monomial without x_rho keeps the exponents 0 under its factor 0, so its
-    # derivative is an exact zero wherever the point is finite
+@lru_cache(maxsize=64)
+def _jet_exponents(exps_bytes: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # from the bytes of an int64 exponent matrix E (M, 4): the exponents
+    # (5, M, 4) and integer factors (5, M) of the monomials and of their
+    # derivatives along x0..x3, d_rho x^E = E_rho x^(E - e_rho), and the powers
+    # 0..max(E).  A monomial without x_rho keeps the exponents 0 under its
+    # factor 0, so its derivative is an exact zero wherever the point is finite.
+    # Cached and read-only: every field with these exponents shares them
+    exps = np.frombuffer(exps_bytes, dtype=np.int64).reshape(-1, 4)
     shifted = exps[None] - np.eye(4, dtype=np.int64)[:, None, :]
     powers = np.where(exps.T[:, :, None] > 0, shifted, 0)
-    factors = np.concatenate([np.ones((1, len(exps))), exps.T])
-    return np.concatenate([exps[None], powers]), factors
+    tables = (
+        np.concatenate([exps[None], powers]),
+        np.concatenate([np.ones((1, len(exps))), exps.T]),
+        np.arange(exps.max(initial=0) + 1),
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def jet_rows(exps: np.ndarray, coeffs: np.ndarray, points: np.ndarray):
@@ -181,9 +191,9 @@ def jet_rows(exps: np.ndarray, coeffs: np.ndarray, points: np.ndarray):
     coefficients (..., M, k), such as the real parameters of a subspace, give
     real values (..., k) and gradients (..., 4, k).
     """
-    powers, factors = _jet_exponents(exps)
+    powers, factors, degrees = _jet_exponents(np.asarray(exps, dtype=np.int64).tobytes())
     # each coordinate's powers once, then looked up per monomial
-    table = points[..., :, None] ** np.arange(exps.max(initial=0) + 1)
+    table = points[..., :, None] ** degrees
     monos = table[..., 0, powers[..., 0]]
     monos *= factors
     for axis in range(1, 4):

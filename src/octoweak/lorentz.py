@@ -17,7 +17,6 @@ from .core import (
     abs_rows,
     bar_star,
     bar_star_rows,
-    commutator,
     conj_complex,
     conj_oct,
     exp_assoc,
@@ -122,10 +121,14 @@ def v_gen(mu: int, nu: int) -> np.ndarray:
     return out
 
 
-_S_GEN = tuple(tuple(s_gen(mu, nu) for nu in range(4)) for mu in range(4))
-_V_GEN = tuple(tuple(v_gen(mu, nu) for nu in range(4)) for mu in range(4))
-_S_PAIRS = np.array([_S_GEN[mu][nu].c for mu, nu in THETA_PAIRS])
-_V_PAIRS = np.array([_V_GEN[mu][nu] for mu, nu in THETA_PAIRS])
+#: The generators indexed [mu, nu]: S as rows (4, 4, 8), V as matrices (4, 4, 4, 4).
+_S_ROWS = np.array([[s_gen(mu, nu).c for nu in range(4)] for mu in range(4)])
+_V_ROWS = np.array([[v_gen(mu, nu) for nu in range(4)] for mu in range(4)])
+_PAIR_MU, _PAIR_NU = (np.array(ix) for ix in zip(*THETA_PAIRS))
+_S_PAIRS = _S_ROWS[_PAIR_MU, _PAIR_NU]
+_V_PAIRS = _V_ROWS[_PAIR_MU, _PAIR_NU]
+#: -(i/2) V_mu_nu per parameter pair: exactly real, as every V entry is imaginary.
+_V_REAL_PAIRS = (-0.5j * _V_PAIRS).real.copy()
 
 
 def theta_rows(values, pairs=THETA_PAIRS) -> np.ndarray:
@@ -143,17 +146,20 @@ def mat_exp(m: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring on an 18-term Taylor sum.
 
     Takes one square matrix or a stack (..., k, k); each matrix is scaled by
-    its own 1-norm.  A matrix whose norm is not finite is not scaled, and its
-    exponential comes out non-finite, as does one whose squarings overflow;
-    the squaring stops once only such matrices have squarings left.
+    its own 1-norm.  The sum runs in the input's precision: a real matrix gives
+    a float64 result, a complex one a complex128 result.  A matrix whose norm
+    is not finite is not scaled, and its exponential comes out non-finite, as
+    does one whose squarings overflow; the squaring stops once only such
+    matrices have squarings left.
     """
-    a = np.asarray(m, dtype=np.complex128)
+    a = np.asarray(m)
+    a = a.astype(np.result_type(a.dtype, np.float64), copy=False)
     with np.errstate(all="ignore"):
         ratio = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0) / MAT_EXP_NORM_CAP
         squarings = np.ceil(np.log2(np.maximum(ratio, 1.0)))
         squarings = np.where(squarings < np.inf, squarings, 0.0)  # inf or NaN: unscaled
         a = a * np.exp2(-squarings)[..., None, None]
-        acc = term = np.eye(a.shape[-1], dtype=np.complex128)
+        acc = term = np.eye(a.shape[-1], dtype=a.dtype)
         for k in range(1, MAT_EXP_TERMS + 1):
             term = term @ a / k
             acc = acc + term
@@ -173,9 +179,6 @@ def mat_exp(m: np.ndarray) -> np.ndarray:
                 if not np.any(finite & (squarings > step + 1)):
                     break
     return acc
-
-
-_PAIR_MU, _PAIR_NU = (np.array(ix) for ix in zip(*THETA_PAIRS))
 
 
 def _generator_sum(theta: np.ndarray, gens: np.ndarray) -> np.ndarray:
@@ -205,15 +208,17 @@ def lambda_S(theta):
 
 @rowwise
 def lambda_V(theta) -> np.ndarray:
-    """Vector transformation exp(-(i/2) theta^{mu nu} V_mu_nu); real up to roundoff.
+    """Vector transformation exp(-(i/2) theta^{mu nu} V_mu_nu), a real float64 matrix.
 
     A :class:`Theta` gives a 4x4 matrix, an (..., 4, 4) parameter stack a stack.
+    The exponent is a sum of real generators, exact as the generator sum is, so
+    the exponential runs on float64 stacks.
     """
-    return mat_exp(-0.5j * _generator_sum(theta, _V_PAIRS))
+    return mat_exp(_generator_sum(theta, _V_REAL_PAIRS))
 
 
 def lambda_V_real(theta) -> np.ndarray:
-    """Real-cast vector transformation; raises if the imaginary fuzz is large.
+    """Real vector transformation; raises if it has a non-negligible imaginary part.
 
     Takes a :class:`Theta` or an (..., 4, 4) parameter stack; each matrix of a
     stack is checked against its own scale.
@@ -245,25 +250,39 @@ def double_cover_residual(theta):
     return worst
 
 
-def lorentz_algebra_residual(mu: int, nu: int, rho: int, sigma: int) -> CplxOcton:
-    """-i[S_mn, S_rs] minus its metric combination of generators."""
-    lhs = commutator(_S_GEN[mu][nu], _S_GEN[rho][sigma]) * (-1j)
+def lorentz_algebra_rows(mu, nu, rho, sigma) -> np.ndarray:
+    """:func:`lorentz_algebra_residual` for index arrays broadcast together, as (..., 8) rows."""
+    s_mn, s_rs = _S_ROWS[mu, nu], _S_ROWS[rho, sigma]
+    lhs = (mul_rows(s_mn, s_rs) - mul_rows(s_rs, s_mn)) * (-1j)
+
+    def term(a, b, c, d):  # eta_ab S_cd
+        return ETA[a, b][..., None] * _S_ROWS[c, d]
+
     rhs = (
-        ETA[mu, rho] * _S_GEN[nu][sigma]
-        - ETA[mu, sigma] * _S_GEN[nu][rho]
-        - ETA[nu, rho] * _S_GEN[mu][sigma]
-        + ETA[nu, sigma] * _S_GEN[mu][rho]
+        term(mu, rho, nu, sigma)
+        - term(mu, sigma, nu, rho)
+        - term(nu, rho, mu, sigma)
+        + term(nu, sigma, mu, rho)
     )
     return lhs - rhs
 
 
+def lorentz_algebra_residual(mu: int, nu: int, rho: int, sigma: int) -> CplxOcton:
+    """-i[S_mn, S_rs] minus its metric combination of generators."""
+    return CplxOcton._wrap(lorentz_algebra_rows(mu, nu, rho, sigma))
+
+
+def infinitesimal_dc_rows(mu, nu, rho) -> np.ndarray:
+    """:func:`infinitesimal_dc_residual` for index arrays broadcast together, as (..., 8) rows."""
+    s, ebar = _S_ROWS[mu, nu], EBAR_UPPER_ROWS[rho]
+    lhs = mul_rows(np.conj(s), ebar) + mul_rows(ebar, s)
+    # each column of EBAR_UPPER_ROWS has one nonzero entry: the product is exact
+    return lhs - _V_ROWS[mu, nu, rho] @ EBAR_UPPER_ROWS
+
+
 def infinitesimal_dc_residual(mu: int, nu: int, rho: int) -> CplxOcton:
     """S*_mn ebar^rho + ebar^rho S_mn - (V_mn)^rho_sigma ebar^sigma."""
-    s = _S_GEN[mu][nu]
-    lhs = mul(conj_complex(s), EBAR_UPPER[rho]) + mul(EBAR_UPPER[rho], s)
-    v = _V_GEN[mu][nu]
-    rhs = CplxOcton._wrap(sum(v[rho, s_] * EBAR_UPPER[s_].c for s_ in range(4)))
-    return lhs - rhs
+    return CplxOcton._wrap(infinitesimal_dc_rows(mu, nu, rho))
 
 
 def transform_alpha(lam: CplxOcton, alpha: CplxOcton) -> CplxOcton:

@@ -62,10 +62,10 @@ from .lorentz import (
     Theta,
     double_cover_residual,
     gamma5_analogue,
-    infinitesimal_dc_residual,
+    infinitesimal_dc_rows,
     lambda_S,
     lambda_V_real,
-    lorentz_algebra_residual,
+    lorentz_algebra_rows,
     theta_rows,
 )
 
@@ -149,7 +149,6 @@ class _SuiteDef:
     default_samples: int
     tolerance: Callable[[SuiteConfig], float]
     runner: Callable[[SuiteConfig, int, np.random.Generator], tuple[list[float], bool]]
-    exhaustive: bool = False
 
 
 def _exact(factor: float = 1.0):
@@ -198,54 +197,76 @@ def _sampled_theta(pairs, residual):
     """Runner for a residual of Lorentz parameters drawn on ``pairs`` within theta_bound."""
 
     def run(cfg, n, rng):
-        b = cfg.theta_bound
-
-        def block(m):
-            return residual(theta_rows(rng.uniform(-b, b, size=(m, len(pairs))), pairs))
-
-        return _blocked(n, block), True
+        theta = _Input(-cfg.theta_bound, cfg.theta_bound, (len(pairs),))
+        return _per_sample(n, rng, (theta,), lambda t: residual(theta_rows(t, pairs))), True
 
     return run
 
 
 # ------------------------------------------------------- per-sample inputs
 #
-# Suites that draw integers, several bounds or whole fields within one sample
-# read their inputs sample by sample, with the calls and in the order of one
-# draw per sample, into arrays; only the arithmetic is batched.
+# Suites read a block of samples into arrays, in the order of one draw per
+# input and sample; only the arithmetic is batched.
 
 
 class _Input(NamedTuple):
-    """One input of a sample: ``read`` draws it, a value of ``shape`` and ``dtype``."""
+    """One input of a sample: floats of ``shape`` uniform on [low, high), or, if
+    ``integer``, one integer in low..high-1 drawn with ``rng.integers``."""
 
-    read: Callable[[np.random.Generator], object]
+    low: float
+    high: float
     shape: tuple = ()
-    dtype: type = float
+    integer: bool = False
 
 
 def _read_block(rng, m: int, inputs) -> list[np.ndarray]:
-    """m samples, each read as ``[x.read(rng) for x in inputs]``, into one array per input."""
-    blocks = [np.empty((m,) + x.shape, x.dtype) for x in inputs]
-    for i in range(m):
-        for x, block in zip(inputs, blocks):
-            block[i] = x.read(rng)
-    return blocks
+    """m samples, each read as one draw per input in turn, into one array per input.
+
+    ``rng.uniform(low, high, size)`` is ``low + (high - low) * rng.random(size)``
+    bit for bit and leaves the same generator state, so a sample reads each run
+    of uniform inputs with one ``rng.random`` call (a block of only uniform
+    inputs reads with one call), and the columns are scaled after the loop.
+    """
+    floats = [x for x in inputs if not x.integer]
+    sizes = [math.prod(x.shape) for x in floats]
+    low = np.repeat([x.low for x in floats], sizes)
+    width = np.repeat([x.high - x.low for x in floats], sizes)
+    if not np.all(np.isfinite(width)):
+        raise OverflowError("high - low range exceeds valid bounds")  # as rng.uniform does
+    # a sample's reads: a slice of raw per run of uniform inputs, (array, input) per integer
+    steps, col = [], 0
+    for x in inputs:
+        if x.integer:
+            steps.append((np.empty(m, np.intp), x))
+            continue
+        start = steps.pop().start if steps and type(steps[-1]) is slice else col
+        col += math.prod(x.shape)
+        steps.append(slice(start, col))
+    raw = np.empty((m, col))
+    if len(steps) == 1 and type(steps[0]) is slice:
+        rng.random(out=raw)
+    else:
+        for i in range(m):
+            for step in steps:
+                if type(step) is slice:
+                    rng.random(out=raw[i, step])
+                else:
+                    step[0][i] = rng.integers(step[1].low, step[1].high)
+    values = np.split(low + width * raw, np.cumsum(sizes[:-1]), axis=1)
+    scaled = iter([v.reshape((m,) + x.shape) for v, x in zip(values, floats)])
+    drawn = iter([step[0] for step in steps if type(step) is not slice])
+    return [next(drawn if x.integer else scaled) for x in inputs]
 
 
 def _per_sample(n: int, rng, inputs, residual) -> np.ndarray:
-    """Residuals of n samples read one at a time; ``residual`` takes a block's arrays."""
+    """Residuals of n samples, read a block at a time; ``residual`` takes a block's arrays."""
     return _blocked(n, lambda m: residual(*_read_block(rng, m, inputs)))
-
-
-def _uniform(low: float, high: float, shape: tuple = ()) -> _Input:
-    size = shape or None  # a single draw as a float: a 0-d array costs more
-    return _Input(lambda rng: rng.uniform(low, high, size), shape)
 
 
 def _params(tag: SubspaceTag, shape: tuple = (), bound: float = 1.0) -> _Input:
     """Real parameters of elements of ``tag`` filling ``shape``, read in one call as that
     many successive :func:`draw` calls read them; ``dof_rows`` makes them elements."""
-    return _uniform(-bound, bound, shape + (ndof(tag),))
+    return _Input(-bound, bound, shape + (ndof(tag),))
 
 
 def _field(tag: SubspaceTag, degree: int, bound: float = 1.0) -> _Input:
@@ -254,17 +275,14 @@ def _field(tag: SubspaceTag, degree: int, bound: float = 1.0) -> _Input:
 
 
 def _jets(tag: SubspaceTag, degree: int, params, points):
-    """Values (m, 8) and gradients (m, 4, 8) of fields given by their real parameters.
-
-    The jets are taken of the parameters, (m, M, ndof), and ``dof_rows``,
-    which is linear, turns them into elements.
-    """
+    """Values (m, 8) and gradients (m, 4, 8) of fields given by their real parameters
+    (m, M, ndof): the jets of the parameters, made elements by the linear ``dof_rows``."""
     value, grads = jet_rows(monomials(degree), params, points)
     return dof_rows(tag, value), dof_rows(tag, grads)
 
 
-_POINT = _uniform(-1.0, 1.0, (4,))
-_AXIS = _Input(lambda rng: rng.integers(4), dtype=np.intp)
+_POINT = _Input(-1.0, 1.0, (4,))
+_AXIS = _Input(0, 4, integer=True)
 
 
 # ---------------------------------------------------------------- residuals
@@ -326,45 +344,26 @@ def _unitarity(theta):
     return abs_rows(mul_rows(bar_star_rows(lam), lam) - ONE.c)
 
 
-def _selfconj(theta):
-    lam = lambda_S(theta)
-    return abs_rows(bar_star_rows(lam) - lam)
-
-
 # ---------------------------------------------------------------- runners
 
-def _run_lorentz_algebra(cfg, n, rng):
-    res = [
-        abs(lorentz_algebra_residual(m, nu, r, s))
-        for m in range(4)
-        for nu in range(4)
-        for r in range(4)
-        for s in range(4)
-    ]
-    return res, True
+def _exhaustive(kernel, nindex: int):
+    """Runner for a residual kernel over every tuple of nindex indices in 0..3."""
 
+    def run(cfg, n, rng):
+        return abs_rows(kernel(*np.indices((4,) * nindex).reshape(nindex, -1))), True
 
-def _run_infinitesimal_dc(cfg, n, rng):
-    res = [
-        abs(infinitesimal_dc_residual(m, nu, r))
-        for m in range(4)
-        for nu in range(4)
-        for r in range(4)
-    ]
-    return res, True
+    return run
 
 
 def _run_boost_selfconj(cfg, n, rng):
-    # the axis is an integer draw between the uniform ones, so the inputs are
-    # read sample by sample; only the arithmetic is batched
-    def block(m):
-        chi = np.zeros((m, len(BOOST_PAIRS)))
-        for i in range(m):
-            axis = int(rng.integers(1, 4))
-            chi[i, axis - 1] = float(rng.uniform(-cfg.theta_bound, cfg.theta_bound))
-        return _selfconj(theta_rows(chi, BOOST_PAIRS))
+    def residual(axis, value):
+        chi = np.zeros((len(axis), len(BOOST_PAIRS)))
+        chi[np.arange(len(axis)), axis - 1] = value
+        lam = lambda_S(theta_rows(chi, BOOST_PAIRS))
+        return abs_rows(bar_star_rows(lam) - lam)
 
-    return _blocked(n, block), True
+    inputs = (_Input(1, 4, integer=True), _Input(-cfg.theta_bound, cfg.theta_bound))
+    return _per_sample(n, rng, inputs, residual), True
 
 
 def _run_gamma5(cfg, n, rng):
@@ -380,8 +379,8 @@ def _prop1_runner(tag: SubspaceTag):
                 tag, lam, lv, lambda q: _jets(tag, cfg.field_degree, f, q), p
             )
 
-        bound = PROP1_THETA_BOUND
-        inputs = (_field(tag, cfg.field_degree), _uniform(-bound, bound, (6,)), _POINT)
+        theta = _Input(-PROP1_THETA_BOUND, PROP1_THETA_BOUND, (6,))
+        inputs = (_field(tag, cfg.field_degree), theta, _POINT)
         return _per_sample(n, rng, inputs, residual), True
 
     return run
@@ -466,8 +465,8 @@ def _run_prop4(cfg, n, rng):
 
     b = cfg.theta_bound
     inputs = (
-        _uniform(0.1, 1.0),
-        _uniform(-b, b, (len(THETA_PAIRS),)),
+        _Input(0.1, 1.0),
+        _Input(-b, b, (len(THETA_PAIRS),)),
         _params(SubspaceTag.A_MINUS),
         _params(SubspaceTag.B),
     )
@@ -485,7 +484,7 @@ def _run_prop5(cfg, n, rng):
         )
 
     beta = _field(SubspaceTag.B, cfg.field_degree)
-    inputs = (_POINT, _gauge_param(cfg), _uniform(0.25, 1.5), beta, _connection(cfg), _AXIS)
+    inputs = (_POINT, _gauge_param(cfg), _Input(0.25, 1.5), beta, _connection(cfg), _AXIS)
     return _per_sample(n, rng, inputs, residual), True
 
 
@@ -510,8 +509,8 @@ _SUITES = [
     _SuiteDef("zvengrowski", 1000, _exact(), _sampled((_FULL,) * 3, _zvengrowski)),
     _SuiteDef("ab-identities", 1000, _exact(), _sampled(_AB_TAGS, _ab_identities)),
     _SuiteDef("grading-closure", 1000, _exact(), _sampled(_CLOSURE_TAGS, _grading_closure)),
-    _SuiteDef("lorentz-algebra", 256, _exact(), _run_lorentz_algebra, exhaustive=True),
-    _SuiteDef("infinitesimal-dc", 64, _exact(), _run_infinitesimal_dc, exhaustive=True),
+    _SuiteDef("lorentz-algebra", 256, _exact(), _exhaustive(lorentz_algebra_rows, 4)),
+    _SuiteDef("infinitesimal-dc", 64, _exact(), _exhaustive(infinitesimal_dc_rows, 3)),
     _SuiteDef(
         "double-cover", 500, _series(0.1), _sampled_theta(THETA_PAIRS, double_cover_residual)
     ),
@@ -519,7 +518,7 @@ _SUITES = [
         "rotation-unitarity", 500, _series(0.01), _sampled_theta(ROTATION_PAIRS, _unitarity)
     ),
     _SuiteDef("boost-selfconj", 500, _series(0.01), _run_boost_selfconj),
-    _SuiteDef("gamma5", 1, _fixed(1e-14), _run_gamma5, exhaustive=True),
+    _SuiteDef("gamma5", 1, _fixed(1e-14), _run_gamma5),
     _SuiteDef("prop1-A", 200, _series(0.1), _prop1_runner(SubspaceTag.A)),
     _SuiteDef("prop1-B", 200, _series(0.1), _prop1_runner(SubspaceTag.B)),
     _SuiteDef("prop2", 300, _series(), _run_prop2),
@@ -553,9 +552,8 @@ def run_suite(suite_id: str, cfg: SuiteConfig) -> SuiteReport:
     whose ``message`` names the error.
     """
     sdef = _lookup(suite_id)
-    n = sdef.default_samples
-    if cfg.samples_per_suite is not None and not sdef.exhaustive:
-        n = cfg.samples_per_suite
+    # exhaustive runners sweep their whole index range whatever n is
+    n = cfg.samples_per_suite or sdef.default_samples
     rng = _rng_for(cfg, suite_id)
     start = time.perf_counter()
     # overflow shows as an inf or NaN residual, which fails the suite; numpy's

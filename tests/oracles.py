@@ -13,7 +13,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from octoweak.core import ONE, CplxOcton, associator, bar_star, conj_oct, mul, norm
+from octoweak.core import (
+    ONE,
+    CplxOcton,
+    associator,
+    bar_star,
+    commutator,
+    conj_complex,
+    conj_oct,
+    mul,
+    norm,
+)
 from octoweak.fields import PolyField, eval_at, lorentz_invariance_residual, partial, random_field
 from octoweak.gauge import (
     ConnectionField,
@@ -39,7 +49,7 @@ from octoweak.grading import (
     residual_ipmove,
     residual_zvengrowski,
 )
-from octoweak.lorentz import EBAR_UPPER, Theta, lambda_S, lambda_V
+from octoweak.lorentz import ETA, EBAR_UPPER, Theta, lambda_S, lambda_V, s_gen, v_gen
 from octoweak.suites import (
     GAUGE_PARAM_BOUND,
     GAUGE_PARAM_VALUE_CAP,
@@ -107,6 +117,27 @@ def mat_exp_taylor(m: np.ndarray, terms: int = 60) -> np.ndarray:
         term = term @ m / k
         acc = acc + term
     return acc
+
+
+def lorentz_algebra_residual(mu: int, nu: int, rho: int, sigma: int) -> CplxOcton:
+    """-i[S_mn, S_rs] minus its metric combination, with scalar products."""
+    lhs = commutator(s_gen(mu, nu), s_gen(rho, sigma)) * (-1j)
+    rhs = (
+        ETA[mu, rho] * s_gen(nu, sigma)
+        - ETA[mu, sigma] * s_gen(nu, rho)
+        - ETA[nu, rho] * s_gen(mu, sigma)
+        + ETA[nu, sigma] * s_gen(mu, rho)
+    )
+    return lhs - rhs
+
+
+def infinitesimal_dc_residual(mu: int, nu: int, rho: int) -> CplxOcton:
+    """S*_mn ebar^rho + ebar^rho S_mn - (V_mn)^rho_sigma ebar^sigma, summed term by term."""
+    s = s_gen(mu, nu)
+    lhs = mul(conj_complex(s), EBAR_UPPER[rho]) + mul(EBAR_UPPER[rho], s)
+    v = v_gen(mu, nu)
+    rhs = CplxOcton._wrap(sum(v[rho, s_] * EBAR_UPPER[s_].c for s_ in range(4)))
+    return lhs - rhs
 
 
 def eval_naive(f, p) -> CplxOcton:
@@ -178,6 +209,22 @@ def pullback_linear(f: PolyField, m) -> PolyField:
 # The sampled suites as one draw and one single-value evaluation per sample,
 # with the (cfg, n, rng) -> (residuals, controls_ok) contract of the
 # registered runners.  They read the generator in the same order.
+
+
+def read_per_sample(rng, m: int, inputs) -> list[np.ndarray]:
+    """m samples of suite inputs, one generator call per input and sample.
+
+    An integer input is one ``rng.integers(low, high)``, any other one
+    ``rng.uniform(low, high, shape)`` (a float for shape ()).
+    """
+    out = [np.empty((m,) + x.shape, np.intp if x.integer else float) for x in inputs]
+    for i in range(m):
+        for x, block in zip(inputs, out):
+            if x.integer:
+                block[i] = rng.integers(x.low, x.high)
+            else:
+                block[i] = rng.uniform(x.low, x.high, x.shape or None)
+    return out
 
 
 def _full(rng):

@@ -73,11 +73,14 @@ from octoweak.lorentz import (
     Theta,
     _S_PAIRS,
     _V_PAIRS,
+    _V_REAL_PAIRS,
     double_cover_residual,
     eta_inverse_transform,
+    infinitesimal_dc_rows,
     lambda_S,
     lambda_V,
     lambda_V_real,
+    lorentz_algebra_rows,
     mat_exp,
     theta_rows,
 )
@@ -240,6 +243,35 @@ def test_mat_exp_stops_squaring_a_huge_matrix_without_touching_the_others():
     assert not np.all(np.isfinite(out[2]))
 
 
+def test_mat_exp_of_a_real_stack_is_real_and_matches_the_complex_route():
+    rng = np.random.default_rng(37)
+    moderate = rng.uniform(-0.8, 0.8, (N, 4, 4))  # the range the series oracle handles
+    generators = lorentz._generator_sum(_thetas(38, bound=10.0), _V_REAL_PAIRS)
+    for m in (moderate, generators):
+        got = mat_exp(m)
+        assert got.dtype == np.float64
+        want = mat_exp(m.astype(np.complex128))
+        assert want.dtype == np.complex128
+        scale = np.max(np.abs(want), axis=(-2, -1))
+        assert np.all(np.max(np.abs(got - want), axis=(-2, -1)) <= 1e-15 * scale)
+    for got, m in zip(mat_exp(moderate), moderate):
+        assert np.max(np.abs(got - oracles.mat_exp_taylor(m))) < 1e-12
+    assert lambda_V(_thetas(39)).dtype == np.float64
+    assert lambda_V(Theta.single(0, 1, 0.4)).dtype == np.float64
+
+
+def test_lorentz_kernels_equal_the_scalar_residuals_bit_for_bit():
+    for kernel, scalar, k in (
+        (lorentz_algebra_rows, oracles.lorentz_algebra_residual, 4),
+        (infinitesimal_dc_rows, oracles.infinitesimal_dc_residual, 3),
+    ):
+        index = np.indices((4,) * k).reshape(k, -1)
+        got = kernel(*index)
+        want = np.array([scalar(*map(int, ix)).c for ix in index.T])
+        assert got.shape == want.shape == (4**k, 8)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_stacked_lorentz_helpers_match_single_calls():
     thetas = _thetas(29)
     lv = lambda_V_real(thetas)
@@ -262,7 +294,7 @@ def test_lambda_V_real_checks_each_matrix_against_its_own_scale(monkeypatch):
 def test_generator_sums_are_exact_contractions():
     # at most one nonzero real and one nonzero imaginary term per entry: the
     # contraction over the six parameters then rounds nothing
-    for gens in (_S_PAIRS, _V_PAIRS):
+    for gens in (_S_PAIRS, _V_PAIRS, _V_REAL_PAIRS):
         flat = gens.reshape(len(gens), -1)
         assert (flat.real != 0).sum(axis=0).max() <= 1
         assert (flat.imag != 0).sum(axis=0).max() <= 1
@@ -438,6 +470,54 @@ def test_per_sample_inputs_read_the_stream_as_single_draws():
             assert np.array_equal(dof_rows(a_minus, w[i, k]), want_w)
         assert rho[i] == int(loop_rng.integers(4))
     assert block_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+_I = suites._Input
+
+
+@pytest.mark.parametrize(
+    "inputs",
+    [
+        # prop4-dichotomy: every input uniform, a scalar among them
+        (_I(0.1, 1.0), _I(-2.0, 2.0, (6,)), suites._params(SubspaceTag.A_MINUS),
+         suites._params(SubspaceTag.B)),
+        # boost-selfconj: an integer first
+        (_I(1, 4, integer=True), _I(-2.0, 2.0)),
+        # uniform, integer, uniform
+        (_I(-1.0, 1.0, (4,)), _I(0.25, 1.5), _I(0, 4, integer=True), _I(-3.0, 0.5, (2, 3))),
+    ],
+    ids=["prop4", "boost-selfconj", "mixed"],
+)
+def test_read_block_reads_the_stream_as_one_draw_per_input_and_sample(inputs):
+    block_rng, loop_rng = np.random.default_rng(41), np.random.default_rng(41)
+    for m in (suites.BLOCK_ROWS, 5):
+        got = suites._read_block(block_rng, m, inputs)
+        want = oracles.read_per_sample(loop_rng, m, inputs)
+        for x, g, w in zip(inputs, got, want):
+            assert g.shape == w.shape == (m,) + x.shape and g.dtype == w.dtype
+            assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+        assert block_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("low, high", [(-1e308, 1e308), (0.0, np.inf), (np.nan, 1.0)])
+def test_read_block_refuses_a_bound_width_that_is_not_finite(low, high):
+    rng = np.random.default_rng(42)
+    state = rng.bit_generator.state
+    with pytest.raises(OverflowError):
+        suites._read_block(rng, 3, (_I(-1.0, 1.0), _I(0, 4, integer=True), _I(low, high)))
+    assert rng.bit_generator.state == state
+
+
+def test_jet_exponent_tables_are_cached_and_read_only():
+    exps = monomials(3)
+    tables = fields._jet_exponents(exps.tobytes())
+    assert all(not t.flags.writeable for t in tables)
+    # equal exponents in another array find the same tables
+    assert fields._jet_exponents(exps.copy().tobytes()) is tables
+    f = random_field(np.random.default_rng(43), 3, SubspaceTag.A)
+    hits = fields._jet_exponents.cache_info().hits
+    eval_at(f, (0.1, 0.2, 0.3, 0.4))
+    assert fields._jet_exponents.cache_info().hits == hits + 1
 
 
 def test_jets_of_real_parameters_map_to_jets_of_the_elements():
