@@ -122,24 +122,6 @@ def draw(tag: SubspaceTag, rng: np.random.Generator, bound: float = 1.0) -> Cplx
     return CplxOcton._wrap(dof @ m)
 
 
-def draw_block(
-    tags, rng: np.random.Generator, n: int, bound: float = 1.0
-) -> list[np.ndarray]:
-    """n samples of one element per tag, as one (n, 8) array per tag.
-
-    One uniform call fills an (n, total dof) array in C order, which reads
-    the stream as n rounds of ``[draw(tag, rng, bound) for tag in tags]``
-    would: values and the generator state afterwards are the same.
-    """
-    block = rng.uniform(-bound, bound, size=(n, sum(map(ndof, tags))))
-    out, start = [], 0
-    for tag in tags:
-        stop = start + ndof(tag)
-        out.append(dof_rows(tag, block[:, start:stop]))
-        start = stop
-    return out
-
-
 def dof_rows(tag: SubspaceTag, dof: np.ndarray) -> np.ndarray:
     """Elements, (..., 8), from real coefficients (..., ndof) on the tag's table rows."""
     return dof @ _DOF[tag]

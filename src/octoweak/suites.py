@@ -1,10 +1,12 @@
-"""Registry of verification suites and the batch runner.
+"""Registry of verification suites and the one loop that evaluates them.
 
-Each suite sweeps one identity family with a deterministic RNG stream
-derived from (config seed, suite id), collects residuals, and passes when
-the largest one stays under the suite's tolerance.  Two suites also carry
-a fixed negative-control witness whose residual must *exceed* a floor;
-those inverted checks guard the only-if halves of the claims.
+Each suite is declared by a ``_SuiteDef``: the inputs one sample reads and
+a residual evaluated on blocks of samples.  It sweeps one identity family
+with a deterministic RNG stream derived from (config seed, suite id),
+collects residuals, and passes when the largest one stays under the suite's
+tolerance.  Two suites also carry a fixed negative-control witness whose
+residual must *exceed* a floor; those inverted checks guard the only-if
+halves of the claims.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 import time
 import zlib
 from dataclasses import dataclass, fields as dc_fields
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -43,7 +46,6 @@ from .grading import (
     IPMoveForm,
     SubspaceTag,
     dof_rows,
-    draw_block,
     membership_defect,
     ndof,
     residual_ab,
@@ -145,10 +147,23 @@ class SuiteReport:
 
 @dataclass(frozen=True)
 class _SuiteDef:
+    """One suite, declared: what a sample reads, its residual and its verdict.
+
+    ``inputs(cfg)`` is the tuple of :class:`_Input` one sample reads, one per
+    array that ``residual(cfg, *arrays)`` takes; the residual returns one
+    value per row.  An ``exhaustive`` suite's ``inputs(cfg)`` is instead its
+    whole table, one array per column, and the sample count does not apply
+    (gamma5's table has no columns and one row).  A ``witness()``, if given,
+    is a fixed must-fail residual that must exceed ``NEG_CONTROL_MIN``.
+    """
+
     suite_id: str
     default_samples: int
     tolerance: Callable[[SuiteConfig], float]
-    runner: Callable[[SuiteConfig, int, np.random.Generator], tuple[list[float], bool]]
+    inputs: Callable[[SuiteConfig], tuple]
+    residual: Callable[..., np.ndarray]
+    witness: Callable[[], float] | None = None
+    exhaustive: bool = False
 
 
 def _exact(factor: float = 1.0):
@@ -157,10 +172,6 @@ def _exact(factor: float = 1.0):
 
 def _series(factor: float = 1.0):
     return lambda cfg: cfg.tol_series * factor
-
-
-def _fixed(value: float):
-    return lambda cfg: value
 
 
 def _rng_for(cfg: SuiteConfig, suite_id: str) -> np.random.Generator:
@@ -177,32 +188,6 @@ BLOCK_ROWS = 64
 _FULL = SubspaceTag.FULL_CO
 
 
-def _blocked(n: int, block) -> np.ndarray:
-    """Residuals of n samples: ``block(m)`` draws and evaluates m of them."""
-    return np.concatenate(
-        [block(min(BLOCK_ROWS, n - start)) for start in range(0, n, BLOCK_ROWS)]
-    )
-
-
-def _sampled(tags, residual):
-    """Runner for a residual of one draw per tag per sample, bound 1."""
-
-    def run(cfg, n, rng):
-        return _blocked(n, lambda m: residual(*draw_block(tags, rng, m))), True
-
-    return run
-
-
-def _sampled_theta(pairs, residual):
-    """Runner for a residual of Lorentz parameters drawn on ``pairs`` within theta_bound."""
-
-    def run(cfg, n, rng):
-        theta = _Input(-cfg.theta_bound, cfg.theta_bound, (len(pairs),))
-        return _per_sample(n, rng, (theta,), lambda t: residual(theta_rows(t, pairs))), True
-
-    return run
-
-
 # ------------------------------------------------------- per-sample inputs
 #
 # Suites read a block of samples into arrays, in the order of one draw per
@@ -211,12 +196,41 @@ def _sampled_theta(pairs, residual):
 
 class _Input(NamedTuple):
     """One input of a sample: floats of ``shape`` uniform on [low, high), or, if
-    ``integer``, one integer in low..high-1 drawn with ``rng.integers``."""
+    ``integer``, one integer in low..high-1 drawn with ``rng.integers``.  With a
+    ``tag``, the last axis of ``shape`` holds real parameters on the tag's table
+    rows, and the input reads as the elements they make, shape[:-1] + (8,)."""
 
     low: float
     high: float
     shape: tuple = ()
     integer: bool = False
+    tag: SubspaceTag | None = None
+
+
+@lru_cache(maxsize=64)
+def _layout(inputs: tuple) -> tuple:
+    """How :func:`_read_block` reads ``inputs``, worked out once per tuple: each raw
+    column's low bound and width, a sample's reads in order (a slice of raw per run of
+    uniform inputs, (position, input) per integer) and each float input's columns."""
+    reads, spans, bounds = [], [], []
+    for k, x in enumerate(inputs):
+        if x.integer:
+            reads.append((k, x))
+            spans.append(None)
+            continue
+        span = slice(len(bounds), len(bounds) + math.prod(x.shape))
+        bounds += [(x.low, x.high - x.low)] * math.prod(x.shape)
+        # consecutive uniform inputs are one read
+        if reads and type(reads[-1]) is slice:
+            reads[-1] = slice(reads[-1].start, span.stop)
+        else:
+            reads.append(span)
+        spans.append(span)
+    low, width = np.array(bounds, float).reshape(-1, 2).T.copy()
+    if not np.all(np.isfinite(width)):
+        raise OverflowError("high - low range exceeds valid bounds")  # as rng.uniform does
+    low.flags.writeable = width.flags.writeable = False
+    return low, width, tuple(reads), tuple(spans)
 
 
 def _read_block(rng, m: int, inputs) -> list[np.ndarray]:
@@ -227,46 +241,53 @@ def _read_block(rng, m: int, inputs) -> list[np.ndarray]:
     of uniform inputs with one ``rng.random`` call (a block of only uniform
     inputs reads with one call), and the columns are scaled after the loop.
     """
-    floats = [x for x in inputs if not x.integer]
-    sizes = [math.prod(x.shape) for x in floats]
-    low = np.repeat([x.low for x in floats], sizes)
-    width = np.repeat([x.high - x.low for x in floats], sizes)
-    if not np.all(np.isfinite(width)):
-        raise OverflowError("high - low range exceeds valid bounds")  # as rng.uniform does
-    # a sample's reads: a slice of raw per run of uniform inputs, (array, input) per integer
-    steps, col = [], 0
-    for x in inputs:
-        if x.integer:
-            steps.append((np.empty(m, np.intp), x))
-            continue
-        start = steps.pop().start if steps and type(steps[-1]) is slice else col
-        col += math.prod(x.shape)
-        steps.append(slice(start, col))
-    raw = np.empty((m, col))
-    if len(steps) == 1 and type(steps[0]) is slice:
+    low, width, reads, spans = _layout(inputs)
+    raw = np.empty((m, len(low)))
+    out = [np.empty(m, np.intp) if x.integer else None for x in inputs]
+    if len(reads) == 1 and type(reads[0]) is slice:
         rng.random(out=raw)
     else:
         for i in range(m):
-            for step in steps:
-                if type(step) is slice:
-                    rng.random(out=raw[i, step])
+            for read in reads:
+                if type(read) is slice:
+                    rng.random(out=raw[i, read])
                 else:
-                    step[0][i] = rng.integers(step[1].low, step[1].high)
-    values = np.split(low + width * raw, np.cumsum(sizes[:-1]), axis=1)
-    scaled = iter([v.reshape((m,) + x.shape) for v, x in zip(values, floats)])
-    drawn = iter([step[0] for step in steps if type(step) is not slice])
-    return [next(drawn if x.integer else scaled) for x in inputs]
+                    out[read[0]][i] = rng.integers(read[1].low, read[1].high)
+    values = low + width * raw
+    for k, (x, span) in enumerate(zip(inputs, spans)):
+        if span is not None:
+            v = values[:, span].reshape((m,) + x.shape)
+            out[k] = v if x.tag is None else dof_rows(x.tag, v)
+    return out
 
 
-def _per_sample(n: int, rng, inputs, residual) -> np.ndarray:
-    """Residuals of n samples, read a block at a time; ``residual`` takes a block's arrays."""
-    return _blocked(n, lambda m: residual(*_read_block(rng, m, inputs)))
+def _evaluate(sdef: _SuiteDef, cfg: SuiteConfig, n: int, rng) -> tuple[np.ndarray, bool]:
+    """The residuals of n samples of a suite, read a block at a time (of its whole
+    table, whatever n is, if exhaustive), and whether its witness, if any, holds."""
+    inputs = sdef.inputs(cfg)
+    if sdef.exhaustive:
+        residuals = sdef.residual(cfg, *inputs)
+    else:
+        drawn = (_read_block(rng, min(BLOCK_ROWS, n - s), inputs) for s in range(0, n, BLOCK_ROWS))
+        residuals = np.concatenate([sdef.residual(cfg, *block) for block in drawn])
+    return residuals, sdef.witness is None or sdef.witness() > NEG_CONTROL_MIN
 
 
 def _params(tag: SubspaceTag, shape: tuple = (), bound: float = 1.0) -> _Input:
     """Real parameters of elements of ``tag`` filling ``shape``, read in one call as that
     many successive :func:`draw` calls read them; ``dof_rows`` makes them elements."""
     return _Input(-bound, bound, shape + (ndof(tag),))
+
+
+def _element(tag: SubspaceTag) -> _Input:
+    """One element of ``tag``, read as one :func:`draw` call reads it."""
+    return _Input(-1.0, 1.0, (ndof(tag),), tag=tag)
+
+
+def _elements(*tags: SubspaceTag):
+    """The inputs of a suite that reads one element per tag."""
+    inputs = tuple(map(_element, tags))
+    return lambda cfg: inputs
 
 
 def _field(tag: SubspaceTag, degree: int, bound: float = 1.0) -> _Input:
@@ -281,37 +302,47 @@ def _jets(tag: SubspaceTag, degree: int, params, points):
     return dof_rows(tag, value), dof_rows(tag, grads)
 
 
+def _thetas(pairs):
+    """Inputs of Lorentz parameters on ``pairs``, uniform within theta_bound."""
+    return lambda cfg: (_Input(-cfg.theta_bound, cfg.theta_bound, (len(pairs),)),)
+
+
+def _indices(k: int):
+    """The table of an exhaustive suite: every k-tuple of indices in 0..3, one per row."""
+    return lambda cfg: tuple(np.indices((4,) * k).reshape(k, -1))
+
+
 _POINT = _Input(-1.0, 1.0, (4,))
 _AXIS = _Input(0, 4, integer=True)
 
 
 # ---------------------------------------------------------------- residuals
 #
-# Each takes the drawn inputs of a block as arrays and returns one residual
-# per row.
+# Each takes the config and the arrays of a block's inputs and returns one
+# residual per row.
 
 
-def _composition(x, y):
+def _composition(cfg, x, y):
     scale = np.maximum(1.0, abs_rows(x) ** 2 * abs_rows(y) ** 2)
     return np.abs(norm_rows(mul_rows(x, y)) - norm_rows(x) * norm_rows(y)) / scale
 
 
-def _alternativity(x, y):
+def _alternativity(cfg, x, y):
     return np.maximum(abs_rows(associator_rows(x, x, y)), abs_rows(associator_rows(x, y, y)))
 
 
-def _ip_moves(x, y, z):
+def _ip_moves(cfg, x, y, z):
     return np.max([np.abs(residual_ipmove(f, x, y, z)) for f in IPMoveForm], axis=0)
 
 
-def _zvengrowski(x, y, z):
+def _zvengrowski(cfg, x, y, z):
     return abs_rows(residual_zvengrowski(x, y, z))
 
 
 _AB_TAGS = (SubspaceTag.A, SubspaceTag.A, SubspaceTag.B, SubspaceTag.B)
 
 
-def _ab_identities(a, a2, b, b2):
+def _ab_identities(cfg, a, a2, b, b2):
     return np.max(
         abs_rows(
             [
@@ -330,7 +361,7 @@ def _ab_identities(a, a2, b, b2):
 _CLOSURE_TAGS = tuple(tag for pair in AB_CLOSURE for tag in pair)
 
 
-def _grading_closure(*xs):
+def _grading_closure(cfg, *xs):
     # xs holds x, y for each (tag_x, tag_y) of the closure table in turn
     worst = []
     for (x, y), target in zip(zip(xs[::2], xs[1::2]), AB_CLOSURE.values()):
@@ -339,51 +370,49 @@ def _grading_closure(*xs):
     return np.max(worst, axis=0)
 
 
-def _unitarity(theta):
-    lam = lambda_S(theta)
+def _double_cover(cfg, theta):
+    return double_cover_residual(theta_rows(theta))
+
+
+def _unitarity(cfg, theta):
+    lam = lambda_S(theta_rows(theta, ROTATION_PAIRS))
     return abs_rows(mul_rows(bar_star_rows(lam), lam) - ONE.c)
 
 
-# ---------------------------------------------------------------- runners
-
-def _exhaustive(kernel, nindex: int):
-    """Runner for a residual kernel over every tuple of nindex indices in 0..3."""
-
-    def run(cfg, n, rng):
-        return abs_rows(kernel(*np.indices((4,) * nindex).reshape(nindex, -1))), True
-
-    return run
+def _boost_selfconj_inputs(cfg):
+    return _Input(1, 4, integer=True), _Input(-cfg.theta_bound, cfg.theta_bound)
 
 
-def _run_boost_selfconj(cfg, n, rng):
-    def residual(axis, value):
-        chi = np.zeros((len(axis), len(BOOST_PAIRS)))
-        chi[np.arange(len(axis)), axis - 1] = value
-        lam = lambda_S(theta_rows(chi, BOOST_PAIRS))
-        return abs_rows(bar_star_rows(lam) - lam)
-
-    inputs = (_Input(1, 4, integer=True), _Input(-cfg.theta_bound, cfg.theta_bound))
-    return _per_sample(n, rng, inputs, residual), True
+def _boost_selfconj(cfg, axis, value):
+    chi = np.zeros((len(axis), len(BOOST_PAIRS)))
+    chi[np.arange(len(axis)), axis - 1] = value
+    lam = lambda_S(theta_rows(chi, BOOST_PAIRS))
+    return abs_rows(bar_star_rows(lam) - lam)
 
 
-def _run_gamma5(cfg, n, rng):
-    return [abs(gamma5_analogue() - ONE)], True
+def _lorentz_algebra(cfg, *indices):
+    return abs_rows(lorentz_algebra_rows(*indices))
 
 
-def _prop1_runner(tag: SubspaceTag):
-    def run(cfg, n, rng):
-        def residual(f, theta, p):
-            theta = theta_rows(theta)
-            lam, lv = lambda_S(theta), lambda_V_real(theta)
-            return lorentz_invariance_rows(
-                tag, lam, lv, lambda q: _jets(tag, cfg.field_degree, f, q), p
-            )
+def _infinitesimal_dc(cfg, *indices):
+    return abs_rows(infinitesimal_dc_rows(*indices))
 
-        theta = _Input(-PROP1_THETA_BOUND, PROP1_THETA_BOUND, (6,))
-        inputs = (_field(tag, cfg.field_degree), theta, _POINT)
-        return _per_sample(n, rng, inputs, residual), True
 
-    return run
+def _gamma5(cfg):
+    return np.array([abs(gamma5_analogue() - ONE)])
+
+
+def _prop1_inputs(tag: SubspaceTag, cfg):
+    theta = _Input(-PROP1_THETA_BOUND, PROP1_THETA_BOUND, (len(THETA_PAIRS),))
+    return _field(tag, cfg.field_degree), theta, _POINT
+
+
+def _prop1(tag: SubspaceTag, cfg, f, theta, p):
+    theta = theta_rows(theta)
+    lam, lv = lambda_S(theta), lambda_V_real(theta)
+    return lorentz_invariance_rows(
+        tag, lam, lv, lambda q: _jets(tag, cfg.field_degree, f, q), p
+    )
 
 
 #: Fixed witnesses for the inverted (must-fail) checks.
@@ -399,17 +428,18 @@ PROP4_WITNESS = dict(
 )
 
 
-def _run_prop2(cfg, n, rng):
-    def residual(alpha, u0, p):
-        u0 = dof_rows(SubspaceTag.A_MINUS, u0)
-        return global_alpha_rows(*_jets(SubspaceTag.A, cfg.field_degree, alpha, p), u0)
+def _prop2_inputs(cfg):
+    return _field(SubspaceTag.A, cfg.field_degree), _element(SubspaceTag.A_MINUS), _POINT
 
-    inputs = (_field(SubspaceTag.A, cfg.field_degree), _params(SubspaceTag.A_MINUS), _POINT)
-    res = _per_sample(n, rng, inputs, residual)
-    witness = global_alpha_invariance_residual(
+
+def _prop2(cfg, alpha, u0, p):
+    return global_alpha_rows(*_jets(SubspaceTag.A, cfg.field_degree, alpha, p), u0)
+
+
+def _prop2_witness():
+    return global_alpha_invariance_residual(
         PROP2_WITNESS_ALPHA, PROP2_WITNESS_U, PROP2_WITNESS_POINT
     )
-    return res, witness > NEG_CONTROL_MIN
 
 
 def _gauge_param(cfg) -> _Input:
@@ -445,90 +475,81 @@ def _connection_value(cfg, w, p, rho):
     return _field_jet(SubspaceTag.A_MINUS, cfg.field_degree, _along(w, rho), p, rho)[0]
 
 
-def _run_prop3(cfg, n, rng):
-    def residual(p, u, alpha, w, rho):
-        return covariance_alpha_rows(
-            *_field_jet(SubspaceTag.A, cfg.field_degree, alpha, p, rho),
-            _connection_value(cfg, w, p, rho),
-            *_gauge_param_jet(cfg, u, p, rho),
-        )
-
+def _prop3_inputs(cfg):
     alpha = _field(SubspaceTag.A, cfg.field_degree)
-    inputs = (_POINT, _gauge_param(cfg), alpha, _connection(cfg), _AXIS)
-    return _per_sample(n, rng, inputs, residual), True
+    return _POINT, _gauge_param(cfg), alpha, _connection(cfg), _AXIS
 
 
-def _run_prop4(cfg, n, rng):
-    def residual(r, theta, w, beta):
-        w, beta = dof_rows(SubspaceTag.A_MINUS, w), dof_rows(SubspaceTag.B, beta)
-        return general_coupling_residual(0.5 * r, 0.5 * r, theta_rows(theta), w, beta)
-
-    b = cfg.theta_bound
-    inputs = (
-        _Input(0.1, 1.0),
-        _Input(-b, b, (len(THETA_PAIRS),)),
-        _params(SubspaceTag.A_MINUS),
-        _params(SubspaceTag.B),
+def _prop3(cfg, p, u, alpha, w, rho):
+    return covariance_alpha_rows(
+        *_field_jet(SubspaceTag.A, cfg.field_degree, alpha, p, rho),
+        _connection_value(cfg, w, p, rho),
+        *_gauge_param_jet(cfg, u, p, rho),
     )
-    witness = general_coupling_residual(**PROP4_WITNESS)
-    return _per_sample(n, rng, inputs, residual), witness > NEG_CONTROL_MIN
 
 
-def _run_prop5(cfg, n, rng):
-    def residual(p, u, r, beta, w, rho):
-        return covariance_beta_rows(
-            *_field_jet(SubspaceTag.B, cfg.field_degree, beta, p, rho),
-            _connection_value(cfg, w, p, rho),
-            *_gauge_param_jet(cfg, u, p, rho),
-            r,
-        )
+def _prop4_inputs(cfg):
+    b = cfg.theta_bound
+    weight, theta = _Input(0.1, 1.0), _Input(-b, b, (len(THETA_PAIRS),))
+    return weight, theta, _element(SubspaceTag.A_MINUS), _element(SubspaceTag.B)
 
+
+def _prop4(cfg, r, theta, w, beta):
+    return general_coupling_residual(0.5 * r, 0.5 * r, theta_rows(theta), w, beta)
+
+
+def _prop4_witness():
+    return general_coupling_residual(**PROP4_WITNESS)
+
+
+def _prop5_inputs(cfg):
     beta = _field(SubspaceTag.B, cfg.field_degree)
-    inputs = (_POINT, _gauge_param(cfg), _Input(0.25, 1.5), beta, _connection(cfg), _AXIS)
-    return _per_sample(n, rng, inputs, residual), True
+    return _POINT, _gauge_param(cfg), _Input(0.25, 1.5), beta, _connection(cfg), _AXIS
 
 
-def _run_lemma3(cfg, n, rng):
-    def residual(p, u, rho):
-        return np.abs(scal_der_u_rows(*_gauge_param_jet(cfg, u, p, rho)))
-
-    return _per_sample(n, rng, (_POINT, _gauge_param(cfg), _AXIS), residual), True
-
-
-def _run_lemma4(cfg, n, rng):
-    def residual(p, u, w, rho):
-        w_rho = _connection_value(cfg, w, p, rho)
-        return np.abs(scal_ww_rows(w_rho, *_gauge_param_jet(cfg, u, p, rho)))
-
-    inputs = (_POINT, _gauge_param(cfg), _connection(cfg), _AXIS)
-    return _per_sample(n, rng, inputs, residual), True
+def _prop5(cfg, p, u, r, beta, w, rho):
+    return covariance_beta_rows(
+        *_field_jet(SubspaceTag.B, cfg.field_degree, beta, p, rho),
+        _connection_value(cfg, w, p, rho),
+        *_gauge_param_jet(cfg, u, p, rho),
+        r,
+    )
 
 
+def _lemma3(cfg, p, u, rho):
+    return np.abs(scal_der_u_rows(*_gauge_param_jet(cfg, u, p, rho)))
+
+
+def _lemma4(cfg, p, u, w, rho):
+    w_rho = _connection_value(cfg, w, p, rho)
+    return np.abs(scal_ww_rows(w_rho, *_gauge_param_jet(cfg, u, p, rho)))
+
+
+_A, _B = SubspaceTag.A, SubspaceTag.B
 _SUITES = [
-    _SuiteDef("ip-moves", 1000, _exact(), _sampled((_FULL,) * 3, _ip_moves)),
-    _SuiteDef("zvengrowski", 1000, _exact(), _sampled((_FULL,) * 3, _zvengrowski)),
-    _SuiteDef("ab-identities", 1000, _exact(), _sampled(_AB_TAGS, _ab_identities)),
-    _SuiteDef("grading-closure", 1000, _exact(), _sampled(_CLOSURE_TAGS, _grading_closure)),
-    _SuiteDef("lorentz-algebra", 256, _exact(), _exhaustive(lorentz_algebra_rows, 4)),
-    _SuiteDef("infinitesimal-dc", 64, _exact(), _exhaustive(infinitesimal_dc_rows, 3)),
+    _SuiteDef("ip-moves", 1000, _exact(), _elements(_FULL, _FULL, _FULL), _ip_moves),
+    _SuiteDef("zvengrowski", 1000, _exact(), _elements(_FULL, _FULL, _FULL), _zvengrowski),
+    _SuiteDef("ab-identities", 1000, _exact(), _elements(*_AB_TAGS), _ab_identities),
+    _SuiteDef("grading-closure", 1000, _exact(), _elements(*_CLOSURE_TAGS), _grading_closure),
+    _SuiteDef("lorentz-algebra", 256, _exact(), _indices(4), _lorentz_algebra, exhaustive=True),
+    _SuiteDef("infinitesimal-dc", 64, _exact(), _indices(3), _infinitesimal_dc, exhaustive=True),
+    _SuiteDef("double-cover", 500, _series(0.1), _thetas(THETA_PAIRS), _double_cover),
+    _SuiteDef("rotation-unitarity", 500, _series(0.01), _thetas(ROTATION_PAIRS), _unitarity),
+    _SuiteDef("boost-selfconj", 500, _series(0.01), _boost_selfconj_inputs, _boost_selfconj),
+    _SuiteDef("gamma5", 1, lambda cfg: 1e-14, lambda cfg: (), _gamma5, exhaustive=True),
+    _SuiteDef("prop1-A", 200, _series(0.1), partial(_prop1_inputs, _A), partial(_prop1, _A)),
+    _SuiteDef("prop1-B", 200, _series(0.1), partial(_prop1_inputs, _B), partial(_prop1, _B)),
+    _SuiteDef("prop2", 300, _series(), _prop2_inputs, _prop2, _prop2_witness),
+    _SuiteDef("prop3", 300, _series(), _prop3_inputs, _prop3),
+    _SuiteDef("prop4-dichotomy", 100, _series(0.01), _prop4_inputs, _prop4, _prop4_witness),
+    _SuiteDef("prop5", 300, _series(), _prop5_inputs, _prop5),
+    _SuiteDef("lemma3", 300, _series(), lambda cfg: (_POINT, _gauge_param(cfg), _AXIS), _lemma3),
     _SuiteDef(
-        "double-cover", 500, _series(0.1), _sampled_theta(THETA_PAIRS, double_cover_residual)
+        "lemma4", 300, _series(),
+        lambda cfg: (_POINT, _gauge_param(cfg), _connection(cfg), _AXIS), _lemma4,
     ),
-    _SuiteDef(
-        "rotation-unitarity", 500, _series(0.01), _sampled_theta(ROTATION_PAIRS, _unitarity)
-    ),
-    _SuiteDef("boost-selfconj", 500, _series(0.01), _run_boost_selfconj),
-    _SuiteDef("gamma5", 1, _fixed(1e-14), _run_gamma5),
-    _SuiteDef("prop1-A", 200, _series(0.1), _prop1_runner(SubspaceTag.A)),
-    _SuiteDef("prop1-B", 200, _series(0.1), _prop1_runner(SubspaceTag.B)),
-    _SuiteDef("prop2", 300, _series(), _run_prop2),
-    _SuiteDef("prop3", 300, _series(), _run_prop3),
-    _SuiteDef("prop4-dichotomy", 100, _series(0.01), _run_prop4),
-    _SuiteDef("prop5", 300, _series(), _run_prop5),
-    _SuiteDef("lemma3", 300, _series(), _run_lemma3),
-    _SuiteDef("lemma4", 300, _series(), _run_lemma4),
-    _SuiteDef("composition-law", 1000, _exact(), _sampled((_FULL,) * 2, _composition)),
-    _SuiteDef("alternativity", 1000, _exact(), _sampled((_FULL,) * 2, _alternativity)),
+    _SuiteDef("composition-law", 1000, _exact(), _elements(_FULL, _FULL), _composition),
+    _SuiteDef("alternativity", 1000, _exact(), _elements(_FULL, _FULL), _alternativity),
 ]
 _REGISTRY = {s.suite_id: s for s in _SUITES}
 
@@ -552,7 +573,6 @@ def run_suite(suite_id: str, cfg: SuiteConfig) -> SuiteReport:
     whose ``message`` names the error.
     """
     sdef = _lookup(suite_id)
-    # exhaustive runners sweep their whole index range whatever n is
     n = cfg.samples_per_suite or sdef.default_samples
     rng = _rng_for(cfg, suite_id)
     start = time.perf_counter()
@@ -560,7 +580,7 @@ def run_suite(suite_id: str, cfg: SuiteConfig) -> SuiteReport:
     # floating-point warnings would only repeat that
     try:
         with np.errstate(all="ignore"):
-            residuals, controls_ok = sdef.runner(cfg, n, rng)
+            residuals, controls_ok = _evaluate(sdef, cfg, n, rng)
     except (ArithmeticError, ValueError) as exc:
         elapsed_ms = int((time.perf_counter() - start) * 1000)
         message = f"{type(exc).__name__}: {exc}"

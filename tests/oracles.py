@@ -37,8 +37,10 @@ from octoweak.grading import (
     AB_CLOSURE,
     IPMoveForm,
     SubspaceTag,
+    dof_rows,
     draw,
     membership_defect,
+    ndof,
     require_member,
     residual_ab,
     residual_aab,
@@ -224,6 +226,22 @@ def read_per_sample(rng, m: int, inputs) -> list[np.ndarray]:
                 block[i] = rng.integers(x.low, x.high)
             else:
                 block[i] = rng.uniform(x.low, x.high, x.shape or None)
+    return out
+
+
+def draw_block(tags, rng, n: int, bound: float = 1.0) -> list[np.ndarray]:
+    """n samples of one element per tag, as one (n, 8) array per tag.
+
+    One uniform call fills an (n, total dof) array in C order, which reads
+    the stream as n rounds of ``[draw(tag, rng, bound) for tag in tags]``
+    would: values and the generator state afterwards are the same.
+    """
+    block = rng.uniform(-bound, bound, size=(n, sum(map(ndof, tags))))
+    out, start = [], 0
+    for tag in tags:
+        stop = start + ndof(tag)
+        out.append(dof_rows(tag, block[:, start:stop]))
+        start = stop
     return out
 
 

@@ -49,7 +49,6 @@ from octoweak.grading import (
     SubspaceTag,
     draw,
     dof_rows,
-    draw_block,
     draw_rows,
     in_subspace,
     membership_defect,
@@ -123,7 +122,7 @@ def _thetas(seed, n=N, bound=2.0):
 )
 def test_draw_block_equals_per_sample_draws(tags):
     block_rng, loop_rng = np.random.default_rng(24), np.random.default_rng(24)
-    block = draw_block(tags, block_rng, 300, 1.5)
+    block = oracles.draw_block(tags, block_rng, 300, 1.5)
     for i in range(300):
         for k, tag in enumerate(tags):
             assert np.array_equal(block[k][i], draw(tag, loop_rng, 1.5).c)
@@ -330,7 +329,7 @@ def test_general_coupling_residual_on_rows_matches_single_values():
 
 
 def test_exchange_residuals_on_rows_match_single_values():
-    a, a2, b, b2 = draw_block(
+    a, a2, b, b2 = oracles.draw_block(
         (SubspaceTag.A, SubspaceTag.A, SubspaceTag.B, SubspaceTag.B), np.random.default_rng(14), N
     )
     cases = [
@@ -508,6 +507,47 @@ def test_read_block_refuses_a_bound_width_that_is_not_finite(low, high):
     assert rng.bit_generator.state == state
 
 
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "tags",
+    [suites._CLOSURE_TAGS, suites._AB_TAGS, (SubspaceTag.FULL_CO,) * 3, (SubspaceTag.FULL_CO,) * 2],
+    ids=["closure", "ab", "full3", "full2"],
+)
+def test_read_block_on_tagged_elements_equals_draw_block(tags):
+    inputs = suites._elements(*tags)(SuiteConfig())
+    for seed in range(20):
+        block_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for m in (64, 64, 37):
+            got = suites._read_block(block_rng, m, inputs)
+            want = oracles.draw_block(tags, ref_rng, m)
+            assert all(_same_bits(g, w) for g, w in zip(got, want))
+            assert block_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+_SAMPLED = sorted(sid for sid, sdef in suites._REGISTRY.items() if not sdef.exhaustive)
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+@pytest.mark.parametrize("suite_id", _SAMPLED)
+def test_one_read_equals_reads_in_blocks(suite_id, degree):
+    # the samples a suite reads do not depend on how they are split into blocks
+    cfg = SuiteConfig(field_degree=degree)
+    inputs = suites._REGISTRY[suite_id].inputs(cfg)
+    for n in (150, 64, 1):
+        whole_rng, block_rng = suites._rng_for(cfg, suite_id), suites._rng_for(cfg, suite_id)
+        whole = suites._read_block(whole_rng, n, inputs)
+        blocks = [
+            suites._read_block(block_rng, min(suites.BLOCK_ROWS, n - start), inputs)
+            for start in range(0, n, suites.BLOCK_ROWS)
+        ]
+        for k, got in enumerate(whole):
+            assert _same_bits(got, np.concatenate([b[k] for b in blocks]))
+        assert whole_rng.bit_generator.state == block_rng.bit_generator.state
+
+
 def test_jet_exponent_tables_are_cached_and_read_only():
     exps = monomials(3)
     tables = fields._jet_exponents(exps.tobytes())
@@ -552,7 +592,7 @@ def test_batched_field_runner_matches_its_per_sample_reference(
     assert n > 2 * suites.BLOCK_ROWS  # crosses block boundaries, ends on a part block
     cfg = SuiteConfig(seed=2025, field_degree=degree)
     rng_batched, rng_ref = suites._rng_for(cfg, suite_id), suites._rng_for(cfg, suite_id)
-    got, got_ok = suites._REGISTRY[suite_id].runner(cfg, n, rng_batched)
+    got, got_ok = suites._evaluate(suites._REGISTRY[suite_id], cfg, n, rng_batched)
     want, want_ok = oracles.FIELD_SUITE_RUNNERS[suite_id](cfg, n, rng_ref)
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape == (n,)

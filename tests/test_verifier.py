@@ -73,15 +73,29 @@ def test_run_suite_gamma5():
     assert report.samples == 1
 
 
-def test_run_suite_lorentz_algebra_is_exhaustive():
-    report = run_suite("lorentz-algebra", SuiteConfig(**FAST))
+@pytest.mark.parametrize(
+    "suite_id, rows", [("lorentz-algebra", 256), ("infinitesimal-dc", 64), ("gamma5", 1)]
+)
+def test_run_suite_lorentz_algebra_is_exhaustive(suite_id, rows):
+    report = run_suite(suite_id, SuiteConfig(samples_per_suite=3))
     assert report.passed
-    assert report.samples == 256  # sample override does not shrink exhaustive sweeps
+    assert report.samples == rows  # a sample override neither shrinks nor grows a table
+
+
+@pytest.mark.parametrize("suite_id", ["prop2", "prop4-dichotomy"])
+def test_a_witness_under_its_floor_fails_the_suite(suite_id, monkeypatch):
+    sdef = suites._REGISTRY[suite_id]
+    monkeypatch.setitem(suites._REGISTRY, suite_id, replace(sdef, witness=lambda: 0.0))
+    cfg = SuiteConfig(**FAST)
+    report = run_suite(suite_id, cfg)
+    assert report.max_residual < cfg.suite_tolerance(suite_id)  # every residual passes
+    assert report.message is None
+    assert not report.passed
 
 
 def test_a_nan_residual_fails_the_suite(monkeypatch):
     gamma5 = suites._REGISTRY["gamma5"]
-    nan_runner = replace(gamma5, runner=lambda cfg, n, rng: ([1e-20, math.nan], True))
+    nan_runner = replace(gamma5, residual=lambda cfg: np.array([1e-20, math.nan]))
     monkeypatch.setitem(suites._REGISTRY, "gamma5", nan_runner)
     report = run_suite("gamma5", SuiteConfig())
     assert not report.passed
@@ -280,7 +294,7 @@ def test_batched_runner_matches_its_per_sample_reference(suite_id):
     assert n > BLOCK_ROWS  # crosses a block boundary
     cfg = SuiteConfig(seed=2024)
     rng_batched, rng_ref = suites._rng_for(cfg, suite_id), suites._rng_for(cfg, suite_id)
-    got, got_ok = suites._REGISTRY[suite_id].runner(cfg, n, rng_batched)
+    got, got_ok = suites._evaluate(suites._REGISTRY[suite_id], cfg, n, rng_batched)
     want, want_ok = SUITE_RUNNERS[suite_id](cfg, n, rng_ref)
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape == (n,)
@@ -342,10 +356,10 @@ def test_theta_bound_must_leave_a_finite_draw_range():
 
 
 def test_an_error_inside_one_suite_is_a_fail_row_and_the_run_goes_on(monkeypatch, capsys):
-    def refuse(cfg, n, rng):
+    def refuse(cfg, *arrays):
         raise DomainViolation("gauge parameter value is not in subspace A- (defect 0.5)")
 
-    prop3 = replace(suites._REGISTRY["prop3"], runner=refuse)
+    prop3 = replace(suites._REGISTRY["prop3"], residual=refuse)
     monkeypatch.setitem(suites._REGISTRY, "prop3", prop3)
     argv = ["--samples", "20", "--suite", "gamma5", "--suite", "prop3", "--suite", "lemma3"]
     assert main(argv + ["--report", "json"]) == 1
