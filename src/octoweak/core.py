@@ -113,8 +113,21 @@ class StructureTable:
 
 
 _TABLE = StructureTable.build()
-# complex copy so products do not re-promote the tensor on every call
-_FLAT_TENSOR = np.ascontiguousarray(_TABLE.tensor.reshape(64, 8).astype(np.complex128))
+
+
+def _right_index(table: StructureTable) -> np.ndarray:
+    # Each row of the table permutes the basis, so the right-multiplication
+    # matrix of y, R[a, c] = sum_b y_b tensor[a, b, c], has one signed entry
+    # per slot: R[a, index[a, b]] = sign[a, b] y_b.  Stored as positions in
+    # [y, -y], one gather builds R
+    out = np.empty((8, 8), dtype=np.intp)
+    for a in range(8):
+        out[a, table.index[a]] = np.arange(8) + 8 * (table.sign[a] < 0)
+    out.flags.writeable = False
+    return out
+
+
+_RIGHT_INDEX = _right_index(_TABLE)
 
 
 def structure_table() -> StructureTable:
@@ -251,9 +264,8 @@ IM = CplxOcton.scalar(1j)
 
 
 def mul(x: CplxOcton, y: CplxOcton) -> CplxOcton:
-    """Bilinear product via the frozen structure table."""
-    prod = (x.c[:, None] * y.c[None, :]).reshape(64)
-    return CplxOcton._wrap(prod @ _FLAT_TENSOR)
+    """Bilinear product via the frozen structure table (one row of :func:`mul_rows`)."""
+    return CplxOcton._wrap(mul_rows(x.c, y.c))
 
 
 # ------------------------------------------------------------- row kernels
@@ -290,9 +302,14 @@ def rowwise(fn):
 
 
 def mul_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """:func:`mul` row by row."""
-    x, y = np.broadcast_arrays(x, y)
-    return (x[..., :, None] * y[..., None, :]).reshape(x.shape[:-1] + (64,)) @ _FLAT_TENSOR
+    """:func:`mul` row by row: each row x times the right-multiplication matrix of y.
+
+    The matrices are gathered from [y, -y] and applied as a stack of (1, 8) @
+    (8, 8) products, so a row's product does not depend on the rows around it.
+    """
+    y = np.asarray(y, dtype=np.complex128)
+    right = np.take(np.concatenate([y, -y], axis=-1), _RIGHT_INDEX, axis=-1)
+    return (np.asarray(x)[..., None, :] @ right)[..., 0, :]
 
 
 #: Octonionic conjugation as a sign per slot.

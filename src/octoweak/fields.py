@@ -270,8 +270,19 @@ def _require_spinor(tag: SubspaceTag | None) -> None:
         raise DomainViolation("field must be tagged A or B")
 
 
-#: Row (rho, b) is ebar^rho e_b: sum_rho ebar^rho g_rho is g.reshape(..., 32) @ this.
-_EBAR_LEFT = mul_rows(EBAR_UPPER_ROWS[:, None, :], np.eye(8)).reshape(32, 8)
+def _ebar_left_tables() -> tuple[np.ndarray, np.ndarray]:
+    # ebar^rho is a unit (-i) or a signed basis vector, so the left product
+    # ebar^rho g has one term per slot: (ebar^rho g)_c = unit[rho, c] g[source[rho, c]],
+    # with source a position in g.reshape(..., 32)
+    left = mul_rows(EBAR_UPPER_ROWS[:, None, :], np.eye(8))  # [rho, b] = ebar^rho e_b
+    rho, b, c = np.nonzero(left)
+    source, unit = np.empty((4, 8), np.intp), np.empty((4, 8), np.complex128)
+    source[rho, c], unit[rho, c] = 8 * rho + b, left[rho, b, c]
+    source.flags.writeable = unit.flags.writeable = False
+    return source, unit
+
+
+_EBAR_SOURCE, _EBAR_UNIT = _ebar_left_tables()
 
 
 def bilinear_rows(values: np.ndarray, grads: np.ndarray) -> np.ndarray:
@@ -279,7 +290,8 @@ def bilinear_rows(values: np.ndarray, grads: np.ndarray) -> np.ndarray:
 
     Takes values (..., 8) and their four gradients (..., 4, 8).
     """
-    left = grads.reshape(grads.shape[:-2] + (32,)) @ _EBAR_LEFT
+    flat = grads.reshape(grads.shape[:-2] + (32,))
+    left = (np.take(flat, _EBAR_SOURCE, axis=-1) * _EBAR_UNIT).sum(axis=-2)
     return inner_rows(np.conj(values), left)
 
 

@@ -67,9 +67,18 @@ _DOF = {
     }.items()
 }
 
-#: Each table entry as a projector on the 16 real coordinates: the rows of the
-#: real form R = m.view(float64) are orthonormal, so Re(x m^H) m = x R^T R.
-_PROJECTOR = {tag: m.view(np.float64).T @ m.view(np.float64) for tag, m in _DOF.items()}
+#: Each table row unit * e_slot is one of the 16 real coordinates of a value
+#: (x.view(float64)): per tag, the real slot of each row, in row order.
+_SLOTS = {tag: np.nonzero(m.view(np.float64))[1] for tag, m in _DOF.items()}
+
+#: Per tag, the orthogonal projector on the 16 real coordinates.  The rows of
+#: R = m.view(float64) are distinct unit coordinate vectors, so the projector
+#: R^T R is diagonal, 1 at the table entry's slots and 0 elsewhere: kept as
+#: that diagonal.
+_MASK = {tag: np.bincount(slots, minlength=16).astype(np.float64) for tag, slots in _SLOTS.items()}
+
+for _table in (*_SLOTS.values(), *_MASK.values()):
+    _table.flags.writeable = False
 
 
 def ndof(tag: SubspaceTag) -> int:
@@ -81,7 +90,7 @@ def ndof(tag: SubspaceTag) -> int:
 def project(x, tag: SubspaceTag):
     """Orthogonal projection onto the tagged subspace, of a value or row by row."""
     real = np.ascontiguousarray(x, dtype=np.complex128).view(np.float64)
-    return (real @ _PROJECTOR[tag]).view(np.complex128)
+    return (real * _MASK[tag]).view(np.complex128)
 
 
 def _membership(rows: np.ndarray, tag: SubspaceTag):
@@ -117,14 +126,17 @@ def require_member(x, tag: SubspaceTag, name: str = "argument") -> None:
 
 def draw(tag: SubspaceTag, rng: np.random.Generator, bound: float = 1.0) -> CplxOcton:
     """One element with uniform coefficients on the subspace's real dof."""
-    m = _DOF[tag]
-    dof = rng.uniform(-bound, bound, size=m.shape[0])
-    return CplxOcton._wrap(dof @ m)
+    return CplxOcton._wrap(dof_rows(tag, rng.uniform(-bound, bound, size=ndof(tag))))
 
 
 def dof_rows(tag: SubspaceTag, dof: np.ndarray) -> np.ndarray:
-    """Elements, (..., 8), from real coefficients (..., ndof) on the tag's table rows."""
-    return dof @ _DOF[tag]
+    """Elements, (..., 8), from real coefficients (..., ndof) on the tag's table rows.
+
+    Each coefficient is written to its row's real slot of a zeroed value.
+    """
+    out = np.zeros(np.shape(dof)[:-1] + (16,))
+    out[..., _SLOTS[tag]] = dof
+    return out.view(np.complex128)
 
 
 def draw_rows(
@@ -149,12 +161,31 @@ def sample(tag: SubspaceTag, rng_seed: int, bound: float = 1.0) -> CplxOcton:
 # checked and evaluated together (see core.rowwise).
 
 
-@rowwise
-def residual_ab(a, b):
-    """a b - b conj_oct(a), for a in A and b in B."""
-    require_member(a, SubspaceTag.A, "a")
-    require_member(b, SubspaceTag.B, "b")
+# The six exchange identities on rows, unchecked: a, a' in A and b, b' in B.
+
+
+def _ab(a, b):
     return mul_rows(a, b) - mul_rows(b, conj_oct_rows(a))
+
+
+def _aab(a, a2, b):
+    return mul_rows(mul_rows(a, a2), b) - mul_rows(a2, mul_rows(a, b))
+
+
+def _baa(a, a2, b):
+    return mul_rows(b, mul_rows(a2, a)) - mul_rows(mul_rows(b, a), a2)
+
+
+def _bba(a, b, b2):
+    return mul_rows(mul_rows(b, b2), a) - mul_rows(mul_rows(a, b), b2)
+
+
+def _abb(a, b, b2):
+    return mul_rows(a, mul_rows(b2, b)) - mul_rows(b2, mul_rows(b, a))
+
+
+def _abba(a, a2, b, b2):
+    return mul_rows(mul_rows(a, b), mul_rows(b2, a2)) - mul_rows(mul_rows(a2, mul_rows(b, b2)), a)
 
 
 def _require_ab_pairs(a, a2, b, b2):
@@ -167,38 +198,61 @@ def _require_ab_pairs(a, a2, b, b2):
 
 
 @rowwise
+def residual_ab(a, b):
+    """a b - b conj_oct(a), for a in A and b in B."""
+    _require_ab_pairs(a, None, b, None)
+    return _ab(a, b)
+
+
+@rowwise
 def residual_aab(a, a2, b):
     """(a a')b - a'(a b)  [order of the A factors reverses]."""
     _require_ab_pairs(a, a2, b, None)
-    return mul_rows(mul_rows(a, a2), b) - mul_rows(a2, mul_rows(a, b))
+    return _aab(a, a2, b)
 
 
 @rowwise
 def residual_baa(a, a2, b):
     """b(a' a) - (b a)a'  [order of the A factors reverses]."""
     _require_ab_pairs(a, a2, b, None)
-    return mul_rows(b, mul_rows(a2, a)) - mul_rows(mul_rows(b, a), a2)
+    return _baa(a, a2, b)
 
 
 @rowwise
 def residual_bba(a, b, b2):
     """(b b')a - (a b)b'  [order of the B factors does not reverse]."""
     _require_ab_pairs(a, None, b, b2)
-    return mul_rows(mul_rows(b, b2), a) - mul_rows(mul_rows(a, b), b2)
+    return _bba(a, b, b2)
 
 
 @rowwise
 def residual_abb(a, b, b2):
     """a(b' b) - b'(b a)  [order of the B factors does not reverse]."""
     _require_ab_pairs(a, None, b, b2)
-    return mul_rows(a, mul_rows(b2, b)) - mul_rows(b2, mul_rows(b, a))
+    return _abb(a, b, b2)
 
 
 @rowwise
 def residual_abba(a, a2, b, b2):
     """(a b)(b' a') - a'(b b')a; the right side associates since b b' lands in A."""
     _require_ab_pairs(a, a2, b, b2)
-    return mul_rows(mul_rows(a, b), mul_rows(b2, a2)) - mul_rows(mul_rows(a2, mul_rows(b, b2)), a)
+    return _abba(a, a2, b, b2)
+
+
+def exchange_residuals(a, a2, b, b2) -> list[np.ndarray]:
+    """The six residuals residual_ab .. residual_abba of (..., 8) rows, in that order.
+
+    Each input is checked once, not once per identity that reads it.
+    """
+    _require_ab_pairs(a, a2, b, b2)
+    return [
+        _ab(a, b),
+        _aab(a, a2, b),
+        _baa(a, a2, b),
+        _bba(a, b, b2),
+        _abb(a, b, b2),
+        _abba(a, a2, b, b2),
+    ]
 
 
 @rowwise

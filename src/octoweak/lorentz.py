@@ -185,9 +185,10 @@ def _generator_sum(theta: np.ndarray, gens: np.ndarray) -> np.ndarray:
     # sum of 2 theta^{mu nu} G_{mu nu} over mu < nu, per parameter matrix.  Each
     # entry of the sum gets at most one nonzero real and one nonzero imaginary
     # term, so the contraction is exact whatever order it adds in, and equals
-    # the term-by-term sum bit for bit
+    # the term-by-term sum bit for bit.  A stack of one-row products: no 2-D
+    # product over the rows, whose BLAS threading could depend on their number
     t = 2.0 * np.asarray(theta, dtype=float)[..., _PAIR_MU, _PAIR_NU]
-    out = t @ gens.reshape(len(THETA_PAIRS), -1)
+    out = (t[..., None, :] @ gens.reshape(len(THETA_PAIRS), -1))[..., 0, :]
     return out.reshape(t.shape[:-1] + gens.shape[1:])
 
 
@@ -277,7 +278,7 @@ def infinitesimal_dc_rows(mu, nu, rho) -> np.ndarray:
     s, ebar = _S_ROWS[mu, nu], EBAR_UPPER_ROWS[rho]
     lhs = mul_rows(np.conj(s), ebar) + mul_rows(ebar, s)
     # each column of EBAR_UPPER_ROWS has one nonzero entry: the product is exact
-    return lhs - _V_ROWS[mu, nu, rho] @ EBAR_UPPER_ROWS
+    return lhs - (_V_ROWS[mu, nu, rho][..., None, :] @ EBAR_UPPER_ROWS)[..., 0, :]
 
 
 def infinitesimal_dc_residual(mu: int, nu: int, rho: int) -> CplxOcton:

@@ -46,14 +46,9 @@ from .grading import (
     IPMoveForm,
     SubspaceTag,
     dof_rows,
+    exchange_residuals,
     membership_defect,
     ndof,
-    residual_ab,
-    residual_aab,
-    residual_abb,
-    residual_abba,
-    residual_baa,
-    residual_bba,
     residual_ipmove,
     residual_zvengrowski,
 )
@@ -179,10 +174,13 @@ def _rng_for(cfg: SuiteConfig, suite_id: str) -> np.random.Generator:
 
 
 #: Sampled suites draw and evaluate at most this many samples at a time.  The
-#: cap bounds the temporary arrays and keeps every contraction a small 2-D
-#: product: OpenBLAS 0.3.31 spreads the (m, 64) @ (64, 8) complex product of
-#: mul_rows over threads from m = 128 rows, which on a busy 2-vCPU host made
-#: one call about 10x slower.  Blocks of 64 to 256 rows ran equally fast.
+#: cap bounds the temporary arrays: a prop3 or prop5 block peaks at about
+#: 0.5 MB.  No contraction over a block's rows is a 2-D BLAS product (each row
+#: is a stacked product, a gather or a scatter), so BLAS threading does not
+#: depend on the block size, and no residual does.  Larger blocks run faster
+#: (a default run takes about 26.5 ms in process at 256 rows, 38.6 ms at 64),
+#: but perfbench's worker keeps a record per pass, so the faster run reads a
+#: higher peak_rss_mb: 256 rows stays out until that is fixed (ROADMAP item 4).
 BLOCK_ROWS = 64
 
 _FULL = SubspaceTag.FULL_CO
@@ -253,10 +251,12 @@ def _read_block(rng, m: int, inputs) -> list[np.ndarray]:
                     rng.random(out=raw[i, read])
                 else:
                     out[read[0]][i] = rng.integers(read[1].low, read[1].high)
-    values = low + width * raw
+    # in place, as low + width * raw bit for bit: one copy of the block's draws
+    raw *= width
+    raw += low
     for k, (x, span) in enumerate(zip(inputs, spans)):
         if span is not None:
-            v = values[:, span].reshape((m,) + x.shape)
+            v = raw[:, span].reshape((m,) + x.shape)
             out[k] = v if x.tag is None else dof_rows(x.tag, v)
     return out
 
@@ -343,19 +343,7 @@ _AB_TAGS = (SubspaceTag.A, SubspaceTag.A, SubspaceTag.B, SubspaceTag.B)
 
 
 def _ab_identities(cfg, a, a2, b, b2):
-    return np.max(
-        abs_rows(
-            [
-                residual_ab(a, b),
-                residual_aab(a, a2, b),
-                residual_baa(a, a2, b),
-                residual_bba(a, b, b2),
-                residual_abb(a, b, b2),
-                residual_abba(a, a2, b, b2),
-            ]
-        ),
-        axis=0,
-    )
+    return np.max(abs_rows(exchange_residuals(a, a2, b, b2)), axis=0)
 
 
 _CLOSURE_TAGS = tuple(tag for pair in AB_CLOSURE for tag in pair)

@@ -2,7 +2,8 @@
 
 Each oracle takes a different code path from the implementation it
 verifies: products come from a generic doubling recursion instead of the
-frozen table, exponentials and their derivatives from plain series
+frozen table (and the row kernels from the dense contractions they
+replace), exponentials and their derivatives from plain series
 summation instead of closed forms, pulled-back fields from symbolic
 expansion instead of the pointwise chain rule, derivatives from central
 differences instead of formal calculus, and the sampled suites from one
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from octoweak import grading
 from octoweak.core import (
     ONE,
     CplxOcton,
@@ -23,6 +25,7 @@ from octoweak.core import (
     conj_oct,
     mul,
     norm,
+    structure_table,
 )
 from octoweak.fields import PolyField, eval_at, lorentz_invariance_residual, partial, random_field
 from octoweak.gauge import (
@@ -97,6 +100,40 @@ def cd_basis_product(a: int, b: int) -> tuple[int, int]:
     (nz,) = np.nonzero(z)
     assert len(nz) == 1
     return int(z[nz[0]]), int(nz[0])
+
+
+# ------------------------------------------------------------ dense kernels
+#
+# The row kernels as the dense contractions they replace: every structure
+# constant, subspace table entry and projector entry is multiplied in, zeros
+# included, as one 2-D product over the rows.
+
+
+def mul_rows_dense(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Products row by row as (x (x) y) contracted with the (8, 8, 8) structure tensor."""
+    x, y = np.broadcast_arrays(x, y)
+    pairs = (x[..., :, None] * y[..., None, :]).reshape(x.shape[:-1] + (64,))
+    return pairs @ structure_table().tensor.reshape(64, 8).astype(np.complex128)
+
+
+def dof_rows_dense(tag: SubspaceTag, dof: np.ndarray) -> np.ndarray:
+    """Elements from real parameters as the product with the tag's table entry."""
+    return dof @ grading._DOF[tag]
+
+
+def project_dense(x: np.ndarray, tag: SubspaceTag) -> np.ndarray:
+    """Projection as x R^T R on the 16 real coordinates, R the real form of the table entry."""
+    real_form = grading._DOF[tag].view(np.float64)
+    real = np.ascontiguousarray(x, dtype=np.complex128).view(np.float64)
+    return (real @ (real_form.T @ real_form)).view(np.complex128)
+
+
+def bilinear_rows_dense(values: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """sum_rho <value*, ebar^rho grads[rho]> through the (32, 8) matrix of left products
+    ebar^rho e_b, built with the doubling product."""
+    ebar_left = np.array([[cd_mul(e.c, np.eye(8)[b]) for b in range(8)] for e in EBAR_UPPER])
+    left = grads.reshape(grads.shape[:-2] + (32,)) @ ebar_left.reshape(32, 8)
+    return np.sum(np.conj(values) * left, axis=-1)
 
 
 def exp_taylor(u: CplxOcton, terms: int = 20) -> CplxOcton:

@@ -31,11 +31,13 @@ from octoweak.core import (
     mul_rows,
     norm,
     norm_rows,
+    structure_table,
 )
 from octoweak.errors import DomainViolation, NotInAssociativeSubalgebra
 from octoweak.fields import (
     DEXP_TAYLOR_Z,
     PolyField,
+    bilinear_rows,
     dexp_rows,
     eval_at,
     jet_rows,
@@ -50,6 +52,7 @@ from octoweak.grading import (
     draw,
     dof_rows,
     draw_rows,
+    exchange_residuals,
     in_subspace,
     membership_defect,
     ndof,
@@ -171,6 +174,66 @@ def test_row_kernels_match_scalar_functions():
     assert np.array_equal(norm_rows(x), [norm(a) for a in xs])
     _close(abs_rows(x), [abs(a) for a in xs])
     _close(associator_rows(x, y, z), [associator(a, b, c).c for a, b, c in zip(xs, ys, zs)])
+
+
+def _full_rows(rng, shape):
+    return rng.uniform(-1, 1, shape + (8,)) + 1j * rng.uniform(-1, 1, shape + (8,))
+
+
+def test_mul_rows_matches_the_dense_contraction():
+    rng = np.random.default_rng(44)
+    x, y = _full_rows(rng, (300,)), _full_rows(rng, (300,))
+    scale = abs_rows(x) * abs_rows(y)
+    err = abs_rows(mul_rows(x, y) - oracles.mul_rows_dense(x, y))
+    assert np.all(err <= 1e-15 * scale)
+    # broadcasting: a stack (k, 1, 8) against one value and against rows
+    stack, one, many = _full_rows(rng, (5, 1)), _full_rows(rng, ()), _full_rows(rng, (7,))
+    for other in (one, many):
+        got, want = mul_rows(stack, other), oracles.mul_rows_dense(stack, other)
+        assert got.shape == want.shape == np.broadcast_shapes(stack.shape, other.shape)
+        assert np.all(abs_rows(got - want) <= 1e-15 * abs_rows(stack) * abs_rows(other))
+        assert np.all(abs_rows(mul_rows(other, stack) - oracles.mul_rows_dense(other, stack))
+                      <= 1e-15 * abs_rows(stack) * abs_rows(other))
+
+
+def test_mul_rows_is_exact_on_every_basis_pair():
+    table = structure_table()
+    basis = np.eye(8, dtype=np.complex128)
+    got = mul_rows(basis[:, None, :], basis[None, :, :])
+    want = np.zeros((8, 8, 8), dtype=np.complex128)
+    a, b = np.indices((8, 8))
+    want[a, b, table.index] = table.sign
+    assert np.array_equal(got, want)
+
+
+def test_mul_is_one_row_of_mul_rows_and_a_block_is_its_rows():
+    rng = np.random.default_rng(45)
+    x, y = _full_rows(rng, (300,)), _full_rows(rng, (300,))
+    block = mul_rows(x, y)
+    for i in range(300):
+        assert mul(CplxOcton(x[i]), CplxOcton(y[i])).c.tobytes() == mul_rows(x[i], y[i]).tobytes()
+        assert block[i].tobytes() == mul_rows(x[i], y[i]).tobytes()
+
+
+def test_dof_rows_equals_the_dense_product_bit_for_bit():
+    rng = np.random.default_rng(46)
+    for tag in SubspaceTag:
+        for shape in ((), (37,), (5, 3)):
+            dof = rng.uniform(-1, 1, shape + (ndof(tag),))
+            got, want = dof_rows(tag, dof), oracles.dof_rows_dense(tag, dof)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def test_project_and_bilinear_rows_match_the_dense_routes():
+    rng = np.random.default_rng(47)
+    x = _full_rows(rng, (40,))
+    for tag in SubspaceTag:
+        assert np.max(np.abs(project(x, tag) - oracles.project_dense(x, tag))) <= 1e-15
+    values, grads = _full_rows(rng, (40,)), _full_rows(rng, (40, 4))
+    got, want = bilinear_rows(values, grads), oracles.bilinear_rows_dense(values, grads)
+    assert got.shape == want.shape == (40,)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_exp_rows_matches_exp_assoc_across_branches():
@@ -328,11 +391,9 @@ def test_general_coupling_residual_on_rows_matches_single_values():
 # ------------------------------------------------------- grading residuals
 
 
-def test_exchange_residuals_on_rows_match_single_values():
-    a, a2, b, b2 = oracles.draw_block(
-        (SubspaceTag.A, SubspaceTag.A, SubspaceTag.B, SubspaceTag.B), np.random.default_rng(14), N
-    )
-    cases = [
+def _exchange_cases(a, a2, b, b2):
+    # each public exchange residual with its arguments, in exchange_residuals' order
+    return [
         (residual_ab, (a, b)),
         (residual_aab, (a, a2, b)),
         (residual_baa, (a, a2, b)),
@@ -340,7 +401,13 @@ def test_exchange_residuals_on_rows_match_single_values():
         (residual_abb, (a, b, b2)),
         (residual_abba, (a, a2, b, b2)),
     ]
-    for fn, args in cases:
+
+
+def test_exchange_residuals_on_rows_match_single_values():
+    a, a2, b, b2 = oracles.draw_block(
+        (SubspaceTag.A, SubspaceTag.A, SubspaceTag.B, SubspaceTag.B), np.random.default_rng(14), N
+    )
+    for fn, args in _exchange_cases(a, a2, b, b2):
         single = [fn(*map(CplxOcton, row)).c for row in zip(*args)]
         _close(fn(*args), single)
         assert isinstance(fn(*map(CplxOcton, (r[0] for r in args))), CplxOcton)
@@ -387,6 +454,43 @@ def test_one_bad_row_raises_domain_violation():
     w[0, 0] = 1.0  # a real scalar part leaves the anti-Hermitian sector
     with pytest.raises(DomainViolation):
         general_coupling_residual(np.ones(N), np.ones(N), _thetas(23), w, b)
+
+
+@pytest.mark.parametrize("position", range(4))
+def test_each_exchange_residual_refuses_an_off_subspace_row(position):
+    inputs = list(oracles.draw_block(suites._AB_TAGS, np.random.default_rng(48), N))
+    inputs[position] = inputs[position].copy()
+    inputs[position][N // 2, 0 if position >= 2 else 4] = 0.5  # a B part on a, a scalar on b
+    bad = inputs[position]
+    for fn, args in _exchange_cases(*inputs):
+        if any(arg is bad for arg in args):
+            with pytest.raises(DomainViolation):
+                fn(*args)
+        else:
+            fn(*args)
+    with pytest.raises(DomainViolation):
+        exchange_residuals(*inputs)
+
+
+def test_exchange_residuals_are_the_six_public_residuals():
+    inputs = oracles.draw_block(suites._AB_TAGS, np.random.default_rng(49), N)
+    public = [fn(*args) for fn, args in _exchange_cases(*inputs)]
+    got = exchange_residuals(*inputs)
+    assert len(got) == 6 and all(_same_bits(g, w) for g, w in zip(got, public))
+
+
+def test_ab_identities_fails_when_one_input_row_is_off_its_subspace(monkeypatch):
+    read = suites._read_block
+
+    def spoil(rng, m, inputs):
+        block = read(rng, m, inputs)
+        block[3][m // 2, 0] += 1.0  # b' gains a scalar part
+        return block
+
+    monkeypatch.setattr(suites, "_read_block", spoil)
+    report = suites.run_suite("ab-identities", SuiteConfig())
+    assert not report.passed
+    assert report.message.startswith("DomainViolation: b' is not in subspace B")
 
 
 def test_require_member_reports_the_worst_bad_row():
@@ -532,8 +636,9 @@ _SAMPLED = sorted(sid for sid, sdef in suites._REGISTRY.items() if not sdef.exha
 
 @pytest.mark.parametrize("degree", [2, 3])
 @pytest.mark.parametrize("suite_id", _SAMPLED)
-def test_one_read_equals_reads_in_blocks(suite_id, degree):
+def test_one_read_equals_reads_in_blocks(suite_id, degree, monkeypatch):
     # the samples a suite reads do not depend on how they are split into blocks
+    monkeypatch.setattr(suites, "BLOCK_ROWS", 64)  # so that n = 150 spans three blocks
     cfg = SuiteConfig(field_degree=degree)
     inputs = suites._REGISTRY[suite_id].inputs(cfg)
     for n in (150, 64, 1):
@@ -546,6 +651,23 @@ def test_one_read_equals_reads_in_blocks(suite_id, degree):
         for k, got in enumerate(whole):
             assert _same_bits(got, np.concatenate([b[k] for b in blocks]))
         assert whole_rng.bit_generator.state == block_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_residuals_do_not_depend_on_the_block_size(degree, monkeypatch):
+    # 600 samples: nine full blocks and a part block at 64 rows, two full
+    # blocks and a part block at 256
+    cfg = SuiteConfig(field_degree=degree)
+    for suite_id in _SAMPLED:
+        sdef, runs = suites._REGISTRY[suite_id], []
+        for rows in (64, 256):
+            monkeypatch.setattr(suites, "BLOCK_ROWS", rows)
+            rng = suites._rng_for(cfg, suite_id)
+            residuals, _ = suites._evaluate(sdef, cfg, 600, rng)
+            runs.append((residuals, rng.bit_generator.state))
+        (small, small_state), (large, large_state) = runs
+        assert _same_bits(small, large), suite_id
+        assert small_state == large_state, suite_id
 
 
 def test_jet_exponent_tables_are_cached_and_read_only():
@@ -588,6 +710,7 @@ def test_batched_field_runner_matches_its_per_sample_reference(
 ):
     if broken:
         _break_identities(monkeypatch)
+    monkeypatch.setattr(suites, "BLOCK_ROWS", 64)
     n = 150
     assert n > 2 * suites.BLOCK_ROWS  # crosses block boundaries, ends on a part block
     cfg = SuiteConfig(seed=2025, field_degree=degree)
