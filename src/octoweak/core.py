@@ -13,7 +13,6 @@ subalgebra; all of its complements are reached by the doubling step.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import numbers
 from dataclasses import dataclass
@@ -61,7 +60,6 @@ class StructureTable:
 
     sign: np.ndarray
     index: np.ndarray
-    tensor: np.ndarray  # (8, 8, 8): tensor[a, b, c] = coefficient of b_c in b_a*b_b
 
     @classmethod
     def build(cls) -> "StructureTable":
@@ -83,14 +81,9 @@ class StructureTable:
                     raise AssertionError("basis product is not a signed basis element")
                 index[a, b] = nz[0]
                 sign[a, b] = z[nz[0]]
-        tensor = np.zeros((8, 8, 8))
-        for a in range(8):
-            for b in range(8):
-                tensor[a, b, index[a, b]] = sign[a, b]
         sign.flags.writeable = False
         index.flags.writeable = False
-        tensor.flags.writeable = False
-        return cls(sign=sign, index=index, tensor=tensor)
+        return cls(sign=sign, index=index)
 
     def format(self) -> str:
         """Render the table as a signed-index text grid."""
@@ -117,9 +110,9 @@ _TABLE = StructureTable.build()
 
 def _right_index(table: StructureTable) -> np.ndarray:
     # Each row of the table permutes the basis, so the right-multiplication
-    # matrix of y, R[a, c] = sum_b y_b tensor[a, b, c], has one signed entry
-    # per slot: R[a, index[a, b]] = sign[a, b] y_b.  Stored as positions in
-    # [y, -y], one gather builds R
+    # matrix of y, R[a, c] = sum_b y_b (coefficient of b_c in b_a b_b), has one
+    # signed entry per slot: R[a, index[a, b]] = sign[a, b] y_b.  Stored as
+    # positions in [y, -y], one gather builds R
     out = np.empty((8, 8), dtype=np.intp)
     for a in range(8):
         out[a, table.index[a]] = np.arange(8) + 8 * (table.sign[a] < 0)
@@ -280,7 +273,8 @@ def rowwise(fn):
     (an instance of a :func:`single_value` class) as its array, and its result
     comes back as a single-value routine returns it: an (8,) array as a
     CplxOcton, a 0-d array or numpy scalar as a Python number, anything else
-    unchanged.
+    unchanged.  A CplxOcton's coefficients are finite, so an (8,) result with
+    an inf or NaN raises OverflowError; rows carry it for the caller to see.
     """
 
     @functools.wraps(fn)
@@ -289,6 +283,8 @@ def rowwise(fn):
             return fn(*args, **kwargs)
         out = fn(*map(_array_of, args), **{k: _array_of(a) for k, a in kwargs.items()})
         if isinstance(out, np.ndarray) and out.shape == (8,):
+            if not np.isfinite(out).all():
+                raise OverflowError(f"{fn.__name__} of a single value is not finite")
             return CplxOcton._wrap(out)
         if isinstance(out, (np.ndarray, np.generic)) and out.ndim == 0:
             return out.item()
@@ -348,11 +344,10 @@ def associator_rows(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     return mul_rows(mul_rows(x, y), z) - mul_rows(x, mul_rows(y, z))
 
 
-def conj_oct(x: CplxOcton) -> CplxOcton:
-    """Octonionic conjugation: fixes the scalar slot, negates e1..e7."""
-    c = x.c.copy()
-    c[1:] = -c[1:]
-    return CplxOcton._wrap(c)
+@rowwise
+def conj_oct(x):
+    """Octonionic conjugation, fixing the scalar slot and negating e1..e7: a value or rows."""
+    return conj_oct_rows(x)
 
 
 def conj_complex(x: CplxOcton) -> CplxOcton:
@@ -360,11 +355,10 @@ def conj_complex(x: CplxOcton) -> CplxOcton:
     return CplxOcton._wrap(np.conj(x.c))
 
 
-def bar_star(x: CplxOcton) -> CplxOcton:
-    """Combined octonionic and complex conjugation (an R-linear involution)."""
-    c = np.conj(x.c)
-    c[1:] = -c[1:]
-    return CplxOcton._wrap(c)
+@rowwise
+def bar_star(x):
+    """Combined octonionic and complex conjugation (an R-linear involution): a value or rows."""
+    return bar_star_rows(x)
 
 
 def scal(x: CplxOcton) -> complex:
@@ -379,18 +373,20 @@ def vec(x: CplxOcton) -> CplxOcton:
     return CplxOcton._wrap(c)
 
 
-def inner(x: CplxOcton, y: CplxOcton) -> complex:
-    """Symmetric complex-bilinear inner product 2<x,y> = x y~ + y x~.
+@rowwise
+def inner(x, y):
+    """Symmetric complex-bilinear inner product 2<x,y> = x y~ + y x~: of values or rows.
 
     Reduces to the coefficient contraction sum_a x_a y_a (no complex
     conjugation: the form is bilinear, not sesquilinear).
     """
-    return complex(np.dot(x.c, y.c))
+    return inner_rows(x, y)
 
 
-def norm(x: CplxOcton) -> complex:
-    """Complex quadratic form N(x) = x * conj_oct(x); multiplicative."""
-    return complex(np.dot(x.c, x.c))
+@rowwise
+def norm(x):
+    """Complex quadratic form N(x) = x * conj_oct(x), multiplicative: of a value or rows."""
+    return norm_rows(x)
 
 
 def inverse(x: CplxOcton) -> CplxOcton:
@@ -406,50 +402,31 @@ def commutator(x: CplxOcton, y: CplxOcton) -> CplxOcton:
     return mul(x, y) - mul(y, x)
 
 
-def associator(x: CplxOcton, y: CplxOcton, z: CplxOcton) -> CplxOcton:
-    """[x, y, z] = (xy)z - x(yz)."""
-    return mul(mul(x, y), z) - mul(x, mul(y, z))
+@rowwise
+def associator(x, y, z):
+    """[x, y, z] = (xy)z - x(yz): of values or rows."""
+    return associator_rows(x, y, z)
 
 
-def _cos_sinc(z: complex) -> tuple[complex, complex]:
-    # cos(omega) and sin(omega)/omega as functions of z = omega^2.  Both are
-    # entire in z, so the square-root branch cannot change the result; the
-    # principal branch is used, with a 4-term Taylor fallback near zero.
-    om = cmath.sqrt(z)
-    if abs(om) < SMALL_ANGLE:
-        z2 = z * z
-        z3 = z2 * z
-        return 1 - z / 2 + z2 / 24 - z3 / 720, 1 - z / 6 + z2 / 120 - z3 / 5040
-    return cmath.cos(om), cmath.sin(om) / om
-
-
-def exp_assoc(u: CplxOcton) -> CplxOcton:
-    """Closed-form exponential on the quaternionic subalgebra.
+@rowwise
+def exp_assoc(u):
+    """Closed-form exponential on the quaternionic subalgebra: of a value or rows.
 
     With u = s + v (scalar plus vector part) and omega the principal square
     root of <v, v>:  exp(u) = e^s (cos(omega) + sinc(omega) v).
 
     Raises :class:`NotInAssociativeSubalgebra` if u has components on
-    e4..e7 beyond a scale-relative tolerance.
+    e4..e7 beyond a scale-relative tolerance, and OverflowError if the
+    exponential of a single value overflows.
     """
-    tail = float(np.max(np.abs(u.c[4:])))
-    if tail > ASSOC_MEMBERSHIP_TOL * max(1.0, abs(u)):
-        raise NotInAssociativeSubalgebra(
-            f"argument has components outside span{{1,e1,e2,e3}} (max {tail:.3g})"
-        )
-    s = complex(u.c[0])
-    v = u.c[1:4]
-    cos_w, sinc_w = _cos_sinc(complex(np.dot(v, v)))
-    es = cmath.exp(s)
-    c = np.zeros(8, dtype=np.complex128)
-    c[0] = es * cos_w
-    c[1:4] = (es * sinc_w) * v
-    return CplxOcton._wrap(c)
+    return exp_rows(u)
 
 
 def _cos_sinc_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # _cos_sinc elementwise; both branches are evaluated and the Taylor one is
-    # kept where |omega| < SMALL_ANGLE (it also covers omega = 0)
+    # cos(omega) and sin(omega)/omega as functions of z = omega^2, elementwise.
+    # Both are entire in z, so the square-root branch cannot change the result.
+    # Both branches are evaluated and the 4-term Taylor one is kept where
+    # |omega| < SMALL_ANGLE (it also covers omega = 0)
     om = np.sqrt(z)
     z2 = z * z
     z3 = z2 * z
@@ -460,7 +437,7 @@ def _cos_sinc_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def exp_rows(u: np.ndarray) -> np.ndarray:
-    """:func:`exp_assoc` row by row, with the same membership check.
+    """:func:`exp_assoc` row by row, with its membership check.
 
     Floating-point overflow is not an error here: a row whose exponential
     overflows comes out as inf or NaN, for the caller's residual to report.

@@ -19,7 +19,6 @@ from .core import (
     bar_star_rows,
     conj_complex,
     conj_oct,
-    exp_assoc,
     exp_rows,
     mul,
     mul_rows,
@@ -194,17 +193,13 @@ def _generator_sum(theta: np.ndarray, gens: np.ndarray) -> np.ndarray:
 
 @rowwise
 def lambda_S(theta):
-    """Spinor transformation exp(-(i/2) theta^{mu nu} S_mu_nu).
+    """Spinor transformation exp(-(i/2) theta^{mu nu} S_mu_nu), by :func:`exp_rows`.
 
-    A :class:`Theta` gives a CplxOcton; an (..., 4, 4) stack of parameter
-    matrices gives (..., 8) rows.  One parameter matrix goes through the scalar
-    :func:`exp_assoc`, whose Python complex arithmetic rounds differently from
-    numpy's, so single values stay what they have always been.
+    A :class:`Theta` gives a CplxOcton, and raises OverflowError if the
+    exponential overflows; an (..., 4, 4) parameter stack, one matrix
+    included, gives (..., 8) rows, with inf or NaN where it overflows.
     """
-    u = -0.5j * _generator_sum(theta, _S_PAIRS)
-    if u.ndim == 1:
-        return exp_assoc(CplxOcton._wrap(u)).c
-    return exp_rows(u)
+    return exp_rows(-0.5j * _generator_sum(theta, _S_PAIRS))
 
 
 @rowwise

@@ -17,6 +17,7 @@ import time
 import zlib
 from dataclasses import dataclass, fields as dc_fields
 from functools import lru_cache, partial
+from itertools import accumulate
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -193,10 +194,11 @@ _FULL = SubspaceTag.FULL_CO
 
 
 class _Input(NamedTuple):
-    """One input of a sample: floats of ``shape`` uniform on [low, high), or, if
-    ``integer``, one integer in low..high-1 drawn with ``rng.integers``.  With a
-    ``tag``, the last axis of ``shape`` holds real parameters on the tag's table
-    rows, and the input reads as the elements they make, shape[:-1] + (8,)."""
+    """One input of a sample: floats of ``shape``, each low + (high - low) u for a
+    uniform u in [0, 1), or, if ``integer``, the floor of one such float clipped to
+    high - 1, as the sum can round up to high.  With a ``tag``, the last axis of
+    ``shape`` holds real parameters on the tag's table rows, and the input reads
+    as the elements they make, shape[:-1] + (8,)."""
 
     low: float
     high: float
@@ -207,57 +209,37 @@ class _Input(NamedTuple):
 
 @lru_cache(maxsize=64)
 def _layout(inputs: tuple) -> tuple:
-    """How :func:`_read_block` reads ``inputs``, worked out once per tuple: each raw
-    column's low bound and width, a sample's reads in order (a slice of raw per run of
-    uniform inputs, (position, input) per integer) and each float input's columns."""
-    reads, spans, bounds = [], [], []
-    for k, x in enumerate(inputs):
-        if x.integer:
-            reads.append((k, x))
-            spans.append(None)
-            continue
-        span = slice(len(bounds), len(bounds) + math.prod(x.shape))
-        bounds += [(x.low, x.high - x.low)] * math.prod(x.shape)
-        # consecutive uniform inputs are one read
-        if reads and type(reads[-1]) is slice:
-            reads[-1] = slice(reads[-1].start, span.stop)
-        else:
-            reads.append(span)
-        spans.append(span)
-    low, width = np.array(bounds, float).reshape(-1, 2).T.copy()
+    """Each raw column's low bound and width, and each input's columns, once per tuple."""
+    sizes = [math.prod(x.shape) for x in inputs]
+    spans = tuple(slice(stop - k, stop) for k, stop in zip(sizes, accumulate(sizes)))
+    low = np.repeat([float(x.low) for x in inputs], sizes)
+    width = np.repeat([float(x.high - x.low) for x in inputs], sizes)
     if not np.all(np.isfinite(width)):
         raise OverflowError("high - low range exceeds valid bounds")  # as rng.uniform does
     low.flags.writeable = width.flags.writeable = False
-    return low, width, tuple(reads), tuple(spans)
+    return low, width, spans
 
 
 def _read_block(rng, m: int, inputs) -> list[np.ndarray]:
     """m samples, each read as one draw per input in turn, into one array per input.
 
+    One ``rng.random`` call reads the block, and its columns are scaled after it.
     ``rng.uniform(low, high, size)`` is ``low + (high - low) * rng.random(size)``
-    bit for bit and leaves the same generator state, so a sample reads each run
-    of uniform inputs with one ``rng.random`` call (a block of only uniform
-    inputs reads with one call), and the columns are scaled after the loop.
+    bit for bit, with the same generator state, so the block equals one uniform
+    draw per input and sample; an integer input is its uniform rounded down (see
+    :class:`_Input`).
     """
-    low, width, reads, spans = _layout(inputs)
-    raw = np.empty((m, len(low)))
-    out = [np.empty(m, np.intp) if x.integer else None for x in inputs]
-    if len(reads) == 1 and type(reads[0]) is slice:
-        rng.random(out=raw)
-    else:
-        for i in range(m):
-            for read in reads:
-                if type(read) is slice:
-                    rng.random(out=raw[i, read])
-                else:
-                    out[read[0]][i] = rng.integers(read[1].low, read[1].high)
+    low, width, spans = _layout(inputs)
+    raw = rng.random((m, len(low)))
     # in place, as low + width * raw bit for bit: one copy of the block's draws
     raw *= width
     raw += low
-    for k, (x, span) in enumerate(zip(inputs, spans)):
-        if span is not None:
-            v = raw[:, span].reshape((m,) + x.shape)
-            out[k] = v if x.tag is None else dof_rows(x.tag, v)
+    out = []
+    for x, span in zip(inputs, spans):
+        v = raw[:, span].reshape((m,) + x.shape)
+        if x.integer:
+            v = np.minimum(np.floor(v), x.high - 1).astype(np.intp)
+        out.append(v if x.tag is None else dof_rows(x.tag, v))
     return out
 
 

@@ -4,7 +4,8 @@ Each oracle takes a different code path from the implementation it
 verifies: products come from a generic doubling recursion instead of the
 frozen table (and the row kernels from the dense contractions they
 replace), exponentials and their derivatives from plain series
-summation instead of closed forms, pulled-back fields from symbolic
+summation instead of closed forms (and the closed form from Python's
+``cmath`` instead of numpy rows), pulled-back fields from symbolic
 expansion instead of the pointwise chain rule, derivatives from central
 differences instead of formal calculus, and the sampled suites from one
 draw and one single-value evaluation per sample instead of blocks of rows.
@@ -12,11 +13,15 @@ draw and one single-value evaluation per sample instead of blocks of rows.
 
 from __future__ import annotations
 
+import cmath
+import math
+
 import numpy as np
 
 from octoweak import grading
 from octoweak.core import (
     ONE,
+    SMALL_ANGLE,
     CplxOcton,
     associator,
     bar_star,
@@ -109,11 +114,20 @@ def cd_basis_product(a: int, b: int) -> tuple[int, int]:
 # included, as one 2-D product over the rows.
 
 
+def structure_tensor() -> np.ndarray:
+    """The (8, 8, 8) tensor of the frozen table: [a, b, c] is the coefficient of b_c in b_a b_b."""
+    table = structure_table()
+    tensor = np.zeros((8, 8, 8))
+    a, b = np.indices((8, 8))
+    tensor[a, b, table.index] = table.sign
+    return tensor
+
+
 def mul_rows_dense(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Products row by row as (x (x) y) contracted with the (8, 8, 8) structure tensor."""
     x, y = np.broadcast_arrays(x, y)
     pairs = (x[..., :, None] * y[..., None, :]).reshape(x.shape[:-1] + (64,))
-    return pairs @ structure_table().tensor.reshape(64, 8).astype(np.complex128)
+    return pairs @ structure_tensor().reshape(64, 8).astype(np.complex128)
 
 
 def dof_rows_dense(tag: SubspaceTag, dof: np.ndarray) -> np.ndarray:
@@ -146,6 +160,29 @@ def exp_taylor(u: CplxOcton, terms: int = 20) -> CplxOcton:
         fact *= k
         acc = acc + power * (1.0 / fact)
     return acc
+
+
+def _cos_sinc(z: complex) -> tuple[complex, complex]:
+    # cos(omega) and sin(omega)/omega as functions of z = omega^2, on the
+    # principal branch, with a 4-term Taylor fallback near zero
+    om = cmath.sqrt(z)
+    if abs(om) < SMALL_ANGLE:
+        z2 = z * z
+        z3 = z2 * z
+        return 1 - z / 2 + z2 / 24 - z3 / 720, 1 - z / 6 + z2 / 120 - z3 / 5040
+    return cmath.cos(om), cmath.sin(om) / om
+
+
+def exp_closed_form(u: CplxOcton) -> CplxOcton:
+    """exp(u) = e^s (cos(omega) + sinc(omega) v) in Python complex arithmetic, for u =
+    s + v in the quaternionic subalgebra; ``cmath`` raises OverflowError where it overflows."""
+    s, v = complex(u.c[0]), u.c[1:4]
+    cos_w, sinc_w = _cos_sinc(complex(np.dot(v, v)))
+    es = cmath.exp(s)
+    c = np.zeros(8, dtype=np.complex128)
+    c[0] = es * cos_w
+    c[1:4] = (es * sinc_w) * v
+    return CplxOcton(c)
 
 
 def mat_exp_taylor(m: np.ndarray, terms: int = 60) -> np.ndarray:
@@ -250,17 +287,23 @@ def pullback_linear(f: PolyField, m) -> PolyField:
 # registered runners.  They read the generator in the same order.
 
 
+def integer(rng, low: int, high: int) -> int:
+    """One integer in low..high-1 as the suites read it: one uniform draw on [low, high),
+    rounded down, and high - 1 where the draw rounded up to high."""
+    return min(math.floor(rng.uniform(low, high)), high - 1)
+
+
 def read_per_sample(rng, m: int, inputs) -> list[np.ndarray]:
     """m samples of suite inputs, one generator call per input and sample.
 
-    An integer input is one ``rng.integers(low, high)``, any other one
+    An integer input is one :func:`integer`, any other one
     ``rng.uniform(low, high, shape)`` (a float for shape ()).
     """
     out = [np.empty((m,) + x.shape, np.intp if x.integer else float) for x in inputs]
     for i in range(m):
         for x, block in zip(inputs, out):
             if x.integer:
-                block[i] = rng.integers(x.low, x.high)
+                block[i] = integer(rng, x.low, x.high)
             else:
                 block[i] = rng.uniform(x.low, x.high, x.shape or None)
     return out
@@ -377,7 +420,7 @@ def run_rotation_unitarity(cfg, n, rng):
 def run_boost_selfconj(cfg, n, rng):
     res = []
     for _ in range(n):
-        axis = int(rng.integers(1, 4))
+        axis = integer(rng, 1, 4)
         chi = float(rng.uniform(-cfg.theta_bound, cfg.theta_bound))
         lam = lambda_S(Theta.single(0, axis, chi))
         res.append(abs(bar_star(lam) - lam))
@@ -460,7 +503,7 @@ def run_prop3(cfg, n, rng):
                 random_field(rng, cfg.field_degree, SubspaceTag.A),
                 connection(cfg, rng),
                 u,
-                int(rng.integers(4)),
+                integer(rng, 0, 4),
                 p,
             )
         )
@@ -478,7 +521,7 @@ def run_prop5(cfg, n, rng):
                 random_field(rng, cfg.field_degree, SubspaceTag.B),
                 connection(cfg, rng),
                 u,
-                int(rng.integers(4)),
+                integer(rng, 0, 4),
                 p,
                 r,
             )
@@ -491,7 +534,7 @@ def run_lemma3(cfg, n, rng):
     for _ in range(n):
         p = rng.uniform(-1.0, 1.0, 4)
         u = gauge_param(cfg, rng, p)
-        res.append(abs(scal_der_u_residual(u, int(rng.integers(4)), p)))
+        res.append(abs(scal_der_u_residual(u, integer(rng, 0, 4), p)))
     return res, True
 
 
@@ -500,7 +543,7 @@ def run_lemma4(cfg, n, rng):
     for _ in range(n):
         p = rng.uniform(-1.0, 1.0, 4)
         u = gauge_param(cfg, rng, p)
-        res.append(abs(scal_ww_residual(connection(cfg, rng), u, int(rng.integers(4)), p)))
+        res.append(abs(scal_ww_residual(connection(cfg, rng), u, integer(rng, 0, 4), p)))
     return res, True
 
 

@@ -25,6 +25,7 @@ from octoweak.core import (
     vec,
 )
 from octoweak.errors import NotInAssociativeSubalgebra, ZeroDivisor
+from octoweak.lorentz import Theta, lambda_S
 
 from oracles import cd_basis_product, cd_mul, exp_taylor
 
@@ -265,6 +266,16 @@ def test_exp_assoc_small_angle_branch():
     u = 1e-8 * E[2]
     got = exp_assoc(u)
     assert isclose(got, ONE + u, 1e-15)
+
+
+def test_a_single_value_whose_exponential_overflows_raises():
+    # a CplxOcton's coefficients are finite, so a single value's overflow
+    # raises; rows carry it as inf or NaN instead
+    for u in (CplxOcton.scalar(800), 2000j * E[1]):
+        with pytest.raises(OverflowError):
+            exp_assoc(u)
+    with pytest.raises(OverflowError):
+        lambda_S(Theta.single(0, 1, 3000))
 
 
 def test_exp_assoc_rejects_complement_components():

@@ -3,8 +3,10 @@
 A stack of inputs must give, row by row, what one scalar call per row gives.
 The arithmetic is the same apart from the order of a few sums, so rows
 agree to 1e-14 of their scale; the product itself matches bit for bit.  The
-batched field and gauge suites must give what their per-sample references
-in ``oracles`` give, from the same inputs.
+algebra kernels are checked against the independent routes in ``oracles``,
+as their single-value forms are views of them.  The batched field and gauge
+suites must give what their per-sample references in ``oracles`` give, from
+the same inputs.
 """
 
 import warnings
@@ -108,6 +110,10 @@ def _close(stacked, scalars, rel=1e-14):
     assert np.max(np.abs(stacked - ref)) <= rel * scale
 
 
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def _thetas(seed, n=N, bound=2.0):
     return theta_rows(np.random.default_rng(seed).uniform(-bound, bound, (n, 6)))
 
@@ -165,15 +171,58 @@ def test_mul_rows_matches_mul_bit_for_bit(n):
     assert np.array_equal(mul_rows(x[0], y), want)
 
 
+def _explicit_sum(a, b):
+    # sum_k a_k b_k, term by term in Python complex arithmetic
+    acc = 0j
+    for ak, bk in zip(a.tolist(), b.tolist()):
+        acc += ak * bk
+    return acc
+
+
 def test_row_kernels_match_scalar_functions():
+    # each kernel against an independent route: the doubling recursion for the
+    # conjugations and the product, explicit sums for the bilinear forms
     x, y, z = (_rows(SubspaceTag.FULL_CO, s) for s in (3, 4, 5))
-    xs, ys, zs = _values(x), _values(y), _values(z)
-    _close(conj_oct_rows(x), [conj_oct(a).c for a in xs], 0.0)
-    _close(bar_star_rows(x), [bar_star(a).c for a in xs], 0.0)
-    assert np.array_equal(inner_rows(x, y), [inner(a, b) for a, b in zip(xs, ys)])
-    assert np.array_equal(norm_rows(x), [norm(a) for a in xs])
-    _close(abs_rows(x), [abs(a) for a in xs])
-    _close(associator_rows(x, y, z), [associator(a, b, c).c for a, b, c in zip(xs, ys, zs)])
+    _close(conj_oct_rows(x), [oracles.cd_conj(a) for a in x], 0.0)
+    _close(bar_star_rows(x), [oracles.cd_conj(np.conj(a)) for a in x], 0.0)
+    # BLAS may add a contraction in any order and fuse its products, so the
+    # forms match an explicit sum bit for bit where every product and partial
+    # sum is exact (coefficients in eighths), and to rounding elsewhere
+    rng = np.random.default_rng(54)
+    p, q = ((rng.integers(-16, 17, (N, 8)) + 1j * rng.integers(-16, 17, (N, 8))) / 8 for _ in "pq")
+    assert np.array_equal(inner_rows(p, q), [_explicit_sum(a, b) for a, b in zip(p, q)])
+    assert np.array_equal(norm_rows(p), [_explicit_sum(a, a) for a in p])
+    _close(inner_rows(x, y), [_explicit_sum(a, b) for a, b in zip(x, y)])
+    _close(norm_rows(x), [_explicit_sum(a, a) for a in x])
+    _close(abs_rows(x), [np.sqrt(_explicit_sum(a, np.conj(a)).real) for a in x])
+    cd_mul = oracles.cd_mul
+    want = [cd_mul(cd_mul(a, b), c) - cd_mul(a, cd_mul(b, c)) for a, b, c in zip(x, y, z)]
+    _close(associator_rows(x, y, z), want)
+
+
+def test_each_single_value_function_is_a_view_of_its_row_kernel():
+    # a value goes through the kernel as one row, bit for bit; rows pass straight through
+    x, y, z = (_rows(SubspaceTag.FULL_CO, s) for s in (50, 51, 52))
+    u = _rows(SubspaceTag.A, 53, bound=2.0)
+    cases = [
+        (conj_oct, conj_oct_rows, (x,)),
+        (bar_star, bar_star_rows, (x,)),
+        (inner, inner_rows, (x, y)),
+        (norm, norm_rows, (x,)),
+        (associator, associator_rows, (x, y, z)),
+        (exp_assoc, exp_rows, (u,)),
+    ]
+    for view, kernel, rows in cases:
+        block = kernel(*rows)
+        assert _same_bits(view(*rows), block)
+        for i in range(len(block)):
+            got = view(*(CplxOcton(r[i]) for r in rows))
+            want = kernel(*(r[i] for r in rows))
+            if want.shape == (8,):
+                assert isinstance(got, CplxOcton) and got.c.tobytes() == want.tobytes()
+            else:
+                assert isinstance(got, complex) and got == want.item()
+            assert block[i].tobytes() == want.tobytes()
 
 
 def _full_rows(rng, shape):
@@ -237,11 +286,12 @@ def test_project_and_bilinear_rows_match_the_dense_routes():
 
 
 def test_exp_rows_matches_exp_assoc_across_branches():
+    # against the closed form in Python complex arithmetic
     u = _rows(SubspaceTag.A, 6, bound=3.0)
     u[0] = 0.0  # omega = 0
     u[1, 1:4] = [1e-8, -2e-8j, 3e-9]  # Taylor branch
     u[2, 1:4] = [0.5j, 0.0, 0.0]  # pure boost: omega^2 < 0
-    _close(exp_rows(u), [exp_assoc(a).c for a in _values(u)])
+    _close(exp_rows(u), [oracles.exp_closed_form(a).c for a in _values(u)])
 
 
 def test_exp_rows_rejects_a_row_outside_the_subalgebra():
@@ -369,7 +419,7 @@ def test_lambda_maps_on_a_stack_match_single_thetas():
     _close(lambda_V(thetas), [lambda_V(t) for t in singles])
     _close(double_cover_residual(thetas), [double_cover_residual(t) for t in singles])
     assert isinstance(double_cover_residual(singles[0]), float)
-    # one parameter matrix as an array takes the single-value route, unwrapped
+    # a Theta is one parameter matrix, read as a row and unwrapped
     assert isinstance(lambda_S(singles[0]), CplxOcton)
     assert np.array_equal(lambda_S(thetas[0]), lambda_S(singles[0]).c)
     assert np.array_equal(lambda_V(thetas[0]), lambda_V(singles[0]))
@@ -571,7 +621,7 @@ def test_per_sample_inputs_read_the_stream_as_single_draws():
         for k in range(4):
             want_w = random_field(loop_rng, 3, a_minus).coeffs
             assert np.array_equal(dof_rows(a_minus, w[i, k]), want_w)
-        assert rho[i] == int(loop_rng.integers(4))
+        assert rho[i] == oracles.integer(loop_rng, 0, 4)
     assert block_rng.bit_generator.state == loop_rng.bit_generator.state
 
 
@@ -611,10 +661,6 @@ def test_read_block_refuses_a_bound_width_that_is_not_finite(low, high):
     assert rng.bit_generator.state == state
 
 
-def _same_bits(got, want):
-    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
-
-
 @pytest.mark.parametrize(
     "tags",
     [suites._CLOSURE_TAGS, suites._AB_TAGS, (SubspaceTag.FULL_CO,) * 3, (SubspaceTag.FULL_CO,) * 2],
@@ -632,6 +678,47 @@ def test_read_block_on_tagged_elements_equals_draw_block(tags):
 
 
 _SAMPLED = sorted(sid for sid, sdef in suites._REGISTRY.items() if not sdef.exhaustive)
+
+
+class _TopOfRange:
+    """A generator whose every uniform is the largest double below 1."""
+
+    def random(self, size=None):
+        return np.full(size, 1.0 - 2.0**-53)
+
+
+def test_an_integer_input_never_reads_its_high_bound():
+    axis = suites._boost_selfconj_inputs(SuiteConfig())[0]
+    for x in (suites._AXIS, axis, _I(3, 4, integer=True)):
+        # 3 + 1 * (1 - 2**-53) rounds up to 4 itself
+        (got,) = suites._read_block(_TopOfRange(), 5, (x,))
+        assert got.dtype == np.intp and np.all(got == x.high - 1)
+
+
+class _CountingRng:
+    """Forwards to a generator and counts the calls made on it."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_read_block_calls_the_generator_once_per_block(degree, monkeypatch):
+    monkeypatch.setattr(suites, "BLOCK_ROWS", 64)
+    cfg = SuiteConfig(field_degree=degree)
+    for suite_id in _SAMPLED:
+        rng = _CountingRng(suites._rng_for(cfg, suite_id))
+        suites._evaluate(suites._REGISTRY[suite_id], cfg, 150, rng)
+        assert rng.calls == 3, suite_id  # blocks of 64, 64 and 22 rows
 
 
 @pytest.mark.parametrize("degree", [2, 3])
