@@ -126,17 +126,21 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = resolve_config(args)
+        # opened before the run, so that a path that cannot be written ends
+        # in a usage error before any suite runs
+        out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     except (UnknownSuite, ValueError, OSError) as exc:
         parser.error(str(exc))
 
-    reports, code = run_all(cfg)
-    rendered = render_json(reports, cfg) if args.report == "json" else render_text(reports, cfg)
+    try:
+        reports, code = run_all(cfg)
+        render = render_json if args.report == "json" else render_text
+        out.write(render(reports, cfg))
+    finally:
+        if out is not sys.stdout:
+            out.close()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
         print(f"report written to {args.out}; exit code {code}")
-    else:
-        sys.stdout.write(rendered)
     return code
 
 

@@ -325,7 +325,9 @@ def bar_star_rows(x: np.ndarray) -> np.ndarray:
 
 def inner_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """:func:`inner` row by row: the bilinear sum over the last axis."""
-    x, y = np.broadcast_arrays(x, y)
+    x, y = np.asarray(x), np.asarray(y)
+    if x.shape != y.shape:  # broadcasting equal shapes would return them unchanged
+        x, y = np.broadcast_arrays(x, y)
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
@@ -425,12 +427,21 @@ def exp_assoc(u):
 def _cos_sinc_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # cos(omega) and sin(omega)/omega as functions of z = omega^2, elementwise.
     # Both are entire in z, so the square-root branch cannot change the result.
-    # Both branches are evaluated and the 4-term Taylor one is kept where
-    # |omega| < SMALL_ANGLE (it also covers omega = 0)
+    # Where |omega| < SMALL_ANGLE (omega = 0 included) 4-term Taylor sums
+    # replace them.  No drawn value comes that close, so the sums are formed
+    # only for an array that needs them, elementwise over all of it
+    z = np.asarray(z)
+    if z.ndim == 0:
+        # ufuncs turn 0-d results into numpy scalars, whose own arithmetic can
+        # round differently from a block's array loops: 0-d arrays, as a block of one
+        cos_w, sinc_w = _cos_sinc_rows(z.reshape(1))
+        return cos_w.reshape(()), sinc_w.reshape(())
     om = np.sqrt(z)
+    small = np.abs(om) < SMALL_ANGLE
+    if not small.any():
+        return np.cos(om), np.sin(om) / om
     z2 = z * z
     z3 = z2 * z
-    small = np.abs(om) < SMALL_ANGLE
     cos_w = np.where(small, 1 - z / 2 + z2 / 24 - z3 / 720, np.cos(om))
     sinc_w = np.where(small, 1 - z / 6 + z2 / 120 - z3 / 5040, np.sin(om) / np.where(small, 1, om))
     return cos_w, sinc_w

@@ -352,6 +352,10 @@ def dexp_rows(u: np.ndarray, du: np.ndarray) -> np.ndarray:
     |w^2| = DEXP_TAYLOR_Z the last factor is summed from its Taylor series.
     """
     u, du = np.broadcast_arrays(u, du)
+    if u.ndim == 1:
+        # one row's scalars would come out of the ufuncs as numpy scalars, whose
+        # own arithmetic can round differently from a block's array loops
+        return dexp_rows(u[None], du[None])[0]
     s, v, ds, dv = u[..., 0], u[..., 1:4], du[..., 0], du[..., 1:4]
     z, a = inner_rows(v, v), inner_rows(v, dv)
     with np.errstate(over="ignore", invalid="ignore"):

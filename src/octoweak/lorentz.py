@@ -39,6 +39,8 @@ EBAR_UPPER = tuple(conj_oct(e) for e in E_UPPER)
 #: ebar^rho as the rows of a (4, 8) coefficient array.
 EBAR_UPPER_ROWS = np.array([e.c for e in EBAR_UPPER])
 EBAR_UPPER_ROWS.flags.writeable = False
+#: Each ebar^sigma is a multiple of the basis element of slot sigma: its coefficient there.
+_EBAR_UPPER_DIAG = np.diagonal(EBAR_UPPER_ROWS).copy()
 
 #: Upper-triangle slots (mu < nu) of the six Lorentz parameters, in the order
 #: :meth:`Theta.random` draws them: the three boosts, then the three rotations.
@@ -180,6 +182,19 @@ def mat_exp(m: np.ndarray) -> np.ndarray:
     return acc
 
 
+def ebar_rows(coeffs) -> np.ndarray:
+    """sum_sigma coeffs[..., sigma] ebar^sigma, (..., 8), from coefficients (..., 4).
+
+    Each ebar^sigma has one nonzero slot, so the sum is one scale per slot and
+    equals the product ``coeffs @ EBAR_UPPER_ROWS`` up to the signs of zeros;
+    as there, a non-finite coefficient makes its row non-finite.
+    """
+    coeffs = np.asarray(coeffs)
+    out = np.zeros(coeffs.shape[:-1] + (8,), dtype=np.complex128)
+    out[..., :4] = coeffs * _EBAR_UPPER_DIAG
+    return out
+
+
 def _generator_sum(theta: np.ndarray, gens: np.ndarray) -> np.ndarray:
     # sum of 2 theta^{mu nu} G_{mu nu} over mu < nu, per parameter matrix.  Each
     # entry of the sum gets at most one nonzero real and one nonzero imaginary
@@ -234,7 +249,7 @@ def double_cover_residual(theta):
     """
     lam = lambda_S(theta)
     lam_bs = bar_star_rows(lam)
-    rhs = lambda_V(theta) @ EBAR_UPPER_ROWS
+    rhs = ebar_rows(lambda_V(theta))
     # one rho at a time keeps the temporaries at one product per row
     worst = np.max(
         [
@@ -272,8 +287,7 @@ def infinitesimal_dc_rows(mu, nu, rho) -> np.ndarray:
     """:func:`infinitesimal_dc_residual` for index arrays broadcast together, as (..., 8) rows."""
     s, ebar = _S_ROWS[mu, nu], EBAR_UPPER_ROWS[rho]
     lhs = mul_rows(np.conj(s), ebar) + mul_rows(ebar, s)
-    # each column of EBAR_UPPER_ROWS has one nonzero entry: the product is exact
-    return lhs - (_V_ROWS[mu, nu, rho][..., None, :] @ EBAR_UPPER_ROWS)[..., 0, :]
+    return lhs - ebar_rows(_V_ROWS[mu, nu, rho])
 
 
 def infinitesimal_dc_residual(mu: int, nu: int, rho: int) -> CplxOcton:

@@ -175,14 +175,17 @@ def _rng_for(cfg: SuiteConfig, suite_id: str) -> np.random.Generator:
 
 
 #: Sampled suites draw and evaluate at most this many samples at a time.  The
-#: cap bounds the temporary arrays: a prop3 or prop5 block peaks at about
-#: 0.5 MB.  No contraction over a block's rows is a 2-D BLAS product (each row
-#: is a stacked product, a gather or a scatter), so BLAS threading does not
-#: depend on the block size, and no residual does.  Larger blocks run faster
-#: (a default run takes about 26.5 ms in process at 256 rows, 38.6 ms at 64),
-#: but perfbench's worker keeps a record per pass, so the faster run reads a
-#: higher peak_rss_mb: 256 rows stays out until that is fixed (ROADMAP item 4).
-BLOCK_ROWS = 64
+#: cap bounds the temporary arrays: reading and evaluating a prop3 or prop5
+#: block peaks at about 0.75 MB (0.38 MB at 64 rows).  No contraction over a
+#: block's rows is a 2-D BLAS product (each row is a stacked product, a gather
+#: or a scatter), so BLAS threading does not depend on the block size, and no
+#: residual does.  Most of a 64-row pass was fixed cost per numpy call, so
+#: larger blocks run faster; 256 rows would be faster still, but perfbench's
+#: worker keeps a record per pass, so a faster run reads a higher peak_rss_mb,
+#: and 256 rows read +7.0% and +10.1% against a 10% bound (128 rows: +2.7%
+#: and +3.9%).  256 rows waits until the benchmark measures memory at a fixed
+#: pass count (ROADMAP item 4).
+BLOCK_ROWS = 128
 
 _FULL = SubspaceTag.FULL_CO
 

@@ -173,6 +173,19 @@ def _cos_sinc(z: complex) -> tuple[complex, complex]:
     return cmath.cos(om), cmath.sin(om) / om
 
 
+def cos_sinc_rows_two_branch(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos(omega) and sin(omega)/omega of z = omega^2, elementwise: both branches on
+    every entry, the 4-term Taylor one kept where |omega| < SMALL_ANGLE.  The
+    library forms the Taylor sums only for arrays that need them, with the same bits."""
+    om = np.sqrt(z)
+    z2 = z * z
+    z3 = z2 * z
+    small = np.abs(om) < SMALL_ANGLE
+    cos_w = np.where(small, 1 - z / 2 + z2 / 24 - z3 / 720, np.cos(om))
+    sinc_w = np.where(small, 1 - z / 6 + z2 / 120 - z3 / 5040, np.sin(om) / np.where(small, 1, om))
+    return cos_w, sinc_w
+
+
 def exp_closed_form(u: CplxOcton) -> CplxOcton:
     """exp(u) = e^s (cos(omega) + sinc(omega) v) in Python complex arithmetic, for u =
     s + v in the quaternionic subalgebra; ``cmath`` raises OverflowError where it overflows."""

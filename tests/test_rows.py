@@ -14,9 +14,10 @@ import warnings
 import numpy as np
 import pytest
 
-from octoweak import fields, gauge, lorentz, suites
+from octoweak import core, fields, gauge, lorentz, suites
 from octoweak.core import (
     E,
+    SMALL_ANGLE,
     CplxOcton,
     abs_rows,
     associator,
@@ -313,6 +314,33 @@ def test_exp_rows_overflow_is_a_non_finite_row_not_an_error():
     assert np.all(np.isfinite(out[2]))
 
 
+def test_cos_sinc_rows_equals_the_two_branch_form_bit_for_bit():
+    # the Taylor sums are formed only for an array with a small entry, and
+    # give the bits of evaluating both branches on every entry
+    rng = np.random.default_rng(46)
+    z = rng.uniform(-4, 4, N) + 1j * rng.uniform(-4, 4, N)
+    z[1] = -2.5  # pure boost: omega^2 < 0
+    assert np.all(np.abs(np.sqrt(z)) >= SMALL_ANGLE)
+    one_small = z.copy()
+    one_small[N // 2] = 1e-14 - 3e-15j  # |omega| about 1e-7
+    cases = [z, one_small, np.asarray(z[3]), np.asarray(1e-14 + 0j), np.asarray(0j)]
+    for case in cases:
+        got, want = core._cos_sinc_rows(case), oracles.cos_sinc_rows_two_branch(case)
+        for g, w in zip(got, want):
+            # a 0-d input comes back as 0-d arrays, not numpy scalars
+            assert isinstance(g, np.ndarray) and _same_bits(g, w), case
+
+
+def test_exp_and_dexp_of_one_row_equal_that_row_inside_a_block():
+    u, du = _rows(SubspaceTag.A, 47, bound=2.0), _rows(SubspaceTag.A, 48)
+    u[3, 1:4] = [1e-8, 0.0, 2e-9j]  # a row on the Taylor branch makes the block take it
+    for block in (u[:3], u):
+        exp_block, dexp_block = exp_rows(block), dexp_rows(block, du[: len(block)])
+        for i, row in enumerate(block):
+            assert exp_rows(row).tobytes() == exp_block[i].tobytes()
+            assert dexp_rows(row, du[i]).tobytes() == dexp_block[i].tobytes()
+
+
 # ------------------------------------------------------ Lorentz exponentials
 
 
@@ -392,6 +420,21 @@ def test_stacked_lorentz_helpers_match_single_calls():
     # a signed transpose: exact, row by row
     assert np.array_equal(eta_inverse_transform(lv), [eta_inverse_transform(m) for m in lv])
     assert np.allclose(eta_inverse_transform(lv) @ lv, np.eye(4), atol=1e-12)
+
+
+def test_ebar_rows_equals_the_product_with_the_ebar_rows():
+    # one scale per slot gives the product's values; a non-finite coefficient
+    # makes its row non-finite, as in the product
+    rng = np.random.default_rng(49)
+    coeffs = rng.uniform(-3, 3, (N, 4, 4))
+    coeffs[0, 1, 2], coeffs[1, 3, 0] = np.inf, np.nan
+    with np.errstate(invalid="ignore"):
+        got, want = lorentz.ebar_rows(coeffs), coeffs @ lorentz.EBAR_UPPER_ROWS
+    finite = np.isfinite(want).all(axis=-1)
+    assert np.array_equal(np.isfinite(got).all(axis=-1), finite) and not finite.all()
+    assert np.array_equal(got[finite], want[finite])
+    imaginary = rng.uniform(-3, 3, (N, 4)) * 1j  # as the entries of the vector generators
+    assert np.array_equal(lorentz.ebar_rows(imaginary), imaginary @ lorentz.EBAR_UPPER_ROWS)
 
 
 def test_lambda_V_real_checks_each_matrix_against_its_own_scale(monkeypatch):
@@ -742,19 +785,21 @@ def test_one_read_equals_reads_in_blocks(suite_id, degree, monkeypatch):
 
 @pytest.mark.parametrize("degree", [2, 3])
 def test_residuals_do_not_depend_on_the_block_size(degree, monkeypatch):
-    # 600 samples: nine full blocks and a part block at 64 rows, two full
-    # blocks and a part block at 256
+    # 600 samples: nine full blocks and a part block at 64 rows, four and a
+    # part block at the default 128, two and a part block at 256
     cfg = SuiteConfig(field_degree=degree)
+    sizes = (64, suites.BLOCK_ROWS, 256)
     for suite_id in _SAMPLED:
         sdef, runs = suites._REGISTRY[suite_id], []
-        for rows in (64, 256):
+        for rows in sizes:
             monkeypatch.setattr(suites, "BLOCK_ROWS", rows)
             rng = suites._rng_for(cfg, suite_id)
             residuals, _ = suites._evaluate(sdef, cfg, 600, rng)
             runs.append((residuals, rng.bit_generator.state))
-        (small, small_state), (large, large_state) = runs
-        assert _same_bits(small, large), suite_id
-        assert small_state == large_state, suite_id
+        (first, first_state), *others = runs
+        for rows, (residuals, state) in zip(sizes[1:], others):
+            assert _same_bits(residuals, first), (suite_id, rows)
+            assert state == first_state, (suite_id, rows)
 
 
 def test_jet_exponent_tables_are_cached_and_read_only():

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from octoweak import suites
+from octoweak import cli, suites
 from octoweak.cli import main, parse_config_file
 from octoweak.errors import DomainViolation, UnknownSuite
 from octoweak.suites import (
@@ -233,6 +233,22 @@ def test_cli_hostile_config_is_a_one_line_usage_error(argv, config_text, tmp_pat
     assert err.value.code == 2
     errors = [ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]
     assert len(errors) == 1 and "Traceback" not in errors[0]
+
+
+@pytest.mark.parametrize("out", ["missing/report.json", "."])
+def test_cli_unwritable_out_path_is_a_usage_error_before_the_run(out, tmp_path, capsys, monkeypatch):
+    # a missing directory, then a directory: refused before any suite runs
+    def no_run(cfg):
+        raise AssertionError("the suites ran before the output was opened")
+
+    monkeypatch.setattr(cli, "run_all", no_run)
+    with pytest.raises(SystemExit) as err:
+        main(["--suite", "gamma5", "--out", str(tmp_path / out)])
+    assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert "Traceback" not in err_text
+    errors = [ln for ln in err_text.splitlines() if ln.startswith("octoweak: error:")]
+    assert len(errors) == 1 and str(tmp_path) in errors[0]
 
 
 def test_cli_failing_run_exit_code(capsys):
