@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 
 from .core import structure_table
 from .errors import UnknownSuite
@@ -113,6 +114,11 @@ def resolve_config(args: argparse.Namespace) -> SuiteConfig:
     return SuiteConfig(**values)
 
 
+def _cannot_write(parser: argparse.ArgumentParser, reason) -> None:
+    """Exit 2 with one error line: the report could not be written."""
+    parser.exit(2, f"{parser.prog}: error: cannot write report: {reason}\n")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -126,19 +132,26 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = resolve_config(args)
+    except (UnknownSuite, ValueError, OSError) as exc:
+        parser.error(str(exc))
+    try:
         # opened before the run, so that a path that cannot be written ends
         # in a usage error before any suite runs
         out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    except (UnknownSuite, ValueError, OSError) as exc:
-        parser.error(str(exc))
+    except OSError as exc:
+        parser.error(f"cannot write report: {exc}")
+    if out is None:  # started with its standard output closed
+        _cannot_write(parser, "standard output is closed")
 
+    reports, code = run_all(cfg)
+    render = render_json if args.report == "json" else render_text
     try:
-        reports, code = run_all(cfg)
-        render = render_json if args.report == "json" else render_text
-        out.write(render(reports, cfg))
-    finally:
-        if out is not sys.stdout:
-            out.close()
+        # flushed here, so that a full device fails now and not at exit
+        with out if out is not sys.stdout else nullcontext(out):
+            out.write(render(reports, cfg))
+            out.flush()
+    except OSError as exc:
+        _cannot_write(parser, exc)
     if args.out:
         print(f"report written to {args.out}; exit code {code}")
     return code

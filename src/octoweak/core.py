@@ -337,8 +337,13 @@ def norm_rows(x: np.ndarray) -> np.ndarray:
 
 
 def abs_rows(x: np.ndarray) -> np.ndarray:
-    """Euclidean magnitude of each row's 16 real components, as ``abs`` of a value."""
-    return np.linalg.norm(x, axis=-1)
+    """Euclidean magnitude of each row's 16 real components, as ``abs`` of a value.
+
+    The formula ``np.linalg.norm(x, axis=-1)`` evaluates, bit for bit, without
+    its argument handling.
+    """
+    x = np.asarray(x)
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=-1))
 
 
 def associator_rows(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -267,18 +267,31 @@ def residual_zvengrowski(x, y, z):
     return lhs - (2.0 * inner_rows(x, y))[..., None] * z
 
 
+def ipmove_residuals(x, y, z) -> list[np.ndarray]:
+    """LHS - RHS of the four inner-product moves of (..., 8) rows, in IPMoveForm order.
+
+    The products x y, x~ z and z y~ the forms share, and the inner products
+    <xy, z> and <z, xy>, are formed once: 3 products a block instead of 8.
+    """
+    xy, xz, zy = mul_rows(x, y), mul_rows(conj_oct_rows(x), z), mul_rows(z, conj_oct_rows(y))
+    xy_z, z_xy = inner_rows(xy, z), inner_rows(z, xy)
+    return [
+        xy_z - inner_rows(y, xz),  # LL
+        xy_z - inner_rows(x, zy),  # LR
+        z_xy - inner_rows(xz, y),  # RL
+        z_xy - inner_rows(zy, x),  # RR
+    ]
+
+
+_IPMOVE_FORMS = tuple(IPMoveForm)
+
+
 @rowwise
 def residual_ipmove(form: IPMoveForm, x, y, z):
-    """LHS - RHS of the selected inner-product move."""
-    if form is IPMoveForm.LL:
-        return inner_rows(mul_rows(x, y), z) - inner_rows(y, mul_rows(conj_oct_rows(x), z))
-    if form is IPMoveForm.LR:
-        return inner_rows(mul_rows(x, y), z) - inner_rows(x, mul_rows(z, conj_oct_rows(y)))
-    if form is IPMoveForm.RL:
-        return inner_rows(z, mul_rows(x, y)) - inner_rows(mul_rows(conj_oct_rows(x), z), y)
-    if form is IPMoveForm.RR:
-        return inner_rows(z, mul_rows(x, y)) - inner_rows(mul_rows(z, conj_oct_rows(y)), x)
-    raise ValueError(f"unhandled form {form}")
+    """LHS - RHS of the selected inner-product move: its entry of :func:`ipmove_residuals`."""
+    if form not in _IPMOVE_FORMS:
+        raise ValueError(f"unhandled form {form}")
+    return ipmove_residuals(x, y, z)[_IPMOVE_FORMS.index(form)]
 
 
 #: Closure table of the grading: products of A/B land here.

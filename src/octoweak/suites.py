@@ -26,7 +26,6 @@ from .core import (
     E,
     ONE,
     abs_rows,
-    associator_rows,
     bar_star_rows,
     mul_rows,
     norm_rows,
@@ -44,13 +43,12 @@ from .gauge import (
 )
 from .grading import (
     AB_CLOSURE,
-    IPMoveForm,
     SubspaceTag,
     dof_rows,
     exchange_residuals,
+    ipmove_residuals,
     membership_defect,
     ndof,
-    residual_ipmove,
     residual_zvengrowski,
 )
 from .lorentz import (
@@ -176,16 +174,15 @@ def _rng_for(cfg: SuiteConfig, suite_id: str) -> np.random.Generator:
 
 #: Sampled suites draw and evaluate at most this many samples at a time.  The
 #: cap bounds the temporary arrays: reading and evaluating a prop3 or prop5
-#: block peaks at about 0.75 MB (0.38 MB at 64 rows).  No contraction over a
-#: block's rows is a 2-D BLAS product (each row is a stacked product, a gather
-#: or a scatter), so BLAS threading does not depend on the block size, and no
-#: residual does.  Most of a 64-row pass was fixed cost per numpy call, so
-#: larger blocks run faster; 256 rows would be faster still, but perfbench's
-#: worker keeps a record per pass, so a faster run reads a higher peak_rss_mb,
-#: and 256 rows read +7.0% and +10.1% against a 10% bound (128 rows: +2.7%
-#: and +3.9%).  256 rows waits until the benchmark measures memory at a fixed
-#: pass count (ROADMAP item 4).
-BLOCK_ROWS = 128
+#: block peaks at about 1.5 MB at degree-2 fields (0.78 MB at 128 rows) and at
+#: about 142 MB at the degree-12 cap, where prop3, prop5, prop1-A and prop2 at
+#: 300 samples peak at 187 MB in one process (149 MB at 128 rows).  No
+#: contraction over a block's rows is a 2-D BLAS product (each row is a stacked
+#: product, a gather or a scatter), so BLAS threading does not depend on the
+#: block size, and no residual does.  Most of a pass is fixed cost per numpy
+#: call, so larger blocks run faster up to about 512 rows, but 512 rows double
+#: the peaks above (284 MB for one degree-12 prop3 block) and 1024 rows run slower.
+BLOCK_ROWS = 256
 
 _FULL = SubspaceTag.FULL_CO
 
@@ -313,11 +310,15 @@ def _composition(cfg, x, y):
 
 
 def _alternativity(cfg, x, y):
-    return np.maximum(abs_rows(associator_rows(x, x, y)), abs_rows(associator_rows(x, y, y)))
+    # the associators [x, x, y] and [x, y, y], with the x y they share formed once
+    xy = mul_rows(x, y)
+    xxy = mul_rows(mul_rows(x, x), y) - mul_rows(x, xy)
+    xyy = mul_rows(xy, y) - mul_rows(x, mul_rows(y, y))
+    return np.maximum(abs_rows(xxy), abs_rows(xyy))
 
 
 def _ip_moves(cfg, x, y, z):
-    return np.max([np.abs(residual_ipmove(f, x, y, z)) for f in IPMoveForm], axis=0)
+    return np.max(np.abs(ipmove_residuals(x, y, z)), axis=0)
 
 
 def _zvengrowski(cfg, x, y, z):

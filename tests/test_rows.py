@@ -57,6 +57,7 @@ from octoweak.grading import (
     draw_rows,
     exchange_residuals,
     in_subspace,
+    ipmove_residuals,
     membership_defect,
     ndof,
     project,
@@ -572,6 +573,73 @@ def test_exchange_residuals_are_the_six_public_residuals():
     assert len(got) == 6 and all(_same_bits(g, w) for g, w in zip(got, public))
 
 
+def test_ipmove_residuals_equal_the_per_form_oracle_bit_for_bit():
+    # the shared products change no bit: on a block, on one row as (8,)
+    # arrays, and on single values
+    x, y, z = (_rows(SubspaceTag.FULL_CO, s, 300) for s in (50, 51, 52))
+    got = ipmove_residuals(x, y, z)
+    assert len(got) == len(IPMoveForm)
+    for i, form in enumerate(IPMoveForm):
+        want = oracles.residual_ipmove_per_form(form, x, y, z)
+        assert _same_bits(got[i], want), form
+        assert _same_bits(residual_ipmove(form, x, y, z), want), form
+        for row in list(zip(x, y, z))[:5]:
+            one = np.asarray(oracles.residual_ipmove_per_form(form, *row))
+            assert _same_bits(np.asarray(ipmove_residuals(*row)[i]), one), form
+            assert _same_bits(np.asarray(residual_ipmove(form, *row)), one), form
+            values = _values(row)
+            single = residual_ipmove(form, *values)
+            assert isinstance(single, complex)
+            want_single = oracles.residual_ipmove_per_form(form, *values)
+            assert _same_bits(np.asarray(single), np.asarray(want_single)), form
+
+
+def test_residual_ipmove_refuses_an_unknown_form():
+    x = _rows(SubspaceTag.FULL_CO, 53, 3)
+    with pytest.raises(ValueError, match="unhandled form"):
+        residual_ipmove("LL", x, x, x)
+
+
+def test_alternativity_shares_x_y_with_the_same_bits():
+    x, y = (_rows(SubspaceTag.FULL_CO, s, 300) for s in (54, 55))
+    want = np.maximum(abs_rows(associator_rows(x, x, y)), abs_rows(associator_rows(x, y, y)))
+    assert _same_bits(suites._alternativity(SuiteConfig(), x, y), want)
+
+
+def test_abs_rows_is_the_norm_numpy_computes_bit_for_bit():
+    rng = np.random.default_rng(56)
+
+    def values(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    stack = values(300, 4, 8)
+    special = values(7, 8)
+    special[0, 3] = np.inf
+    special[1, 0] = complex(0.0, -np.inf)
+    special[2, 5] = np.nan
+    special[3, 1] = complex(np.inf, np.nan)
+    special[4, 2] = 1e200  # its square overflows
+    special[5] = 0.0
+    special[6, 7] = 1e-200  # its square underflows
+    cases = {
+        "(8,)": values(8),
+        "(n, 8)": values(300, 8),
+        "(n, 4, 8)": stack,
+        "non-contiguous": stack[::3, 1, ::-1],
+        "inf and NaN": special,
+        "real": values(300, 8).real.copy(),
+        "list of rows": list(values(4, 8)),
+    }
+    with np.errstate(all="ignore"):
+        for name, x in cases.items():
+            got, want = abs_rows(x), np.linalg.norm(x, axis=-1)
+            assert _same_bits(np.asarray(got), np.asarray(want)), name
+        # inf * conj(inf + NaN i) has a NaN real part, in either route
+        assert np.isinf(abs_rows(special)[[0, 1, 4]]).all()
+        assert np.isnan(abs_rows(special)[[2, 3]]).all()
+    assert not cases["non-contiguous"].flags.c_contiguous
+
+
 def test_ab_identities_fails_when_one_input_row_is_off_its_subspace(monkeypatch):
     read = suites._read_block
 
@@ -786,9 +854,11 @@ def test_one_read_equals_reads_in_blocks(suite_id, degree, monkeypatch):
 @pytest.mark.parametrize("degree", [2, 3])
 def test_residuals_do_not_depend_on_the_block_size(degree, monkeypatch):
     # 600 samples: nine full blocks and a part block at 64 rows, four and a
-    # part block at the default 128, two and a part block at 256
+    # part block at 128, two and a part block at the default 256, one and a
+    # part block at 512
     cfg = SuiteConfig(field_degree=degree)
-    sizes = (64, suites.BLOCK_ROWS, 256)
+    sizes = (64, 128, 256, 512)
+    assert suites.BLOCK_ROWS in sizes
     for suite_id in _SAMPLED:
         sdef, runs = suites._REGISTRY[suite_id], []
         for rows in sizes:

@@ -1,10 +1,16 @@
+import errno
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import octoweak
 from octoweak import cli, suites
 from octoweak.cli import main, parse_config_file
 from octoweak.errors import DomainViolation, UnknownSuite
@@ -249,6 +255,67 @@ def test_cli_unwritable_out_path_is_a_usage_error_before_the_run(out, tmp_path, 
     assert "Traceback" not in err_text
     errors = [ln for ln in err_text.splitlines() if ln.startswith("octoweak: error:")]
     assert len(errors) == 1 and str(tmp_path) in errors[0]
+
+
+def _enospc() -> OSError:
+    return OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class _FullDevice:
+    """A writer on a full device.  Buffered, its writes succeed and its flush and
+    close fail; unbuffered, every write fails as well."""
+
+    def __init__(self, buffered: bool):
+        self.buffered = buffered
+
+    def write(self, text):
+        if not self.buffered:
+            raise _enospc()
+        return len(text)
+
+    def flush(self):
+        raise _enospc()
+
+    close = flush
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+@pytest.mark.parametrize("to_file", [False, True])
+def test_cli_report_write_failure_is_one_error_line(to_file, buffered, capsys, monkeypatch):
+    device = _FullDevice(buffered)
+    if to_file:
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: device, raising=False)
+        argv = ["--out", "report.json"]
+    else:
+        monkeypatch.setattr(cli.sys, "stdout", device)
+        argv = []
+    with pytest.raises(SystemExit) as err:
+        main(["--suite", "gamma5", "--report", "json", *argv])
+    assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert "Traceback" not in err_text
+    assert err_text.splitlines() == [f"octoweak: error: cannot write report: {_enospc()}"]
+
+
+def test_cli_with_standard_output_closed_is_one_error_line():
+    env = dict(os.environ, PYTHONPATH=str(Path(octoweak.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-m", "octoweak", "--suite", "gamma5"],
+        preexec_fn=lambda: os.close(1),  # started as `octoweak >&-` is
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    assert run.stderr.splitlines() == ["octoweak: error: cannot write report: standard output is closed"]
 
 
 def test_cli_failing_run_exit_code(capsys):
