@@ -119,15 +119,33 @@ def _cannot_write(parser: argparse.ArgumentParser, reason) -> None:
     parser.exit(2, f"{parser.prog}: error: cannot write report: {reason}\n")
 
 
+def _stdout(parser: argparse.ArgumentParser):
+    if sys.stdout is None:  # started with its standard output closed
+        _cannot_write(parser, "standard output is closed")
+    return sys.stdout
+
+
+def _write(parser: argparse.ArgumentParser, out, text: str) -> None:
+    """Write text to out, closing out unless it is standard output, or exit 2 with
+    one error line."""
+    try:
+        # flushed here, so that a full device fails now and not at exit
+        with out if out is not sys.stdout else nullcontext(out):
+            out.write(text)
+            out.flush()
+    except OSError as exc:
+        _cannot_write(parser, exc)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
     if args.list_suites:
-        print("\n".join(suite_ids()))
+        _write(parser, _stdout(parser), "\n".join(suite_ids()) + "\n")
         return 0
     if args.dump_table:
-        print(structure_table().format())
+        _write(parser, _stdout(parser), structure_table().format() + "\n")
         return 0
 
     try:
@@ -137,21 +155,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # opened before the run, so that a path that cannot be written ends
         # in a usage error before any suite runs
-        out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+        out = open(args.out, "w", encoding="utf-8") if args.out else _stdout(parser)
     except OSError as exc:
         parser.error(f"cannot write report: {exc}")
-    if out is None:  # started with its standard output closed
-        _cannot_write(parser, "standard output is closed")
 
     reports, code = run_all(cfg)
     render = render_json if args.report == "json" else render_text
-    try:
-        # flushed here, so that a full device fails now and not at exit
-        with out if out is not sys.stdout else nullcontext(out):
-            out.write(render(reports, cfg))
-            out.flush()
-    except OSError as exc:
-        _cannot_write(parser, exc)
+    _write(parser, out, render(reports, cfg))
     if args.out:
         print(f"report written to {args.out}; exit code {code}")
     return code

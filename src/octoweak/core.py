@@ -229,8 +229,9 @@ class CplxOcton:
         return NotImplemented
 
     def __abs__(self) -> float:
-        # Euclidean magnitude of the 16 real components (not the quadratic norm)
-        return float(np.linalg.norm(self.c))
+        # Euclidean magnitude of the 16 real components (not the quadratic norm):
+        # one row of abs_rows
+        return float(abs_rows(self.c))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CplxOcton):

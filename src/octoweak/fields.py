@@ -4,12 +4,17 @@ A field stores one monomial x0^d0 x1^d1 x2^d2 x3^d3 per row: an integer
 exponent matrix E of shape (M, 4) and a coefficient array C of shape (M, 8).
 Its value at p is prod(p**E, axis=1) @ C, and differentiation is exact, so
 any residual seen by the verification suites comes from the algebra, not
-from discretization.  Transformed fields are differentiated by the pointwise
+from discretization.  A derivative d_rho x^E = E_rho x^(E - e_rho) is
+another monomial's value times an integer, so a jet forms the monomials
+once, on the exponents' closure under differentiation, and looks the
+derivatives up.  Transformed fields are differentiated by the pointwise
 chain rule, and exp(u) by the differential of its closed form.
 
 The *_rows functions evaluate many fields of one exponent matrix at once, as
 a coefficient stack (..., M, 8) with one point (..., 4) per field; the
-single-field functions are one-row calls of them.
+single-field functions are one-row calls of them.  ``monomial_rows`` gives the
+monomial table of a block of points, all four derivatives or one per point,
+and ``contract_rows`` applies it to any fields that share the exponents.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 from .core import CplxOcton, _cos_sinc_rows, bar_star_rows, exp_assoc, inner_rows, mul_rows
 from .errors import DomainViolation
 from .grading import AB_CLOSURE, SubspaceTag, draw_rows, in_subspace
-from .lorentz import EBAR_UPPER_ROWS, Theta, eta_inverse_transform, lambda_S, lambda_V_real
+from .lorentz import EBAR_UPPER_ROWS, Theta, eta_inverse_transform, lambda_S, lambda_V
 
 Degree = tuple[int, int, int, int]
 
@@ -161,24 +166,87 @@ def _scaled_tag(tag: SubspaceTag | None, m: CplxOcton) -> SubspaceTag | None:
 
 
 @lru_cache(maxsize=64)
-def _jet_exponents(exps_bytes: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # from the bytes of an int64 exponent matrix E (M, 4): the exponents
-    # (5, M, 4) and integer factors (5, M) of the monomials and of their
-    # derivatives along x0..x3, d_rho x^E = E_rho x^(E - e_rho), and the powers
-    # 0..max(E).  A monomial without x_rho keeps the exponents 0 under its
-    # factor 0, so its derivative is an exact zero wherever the point is finite.
-    # Cached and read-only: every field with these exponents shares them
+def _jet_exponents(exps_bytes: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    # from the bytes of an int64 exponent matrix E (M, 4): the closure K (K, 4)
+    # of its exponents under differentiation (E itself first, then each
+    # E - e_rho and the constant monomial not in it yet), the column of K
+    # (5, M) that each monomial and its derivatives along x0..x3 read, their
+    # integer factors (5, M), d_rho x^E = E_rho x^(E - e_rho), and the powers
+    # 0..max(E).  A monomial without x_rho reads the constant monomial under
+    # its factor 0, so its derivative is an exact zero wherever the point is
+    # finite.  Cached and read-only: every field with these exponents shares them
     exps = np.frombuffer(exps_bytes, dtype=np.int64).reshape(-1, 4)
     shifted = exps[None] - np.eye(4, dtype=np.int64)[:, None, :]
-    powers = np.where(exps.T[:, :, None] > 0, shifted, 0)
+    reads = np.concatenate([exps[None], np.where((exps.T > 0)[:, :, None], shifted, 0)])
+    reads = list(map(tuple, reads.reshape(-1, 4).tolist()))
+    column: dict[tuple, int] = {}
+    for row in reads:
+        column.setdefault(row, len(column))
     tables = (
-        np.concatenate([exps[None], powers]),
+        np.array(list(column), dtype=np.int64).reshape(-1, 4),
+        np.array([column[row] for row in reads], dtype=np.intp).reshape(5, -1),
         np.concatenate([np.ones((1, len(exps))), exps.T]),
         np.arange(exps.max(initial=0) + 1),
     )
     for table in tables:
         table.flags.writeable = False
     return tables
+
+
+def _power_table(points: np.ndarray, top: int) -> np.ndarray:
+    # each coordinate's powers 0..top, (..., 4, top + 1).  Powers 0 and 1 are 1
+    # and the coordinate, exactly; np.power forms the others, which is most of
+    # the cost, from an exponent array as large as its result (numpy squares
+    # for an exponent broadcast from one 2, and rounds differently)
+    table = np.empty(points.shape + (max(top, 1) + 1,))
+    table[..., 0] = 1.0
+    table[..., 1] = points
+    if top >= 2:
+        exponents = np.broadcast_to(np.arange(2.0, top + 1), points.shape + (top - 1,))
+        table[..., 2:] = np.power(points[..., None], exponents.copy())
+    return table[..., : top + 1]
+
+
+def monomial_rows(exps: np.ndarray, points: np.ndarray, along=None) -> np.ndarray:
+    """The monomials of ``exps`` (M, 4) and their derivatives at each point (..., 4).
+
+    Returns (..., 5, M): row 0 the monomials' values, row 1 + rho their
+    derivatives along x_rho.  With ``along``, one integer axis per point
+    (...,), it returns (..., 2, M): the values and the derivatives along each
+    point's own axis.  A derivative d_rho x^E = E_rho x^(E - e_rho) is a
+    monomial's value times its factor, so the values are formed once, on the
+    exponents' closure under differentiation, and the derivatives looked up.
+    """
+    exps = np.asarray(exps, dtype=np.int64)
+    closure, columns, factors, degrees = _jet_exponents(exps.tobytes())
+    # the closure's monomials at each point, (..., K): each coordinate's powers
+    # once, then looked up per monomial
+    table = _power_table(points, len(degrees) - 1)
+    values = table[..., 0, closure[:, 0]]
+    for axis in range(1, 4):
+        values *= table[..., axis, closure[:, axis]]
+    if along is None:
+        monos = values[..., columns]
+        monos *= factors
+        return monos
+    along = np.asarray(along)
+    rows = np.stack([np.zeros_like(along), along + 1], axis=-1)
+    # each point's columns, as positions in its flattened values
+    start = np.arange(along.size).reshape(along.shape) * values.shape[-1]
+    monos = values.reshape(-1)[columns[rows] + start[..., None, None]]
+    monos *= factors[rows]
+    return monos
+
+
+def contract_rows(monos: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Monomial rows (..., k, M) times the fields' coefficients (..., M, n): (..., k, n).
+
+    Complex coefficients are contracted as their real and imaginary parts side
+    by side, in one real product, as the monomials are real; real coefficients,
+    such as the real parameters of a subspace, give real rows.
+    """
+    coeffs = np.ascontiguousarray(coeffs, dtype=np.result_type(coeffs, np.float64))
+    return (monos @ coeffs.view(np.float64)).view(coeffs.dtype)
 
 
 def jet_rows(exps: np.ndarray, coeffs: np.ndarray, points: np.ndarray):
@@ -191,17 +259,7 @@ def jet_rows(exps: np.ndarray, coeffs: np.ndarray, points: np.ndarray):
     coefficients (..., M, k), such as the real parameters of a subspace, give
     real values (..., k) and gradients (..., 4, k).
     """
-    powers, factors, degrees = _jet_exponents(np.asarray(exps, dtype=np.int64).tobytes())
-    # each coordinate's powers once, then looked up per monomial
-    table = points[..., :, None] ** degrees
-    monos = table[..., 0, powers[..., 0]]
-    monos *= factors
-    for axis in range(1, 4):
-        monos *= table[..., axis, powers[..., axis]]
-    # real monomials times the real and imaginary parts side by side: one
-    # real contraction
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.result_type(coeffs, np.float64))
-    jet = (monos @ coeffs.view(np.float64)).view(coeffs.dtype)
+    jet = contract_rows(monomial_rows(exps, points), coeffs)
     return jet[..., 0, :], jet[..., 1:, :]
 
 
@@ -214,13 +272,19 @@ def _jet_along(f: PolyField, mu: int, p) -> tuple[np.ndarray, np.ndarray]:
     """f and its partial derivative along x_mu at p, as two (8,) arrays."""
     if not 0 <= mu <= 3:
         raise ValueError("axis must be in 0..3")
-    value, grads = _jet(f, p)
-    return value, grads[mu]
+    value, derivative = contract_rows(monomial_rows(f.exps, _as_point(p), mu), f.coeffs)
+    return value, derivative
 
 
 def eval_at(f: PolyField, p) -> CplxOcton:
-    """Value at a real point: the monomials at p times the coefficient rows."""
-    return CplxOcton._wrap(_jet(f, p)[0])
+    """Value at a real point: the monomials at p times the coefficient rows.
+
+    The contraction takes the values and one derivative, which is dropped: a
+    value row alone would be a matrix-vector product, whose sums can round
+    differently from those of the jets.
+    """
+    value, _ = contract_rows(monomial_rows(f.exps, _as_point(p), 0), f.coeffs)
+    return CplxOcton._wrap(value)
 
 
 def partial(f: PolyField, mu: int) -> PolyField:
@@ -306,8 +370,9 @@ def lorentz_invariance_rows(tag, lam, lv, jet_at, points) -> np.ndarray:
 
     Each row is a field of the spinor type ``tag``, a spinor transformation
     ``lam`` (..., 8), the real vector transformation ``lv`` (..., 4, 4) and a
-    point (..., 4); ``jet_at(q)`` gives the fields' values (..., 8) and
-    gradients (..., 4, 8) at points q (..., 4), as :func:`jet_rows` does.  The
+    point (..., 4); ``jet_at(q)`` gives the fields' values (k, ..., 8) and
+    gradients (k, ..., 4, 8) at points q (k, ..., 4), as :func:`jet_rows` does,
+    and is called once, for the pulled-back points and the points.  The
     transformed field is f'(x) = L f(M x), M = L_V^{-1}, with L the spinor
     transformation (bar_star of it for a B-valued field).  At x' = L_V p the
     chain rule gives d_rho f'(x') = L sum_sigma M[sigma, rho] (d_sigma f)(M x').
@@ -315,12 +380,12 @@ def lorentz_invariance_rows(tag, lam, lv, jet_at, points) -> np.ndarray:
     _require_spinor(tag)
     factor = lam if tag is SubspaceTag.A else bar_star_rows(lam)
     m = eta_inverse_transform(lv)
-    value, grads = jet_at((m @ (lv @ points[..., None]))[..., 0])
+    values, grads = jet_at(np.stack([(m @ (lv @ points[..., None]))[..., 0], points]))
     # one rho at a time keeps the temporaries at one product per row
-    pulled = np.swapaxes(m, -1, -2) @ grads
+    pulled = np.swapaxes(m, -1, -2) @ grads[0]
     moved = np.stack([mul_rows(factor, pulled[..., rho, :]) for rho in range(4)], axis=-2)
-    transformed = bilinear_rows(mul_rows(factor, value), moved)
-    return np.abs(transformed - bilinear_rows(*jet_at(points)))
+    transformed = bilinear_rows(mul_rows(factor, values[0]), moved)
+    return np.abs(transformed - bilinear_rows(values[1], grads[1]))
 
 
 def lorentz_invariance_residual(f: PolyField, theta: Theta, p) -> float:
@@ -328,7 +393,7 @@ def lorentz_invariance_residual(f: PolyField, theta: Theta, p) -> float:
     def jet_at(q):
         return jet_rows(f.exps, f.coeffs, q)
 
-    lam, lv = lambda_S(theta).c, lambda_V_real(theta)
+    lam, lv = lambda_S(theta).c, lambda_V(theta)
     return float(lorentz_invariance_rows(f.tag, lam, lv, jet_at, _as_point(p)))
 
 

@@ -75,7 +75,11 @@ def _require_field_tag(f: PolyField, tag: SubspaceTag, name: str) -> None:
 
 def transport_rows(w, u, du) -> np.ndarray:
     """Transported connection U w U^-1 - (d_rho U) U^-1, U = exp(u), row by row."""
-    u_inv = exp_rows(-u)
+    return _transport(w, u, du, exp_rows(-u))
+
+
+def _transport(w, u, du, u_inv) -> np.ndarray:
+    # transport_rows with U^-1 = exp(-u) given
     return mul_rows(mul_rows(exp_rows(u), w), u_inv) - mul_rows(dexp_rows(u, du), u_inv)
 
 
@@ -127,7 +131,7 @@ def covariance_alpha_rows(a, da, w, u, du) -> np.ndarray:
     # d_rho(alpha U^-1) via the product rule; the U^-1 factor differentiates
     # through the closed-form derivative of exp(-u)
     d_aprime = mul_rows(da, u_inv) + mul_rows(a, dexp_rows(-u, -du))
-    primed = d_aprime - mul_rows(mul_rows(a, u_inv), transport_rows(w, u, du))
+    primed = d_aprime - mul_rows(mul_rows(a, u_inv), _transport(w, u, du, u_inv))
     return abs_rows(primed - mul_rows(cov_der_alpha_rows(a, da, w), u_inv))
 
 

@@ -9,6 +9,8 @@ matrices exponentiated by scaling and squaring.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import (
@@ -48,9 +50,11 @@ THETA_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 BOOST_PAIRS = THETA_PAIRS[:3]
 ROTATION_PAIRS = THETA_PAIRS[3:]
 
-#: Taylor/squaring parameters for :func:`mat_exp`.
-MAT_EXP_NORM_CAP = 0.5
-MAT_EXP_TERMS = 18
+#: Below this |x|, sinh(x)/x - 1 and 1 - sin(x)/x in :func:`lambda_V` are
+#: summed from their Taylor series in x^2, which cancel no digits: eight terms,
+#: 1/3! .. 1/17!, whose truncation is under 1e-16 of the sum.
+SINC_TAYLOR_X = 1.0
+_SINC_SERIES = tuple(1 / math.factorial(k) for k in range(17, 1, -2))
 
 
 @single_value("m")
@@ -126,10 +130,10 @@ def v_gen(mu: int, nu: int) -> np.ndarray:
 _S_ROWS = np.array([[s_gen(mu, nu).c for nu in range(4)] for mu in range(4)])
 _V_ROWS = np.array([[v_gen(mu, nu) for nu in range(4)] for mu in range(4)])
 _PAIR_MU, _PAIR_NU = (np.array(ix) for ix in zip(*THETA_PAIRS))
+_DIAG = np.arange(4)
 _S_PAIRS = _S_ROWS[_PAIR_MU, _PAIR_NU]
-_V_PAIRS = _V_ROWS[_PAIR_MU, _PAIR_NU]
 #: -(i/2) V_mu_nu per parameter pair: exactly real, as every V entry is imaginary.
-_V_REAL_PAIRS = (-0.5j * _V_PAIRS).real.copy()
+_V_REAL_PAIRS = (-0.5j * _V_ROWS[_PAIR_MU, _PAIR_NU]).real.copy()
 
 
 def theta_rows(values, pairs=THETA_PAIRS) -> np.ndarray:
@@ -141,45 +145,6 @@ def theta_rows(values, pairs=THETA_PAIRS) -> np.ndarray:
     out[..., mu, nu] = values
     out[..., nu, mu] = -values
     return out
-
-
-def mat_exp(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring on an 18-term Taylor sum.
-
-    Takes one square matrix or a stack (..., k, k); each matrix is scaled by
-    its own 1-norm.  The sum runs in the input's precision: a real matrix gives
-    a float64 result, a complex one a complex128 result.  A matrix whose norm
-    is not finite is not scaled, and its exponential comes out non-finite, as
-    does one whose squarings overflow; the squaring stops once only such
-    matrices have squarings left.
-    """
-    a = np.asarray(m)
-    a = a.astype(np.result_type(a.dtype, np.float64), copy=False)
-    with np.errstate(all="ignore"):
-        ratio = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0) / MAT_EXP_NORM_CAP
-        squarings = np.ceil(np.log2(np.maximum(ratio, 1.0)))
-        squarings = np.where(squarings < np.inf, squarings, 0.0)  # inf or NaN: unscaled
-        a = a * np.exp2(-squarings)[..., None, None]
-        acc = term = np.eye(a.shape[-1], dtype=a.dtype)
-        for k in range(1, MAT_EXP_TERMS + 1):
-            term = term @ a / k
-            acc = acc + term
-        # every matrix squares at least `common` times; past that, only those
-        # whose own count is not yet reached
-        steps = int(squarings.max(initial=0))
-        common = int(squarings.min(initial=steps))
-        for step in range(steps):
-            if step < common:
-                acc = acc @ acc
-            else:
-                acc = np.where((squarings > step)[..., None, None], acc @ acc, acc)
-            # the square of a non-finite matrix is non-finite, so once no
-            # finite matrix has squarings left, none can change
-            if not np.isfinite(acc).all():
-                finite = np.isfinite(acc).all(axis=(-2, -1))
-                if not np.any(finite & (squarings > step + 1)):
-                    break
-    return acc
 
 
 def ebar_rows(coeffs) -> np.ndarray:
@@ -217,28 +182,74 @@ def lambda_S(theta):
     return exp_rows(-0.5j * _generator_sum(theta, _S_PAIRS))
 
 
+def _sinc_excesses(x2: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # sinh(a)/a - 1 and 1 - sin(b)/b, (2, ...), from x2 = (a^2, b^2) >= 0 and
+    # x = (a, b): they are S(a^2) and -S(-b^2), S(w) = w/3! + w^2/5! + ...
+    # The series is formed only for an array with an entry below
+    # SINC_TAYLOR_X, elementwise, so no entry's bits depend on its neighbours
+    small = x < SINC_TAYLOR_X
+    a, b = np.where(small, 1.0, x)
+    direct = np.stack([np.sinh(a) / a - 1, 1 - np.sin(b) / b])
+    if not small.any():
+        return direct
+    w = x2.copy()
+    w[1] = -w[1]
+    series = 0.0
+    for coeff in _SINC_SERIES:
+        series = series * w + coeff
+    series *= w
+    series[1] = -series[1]
+    return np.where(small, series, direct)
+
+
 @rowwise
 def lambda_V(theta) -> np.ndarray:
     """Vector transformation exp(-(i/2) theta^{mu nu} V_mu_nu), a real float64 matrix.
 
     A :class:`Theta` gives a 4x4 matrix, an (..., 4, 4) parameter stack a stack.
-    The exponent is a sum of real generators, exact as the generator sum is, so
-    the exponential runs on float64 stacks.
+    The exponent G is real with eigenvalues +-a and +-ib, so G^4 = c G^2 + Pf^2
+    by Cayley-Hamilton, where c = (1/2) tr G^2 = a^2 - b^2 and Pf, the Pfaffian
+    of G's upper triangle, has Pf^2 = a^2 b^2.  Then exp(G) = f0 + f1 G + f2 G^2
+    + f3 G^3 with f2 = (cosh a - cos b)/r and f3 = (sinh(a)/a - sin(b)/b)/r,
+    r = a^2 + b^2, each written so that no digits cancel; r = 0 (theta = 0 and
+    the null rotations) has G^3 = 0 and f = (1, 1, 1/2, 1/6).  A matrix that is
+    not finite, or whose exponential overflows, comes out non-finite.
     """
-    return mat_exp(_generator_sum(theta, _V_REAL_PAIRS))
-
-
-def lambda_V_real(theta) -> np.ndarray:
-    """Real vector transformation; raises if it has a non-negligible imaginary part.
-
-    Takes a :class:`Theta` or an (..., 4, 4) parameter stack; each matrix of a
-    stack is checked against its own scale.
-    """
-    lv = lambda_V(theta)
-    imag = np.abs(lv.imag).max(axis=(-2, -1))
-    if np.any(imag > 1e-10 * np.maximum(1.0, np.abs(lv.real).max(axis=(-2, -1)))):
-        raise ArithmeticError("vector transformation has non-negligible imaginary part")
-    return lv.real.copy()
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim == 2:
+        # 0-d invariants would come out of the ufuncs as numpy scalars, whose
+        # own arithmetic can round differently from a stack's: a stack of one
+        return lambda_V(theta[None])[0]
+    with np.errstate(all="ignore"):
+        g = _generator_sum(theta, _V_REAL_PAIRS)
+        # G01, G02, G03 (the boosts, where G is symmetric), then G12, G13, G23
+        # (the rotations, where it is antisymmetric)
+        e = g[..., _PAIR_MU, _PAIR_NU]
+        sq = e * e
+        c = (sq[..., 0] + sq[..., 1] + sq[..., 2]) - (sq[..., 3] + sq[..., 4] + sq[..., 5])
+        pf_terms = e[..., :3] * e[..., :2:-1]  # G01 G23, G02 G13, G03 G12
+        pf = pf_terms[..., 0] - pf_terms[..., 1] + pf_terms[..., 2]
+        r = np.hypot(c, 2 * pf)
+        null = r == 0
+        rr = np.where(null, 1.0, r)
+        # the larger of a^2 and b^2 is (r + |c|)/2, the smaller Pf^2 over it:
+        # both 0 where r = 0
+        larger = r + np.abs(c)
+        pair = np.stack([larger / 2, 2 * pf * pf / np.where(null, 1.0, larger)])
+        a2, b2 = x2 = np.where(c >= 0, pair, pair[::-1])
+        x = np.sqrt(x2)
+        cosh_1 = 2 * np.sinh(x[0] / 2) ** 2  # cosh a - 1
+        one_cos = 2 * np.sin(x[1] / 2) ** 2  # 1 - cos b
+        sinhc_1, one_sinc = _sinc_excesses(x2, x)
+        f0 = 1 + (b2 * cosh_1 - a2 * one_cos) / rr
+        f1 = 1 + (b2 * sinhc_1 - a2 * one_sinc) / rr
+        f2 = np.where(null, 0.5, (cosh_1 + one_cos) / rr)
+        f3 = np.where(null, 1 / 6, (sinhc_1 + one_sinc) / rr)
+        # one 4x4 product per matrix, as a stack: no product over the rows
+        g2 = g @ g
+        out = f1[..., None, None] * g + f2[..., None, None] * g2 + f3[..., None, None] * (g2 @ g)
+        out[..., _DIAG, _DIAG] += f0[..., None]
+    return out
 
 
 @rowwise

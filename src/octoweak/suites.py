@@ -31,7 +31,14 @@ from .core import (
     norm_rows,
 )
 from .errors import UnknownSuite
-from .fields import PolyField, jet_rows, lorentz_invariance_rows, monomials
+from .fields import (
+    PolyField,
+    contract_rows,
+    jet_rows,
+    lorentz_invariance_rows,
+    monomial_rows,
+    monomials,
+)
 from .gauge import (
     covariance_alpha_rows,
     covariance_beta_rows,
@@ -60,7 +67,7 @@ from .lorentz import (
     gamma5_analogue,
     infinitesimal_dc_rows,
     lambda_S,
-    lambda_V_real,
+    lambda_V,
     lorentz_algebra_rows,
     theta_rows,
 )
@@ -174,14 +181,14 @@ def _rng_for(cfg: SuiteConfig, suite_id: str) -> np.random.Generator:
 
 #: Sampled suites draw and evaluate at most this many samples at a time.  The
 #: cap bounds the temporary arrays: reading and evaluating a prop3 or prop5
-#: block peaks at about 1.5 MB at degree-2 fields (0.78 MB at 128 rows) and at
-#: about 142 MB at the degree-12 cap, where prop3, prop5, prop1-A and prop2 at
-#: 300 samples peak at 187 MB in one process (149 MB at 128 rows).  No
+#: block peaks at about 1.8 MB at degree-2 fields (0.91 MB at 128 rows) and at
+#: about 127 MB at the degree-12 cap, where prop3, prop5, prop1-A and prop2 at
+#: 300 samples peak at 171 MB in one process (146 MB at 128 rows).  No
 #: contraction over a block's rows is a 2-D BLAS product (each row is a stacked
 #: product, a gather or a scatter), so BLAS threading does not depend on the
 #: block size, and no residual does.  Most of a pass is fixed cost per numpy
 #: call, so larger blocks run faster up to about 512 rows, but 512 rows double
-#: the peaks above (284 MB for one degree-12 prop3 block) and 1024 rows run slower.
+#: the peaks above (254 MB for one degree-12 prop3 block) and 1024 rows run slower.
 BLOCK_ROWS = 256
 
 _FULL = SubspaceTag.FULL_CO
@@ -383,7 +390,7 @@ def _prop1_inputs(tag: SubspaceTag, cfg):
 
 def _prop1(tag: SubspaceTag, cfg, f, theta, p):
     theta = theta_rows(theta)
-    lam, lv = lambda_S(theta), lambda_V_real(theta)
+    lam, lv = lambda_S(theta), lambda_V(theta)
     return lorentz_invariance_rows(
         tag, lam, lv, lambda q: _jets(tag, cfg.field_degree, f, q), p
     )
@@ -430,23 +437,37 @@ def _along(grads, rho):
     return grads[np.arange(len(rho)), rho]
 
 
-def _field_jet(tag: SubspaceTag, degree: int, params, p, rho):
-    """Fields' values and derivatives along rho at each sample's point."""
-    value, grads = _jets(tag, degree, params, p)
-    return value, _along(grads, rho)
+def _tables(cfg, p, rho):
+    """A gauge block's monomial tables (m, 2, M), the values and the derivatives along
+    each row's rho at its point: the fields' at field_degree, then u's, the same
+    table when u's degree min(2, field_degree) is field_degree."""
+    table = monomial_rows(monomials(cfg.field_degree), p, rho)
+    u_degree = min(2, cfg.field_degree)
+    if u_degree == cfg.field_degree:
+        return table, table
+    return table, monomial_rows(monomials(u_degree), p, rho)
 
 
-def _gauge_param_jet(cfg, u, p, rho):
+def _field_jet(tag: SubspaceTag, table, params):
+    """Fields' values and derivatives along each row's rho, from their real parameters
+    (m, M, ndof) and the block's table: the jets of the parameters, made elements."""
+    jet = dof_rows(tag, contract_rows(table, params))
+    return jet[:, 0], jet[:, 1]
+
+
+def _gauge_param_jet(u_table, u):
     """u and d_rho u at each sample's point, u scaled to the value cap where it exceeds it."""
-    value, du = _field_jet(SubspaceTag.A_MINUS, min(2, cfg.field_degree), u, p, rho)
+    value, du = _field_jet(SubspaceTag.A_MINUS, u_table, u)
     mag = abs_rows(value)
     scale = np.where(mag > GAUGE_PARAM_VALUE_CAP, GAUGE_PARAM_VALUE_CAP / mag, 1.0)[:, None]
     return value * scale, du * scale
 
 
-def _connection_value(cfg, w, p, rho):
-    """The value of each sample's connection component W_rho at its point."""
-    return _field_jet(SubspaceTag.A_MINUS, cfg.field_degree, _along(w, rho), p, rho)[0]
+def _connection_value(table, w, rho):
+    """The value of each sample's connection component W_rho at its point.  It takes
+    the table's two rows: the value row alone would be a matrix-vector product,
+    whose sums can round differently."""
+    return _field_jet(SubspaceTag.A_MINUS, table, _along(w, rho))[0]
 
 
 def _prop3_inputs(cfg):
@@ -455,10 +476,11 @@ def _prop3_inputs(cfg):
 
 
 def _prop3(cfg, p, u, alpha, w, rho):
+    table, u_table = _tables(cfg, p, rho)
     return covariance_alpha_rows(
-        *_field_jet(SubspaceTag.A, cfg.field_degree, alpha, p, rho),
-        _connection_value(cfg, w, p, rho),
-        *_gauge_param_jet(cfg, u, p, rho),
+        *_field_jet(SubspaceTag.A, table, alpha),
+        _connection_value(table, w, rho),
+        *_gauge_param_jet(u_table, u),
     )
 
 
@@ -482,21 +504,23 @@ def _prop5_inputs(cfg):
 
 
 def _prop5(cfg, p, u, r, beta, w, rho):
+    table, u_table = _tables(cfg, p, rho)
     return covariance_beta_rows(
-        *_field_jet(SubspaceTag.B, cfg.field_degree, beta, p, rho),
-        _connection_value(cfg, w, p, rho),
-        *_gauge_param_jet(cfg, u, p, rho),
+        *_field_jet(SubspaceTag.B, table, beta),
+        _connection_value(table, w, rho),
+        *_gauge_param_jet(u_table, u),
         r,
     )
 
 
 def _lemma3(cfg, p, u, rho):
-    return np.abs(scal_der_u_rows(*_gauge_param_jet(cfg, u, p, rho)))
+    u_table = monomial_rows(monomials(min(2, cfg.field_degree)), p, rho)
+    return np.abs(scal_der_u_rows(*_gauge_param_jet(u_table, u)))
 
 
 def _lemma4(cfg, p, u, w, rho):
-    w_rho = _connection_value(cfg, w, p, rho)
-    return np.abs(scal_ww_rows(w_rho, *_gauge_param_jet(cfg, u, p, rho)))
+    table, u_table = _tables(cfg, p, rho)
+    return np.abs(scal_ww_rows(_connection_value(table, w, rho), *_gauge_param_jet(u_table, u)))
 
 
 _A, _B = SubspaceTag.A, SubspaceTag.B

@@ -217,6 +217,51 @@ def exp_closed_form(u: CplxOcton) -> CplxOcton:
     return CplxOcton(c)
 
 
+#: Taylor/squaring parameters for :func:`mat_exp`.
+MAT_EXP_NORM_CAP = 0.5
+MAT_EXP_TERMS = 18
+
+
+def mat_exp(m: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling-and-squaring on an 18-term Taylor sum: the series
+    route to ``lambda_V``, whose closed form it checks.
+
+    Takes one square matrix or a stack (..., k, k); each matrix is scaled by
+    its own 1-norm.  The sum runs in the input's precision: a real matrix gives
+    a float64 result, a complex one a complex128 result.  A matrix whose norm
+    is not finite is not scaled, and its exponential comes out non-finite, as
+    does one whose squarings overflow; the squaring stops once only such
+    matrices have squarings left.
+    """
+    a = np.asarray(m)
+    a = a.astype(np.result_type(a.dtype, np.float64), copy=False)
+    with np.errstate(all="ignore"):
+        ratio = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0) / MAT_EXP_NORM_CAP
+        squarings = np.ceil(np.log2(np.maximum(ratio, 1.0)))
+        squarings = np.where(squarings < np.inf, squarings, 0.0)  # inf or NaN: unscaled
+        a = a * np.exp2(-squarings)[..., None, None]
+        acc = term = np.eye(a.shape[-1], dtype=a.dtype)
+        for k in range(1, MAT_EXP_TERMS + 1):
+            term = term @ a / k
+            acc = acc + term
+        # every matrix squares at least `common` times; past that, only those
+        # whose own count is not yet reached
+        steps = int(squarings.max(initial=0))
+        common = int(squarings.min(initial=steps))
+        for step in range(steps):
+            if step < common:
+                acc = acc @ acc
+            else:
+                acc = np.where((squarings > step)[..., None, None], acc @ acc, acc)
+            # the square of a non-finite matrix is non-finite, so once no
+            # finite matrix has squarings left, none can change
+            if not np.isfinite(acc).all():
+                finite = np.isfinite(acc).all(axis=(-2, -1))
+                if not np.any(finite & (squarings > step + 1)):
+                    break
+    return acc
+
+
 def mat_exp_taylor(m: np.ndarray, terms: int = 60) -> np.ndarray:
     """Unscaled Taylor matrix exponential; adequate for moderate norms."""
     acc = np.eye(m.shape[0], dtype=np.complex128)
@@ -257,6 +302,24 @@ def eval_naive(f, p) -> CplxOcton:
             val *= float(p[i]) ** deg[i]
         acc = acc + coeff * val
     return acc
+
+
+def jet_rows_by_exponents(exps: np.ndarray, coeffs: np.ndarray, points: np.ndarray):
+    """``fields.jet_rows`` from the exponents of each monomial and of its four
+    derivatives, (5, M, 4), each row's product formed from the powers in turn and
+    started from its integer factor, instead of from the values of the closure."""
+    exps = np.asarray(exps, dtype=np.int64)
+    shifted = exps[None] - np.eye(4, dtype=np.int64)[:, None, :]
+    powers = np.concatenate([exps[None], np.where(exps.T[:, :, None] > 0, shifted, 0)])
+    factors = np.concatenate([np.ones((1, len(exps))), exps.T])
+    table = points[..., :, None] ** np.arange(exps.max(initial=0) + 1)
+    monos = table[..., 0, powers[..., 0]]
+    monos *= factors
+    for axis in range(1, 4):
+        monos *= table[..., axis, powers[..., axis]]
+    coeffs = np.ascontiguousarray(coeffs, dtype=np.result_type(coeffs, np.float64))
+    jet = (monos @ coeffs.view(np.float64)).view(coeffs.dtype)
+    return jet[..., 0, :], jet[..., 1:, :]
 
 
 def central_difference(fn, p, mu: int, h: float = 1e-5) -> CplxOcton:

@@ -20,7 +20,7 @@ from octoweak.fields import (
     random_field,
 )
 from octoweak.grading import SubspaceTag, draw, in_subspace
-from octoweak.lorentz import EBAR_UPPER, Theta, eta_inverse_transform, lambda_S, lambda_V_real
+from octoweak.lorentz import EBAR_UPPER, Theta, eta_inverse_transform, lambda_S, lambda_V
 
 from oracles import central_difference, dexp_series, eval_naive, pullback_linear
 
@@ -211,7 +211,7 @@ def test_invariance_residual_random_parameters_both_tags():
 
 def _symbolic_invariance_residual(f, lam, theta, p):
     # the transformed field expanded term by term, then differentiated formally
-    lv = lambda_V_real(theta)
+    lv = lambda_V(theta)
     factor = lam if f.tag is SubspaceTag.A else bar_star(lam)
     f_prime = pullback_linear(f, eta_inverse_transform(lv)).scale_left(factor)
     return abs(dirac_scalar(f_prime, lv @ p) - dirac_scalar(f, p))

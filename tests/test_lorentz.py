@@ -17,6 +17,7 @@ from octoweak.core import (
 )
 from octoweak.errors import DomainViolation
 from octoweak.grading import SubspaceTag, draw, in_subspace
+from octoweak import lorentz
 from octoweak.lorentz import (
     E_LOWER,
     E_UPPER,
@@ -29,16 +30,15 @@ from octoweak.lorentz import (
     infinitesimal_dc_residual,
     lambda_S,
     lambda_V,
-    lambda_V_real,
     lorentz_algebra_residual,
-    mat_exp,
+    theta_rows,
     s_gen,
     transform_alpha,
     transform_beta,
     v_gen,
 )
 
-from oracles import mat_exp_taylor
+from oracles import mat_exp, mat_exp_taylor
 
 
 # -------------------------------------------------------------------- basis
@@ -182,7 +182,7 @@ def test_lambda_S_rotation_closed_form():
 
 def test_lambda_V_boost_entries_and_unit_norm():
     chi = 0.75
-    lv = lambda_V_real(Theta.single(0, 1, chi))
+    lv = lambda_V(Theta.single(0, 1, chi))
     assert abs(lv[0, 0] - math.cosh(chi)) < 1e-13
     assert abs(lv[1, 1] - math.cosh(chi)) < 1e-13
     assert abs(lv[0, 1] + math.sinh(chi)) < 1e-13
@@ -190,10 +190,99 @@ def test_lambda_V_boost_entries_and_unit_norm():
     assert abs(norm(lambda_S(Theta.single(0, 1, chi))) - 1.0) < 1e-13
 
 
+def _series_lambda_V(thetas):
+    return mat_exp(lorentz._generator_sum(thetas, lorentz._V_REAL_PAIRS))
+
+
+@pytest.mark.parametrize("bound", [2.0, 20.0])
+def test_lambda_V_closed_form_matches_the_series_route(bound):
+    thetas = theta_rows(np.random.default_rng(35).uniform(-bound, bound, (200, 6)))
+    got, want = lambda_V(thetas), _series_lambda_V(thetas)
+    scale = np.max(np.abs(want), axis=(-2, -1))
+    # the series route itself is good to about 1e-14 of the scale at bound 2
+    # and 1e-13 at bound 20
+    assert np.all(np.max(np.abs(got - want), axis=(-2, -1)) <= 20 * bound * 1e-15 * scale)
+
+
+def test_sinc_excesses_keep_their_digits_on_both_sides_of_the_switch():
+    # sinh(a)/a - 1 and 1 - sin(b)/b cancel digits when formed directly at
+    # small arguments; below SINC_TAYLOR_X the series keeps them, relative to
+    # the small result itself
+    xs = np.array([0.0, 1e-8, 1e-3, 0.3, 0.99, 1.01, 2.0, 5.0])
+    assert xs.min() < lorentz.SINC_TAYLOR_X < xs.max()
+    sinhc_1, one_sinc = lorentz._sinc_excesses(np.stack([xs * xs] * 2), np.stack([xs] * 2))
+    for x, sh, sn in zip(xs, sinhc_1, one_sinc):
+        terms = [x ** (2 * k) / math.factorial(2 * k + 1) for k in range(1, 30)]
+        want_sh = math.fsum(terms)
+        want_sn = math.fsum((-1) ** (k + 1) * t for k, t in enumerate(terms, 1))
+        assert abs(sh - want_sh) <= 3e-15 * want_sh
+        assert abs(sn - want_sn) <= 3e-15 * abs(want_sn)
+
+
+def test_lambda_V_at_theta_zero_is_the_identity():
+    assert np.array_equal(lambda_V(Theta.zero()), np.eye(4))
+    assert np.array_equal(lambda_V(np.zeros((3, 4, 4))), np.broadcast_to(np.eye(4), (3, 4, 4)))
+
+
+@pytest.mark.parametrize("a", [0.0, 0.2, 0.999, 1.0, 1.001, 3.0, 12.0])
+@pytest.mark.parametrize("b", [0.0, 0.3, 0.999, 1.001, 2.0, 7.0])
+def test_lambda_V_of_a_commuting_boost_and_rotation(a, b):
+    # a boost along x1 and a rotation in the (x2, x3) plane commute: the
+    # exponential is the boost block times the rotation block, on both sides of
+    # the series switch at |a| or |b| = 1
+    lv = lambda_V(Theta.from_upper({(0, 1): a, (2, 3): b}))
+    want = np.eye(4)
+    want[0, 0] = want[1, 1] = math.cosh(a)
+    want[0, 1] = want[1, 0] = -math.sinh(a)
+    want[2, 2] = want[3, 3] = math.cos(b)
+    want[2, 3], want[3, 2] = -math.sin(b), math.sin(b)
+    assert np.max(np.abs(lv - want)) <= 2e-15 * math.cosh(a)
+
+
+def test_lambda_V_of_a_pure_rotation_is_orthogonal_and_matches_the_series():
+    thetas = theta_rows(np.random.default_rng(36).uniform(-3, 3, (50, 3)), lorentz.ROTATION_PAIRS)
+    lv = lambda_V(thetas)
+    assert np.array_equal(lv[:, 0], np.broadcast_to([1.0, 0, 0, 0], (50, 4)))
+    assert np.max(np.abs(np.swapaxes(lv, -1, -2) @ lv - np.eye(4))) < 1e-15 * 8
+    assert np.max(np.abs(lv - _series_lambda_V(thetas))) < 1e-14
+
+
+def test_lambda_V_of_a_pure_boost_matches_the_series():
+    thetas = theta_rows(np.random.default_rng(37).uniform(-3, 3, (50, 3)), lorentz.BOOST_PAIRS)
+    lv, want = lambda_V(thetas), _series_lambda_V(thetas)
+    assert np.all(np.max(np.abs(lv - want), axis=(-2, -1)) <= 1e-14 * np.abs(want).max(axis=(-2, -1)))
+
+
+@pytest.mark.parametrize("size", [1e-3, 0.8, 1.3, 10.0])
+def test_lambda_V_of_a_null_rotation_is_the_cubic_polynomial(size):
+    # a boost and a rotation of equal size about orthogonal axes: G != 0, yet
+    # its invariants vanish (r = 0) and G^3 = 0, so exp(G) = 1 + G + G^2/2
+    theta = Theta.from_upper({(0, 1): size, (1, 2): size})
+    g = lorentz._generator_sum(theta.m, lorentz._V_REAL_PAIRS)
+    assert np.any(g != 0) and np.abs(g @ g @ g).max() <= 1e-15 * size**3
+    want = np.eye(4) + g + (g @ g) / 2
+    assert np.max(np.abs(lambda_V(theta) - want)) <= 1e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("offset", [1e-12, 1e-8, 1e-4, 1e-1])
+def test_lambda_V_near_a_null_rotation_matches_the_series(offset):
+    # r is small next to the entries of G, so the coefficients are formed
+    # from small invariants; their series branches must take over smoothly
+    rng = np.random.default_rng(38)
+    rows = []
+    for size in (0.5, 1.3, 2.0):
+        for _ in range(4):
+            rows.append([size, 0, 0, size, 0, 0] + offset * rng.uniform(-1, 1, 6))
+    thetas = theta_rows(np.array(rows))
+    got, want = lambda_V(thetas), _series_lambda_V(thetas)
+    scale = np.max(np.abs(want), axis=(-2, -1))
+    assert np.all(np.max(np.abs(got - want), axis=(-2, -1)) <= 1e-14 * scale)
+
+
 def test_lambda_V_preserves_the_metric():
     rng = np.random.default_rng(32)
     for _ in range(50):
-        lv = lambda_V_real(Theta.random(rng, 2.0))
+        lv = lambda_V(Theta.random(rng, 2.0))
         assert np.max(np.abs(lv.T @ ETA @ lv - ETA)) < 1e-10
         # metric inverse equals the group inverse
         assert np.max(np.abs(eta_inverse_transform(lv) @ lv - np.eye(4))) < 1e-10

@@ -43,7 +43,9 @@ from octoweak.fields import (
     bilinear_rows,
     dexp_rows,
     eval_at,
+    contract_rows,
     jet_rows,
+    monomial_rows,
     monomials,
     partial,
     random_field,
@@ -73,21 +75,17 @@ from octoweak.grading import (
 )
 from octoweak.lorentz import (
     BOOST_PAIRS,
-    MAT_EXP_NORM_CAP,
     ROTATION_PAIRS,
     THETA_PAIRS,
     Theta,
     _S_PAIRS,
-    _V_PAIRS,
     _V_REAL_PAIRS,
     double_cover_residual,
     eta_inverse_transform,
     infinitesimal_dc_rows,
     lambda_S,
     lambda_V,
-    lambda_V_real,
     lorentz_algebra_rows,
-    mat_exp,
     theta_rows,
 )
 from octoweak.suites import SuiteConfig
@@ -352,11 +350,11 @@ def test_mat_exp_stack_gives_each_matrix_its_own_squarings():
         [s * (rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))) / 4 for s in scales]
     )
     n1 = np.abs(m).sum(axis=1).max(axis=1)
-    counts = [max(0, int(np.ceil(np.log2(v / MAT_EXP_NORM_CAP)))) for v in n1]
+    counts = [max(0, int(np.ceil(np.log2(v / oracles.MAT_EXP_NORM_CAP)))) for v in n1]
     assert counts[0] == 0 and len(set(counts)) == len(counts)
-    stacked = mat_exp(m)
+    stacked = oracles.mat_exp(m)
     for got, one in zip(stacked, m):
-        want = mat_exp(one)
+        want = oracles.mat_exp(one)
         assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
 
 
@@ -367,9 +365,9 @@ def test_mat_exp_non_finite_or_huge_norm_gives_non_finite_not_an_error():
     m[2, 0, 1] = 0.5
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = mat_exp(m)
+        out = oracles.mat_exp(m)
     assert not np.all(np.isfinite(out[0])) and not np.all(np.isfinite(out[1]))
-    assert np.allclose(out[2], mat_exp(m[2]))
+    assert np.allclose(out[2], oracles.mat_exp(m[2]))
 
 
 def test_mat_exp_stops_squaring_a_huge_matrix_without_touching_the_others():
@@ -379,8 +377,8 @@ def test_mat_exp_stops_squaring_a_huge_matrix_without_touching_the_others():
     mixed = np.concatenate([ordinary[:2], huge, ordinary[2:]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = mat_exp(mixed)
-    assert np.array_equal(np.delete(out, 2, axis=0), mat_exp(ordinary))
+        out = oracles.mat_exp(mixed)
+    assert np.array_equal(np.delete(out, 2, axis=0), oracles.mat_exp(ordinary))
     assert not np.all(np.isfinite(out[2]))
 
 
@@ -389,13 +387,13 @@ def test_mat_exp_of_a_real_stack_is_real_and_matches_the_complex_route():
     moderate = rng.uniform(-0.8, 0.8, (N, 4, 4))  # the range the series oracle handles
     generators = lorentz._generator_sum(_thetas(38, bound=10.0), _V_REAL_PAIRS)
     for m in (moderate, generators):
-        got = mat_exp(m)
+        got = oracles.mat_exp(m)
         assert got.dtype == np.float64
-        want = mat_exp(m.astype(np.complex128))
+        want = oracles.mat_exp(m.astype(np.complex128))
         assert want.dtype == np.complex128
         scale = np.max(np.abs(want), axis=(-2, -1))
         assert np.all(np.max(np.abs(got - want), axis=(-2, -1)) <= 1e-15 * scale)
-    for got, m in zip(mat_exp(moderate), moderate):
+    for got, m in zip(oracles.mat_exp(moderate), moderate):
         assert np.max(np.abs(got - oracles.mat_exp_taylor(m))) < 1e-12
     assert lambda_V(_thetas(39)).dtype == np.float64
     assert lambda_V(Theta.single(0, 1, 0.4)).dtype == np.float64
@@ -415,9 +413,9 @@ def test_lorentz_kernels_equal_the_scalar_residuals_bit_for_bit():
 
 def test_stacked_lorentz_helpers_match_single_calls():
     thetas = _thetas(29)
-    lv = lambda_V_real(thetas)
+    lv = lambda_V(thetas)
     assert lv.dtype == float and lv.shape == (N, 4, 4)
-    _close(lv, [lambda_V_real(Theta(t)) for t in thetas])
+    _close(lv, [lambda_V(Theta(t)) for t in thetas])
     # a signed transpose: exact, row by row
     assert np.array_equal(eta_inverse_transform(lv), [eta_inverse_transform(m) for m in lv])
     assert np.allclose(eta_inverse_transform(lv) @ lv, np.eye(4), atol=1e-12)
@@ -438,19 +436,68 @@ def test_ebar_rows_equals_the_product_with_the_ebar_rows():
     assert np.array_equal(lorentz.ebar_rows(imaginary), imaginary @ lorentz.EBAR_UPPER_ROWS)
 
 
-def test_lambda_V_real_checks_each_matrix_against_its_own_scale(monkeypatch):
-    big = np.eye(4) * 1e8 + 1e-4j  # fuzz within 1e-10 of the matrix's scale
-    small = np.eye(4) + 1e-4j  # the same fuzz on a unit matrix
-    monkeypatch.setattr(lorentz, "lambda_V", lambda theta: theta)
-    assert np.array_equal(lambda_V_real(np.array([big, big])), [big.real, big.real])
-    with pytest.raises(ArithmeticError):
-        lambda_V_real(np.array([big, small]))
+def _lambda_V_cases():
+    # random draws at two scales, and rows on purpose: theta = 0, a null
+    # rotation (a boost and a rotation of equal size about orthogonal axes,
+    # so G != 0 and r = 0), near-null ones, and commuting boost/rotation pairs
+    # with a and b on both sides of the series switch
+    rows = [np.zeros(6), [1.3, 0, 0, 1.3, 0, 0], [1.3, 0, 0, 1.3 + 1e-9, 0, 0]]
+    rows += [[0.7, 0, 0, 0.7, 1e-7, 0], [0.2, 0.1, 0, 0.1, 0.2, 0]]
+    switch = lorentz.SINC_TAYLOR_X
+    for a in (0.0, 0.3, switch * (1 - 1e-9), switch, switch * (1 + 1e-9), 2.5):
+        for b in (0.0, 0.4, switch * (1 - 1e-9), switch * (1 + 1e-9), 3.0):
+            rows.append([a, 0, 0, 0, 0, b])
+    drawn = [np.random.default_rng(50).uniform(-k, k, (N, 6)) for k in (2.0, 20.0)]
+    return theta_rows(np.concatenate([np.array(rows)] + drawn))
+
+
+def test_lambda_V_gives_each_matrix_of_a_stack_its_own_real_result_bit_for_bit():
+    # lambda_V is real by construction, so no imaginary part is left to check
+    # against a matrix's scale; what holds instead is that each matrix's result
+    # is its own, whatever the other matrices of its stack are, and that a
+    # single Theta and a lone 4x4 array are one row of it
+    thetas = _lambda_V_cases()
+    stacked = lambda_V(thetas)
+    assert stacked.dtype == np.float64 and stacked.shape == thetas.shape
+    assert np.isfinite(stacked).all()
+    for theta, got in zip(thetas, stacked):
+        assert _same_bits(lambda_V(theta), got)
+        assert _same_bits(lambda_V(Theta(theta)), got)
+    for part in (slice(None, None, -1), slice(1, None, 3)):
+        assert _same_bits(lambda_V(thetas[part]), stacked[part])
+
+
+def test_lambda_V_matches_the_series_route_on_every_case():
+    thetas = _lambda_V_cases()
+    got = lambda_V(thetas)
+    want = oracles.mat_exp(lorentz._generator_sum(thetas, _V_REAL_PAIRS))
+    scale = np.max(np.abs(want), axis=(-2, -1))
+    assert np.all(np.max(np.abs(got - want), axis=(-2, -1)) <= 1e-13 * scale)
+
+
+def test_lambda_V_non_finite_or_huge_theta_gives_non_finite_rows_not_an_error():
+    thetas = _thetas(52, n=6)
+    ordinary = lambda_V(thetas)
+    bad = thetas.copy()
+    bad[1, 0, 1], bad[1, 1, 0] = np.inf, -np.inf
+    bad[2, 2, 3], bad[2, 3, 2] = np.nan, np.nan
+    bad[3] *= 1e300
+    bad[4] = theta_rows([800.0, 0, 0, 0, 0, 0])  # finite invariants, cosh 800 overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = lambda_V(bad)
+        single = lambda_V(bad[3])
+    assert not np.isfinite(single).all()
+    for k in (1, 2, 3, 4):
+        assert not np.isfinite(out[k]).all()
+    for k in (0, 5):
+        assert _same_bits(out[k], ordinary[k])
 
 
 def test_generator_sums_are_exact_contractions():
     # at most one nonzero real and one nonzero imaginary term per entry: the
     # contraction over the six parameters then rounds nothing
-    for gens in (_S_PAIRS, _V_PAIRS, _V_REAL_PAIRS):
+    for gens in (_S_PAIRS, _V_REAL_PAIRS):
         flat = gens.reshape(len(gens), -1)
         assert (flat.real != 0).sum(axis=0).max() <= 1
         assert (flat.imag != 0).sum(axis=0).max() <= 1
@@ -640,6 +687,16 @@ def test_abs_rows_is_the_norm_numpy_computes_bit_for_bit():
     assert not cases["non-contiguous"].flags.c_contiguous
 
 
+def test_abs_of_a_value_is_its_row_of_abs_rows_bit_for_bit():
+    # numpy's axis=None norm, the former route, differs in the last bit on
+    # about one value in five
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(2000, 8)) + 1j * rng.normal(size=(2000, 8))
+    rows = abs_rows(x)
+    got = np.array([abs(CplxOcton(r)) for r in x])
+    assert got.tobytes() == rows.tobytes()
+
+
 def test_ab_identities_fails_when_one_input_row_is_off_its_subspace(monkeypatch):
     read = suites._read_block
 
@@ -697,6 +754,91 @@ def test_jet_rows_gradient_along_an_absent_coordinate_is_exactly_zero():
         values, grads = jet_rows(f.exps, f.coeffs, np.array([0.5, 1e200, 0.0, 0.0]))
     assert not np.all(np.isfinite(values))
     assert np.array_equal(grads[[0, 2, 3]], np.zeros((3, 8)))
+
+
+def _random_jet_inputs(exps, seed, real=False):
+    rng = np.random.default_rng(seed)
+    m = len(exps)
+    if real:
+        coeffs = rng.uniform(-1, 1, (N, m, ndof(SubspaceTag.A_MINUS)))
+    else:
+        coeffs = draw_rows(SubspaceTag.FULL_CO, rng, N * m).reshape(N, m, 8)
+    return coeffs, rng.uniform(-1.5, 1.5, (N, 4))
+
+
+def _sparse_exponents():
+    # exponent sets that are not closed under differentiation: the prop2
+    # witness's x0, and random subsets of the cubic monomials
+    rng = np.random.default_rng(61)
+    cubic = monomials(3)
+    subsets = [cubic[np.sort(rng.choice(len(cubic), k, replace=False))] for k in (1, 3, 9, 20)]
+    return [suites.PROP2_WITNESS_ALPHA.exps, np.array([[0, 3, 0, 0], [1, 1, 1, 0]])] + subsets
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+@pytest.mark.parametrize("real", [False, True])
+def test_jets_equal_the_exponent_route_bit_for_bit_up_to_degree_three(degree, real):
+    # each factor is 1 or 2, or the monomial is x_rho^3: scaling by it first
+    # or last rounds the same
+    exps = monomials(degree)
+    coeffs, points = _random_jet_inputs(exps, 62 + degree, real)
+    got, want = jet_rows(exps, coeffs, points), oracles.jet_rows_by_exponents(exps, coeffs, points)
+    for g, w in zip(got, want):
+        assert _same_bits(g, w)
+
+
+def test_jets_of_sparse_fields_equal_the_exponent_route_bit_for_bit():
+    for k, exps in enumerate(_sparse_exponents()):
+        closure, columns, factors, _ = fields._jet_exponents(exps.tobytes())
+        # the field's own monomials first, then the missing derivatives and 1
+        assert np.array_equal(closure[: len(exps)], exps)
+        assert any(not row.any() for row in closure)
+        assert np.array_equal(closure[columns[0]], exps)
+        coeffs, points = _random_jet_inputs(exps, 70 + k)
+        got, want = jet_rows(exps, coeffs, points), oracles.jet_rows_by_exponents(exps, coeffs, points)
+        for g, w in zip(got, want):
+            assert _same_bits(g, w)
+        polys = [PolyField._from_arrays(exps, c, 3, None) for c in coeffs]
+        _close(got[0], [oracles.eval_naive(f, p).c for f, p in zip(polys, points)])
+
+
+@pytest.mark.parametrize("degree", [4, 5, 6])
+def test_jets_match_the_exponent_route_within_rounding_above_degree_three(degree):
+    exps = monomials(degree)
+    coeffs, points = _random_jet_inputs(exps, 80 + degree)
+    got, want = jet_rows(exps, coeffs, points), oracles.jet_rows_by_exponents(exps, coeffs, points)
+    for g, w in zip(got, want):
+        scale = np.max(np.abs(w), axis=-1, keepdims=True)
+        assert np.all(np.abs(g - w) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("degree", [0, 2, 3, 5])
+def test_the_directional_table_is_the_full_table_along_each_rows_axis(degree):
+    exps = monomials(degree)
+    coeffs, points = _random_jet_inputs(exps, 90 + degree)
+    rho = np.random.default_rng(91).integers(0, 4, N)
+    full, along = monomial_rows(exps, points), monomial_rows(exps, points, rho)
+    assert along.shape == (N, 2, len(exps))
+    assert _same_bits(along, full[np.arange(N)[:, None], np.stack([0 * rho, rho + 1], -1)])
+    value, derivative = np.moveaxis(contract_rows(along, coeffs), -2, 0)
+    values, grads = jet_rows(exps, coeffs, points)
+    _close(value, values)
+    _close(derivative, grads[np.arange(N), rho])
+    # one point and one axis
+    f = PolyField._from_arrays(exps, coeffs[0], degree, None)
+    for mu in range(4):
+        got_value, got_derivative = fields._jet_along(f, mu, points[0])
+        _close(got_value, values[0])
+        _close(got_derivative, grads[0, mu])
+
+
+def test_eval_at_is_the_value_of_the_jet():
+    for degree in (0, 2, 4):
+        exps = monomials(degree)
+        coeffs, points = _random_jet_inputs(exps, 95 + degree)
+        f = PolyField._from_arrays(exps, coeffs[0], degree, None)
+        _close(jet_rows(exps, coeffs[0], points)[0], [eval_at(f, p).c for p in points])
+    assert eval_at(PolyField.zero(), (0.1, 0.2, 0.3, 0.4)) == CplxOcton.zero()
 
 
 def test_dexp_rows_matches_the_series_across_the_taylor_boundary():

@@ -318,6 +318,33 @@ def test_cli_with_standard_output_closed_is_one_error_line():
     assert run.stderr.splitlines() == ["octoweak: error: cannot write report: standard output is closed"]
 
 
+@pytest.mark.parametrize("buffered", [False, True])
+@pytest.mark.parametrize("flag", ["--list-suites", "--dump-table"])
+def test_cli_listing_write_failure_is_one_error_line(flag, buffered, capsys, monkeypatch):
+    monkeypatch.setattr(cli.sys, "stdout", _FullDevice(buffered))
+    with pytest.raises(SystemExit) as err:
+        main([flag])
+    assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert "Traceback" not in err_text
+    assert err_text.splitlines() == [f"octoweak: error: cannot write report: {_enospc()}"]
+
+
+@pytest.mark.parametrize("flag", ["--list-suites", "--dump-table"])
+def test_cli_listing_with_standard_output_closed_is_one_error_line(flag):
+    env = dict(os.environ, PYTHONPATH=str(Path(octoweak.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-m", "octoweak", flag],
+        preexec_fn=lambda: os.close(1),  # started as `octoweak >&-` is
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert run.returncode == 2
+    assert run.stderr.splitlines() == ["octoweak: error: cannot write report: standard output is closed"]
+
+
 def test_cli_failing_run_exit_code(capsys):
     code = main(["--suite", "double-cover", "--samples", "10", "--tol-series", "1e-15"])
     assert code == 1
