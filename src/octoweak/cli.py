@@ -163,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
     render = render_json if args.report == "json" else render_text
     _write(parser, out, render(reports, cfg))
     if args.out:
-        print(f"report written to {args.out}; exit code {code}")
+        _write(parser, _stdout(parser), f"report written to {args.out}; exit code {code}\n")
     return code
 
 

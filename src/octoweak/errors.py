@@ -15,3 +15,7 @@ class DomainViolation(ValueError):
 
 class UnknownSuite(KeyError):
     """Raised when a verification suite id is not registered."""
+
+    def __str__(self) -> str:
+        # the message itself, where KeyError would give the repr of it
+        return Exception.__str__(self)

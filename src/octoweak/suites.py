@@ -179,17 +179,22 @@ def _rng_for(cfg: SuiteConfig, suite_id: str) -> np.random.Generator:
     return np.random.default_rng([cfg.seed, zlib.crc32(suite_id.encode())])
 
 
-#: Sampled suites draw and evaluate at most this many samples at a time.  The
-#: cap bounds the temporary arrays: reading and evaluating a prop3 or prop5
-#: block peaks at about 1.8 MB at degree-2 fields (0.91 MB at 128 rows) and at
-#: about 127 MB at the degree-12 cap, where prop3, prop5, prop1-A and prop2 at
-#: 300 samples peak at 171 MB in one process (146 MB at 128 rows).  No
-#: contraction over a block's rows is a 2-D BLAS product (each row is a stacked
-#: product, a gather or a scatter), so BLAS threading does not depend on the
-#: block size, and no residual does.  Most of a pass is fixed cost per numpy
-#: call, so larger blocks run faster up to about 512 rows, but 512 rows double
-#: the peaks above (254 MB for one degree-12 prop3 block) and 1024 rows run slower.
-BLOCK_ROWS = 256
+#: Sampled suites draw and evaluate their samples a block at a time.  A block
+#: reads at most BLOCK_ROWS samples and at most BLOCK_DRAWS floats (16 MB of
+#: draws), but never less than one sample (:func:`_block_rows`).  Most of a pass
+#: is fixed cost per numpy call, so larger blocks run faster up to about 512
+#: rows; 1024-row blocks run the 1000-sample algebra suites 3-60% slower.  The
+#: temporaries grow with the floats a block draws, and BLOCK_DRAWS bounds them.
+#: No suite reaches it at field degrees 2 and 3, where one 512-row prop3 block
+#: peaks at about 3.3 MB (by tracemalloc, read and evaluated).  At the degree-12
+#: cap prop3 reads 47 rows a block (23 MB), lemma4 71 and prop1-A 143 (54 MB),
+#: and prop3, prop5, prop1-A and prop2 at 300 samples peak at 100 MB RSS in one
+#: process: 160 MB with a budget of 2**22, 198 MB with none, and 171 MB with
+#: none at 256 rows.  No contraction over a block's rows is a 2-D BLAS product
+#: (each row is a stacked product, a gather or a scatter), so BLAS threading does
+#: not depend on the block size, and no residual does.
+BLOCK_ROWS = 512
+BLOCK_DRAWS = 2**21
 
 _FULL = SubspaceTag.FULL_CO
 
@@ -227,6 +232,12 @@ def _layout(inputs: tuple) -> tuple:
     return low, width, spans
 
 
+def _block_rows(inputs: tuple) -> int:
+    """The samples a block of these inputs reads: BLOCK_ROWS, fewer where their
+    draws would pass BLOCK_DRAWS, and at least one."""
+    return min(BLOCK_ROWS, max(1, BLOCK_DRAWS // len(_layout(inputs)[0])))
+
+
 def _read_block(rng, m: int, inputs) -> list[np.ndarray]:
     """m samples, each read as one draw per input in turn, into one array per input.
 
@@ -257,7 +268,8 @@ def _evaluate(sdef: _SuiteDef, cfg: SuiteConfig, n: int, rng) -> tuple[np.ndarra
     if sdef.exhaustive:
         residuals = sdef.residual(cfg, *inputs)
     else:
-        drawn = (_read_block(rng, min(BLOCK_ROWS, n - s), inputs) for s in range(0, n, BLOCK_ROWS))
+        rows = _block_rows(inputs)
+        drawn = (_read_block(rng, min(rows, n - s), inputs) for s in range(0, n, rows))
         residuals = np.concatenate([sdef.residual(cfg, *block) for block in drawn])
     return residuals, sdef.witness is None or sdef.witness() > NEG_CONTROL_MIN
 

@@ -996,8 +996,8 @@ def test_one_read_equals_reads_in_blocks(suite_id, degree, monkeypatch):
 @pytest.mark.parametrize("degree", [2, 3])
 def test_residuals_do_not_depend_on_the_block_size(degree, monkeypatch):
     # 600 samples: nine full blocks and a part block at 64 rows, four and a
-    # part block at 128, two and a part block at the default 256, one and a
-    # part block at 512
+    # part block at 128, two and a part block at 256, one and a part block at
+    # the default 512
     cfg = SuiteConfig(field_degree=degree)
     sizes = (64, 128, 256, 512)
     assert suites.BLOCK_ROWS in sizes
@@ -1012,6 +1012,36 @@ def test_residuals_do_not_depend_on_the_block_size(degree, monkeypatch):
         for rows, (residuals, state) in zip(sizes[1:], others):
             assert _same_bits(residuals, first), (suite_id, rows)
             assert state == first_state, (suite_id, rows)
+
+
+@pytest.mark.parametrize("cols", [1, 2, 1000, 4095, 4096, 4097, 10**6])
+@pytest.mark.parametrize("budget", [1, 4096, 2**21])
+def test_a_block_reads_at_least_one_row_and_at_most_block_rows(cols, budget, monkeypatch):
+    monkeypatch.setattr(suites, "BLOCK_DRAWS", budget)
+    rows = suites._block_rows((_I(-1.0, 1.0, (cols,)),))
+    assert 1 <= rows <= suites.BLOCK_ROWS
+    if cols > budget:  # a sample wider than the budget: one row a block
+        assert rows == 1
+    else:  # as many rows as the budget holds, up to the cap
+        assert rows * cols <= budget
+        assert rows == suites.BLOCK_ROWS or (rows + 1) * cols > budget
+
+
+_WIDE = ("prop1-A", "prop2", "prop3", "lemma4")
+
+
+@pytest.mark.parametrize(
+    "budget, rows",
+    # at degree 3 these suites draw 290, 288, 905 and 625 floats a sample
+    [(1, (1, 1, 1, 1)), (2715, (9, 9, 3, 4)), (32769, (112, 113, 36, 52))],
+)
+def test_reports_do_not_depend_on_the_draw_budget(budget, rows, monkeypatch):
+    cfg = SuiteConfig(field_degree=3, suites=_WIDE)
+    want = suites.render_json(suites.run_all(cfg)[0], cfg)
+    monkeypatch.setattr(suites, "BLOCK_DRAWS", budget)
+    got = tuple(suites._block_rows(suites._REGISTRY[sid].inputs(cfg)) for sid in _WIDE)
+    assert got == rows
+    assert suites.render_json(suites.run_all(cfg)[0], cfg) == want
 
 
 def test_jet_exponent_tables_are_cached_and_read_only():

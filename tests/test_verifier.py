@@ -15,7 +15,6 @@ from octoweak import cli, suites
 from octoweak.cli import main, parse_config_file
 from octoweak.errors import DomainViolation, UnknownSuite
 from octoweak.suites import (
-    BLOCK_ROWS,
     MAX_FIELD_DEGREE,
     SuiteConfig,
     render_json,
@@ -221,6 +220,22 @@ def test_cli_rejects_unknown_suite(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("via_config", [False, True])
+def test_cli_unknown_suite_error_is_the_message_itself(via_config, tmp_path, capsys):
+    # not the repr that str() of a KeyError gives
+    if via_config:
+        (tmp_path / "run.cfg").write_text("suites = nope\n")
+        argv = ["--config", str(tmp_path / "run.cfg")]
+    else:
+        argv = ["--suite", "nope"]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    errors = [ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]
+    assert errors == ["octoweak: error: unknown suite id(s): nope"]
+    assert str(UnknownSuite("unknown suite id: 'nope'")) == "unknown suite id: 'nope'"
+
+
 @pytest.mark.parametrize(
     "argv, config_text",
     [
@@ -345,6 +360,40 @@ def test_cli_listing_with_standard_output_closed_is_one_error_line(flag):
     assert run.stderr.splitlines() == ["octoweak: error: cannot write report: standard output is closed"]
 
 
+@pytest.mark.parametrize("buffered", [False, True])
+def test_cli_confirmation_write_failure_is_one_error_line(buffered, tmp_path, capsys, monkeypatch):
+    # the report goes to --out and is complete; only the confirmation line fails
+    argv = ["--suite", "gamma5", "--report", "json", "--out"]
+    assert main(argv + [str(tmp_path / "want.json")]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli.sys, "stdout", _FullDevice(buffered))
+    with pytest.raises(SystemExit) as err:
+        main(argv + [str(tmp_path / "got.json")])
+    assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert "Traceback" not in err_text
+    assert err_text.splitlines() == [f"octoweak: error: cannot write report: {_enospc()}"]
+    assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+def test_cli_confirmation_to_a_full_device_is_one_error_line(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(octoweak.__file__).parents[1]))
+    out_path = tmp_path / "report.json"
+    with open("/dev/full", "w") as full:  # started as `octoweak ... > /dev/full` is
+        run = subprocess.run(
+            [sys.executable, "-m", "octoweak", "--suite", "gamma5", "--report", "json", "--out", str(out_path)],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+    assert run.returncode == 2
+    assert run.stderr.splitlines() == [f"octoweak: error: cannot write report: {_enospc()}"]
+    assert _strict_json(out_path.read_text())["passed"] is True
+
+
 def test_cli_failing_run_exit_code(capsys):
     code = main(["--suite", "double-cover", "--samples", "10", "--tol-series", "1e-15"])
     assert code == 1
@@ -399,9 +448,10 @@ def test_config_file_rejects_unknown_keys(tmp_path):
 
 
 @pytest.mark.parametrize("suite_id", sorted(SUITE_RUNNERS))
-def test_batched_runner_matches_its_per_sample_reference(suite_id):
+def test_batched_runner_matches_its_per_sample_reference(suite_id, monkeypatch):
+    monkeypatch.setattr(suites, "BLOCK_ROWS", 128)
     n = 300
-    assert n > BLOCK_ROWS  # crosses a block boundary
+    assert n > suites.BLOCK_ROWS  # crosses a block boundary
     cfg = SuiteConfig(seed=2024)
     rng_batched, rng_ref = suites._rng_for(cfg, suite_id), suites._rng_for(cfg, suite_id)
     got, got_ok = suites._evaluate(suites._REGISTRY[suite_id], cfg, n, rng_batched)
