@@ -128,13 +128,13 @@ def structure_table() -> StructureTable:
     return _TABLE
 
 
-#: Single-value classes that :func:`rowwise` unwraps, each with the attribute
+#: Single-value classes that :func:`rowwise` lifts, each with the attribute
 #: that holds an instance's array.
 _SINGLE_VALUES: dict[type, str] = {}
 
 
 def single_value(attr: str):
-    """Class decorator: :func:`rowwise` functions see an instance as its ``attr`` array."""
+    """Class decorator: :func:`rowwise` sees an instance as a block of one ``attr`` array."""
 
     def register(cls):
         _SINGLE_VALUES[cls] = attr
@@ -143,9 +143,10 @@ def single_value(attr: str):
     return register
 
 
-def _array_of(a):
+def _as_block(a):
+    # a single value as its array with a leading axis of one; anything else unchanged
     attr = _SINGLE_VALUES.get(type(a))
-    return a if attr is None else getattr(a, attr)
+    return a if attr is None else getattr(a, attr)[None]
 
 
 @single_value("c")
@@ -170,7 +171,9 @@ class CplxOcton:
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "CplxOcton":
-        # internal fast path: trusts dtype/shape, skips finiteness check
+        # internal fast path: trusts dtype and shape; refuses inf and NaN coefficients
+        if not np.isfinite(arr).all():
+            raise OverflowError("a CplxOcton's coefficients must be finite")
         obj = object.__new__(cls)
         arr.flags.writeable = False
         obj.c = arr
@@ -267,29 +270,37 @@ def mul(x: CplxOcton, y: CplxOcton) -> CplxOcton:
 # The *_rows functions act row by row on (..., 8) coefficient arrays, with the
 # leading axes broadcast together.
 
+def single(out):
+    """The single value that a block of one row stands for: row 0 of ``out``.
+
+    None stays None, a scalar becomes a Python number, an (8,) row a CplxOcton
+    (which raises OverflowError on the inf or NaN that rows would carry), and
+    anything else, such as a 4x4 matrix, stays an array.
+    """
+    if out is None:
+        return None
+    row = out[0]
+    if isinstance(row, np.generic):
+        return row.item()
+    return CplxOcton._wrap(row) if row.shape == (8,) else row
+
+
 def rowwise(fn):
     """Let fn, written on row arrays, also take single values.
 
-    Called with no numpy array among its arguments, fn sees each single value
-    (an instance of a :func:`single_value` class) as its array, and its result
-    comes back as a single-value routine returns it: an (8,) array as a
-    CplxOcton, a 0-d array or numpy scalar as a Python number, anything else
-    unchanged.  A CplxOcton's coefficients are finite, so an (8,) result with
-    an inf or NaN raises OverflowError; rows carry it for the caller to see.
+    Called with a single value (an instance of a :func:`single_value` class)
+    and no numpy array among its arguments, fn sees each single value as a
+    block of one row, and its result comes back through :func:`single`.  Any
+    other call, on arrays or on array-likes such as lists, is fn's on rows.
     """
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
-        if any(isinstance(a, np.ndarray) for a in (*args, *kwargs.values())):
+        values = (*args, *kwargs.values())
+        on_rows = any(isinstance(a, np.ndarray) for a in values)
+        if on_rows or not any(type(a) in _SINGLE_VALUES for a in values):
             return fn(*args, **kwargs)
-        out = fn(*map(_array_of, args), **{k: _array_of(a) for k, a in kwargs.items()})
-        if isinstance(out, np.ndarray) and out.shape == (8,):
-            if not np.isfinite(out).all():
-                raise OverflowError(f"{fn.__name__} of a single value is not finite")
-            return CplxOcton._wrap(out)
-        if isinstance(out, (np.ndarray, np.generic)) and out.ndim == 0:
-            return out.item()
-        return out
+        return single(fn(*map(_as_block, args), **{k: _as_block(a) for k, a in kwargs.items()}))
 
     # cProfile files calls under the code object; one per decorated function,
     # named after it, keeps their counts and times apart instead of pooled
@@ -436,12 +447,6 @@ def _cos_sinc_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Where |omega| < SMALL_ANGLE (omega = 0 included) 4-term Taylor sums
     # replace them.  No drawn value comes that close, so the sums are formed
     # only for an array that needs them, elementwise over all of it
-    z = np.asarray(z)
-    if z.ndim == 0:
-        # ufuncs turn 0-d results into numpy scalars, whose own arithmetic can
-        # round differently from a block's array loops: 0-d arrays, as a block of one
-        cos_w, sinc_w = _cos_sinc_rows(z.reshape(1))
-        return cos_w.reshape(()), sinc_w.reshape(())
     om = np.sqrt(z)
     small = np.abs(om) < SMALL_ANGLE
     if not small.any():

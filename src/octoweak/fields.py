@@ -12,7 +12,7 @@ chain rule, and exp(u) by the differential of its closed form.
 
 The *_rows functions evaluate many fields of one exponent matrix at once, as
 a coefficient stack (..., M, 8) with one point (..., 4) per field; the
-single-field functions are one-row calls of them.  ``monomial_rows`` gives the
+single-field functions call them on a block of one.  ``monomial_rows`` gives the
 monomial table of a block of points, all four derivatives or one per point,
 and ``contract_rows`` applies it to any fields that share the exponents.
 """
@@ -25,7 +25,15 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .core import CplxOcton, _cos_sinc_rows, bar_star_rows, exp_assoc, inner_rows, mul_rows
+from .core import (
+    CplxOcton,
+    _cos_sinc_rows,
+    bar_star_rows,
+    exp_assoc,
+    inner_rows,
+    mul_rows,
+    single,
+)
 from .errors import DomainViolation
 from .grading import AB_CLOSURE, SubspaceTag, draw_rows, in_subspace
 from .lorentz import EBAR_UPPER_ROWS, Theta, eta_inverse_transform, lambda_S, lambda_V
@@ -38,12 +46,13 @@ DEXP_TAYLOR_Z = 1e-2
 
 
 def _as_point(p) -> np.ndarray:
+    # one point as a block of one row, (1, 4)
     arr = np.asarray(p, dtype=float)
     if arr.shape != (4,):
         raise ValueError("a point has exactly 4 real coordinates")
     if not np.all(np.isfinite(arr)):
         raise ValueError("point coordinates must be finite")
-    return arr
+    return arr[None]
 
 
 class PolyField:
@@ -264,27 +273,21 @@ def jet_rows(exps: np.ndarray, coeffs: np.ndarray, points: np.ndarray):
 
 
 def _jet(f: PolyField, p) -> tuple[np.ndarray, np.ndarray]:
-    """f and its four partial derivatives at p, as an (8,) and a (4, 8) array."""
+    """f and its four partial derivatives at p, as a (1, 8) and a (1, 4, 8) block."""
     return jet_rows(f.exps, f.coeffs, _as_point(p))
 
 
 def _jet_along(f: PolyField, mu: int, p) -> tuple[np.ndarray, np.ndarray]:
-    """f and its partial derivative along x_mu at p, as two (8,) arrays."""
+    """f and its partial derivative along x_mu at p, as two (1, 8) blocks."""
     if not 0 <= mu <= 3:
         raise ValueError("axis must be in 0..3")
-    value, derivative = contract_rows(monomial_rows(f.exps, _as_point(p), mu), f.coeffs)
-    return value, derivative
+    jet = contract_rows(monomial_rows(f.exps, _as_point(p), [mu]), f.coeffs)
+    return jet[:, 0], jet[:, 1]
 
 
 def eval_at(f: PolyField, p) -> CplxOcton:
-    """Value at a real point: the monomials at p times the coefficient rows.
-
-    The contraction takes the values and one derivative, which is dropped: a
-    value row alone would be a matrix-vector product, whose sums can round
-    differently from those of the jets.
-    """
-    value, _ = contract_rows(monomial_rows(f.exps, _as_point(p), 0), f.coeffs)
-    return CplxOcton._wrap(value)
+    """Value at a real point: the value of f's jet there."""
+    return single(_jet_along(f, 0, p)[0])
 
 
 def partial(f: PolyField, mu: int) -> PolyField:
@@ -362,7 +365,7 @@ def bilinear_rows(values: np.ndarray, grads: np.ndarray) -> np.ndarray:
 def dirac_scalar(f: PolyField, p) -> complex:
     """The first-derivative bilinear sum_rho <f*, ebar^rho d_rho f> at p."""
     _require_spinor(f.tag)
-    return complex(bilinear_rows(*_jet(f, p)))
+    return single(bilinear_rows(*_jet(f, p)))
 
 
 def lorentz_invariance_rows(tag, lam, lv, jet_at, points) -> np.ndarray:
@@ -394,7 +397,7 @@ def lorentz_invariance_residual(f: PolyField, theta: Theta, p) -> float:
         return jet_rows(f.exps, f.coeffs, q)
 
     lam, lv = lambda_S(theta).c, lambda_V(theta)
-    return float(lorentz_invariance_rows(f.tag, lam, lv, jet_at, _as_point(p)))
+    return single(lorentz_invariance_rows(f.tag, lam, lv, jet_at, _as_point(p)))
 
 
 def _require_a_valued(u: PolyField) -> None:
@@ -417,10 +420,6 @@ def dexp_rows(u: np.ndarray, du: np.ndarray) -> np.ndarray:
     |w^2| = DEXP_TAYLOR_Z the last factor is summed from its Taylor series.
     """
     u, du = np.broadcast_arrays(u, du)
-    if u.ndim == 1:
-        # one row's scalars would come out of the ufuncs as numpy scalars, whose
-        # own arithmetic can round differently from a block's array loops
-        return dexp_rows(u[None], du[None])[0]
     s, v, ds, dv = u[..., 0], u[..., 1:4], du[..., 0], du[..., 1:4]
     z, a = inner_rows(v, v), inner_rows(v, dv)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -440,4 +439,4 @@ def dexp_rows(u: np.ndarray, du: np.ndarray) -> np.ndarray:
 def dexp_at(u: PolyField, mu: int, p) -> CplxOcton:
     """Partial derivative of exp(u) along x_mu at p (see :func:`dexp_rows`)."""
     _require_a_valued(u)
-    return CplxOcton._wrap(dexp_rows(*_jet_along(u, mu, p)))
+    return single(dexp_rows(*_jet_along(u, mu, p)))

@@ -25,6 +25,7 @@ from .core import (
     mul_rows,
     rowwise,
     scal,
+    single,
 )
 from .errors import DomainViolation
 from .fields import PolyField, _jet, _jet_along, bilinear_rows, dexp_rows, eval_at
@@ -70,7 +71,8 @@ def _require_field_tag(f: PolyField, tag: SubspaceTag, name: str) -> None:
 # The *_rows functions take the values and derivatives of the fields at the
 # point, one sample per row: (..., 8) arrays, with the leading axes broadcast
 # together.  u is the gauge parameter, du its derivative along x_rho, w the
-# value of W_rho.  The PolyField-taking functions evaluate one sample.
+# value of W_rho.  The PolyField-taking functions evaluate one sample as a
+# block of one row and return it through core.single.
 
 
 def transport_rows(w, u, du) -> np.ndarray:
@@ -161,21 +163,21 @@ def scal_ww_rows(w, u, du) -> np.ndarray:
 
 
 def _value(f: PolyField, p) -> np.ndarray:
-    return eval_at(f, p).c
+    return _jet_along(f, 0, p)[0]
 
 
 def transform_W_at(W: ConnectionField, u: PolyField, rho: int, p) -> CplxOcton:
     """Transported connection U W_rho U^-1 - (d_rho U) U^-1 at a point."""
     require_gauge_param(u)
     uval, du = _jet_along(u, rho, p)
-    return CplxOcton._wrap(transport_rows(_value(W[rho], p), uval, du))
+    return single(transport_rows(_value(W[rho], p), uval, du))
 
 
 def cov_der_alpha_at(alpha: PolyField, W: ConnectionField, rho: int, p) -> CplxOcton:
     """D_rho alpha = d_rho alpha - alpha W_rho at a point."""
     _require_field_tag(alpha, SubspaceTag.A, "alpha")
     a, da = _jet_along(alpha, rho, p)
-    return CplxOcton._wrap(cov_der_alpha_rows(a, da, _value(W[rho], p)))
+    return single(cov_der_alpha_rows(a, da, _value(W[rho], p)))
 
 
 def cov_der_beta_at(
@@ -184,7 +186,7 @@ def cov_der_beta_at(
     """D_rho beta = d_rho beta + r beta Scal(W_rho) at a point (see :func:`cov_der_beta_rows`)."""
     _require_field_tag(beta, SubspaceTag.B, "beta")
     b, db = _jet_along(beta, rho, p)
-    return CplxOcton._wrap(cov_der_beta_rows(b, db, _value(W[rho], p), r))
+    return single(cov_der_beta_rows(b, db, _value(W[rho], p), r))
 
 
 def transform_alpha_gauge_at(alpha: PolyField, u: PolyField, p) -> CplxOcton:
@@ -206,7 +208,7 @@ def global_alpha_invariance_residual(alpha: PolyField, u_const: CplxOcton, p) ->
     alpha -> alpha exp(-u).  Vanishes exactly when bar_star(u) = -u.
     """
     _require_field_tag(alpha, SubspaceTag.A, "alpha")
-    return float(global_alpha_rows(*_jet(alpha, p), u_const.c))
+    return single(global_alpha_rows(*_jet(alpha, p), u_const.c[None]))
 
 
 def covariance_residual_alpha(
@@ -216,7 +218,7 @@ def covariance_residual_alpha(
     _require_field_tag(alpha, SubspaceTag.A, "alpha")
     require_gauge_param(u)
     a, da = _jet_along(alpha, rho, p)
-    return float(covariance_alpha_rows(a, da, _value(W[rho], p), *_jet_along(u, rho, p)))
+    return single(covariance_alpha_rows(a, da, _value(W[rho], p), *_jet_along(u, rho, p)))
 
 
 def covariance_residual_beta(
@@ -226,19 +228,19 @@ def covariance_residual_beta(
     _require_field_tag(beta, SubspaceTag.B, "beta")
     require_gauge_param(u)
     b, db = _jet_along(beta, rho, p)
-    return float(covariance_beta_rows(b, db, _value(W[rho], p), *_jet_along(u, rho, p), r))
+    return single(covariance_beta_rows(b, db, _value(W[rho], p), *_jet_along(u, rho, p), r))
 
 
 def scal_der_u_residual(u: PolyField, mu: int, p) -> complex:
     """<1, (d_mu U) U^-1> - <1, d_mu u>; zero for exponential group elements."""
     require_gauge_param(u)
-    return complex(scal_der_u_rows(*_jet_along(u, mu, p)))
+    return single(scal_der_u_rows(*_jet_along(u, mu, p)))
 
 
 def scal_ww_residual(W: ConnectionField, u: PolyField, rho: int, p) -> complex:
     """Scal(W' - W) + Scal(d_rho u); zero under the connection transport law."""
     require_gauge_param(u)
-    return complex(scal_ww_rows(_value(W[rho], p), *_jet_along(u, rho, p)))
+    return single(scal_ww_rows(_value(W[rho], p), *_jet_along(u, rho, p)))
 
 
 @rowwise

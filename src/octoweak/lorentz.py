@@ -81,13 +81,9 @@ class Theta:
     @classmethod
     def from_upper(cls, entries: dict[tuple[int, int], float]) -> "Theta":
         """Build from upper-triangle values {(mu, nu): theta^{mu nu}}, mu < nu."""
-        arr = np.zeros((4, 4))
-        for (mu, nu), val in entries.items():
-            if not (0 <= mu < nu <= 3):
-                raise ValueError("upper-triangle indices required (mu < nu)")
-            arr[mu, nu] = val
-            arr[nu, mu] = -val
-        return cls(arr)
+        if not all(0 <= mu < nu <= 3 for mu, nu in entries):
+            raise ValueError("upper-triangle indices required (mu < nu)")
+        return cls(theta_rows(list(entries.values()), list(entries)))
 
     @classmethod
     def single(cls, mu: int, nu: int, value: float) -> "Theta":
@@ -96,14 +92,12 @@ class Theta:
     @classmethod
     def random(cls, rng: np.random.Generator, bound: float) -> "Theta":
         """Uniform entries in [-bound, bound] on the six free parameters."""
-        vals = rng.uniform(-bound, bound, size=6)
-        return cls.from_upper(dict(zip(THETA_PAIRS, vals)))
+        return cls(theta_rows(rng.uniform(-bound, bound, 6), THETA_PAIRS))
 
     @classmethod
     def random_rotation(cls, rng: np.random.Generator, bound: float) -> "Theta":
         """Rotation-only draw: all boost entries theta^{0i} stay zero."""
-        vals = rng.uniform(-bound, bound, size=3)
-        return cls.from_upper(dict(zip(ROTATION_PAIRS, vals)))
+        return cls(theta_rows(rng.uniform(-bound, bound, 3), ROTATION_PAIRS))
 
     def __neg__(self) -> "Theta":
         return Theta(-self.m)
@@ -175,9 +169,9 @@ def _generator_sum(theta: np.ndarray, gens: np.ndarray) -> np.ndarray:
 def lambda_S(theta):
     """Spinor transformation exp(-(i/2) theta^{mu nu} S_mu_nu), by :func:`exp_rows`.
 
-    A :class:`Theta` gives a CplxOcton, and raises OverflowError if the
-    exponential overflows; an (..., 4, 4) parameter stack, one matrix
-    included, gives (..., 8) rows, with inf or NaN where it overflows.
+    A :class:`Theta`, as a stack of one, gives a CplxOcton, and raises
+    OverflowError if the exponential overflows; an (..., 4, 4) parameter
+    stack gives (..., 8) rows, with inf or NaN where it overflows.
     """
     return exp_rows(-0.5j * _generator_sum(theta, _S_PAIRS))
 
@@ -206,20 +200,16 @@ def _sinc_excesses(x2: np.ndarray, x: np.ndarray) -> np.ndarray:
 def lambda_V(theta) -> np.ndarray:
     """Vector transformation exp(-(i/2) theta^{mu nu} V_mu_nu), a real float64 matrix.
 
-    A :class:`Theta` gives a 4x4 matrix, an (..., 4, 4) parameter stack a stack.
-    The exponent G is real with eigenvalues +-a and +-ib, so G^4 = c G^2 + Pf^2
-    by Cayley-Hamilton, where c = (1/2) tr G^2 = a^2 - b^2 and Pf, the Pfaffian
-    of G's upper triangle, has Pf^2 = a^2 b^2.  Then exp(G) = f0 + f1 G + f2 G^2
-    + f3 G^3 with f2 = (cosh a - cos b)/r and f3 = (sinh(a)/a - sin(b)/b)/r,
-    r = a^2 + b^2, each written so that no digits cancel; r = 0 (theta = 0 and
-    the null rotations) has G^3 = 0 and f = (1, 1, 1/2, 1/6).  A matrix that is
-    not finite, or whose exponential overflows, comes out non-finite.
+    A :class:`Theta`, as a stack of one, gives a 4x4 matrix; an (..., 4, 4)
+    parameter stack gives a stack.  The exponent G is real with eigenvalues
+    +-a and +-ib, so G^4 = c G^2 + Pf^2 by Cayley-Hamilton, where
+    c = (1/2) tr G^2 = a^2 - b^2 and Pf, the Pfaffian of G's upper triangle,
+    has Pf^2 = a^2 b^2.  Then exp(G) = f0 + f1 G + f2 G^2 + f3 G^3 with
+    f2 = (cosh a - cos b)/r and f3 = (sinh(a)/a - sin(b)/b)/r, r = a^2 + b^2,
+    each written so that no digits cancel; r = 0 (theta = 0 and the null
+    rotations) has G^3 = 0 and f = (1, 1, 1/2, 1/6).  A matrix that is not
+    finite, or whose exponential overflows, comes out non-finite.
     """
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim == 2:
-        # 0-d invariants would come out of the ufuncs as numpy scalars, whose
-        # own arithmetic can round differently from a stack's: a stack of one
-        return lambda_V(theta[None])[0]
     with np.errstate(all="ignore"):
         g = _generator_sum(theta, _V_REAL_PAIRS)
         # G01, G02, G03 (the boosts, where G is symmetric), then G12, G13, G23

@@ -51,10 +51,10 @@ from .gauge import (
 from .grading import (
     AB_CLOSURE,
     SubspaceTag,
+    closure_defect_rows,
     dof_rows,
     exchange_residuals,
     ipmove_residuals,
-    membership_defect,
     ndof,
     residual_zvengrowski,
 )
@@ -356,11 +356,8 @@ _CLOSURE_TAGS = tuple(tag for pair in AB_CLOSURE for tag in pair)
 
 def _grading_closure(cfg, *xs):
     # xs holds x, y for each (tag_x, tag_y) of the closure table in turn
-    worst = []
-    for (x, y), target in zip(zip(xs[::2], xs[1::2]), AB_CLOSURE.values()):
-        p = mul_rows(x, y)
-        worst.append(membership_defect(p, target) / np.maximum(1.0, abs_rows(p)))
-    return np.max(worst, axis=0)
+    pairs = zip(xs[::2], xs[1::2], AB_CLOSURE.values())
+    return np.max([closure_defect_rows(x, y, target) for x, y, target in pairs], axis=0)
 
 
 def _double_cover(cfg, theta):

@@ -278,6 +278,20 @@ def test_a_single_value_whose_exponential_overflows_raises():
         lambda_S(Theta.single(0, 1, 3000))
 
 
+def test_an_operation_that_overflows_raises_instead_of_building_a_value():
+    # every route that builds a CplxOcton refuses inf and NaN coefficients
+    big = CplxOcton.scalar(1e200)
+    with np.errstate(all="ignore"):
+        for build in (
+            lambda: mul(big, big),
+            lambda: CplxOcton.scalar(1e308) + CplxOcton.scalar(1e308),
+            lambda: CplxOcton.scalar(1e300) * 1e300,
+            lambda: ONE / 0,
+        ):
+            with pytest.raises(OverflowError):
+                build()
+
+
 def test_exp_assoc_rejects_complement_components():
     with pytest.raises(NotInAssociativeSubalgebra):
         exp_assoc(E[4])

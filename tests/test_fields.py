@@ -19,6 +19,7 @@ from octoweak.fields import (
     partial,
     random_field,
 )
+from octoweak.gauge import ConnectionField, cov_der_alpha_at
 from octoweak.grading import SubspaceTag, draw, in_subspace
 from octoweak.lorentz import EBAR_UPPER, Theta, eta_inverse_transform, lambda_S, lambda_V
 
@@ -246,6 +247,22 @@ def test_invariance_residual_requires_tagged_field():
 
 
 # ---------------------------------------------------- exponential fields
+
+
+def test_a_single_field_value_that_overflows_raises():
+    # x0^4 at x0 = 1e100, e^x0 at x0 = 800 and x0^2 W at x0 = 1e200 are not
+    # finite: the single-value routines raise rather than return them
+    quartic = PolyField({(4, 0, 0, 0): ONE})
+    u = PolyField({(1, 0, 0, 0): ONE}, tag=SubspaceTag.A)
+    alpha = PolyField({(2, 0, 0, 0): ONE}, tag=SubspaceTag.A)
+    with np.errstate(all="ignore"):
+        for evaluate in (
+            lambda: eval_at(quartic, (1e100, 0, 0, 0)),
+            lambda: dexp_at(u, 0, (800, 0, 0, 0)),
+            lambda: cov_der_alpha_at(alpha, ConnectionField.zero(), 0, (1e200, 0, 0, 0)),
+        ):
+            with pytest.raises(OverflowError):
+                evaluate()
 
 
 def test_exp_field_and_dexp_constant_parameter():

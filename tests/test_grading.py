@@ -160,6 +160,13 @@ def test_closure_check_all_four_combinations():
         assert ab_lemma_closure_check(tx, ty, samples=1000, seed=5)
 
 
+def test_closure_check_fails_when_a_closure_target_is_wrong(monkeypatch):
+    # A*B lands in B; a table that sends it to A must fail the check
+    monkeypatch.setitem(AB_CLOSURE, (SubspaceTag.A, SubspaceTag.B), SubspaceTag.A)
+    assert not ab_lemma_closure_check(SubspaceTag.A, SubspaceTag.B, samples=10, seed=5)
+    assert ab_lemma_closure_check(SubspaceTag.B, SubspaceTag.B, samples=10, seed=5)
+
+
 def test_closure_check_rejects_non_ab_tags():
     with pytest.raises(ValueError):
         ab_lemma_closure_check(SubspaceTag.FULL_CO, SubspaceTag.A, 10, 0)

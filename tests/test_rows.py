@@ -201,7 +201,8 @@ def test_row_kernels_match_scalar_functions():
 
 
 def test_each_single_value_function_is_a_view_of_its_row_kernel():
-    # a value goes through the kernel as one row, bit for bit; rows pass straight through
+    # a value goes through the kernel as a block of one, bit for bit; rows pass
+    # straight through
     x, y, z = (_rows(SubspaceTag.FULL_CO, s) for s in (50, 51, 52))
     u = _rows(SubspaceTag.A, 53, bound=2.0)
     cases = [
@@ -217,12 +218,21 @@ def test_each_single_value_function_is_a_view_of_its_row_kernel():
         assert _same_bits(view(*rows), block)
         for i in range(len(block)):
             got = view(*(CplxOcton(r[i]) for r in rows))
-            want = kernel(*(r[i] for r in rows))
+            want = kernel(*(r[i : i + 1] for r in rows))[0]
             if want.shape == (8,):
                 assert isinstance(got, CplxOcton) and got.c.tobytes() == want.tobytes()
             else:
                 assert isinstance(got, complex) and got == want.item()
             assert block[i].tobytes() == want.tobytes()
+
+
+def test_a_rowwise_function_on_array_likes_and_no_single_value_acts_on_rows():
+    # lists are rows, as arrays are: a lone list is one (8,) row or one 4x4
+    # matrix, not a block of one whose row 0 is returned
+    x, theta = _rows(SubspaceTag.FULL_CO, 55, 1)[0], _thetas(56, 1)[0]
+    assert _same_bits(conj_oct(x.tolist()), conj_oct_rows(x))
+    assert _same_bits(np.asarray(inner(x.tolist(), x.tolist())), np.asarray(inner_rows(x, x)))
+    assert _same_bits(lambda_V(theta.tolist()), lambda_V(theta))
 
 
 def _full_rows(rng, shape):
@@ -322,22 +332,166 @@ def test_cos_sinc_rows_equals_the_two_branch_form_bit_for_bit():
     assert np.all(np.abs(np.sqrt(z)) >= SMALL_ANGLE)
     one_small = z.copy()
     one_small[N // 2] = 1e-14 - 3e-15j  # |omega| about 1e-7
-    cases = [z, one_small, np.asarray(z[3]), np.asarray(1e-14 + 0j), np.asarray(0j)]
+    cases = [z, one_small, z[3:4], np.array([1e-14 + 0j]), np.array([0j])]
     for case in cases:
         got, want = core._cos_sinc_rows(case), oracles.cos_sinc_rows_two_branch(case)
         for g, w in zip(got, want):
-            # a 0-d input comes back as 0-d arrays, not numpy scalars
+            # a block of one comes back as arrays of one, not numpy scalars
             assert isinstance(g, np.ndarray) and _same_bits(g, w), case
 
 
-def test_exp_and_dexp_of_one_row_equal_that_row_inside_a_block():
+def _exp_and_dexp_pairs():
     u, du = _rows(SubspaceTag.A, 47, bound=2.0), _rows(SubspaceTag.A, 48)
     u[3, 1:4] = [1e-8, 0.0, 2e-9j]  # a row on the Taylor branch makes the block take it
     for block in (u[:3], u):
         exp_block, dexp_block = exp_rows(block), dexp_rows(block, du[: len(block)])
         for i, row in enumerate(block):
-            assert exp_rows(row).tobytes() == exp_block[i].tobytes()
-            assert dexp_rows(row, du[i]).tobytes() == dexp_block[i].tobytes()
+            yield exp_rows(block[i : i + 1])[0], exp_block[i]
+            yield exp_assoc(CplxOcton(row)), exp_block[i]
+            yield dexp_rows(block[i : i + 1], du[i : i + 1])[0], dexp_block[i]
+
+
+def _single_of(arg, i):
+    # row i of a block argument as the single value it stands for
+    if not isinstance(arg, np.ndarray):
+        return arg
+    row = arg[i]
+    if row.shape == (8,):
+        return CplxOcton(row)
+    return Theta(row) if row.shape == (4, 4) else row.item()
+
+
+def _rowwise_pairs(cases):
+    # each rowwise function of single values against its rows on the block
+    for fn, args in cases:
+        block = fn(*args)
+        for i in range(N):
+            single = fn(*(_single_of(arg, i) for arg in args))
+            yield single, None if block is None else block[i]
+
+
+def _core_view_pairs():
+    x, y, z = (_rows(SubspaceTag.FULL_CO, s) for s in (50, 51, 52))
+    u = _rows(SubspaceTag.A, 53, bound=2.0)
+    cases = [(conj_oct, (x,)), (bar_star, (x,)), (inner, (x, y)), (norm, (x,))]
+    cases += [(associator, (x, y, z)), (exp_assoc, (u,))]
+    return _rowwise_pairs(cases)
+
+
+def _grading_view_pairs():
+    a, a2, b, b2 = oracles.draw_block(suites._AB_TAGS, np.random.default_rng(56), N)
+    x, y, z = (_rows(SubspaceTag.FULL_CO, s) for s in (57, 58, 59))
+    mixed = np.where((np.arange(N) % 3 == 0)[:, None], b, a)
+    cases = [(project, (x, SubspaceTag.A_MINUS)), (membership_defect, (x, SubspaceTag.B))]
+    cases += [(in_subspace, (mixed, SubspaceTag.A)), (require_member, (a, SubspaceTag.A))]
+    cases += _exchange_cases(a, a2, b, b2)
+    cases += [(residual_zvengrowski, (x, y, z))]
+    cases += [(residual_ipmove, (form, x, y, z)) for form in IPMoveForm]
+    return _rowwise_pairs(cases)
+
+
+def _lorentz_pairs():
+    thetas = _lambda_V_cases()[:N]
+    return _rowwise_pairs([(fn, (thetas,)) for fn in (lambda_S, lambda_V, double_cover_residual)])
+
+
+def _general_coupling_pairs():
+    r = np.random.default_rng(60).uniform(0.1, 1.0, N)
+    w, beta = _rows(SubspaceTag.A_MINUS, 61), _rows(SubspaceTag.B, 62)
+    return _rowwise_pairs([(general_coupling_residual, (r, 0.3 * r, _thetas(63), w, beta))])
+
+
+def _along(f, mu, points):
+    # a field's values and derivatives along x_mu at a block of points
+    jet = contract_rows(monomial_rows(f.exps, points, np.full(len(points), mu)), f.coeffs)
+    return jet[:, 0], jet[:, 1]
+
+
+def _field_pairs():
+    rng = np.random.default_rng(64)
+    points = rng.uniform(-1.5, 1.5, (N, 4))
+    f, u = random_field(rng, 3, SubspaceTag.B), random_field(rng, 2, SubspaceTag.A_MINUS)
+    thetas = _thetas(65, bound=1.5)
+
+    def jet_at(q):
+        return jet_rows(f.exps, f.coeffs, q)
+
+    lam, lv = lambda_S(thetas), lambda_V(thetas)
+    cases = [
+        (lambda i: eval_at(f, points[i]), _along(f, 0, points)[0]),
+        (lambda i: fields.dirac_scalar(f, points[i]), bilinear_rows(*jet_at(points))),
+        (
+            lambda i: fields.lorentz_invariance_residual(f, Theta(thetas[i]), points[i]),
+            fields.lorentz_invariance_rows(f.tag, lam, lv, jet_at, points),
+        ),
+        (lambda i: fields.dexp_at(u, 2, points[i]), dexp_rows(*_along(u, 2, points))),
+    ]
+    return ((single(i), block[i]) for single, block in cases for i in range(N))
+
+
+def _gauge_pairs():
+    rng = np.random.default_rng(66)
+    points = rng.uniform(-1.5, 1.5, (N, 4))
+    alpha, beta = random_field(rng, 2, SubspaceTag.A), random_field(rng, 2, SubspaceTag.B)
+    u = random_field(rng, 2, SubspaceTag.A_MINUS)
+    W = gauge.ConnectionField([random_field(rng, 2, SubspaceTag.A_MINUS) for _ in range(4)])
+    u_const, rho, r = _rows(SubspaceTag.A_MINUS, 67, bound=2.0), 1, 0.7
+    u_const_values = _values(u_const)
+    (a, da), (b, db), (uv, du) = (_along(g, rho, points) for g in (alpha, beta, u))
+    w = _along(W[rho], 0, points)[0]
+    cases = [
+        (lambda i: gauge.transform_W_at(W, u, rho, points[i]), gauge.transport_rows(w, uv, du)),
+        (
+            lambda i: gauge.cov_der_alpha_at(alpha, W, rho, points[i]),
+            gauge.cov_der_alpha_rows(a, da, w),
+        ),
+        (
+            lambda i: gauge.cov_der_beta_at(beta, W, rho, points[i], r),
+            gauge.cov_der_beta_rows(b, db, w, r),
+        ),
+        (
+            lambda i: gauge.global_alpha_invariance_residual(alpha, u_const_values[i], points[i]),
+            gauge.global_alpha_rows(*jet_rows(alpha.exps, alpha.coeffs, points), u_const),
+        ),
+        (
+            lambda i: gauge.covariance_residual_alpha(alpha, W, u, rho, points[i]),
+            gauge.covariance_alpha_rows(a, da, w, uv, du),
+        ),
+        (
+            lambda i: gauge.covariance_residual_beta(beta, W, u, rho, points[i], r),
+            gauge.covariance_beta_rows(b, db, w, uv, du, r),
+        ),
+        (lambda i: gauge.scal_der_u_residual(u, rho, points[i]), gauge.scal_der_u_rows(uv, du)),
+        (lambda i: gauge.scal_ww_residual(W, u, rho, points[i]), gauge.scal_ww_rows(w, uv, du)),
+    ]
+    return ((single(i), block[i]) for single, block in cases for i in range(N))
+
+
+_SINGLE_VALUE_CASES = {
+    "exp-dexp": _exp_and_dexp_pairs,
+    "core-views": _core_view_pairs,
+    "grading-views": _grading_view_pairs,
+    "lorentz": _lorentz_pairs,
+    "general-coupling": _general_coupling_pairs,
+    "fields": _field_pairs,
+    "gauge": _gauge_pairs,
+}
+
+
+@pytest.mark.parametrize("case", list(_SINGLE_VALUE_CASES))
+def test_exp_and_dexp_of_one_row_equal_that_row_inside_a_block(case):
+    # every single-value entry point gives its row of a block, bit for bit: a
+    # CplxOcton its (8,) row, a number its scalar, an array its row array
+    for single, row in _SINGLE_VALUE_CASES[case]():
+        if row is None:
+            assert single is None
+        elif isinstance(single, CplxOcton):
+            assert single.c.tobytes() == row.tobytes() and row.shape == (8,)
+        elif isinstance(single, np.ndarray):
+            assert _same_bits(single, row)
+        else:
+            assert type(single) is type(row.item())
+            assert _same_bits(np.asarray(single), np.asarray(row))
 
 
 # ------------------------------------------------------ Lorentz exponentials
@@ -828,8 +982,8 @@ def test_the_directional_table_is_the_full_table_along_each_rows_axis(degree):
     f = PolyField._from_arrays(exps, coeffs[0], degree, None)
     for mu in range(4):
         got_value, got_derivative = fields._jet_along(f, mu, points[0])
-        _close(got_value, values[0])
-        _close(got_derivative, grads[0, mu])
+        _close(got_value, values[:1])
+        _close(got_derivative, grads[:1, mu])
 
 
 def test_eval_at_is_the_value_of_the_jet():
