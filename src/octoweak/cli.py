@@ -1,7 +1,8 @@
 """Command line front end for the verification harness.
 
-Precedence of the run configuration, lowest to highest: built-in
-defaults, the OCTOWEAK_SEED environment variable (seed only), the
+Each settable :class:`SuiteConfig` field but ``suites`` is declared once, in ``_SETTINGS``,
+which the flags, the config-file keys and their merge are read from.  Precedence, lowest to
+highest: built-in defaults, the OCTOWEAK_SEED environment variable (seed only), the
 ``--config`` key-value file, then explicit command line flags.
 """
 
@@ -10,16 +11,37 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import namedtuple
 from contextlib import nullcontext
 
 from .core import structure_table
 from .errors import UnknownSuite
 from .suites import SuiteConfig, render_json, render_text, run_all, suite_ids
 
-ENV_SEED = "OCTOWEAK_SEED"
 
-_INT_KEYS = {"seed", "samples_per_suite", "field_degree"}
-_FLOAT_KEYS = {"tol_exact", "tol_series", "theta_bound"}
+#: A setting's flag, the type its value is read as (from the flag, the config file or the
+#: environment), its help text and the environment variable, if any, that sets it below the file.
+_Setting = namedtuple("_Setting", "flag kind help env", defaults=(None,))
+
+#: Every settable SuiteConfig field but ``suites``, under its config-file key.
+_SETTINGS = {
+    "seed": _Setting("--seed", int, "RNG seed for all suites", "OCTOWEAK_SEED"),
+    "samples_per_suite": _Setting("--samples", int, "override the per-suite sample counts"),
+    "tol_exact": _Setting("--tol-exact", float, "tolerance for exact identities"),
+    "tol_series": _Setting("--tol-series", float, "base tolerance for series-backed checks"),
+    "theta_bound": _Setting("--theta-bound", float, "bound of the drawn Lorentz parameters"),
+    "field_degree": _Setting(
+        "--field-degree", int, "total degree of the random polynomial fields"
+    ),
+}
+
+
+def _read(setting: _Setting, value: str, source: str):
+    """value read as the setting's type, or a ValueError, worded as argparse's, naming source."""
+    try:
+        return setting.kind(value)
+    except ValueError:
+        raise ValueError(f"{source}: invalid {setting.kind.__name__} value: {value!r}") from None
 
 
 def parse_config_file(path: str) -> dict:
@@ -34,18 +56,12 @@ def parse_config_file(path: str) -> dict:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            for sep in ("=", ":"):
-                if sep in line:
-                    key, _, val = line.partition(sep)
-                    break
-            else:
+            key, found, val = line.partition("=" if "=" in line else ":")
+            if not found:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key = key.strip()
-            val = val.strip()
-            if key in _INT_KEYS:
-                values[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(val)
+            key, val = key.strip(), val.strip()
+            if key in _SETTINGS:
+                values[key] = _read(_SETTINGS[key], val, f"{path}:{lineno}: {key}")
             elif key == "suites":
                 values[key] = tuple(s.strip() for s in val.split(",") if s.strip())
             else:
@@ -59,26 +75,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run the octonion identity verification suites.",
     )
     parser.add_argument("--config", metavar="PATH", help="key-value config file")
-    parser.add_argument("--seed", type=int, help="RNG seed for all suites")
-    parser.add_argument(
-        "--samples", type=int, help="override the per-suite sample counts"
-    )
-    parser.add_argument("--tol-exact", type=float, help="tolerance for exact identities")
-    parser.add_argument(
-        "--tol-series", type=float, help="base tolerance for series-backed checks"
-    )
-    parser.add_argument(
-        "--theta-bound", type=float, help="bound of the drawn Lorentz parameters"
-    )
-    parser.add_argument(
-        "--field-degree", type=int, help="total degree of the random polynomial fields"
-    )
-    parser.add_argument(
-        "--suite",
-        action="append",
-        metavar="ID",
-        help="run only this suite (repeatable)",
-    )
+    for field, setting in _SETTINGS.items():
+        metavar = setting.flag[2:].replace("-", "_").upper()  # argparse's own, from the flag
+        parser.add_argument(setting.flag, dest=field, type=setting.kind, metavar=metavar,
+                            help=setting.help)
+    parser.add_argument("--suite", action="append", dest="suites", metavar="ID",
+                        help="run only this suite (repeatable)")
     parser.add_argument("--report", choices=("text", "json"), default="text")
     parser.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
     parser.add_argument("--list-suites", action="store_true", help="print suite ids and exit")
@@ -91,26 +93,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(args: argparse.Namespace) -> SuiteConfig:
-    values: dict = {}
-    env_seed = os.environ.get(ENV_SEED)
-    if env_seed is not None:
-        values["seed"] = int(env_seed)
+    values = {field: _read(setting, os.environ[setting.env], setting.env)
+              for field, setting in _SETTINGS.items() if setting.env and setting.env in os.environ}
     if args.config:
         values.update(parse_config_file(args.config))
-    if args.seed is not None:
-        values["seed"] = args.seed
-    if args.samples is not None:
-        values["samples_per_suite"] = args.samples
-    if args.tol_exact is not None:
-        values["tol_exact"] = args.tol_exact
-    if args.tol_series is not None:
-        values["tol_series"] = args.tol_series
-    if args.theta_bound is not None:
-        values["theta_bound"] = args.theta_bound
-    if args.field_degree is not None:
-        values["field_degree"] = args.field_degree
-    if args.suite:
-        values["suites"] = tuple(args.suite)
+    values.update({field: getattr(args, field) for field in _SETTINGS
+                   if getattr(args, field) is not None})
+    if args.suites:
+        values["suites"] = tuple(args.suites)
     return SuiteConfig(**values)
 
 

@@ -24,7 +24,7 @@ from .errors import NotInAssociativeSubalgebra, ZeroDivisor
 #: Componentwise tolerance used by ``==`` and :func:`isclose`.
 EQ_TOL = 1e-12
 
-#: Relative scale for declaring a quadratic norm "zero" in :func:`inverse`.
+#: :func:`inverse`'s zero-divisor test: |N(y)| <= ZERO_DIVISOR_EPS |y|^2, y = x / max_a |x_a|.
 ZERO_DIVISOR_EPS = 1e-12
 
 #: Relative tolerance for the subalgebra membership check in :func:`exp_assoc`.
@@ -268,7 +268,9 @@ def mul(x: CplxOcton, y: CplxOcton) -> CplxOcton:
 # ------------------------------------------------------------- row kernels
 #
 # The *_rows functions act row by row on (..., 8) coefficient arrays, with the
-# leading axes broadcast together.
+# leading axes broadcast together.  A lone (8,) row can round differently from
+# the same row inside a block, so one row is evaluated as block[i:i+1], the
+# block of one that a single value is.
 
 def single(out):
     """The single value that a block of one row stands for: row 0 of ``out``.
@@ -409,12 +411,18 @@ def norm(x):
 
 
 def inverse(x: CplxOcton) -> CplxOcton:
-    """conj_oct(x)/N(x); raises :class:`ZeroDivisor` when N(x) ~ 0."""
-    n = norm(x)
-    mag2 = float(np.real(np.vdot(x.c, x.c)))
-    if abs(n) < ZERO_DIVISOR_EPS * max(1.0, mag2):
-        raise ZeroDivisor(f"element has vanishing quadratic norm {n!r}")
-    return conj_oct(x) * (1.0 / n)
+    """conj_oct(x)/N(x); raises :class:`ZeroDivisor` when N(x) ~ 0, OverflowError on overflow."""
+    # conj_oct(y)/N(y)/m for y = x/m, m = max_a |x_a|, whose N cannot underflow or overflow;
+    # parts divided as floats, as numpy's complex division forms 1/m, inf for a subnormal m
+    m = float(np.max(np.abs(x.c)))
+    if m == 0:
+        raise ZeroDivisor("the zero element has no inverse")
+    y = x.c.real / m + 1j * (x.c.imag / m)
+    n = norm_rows(y)
+    if abs(n) <= ZERO_DIVISOR_EPS * float(np.real(np.vdot(y, y))):
+        raise ZeroDivisor(f"element has vanishing quadratic norm: N(x/m) = {complex(n)!r}")
+    z = conj_oct_rows(y) / n
+    return CplxOcton._wrap(z.real / m + 1j * (z.imag / m))
 
 
 def commutator(x: CplxOcton, y: CplxOcton) -> CplxOcton:
@@ -463,6 +471,7 @@ def exp_rows(u: np.ndarray) -> np.ndarray:
 
     Floating-point overflow is not an error here: a row whose exponential
     overflows comes out as inf or NaN, for the caller's residual to report.
+    A lone (8,) row can round differently from that row inside a block.
     """
     tail = np.max(np.abs(u[..., 4:]), axis=-1)
     bad = tail > ASSOC_MEMBERSHIP_TOL * np.maximum(1.0, abs_rows(u))

@@ -418,6 +418,7 @@ def dexp_rows(u: np.ndarray, du: np.ndarray) -> np.ndarray:
     exp(s + v) = e^s (cos w + sinc w v), w^2 = <v, v>: with a = <v, dv>,
     d cos w = -sinc w a and d sinc w = ((cos w - sinc w)/w^2) a.  Below
     |w^2| = DEXP_TAYLOR_Z the last factor is summed from its Taylor series.
+    A lone (8,) row can round differently from that row inside a block.
     """
     u, du = np.broadcast_arrays(u, du)
     s, v, ds, dv = u[..., 0], u[..., 1:4], du[..., 0], du[..., 1:4]

@@ -319,6 +319,8 @@ def ab_lemma_closure_check(
         target = AB_CLOSURE[(tag_x, tag_y)]
     except KeyError:
         raise ValueError("closure check is defined for tags A and B only") from None
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     nx = ndof(tag_x)
     dof = np.random.default_rng(seed).uniform(-1, 1, (samples, nx + ndof(tag_y)))
     x, y = dof_rows(tag_x, dof[:, :nx]), dof_rows(tag_y, dof[:, nx:])

@@ -208,7 +208,8 @@ def lambda_V(theta) -> np.ndarray:
     f2 = (cosh a - cos b)/r and f3 = (sinh(a)/a - sin(b)/b)/r, r = a^2 + b^2,
     each written so that no digits cancel; r = 0 (theta = 0 and the null
     rotations) has G^3 = 0 and f = (1, 1, 1/2, 1/6).  A matrix that is not
-    finite, or whose exponential overflows, comes out non-finite.
+    finite, or whose exponential overflows, comes out non-finite.  One lone 4x4
+    parameter matrix can round differently from that matrix inside a stack.
     """
     with np.errstate(all="ignore"):
         g = _generator_sum(theta, _V_REAL_PAIRS)

@@ -15,7 +15,7 @@ import json
 import math
 import time
 import zlib
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 from itertools import accumulate
 from typing import Callable, NamedTuple
@@ -614,14 +614,6 @@ def run_all(cfg: SuiteConfig) -> tuple[list[SuiteReport], int]:
 
 # ---------------------------------------------------------------- reports
 
-def _config_dict(cfg: SuiteConfig) -> dict:
-    out = {}
-    for f in dc_fields(cfg):
-        val = getattr(cfg, f.name)
-        out[f.name] = list(val) if isinstance(val, tuple) else val
-    return out
-
-
 def _json_float(x: float):
     # strict JSON has no NaN or Infinity; they are written as strings
     if math.isfinite(x):
@@ -649,7 +641,7 @@ def render_json(reports: list[SuiteReport], cfg: SuiteConfig) -> str:
             row["message"] = r.message
         rows.append(row)
     payload = {
-        "config": _config_dict(cfg),
+        "config": asdict(cfg),  # the suites tuple is written as a JSON list
         "suites": rows,
         "passed": all(r.passed for r in reports),
     }

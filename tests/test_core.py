@@ -208,14 +208,30 @@ def test_inverse_examples():
         if abs(norm(x)) < 1e-6:
             continue
         assert isclose(mul(x, inverse(x)), ONE, 1e-10)
+    # an invertible element far from |x| = 1: its norm would underflow or overflow
+    for scale in (1e-100, 1e-7, 1e155, 1e200):
+        x = scale * (ONE + 0.5 * E[3])
+        assert isclose(mul(x, inverse(x)), ONE, 1e-10)
 
 
 def test_zero_divisor_raises():
     with pytest.raises(ZeroDivisor):
         inverse(ONE + 1j * E[1])
     # the threshold is scale-aware
+    for scale in (1e-100, 1e6, 1e200):
+        with pytest.raises(ZeroDivisor):
+            inverse(scale * (ONE + 1j * E[1]))
     with pytest.raises(ZeroDivisor):
-        inverse(1e6 * (ONE + 1j * E[1]))
+        inverse(CplxOcton.zero())
+
+
+def test_an_inverse_too_large_for_floats_raises():
+    with np.errstate(all="ignore"), pytest.raises(OverflowError):
+        inverse(1e-310 * ONE)
+    # a subnormal largest coefficient whose inverse floats still hold
+    x = CplxOcton(np.full(8, 5e-309 + 0j))
+    expected = np.array([1.0] + [-1.0] * 7) / (8 * 5e-309)
+    assert np.allclose(inverse(x).c, expected, rtol=1e-12, atol=0)
 
 
 # ----------------------------------------------------------------- commutator

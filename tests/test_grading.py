@@ -170,6 +170,10 @@ def test_closure_check_fails_when_a_closure_target_is_wrong(monkeypatch):
 def test_closure_check_rejects_non_ab_tags():
     with pytest.raises(ValueError):
         ab_lemma_closure_check(SubspaceTag.FULL_CO, SubspaceTag.A, 10, 0)
+    # no samples, or a negative count, is not a passed check
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            ab_lemma_closure_check(SubspaceTag.A, SubspaceTag.B, samples, 1)
 
 
 def test_minus_eigenspace_closed_under_commutator():

@@ -4,7 +4,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -243,9 +243,19 @@ def test_cli_unknown_suite_error_is_the_message_itself(via_config, tmp_path, cap
         (["--config", "missing.cfg"], None),
         (["--tol-exact", "nan"], None),
         (["--config", "run.cfg"], "theta_bound = inf\n"),
+        # a value that its type rejects, from the file or from the environment (a
+        # leading NAME=value, set as a shell sets it), even under --seed
+        (["--config", "run.cfg"], "seed = abc\n"),
+        (["OCTOWEAK_SEED=abc", "--seed", "3"], None),
     ],
 )
-def test_cli_hostile_config_is_a_one_line_usage_error(argv, config_text, tmp_path, capsys):
+def test_cli_hostile_config_is_a_one_line_usage_error(
+    argv, config_text, tmp_path, capsys, monkeypatch
+):
+    env = argv[0] if "=" in argv[0] else None
+    if env is not None:
+        monkeypatch.setenv(*env.split("="))
+        argv = argv[1:]
     if config_text is not None:
         (tmp_path / "run.cfg").write_text(config_text)
     argv = [str(tmp_path / a) if a.endswith(".cfg") else a for a in argv]
@@ -254,6 +264,10 @@ def test_cli_hostile_config_is_a_one_line_usage_error(argv, config_text, tmp_pat
     assert err.value.code == 2
     errors = [ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]
     assert len(errors) == 1 and "Traceback" not in errors[0]
+    if "abc" in (config_text or env or ""):
+        # the error line names the value's source, worded as argparse's own
+        source = "OCTOWEAK_SEED" if env else f"{tmp_path / 'run.cfg'}:1: seed"
+        assert errors == [f"octoweak: error: {source}: invalid int value: 'abc'"]
 
 
 @pytest.mark.parametrize("out", ["missing/report.json", "."])
@@ -535,14 +549,33 @@ def test_an_error_inside_one_suite_is_a_fail_row_and_the_run_goes_on(monkeypatch
     assert "2/3 suites passed" in text
 
 
-def test_cli_theta_bound_and_field_degree_flags_override_the_config_file(tmp_path, capsys):
-    (tmp_path / "run.cfg").write_text("theta_bound = 1.0\nfield_degree = 3\n")
+#: Each settable field: its config key, its flag, a value for the file and one for the flag.
+_EVERY_SETTING = [
+    ("seed", "--seed", "9", "3"),
+    ("samples_per_suite", "--samples", "11", "7"),
+    ("tol_exact", "--tol-exact", "1e-11", "1e-10"),
+    ("tol_series", "--tol-series", "2e-8", "3e-8"),
+    ("theta_bound", "--theta-bound", "1.0", "0.5"),
+    ("field_degree", "--field-degree", "3", "1"),
+]
+
+
+@pytest.mark.parametrize(
+    "key, flag, file_value, flag_value", _EVERY_SETTING, ids=[row[0] for row in _EVERY_SETTING]
+)
+def test_cli_theta_bound_and_field_degree_flags_override_the_config_file(
+    key, flag, file_value, flag_value, tmp_path, capsys
+):
+    # every field but suites has a row in cli's table, so a field added without a flag fails
+    assert {*cli._SETTINGS, "suites"} == {f.name for f in fields(SuiteConfig)}
+    assert [row[0] for row in _EVERY_SETTING] == list(cli._SETTINGS)
+    (tmp_path / "run.cfg").write_text(f"{key} = {file_value}\n")
     base = ["--config", str(tmp_path / "run.cfg"), "--suite", "gamma5", "--report", "json"]
-    assert main(base) == 0
-    assert _strict_json(capsys.readouterr().out)["config"]["field_degree"] == 3
-    assert main(base + ["--theta-bound", "0.5", "--field-degree", "1"]) == 0
-    config = _strict_json(capsys.readouterr().out)["config"]
-    assert config["theta_bound"] == 0.5 and config["field_degree"] == 1
+    for argv, value in ((base, file_value), (base + [flag, flag_value], flag_value)):
+        assert main(argv) == 0
+        reported = _strict_json(capsys.readouterr().out)["config"][key]
+        # the same value of the same type: 9, not 9.0
+        assert repr(reported) == repr(json.loads(value))
 
 
 @pytest.mark.parametrize("flag", [["--field-degree", "13"], ["--theta-bound", "1e308"]])
