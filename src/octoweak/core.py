@@ -171,7 +171,9 @@ class CplxOcton:
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "CplxOcton":
-        # internal fast path: trusts dtype and shape; refuses inf and NaN coefficients
+        # internal fast path: trusts dtype and shape; refuses inf and NaN coefficients.
+        # Single values are computed under np.errstate(all="ignore"), so an overflow
+        # reaches the caller as this OverflowError, not as numpy's RuntimeWarning
         if not np.isfinite(arr).all():
             raise OverflowError("a CplxOcton's coefficients must be finite")
         obj = object.__new__(cls)
@@ -204,12 +206,14 @@ class CplxOcton:
     def __add__(self, other: "CplxOcton") -> "CplxOcton":
         if not isinstance(other, CplxOcton):
             return NotImplemented
-        return CplxOcton._wrap(self.c + other.c)
+        with np.errstate(all="ignore"):
+            return CplxOcton._wrap(self.c + other.c)
 
     def __sub__(self, other: "CplxOcton") -> "CplxOcton":
         if not isinstance(other, CplxOcton):
             return NotImplemented
-        return CplxOcton._wrap(self.c - other.c)
+        with np.errstate(all="ignore"):
+            return CplxOcton._wrap(self.c - other.c)
 
     def __neg__(self) -> "CplxOcton":
         return CplxOcton._wrap(-self.c)
@@ -217,19 +221,19 @@ class CplxOcton:
     def __mul__(self, other):
         if isinstance(other, CplxOcton):
             return mul(self, other)
-        if isinstance(other, numbers.Complex):
-            return CplxOcton._wrap(self.c * complex(other))
-        return NotImplemented
+        return self.__rmul__(other)
 
     def __rmul__(self, other):
-        if isinstance(other, numbers.Complex):
+        if not isinstance(other, numbers.Complex):
+            return NotImplemented
+        with np.errstate(all="ignore"):
             return CplxOcton._wrap(self.c * complex(other))
-        return NotImplemented
 
     def __truediv__(self, other):
-        if isinstance(other, numbers.Complex):
+        if not isinstance(other, numbers.Complex):
+            return NotImplemented
+        with np.errstate(all="ignore"):
             return CplxOcton._wrap(self.c / complex(other))
-        return NotImplemented
 
     def __abs__(self) -> float:
         # Euclidean magnitude of the 16 real components (not the quadratic norm):
@@ -262,7 +266,8 @@ IM = CplxOcton.scalar(1j)
 
 def mul(x: CplxOcton, y: CplxOcton) -> CplxOcton:
     """Bilinear product via the frozen structure table (one row of :func:`mul_rows`)."""
-    return CplxOcton._wrap(mul_rows(x.c, y.c))
+    with np.errstate(all="ignore"):
+        return CplxOcton._wrap(mul_rows(x.c, y.c))
 
 
 # ------------------------------------------------------------- row kernels
@@ -292,8 +297,10 @@ def rowwise(fn):
 
     Called with a single value (an instance of a :func:`single_value` class)
     and no numpy array among its arguments, fn sees each single value as a
-    block of one row, and its result comes back through :func:`single`.  Any
-    other call, on arrays or on array-likes such as lists, is fn's on rows.
+    block of one row, and its result comes back through :func:`single`, with
+    numpy's floating-point warnings off, so an overflow is single's
+    OverflowError.  Any other call, on arrays or on array-likes such as lists,
+    is fn's on rows.
     """
 
     @functools.wraps(fn)
@@ -302,7 +309,9 @@ def rowwise(fn):
         on_rows = any(isinstance(a, np.ndarray) for a in values)
         if on_rows or not any(type(a) in _SINGLE_VALUES for a in values):
             return fn(*args, **kwargs)
-        return single(fn(*map(_as_block, args), **{k: _as_block(a) for k, a in kwargs.items()}))
+        args, kwargs = map(_as_block, args), {k: _as_block(a) for k, a in kwargs.items()}
+        with np.errstate(all="ignore"):
+            return single(fn(*args, **kwargs))
 
     # cProfile files calls under the code object; one per decorated function,
     # named after it, keeps their counts and times apart instead of pooled
@@ -422,7 +431,8 @@ def inverse(x: CplxOcton) -> CplxOcton:
     if abs(n) <= ZERO_DIVISOR_EPS * float(np.real(np.vdot(y, y))):
         raise ZeroDivisor(f"element has vanishing quadratic norm: N(x/m) = {complex(n)!r}")
     z = conj_oct_rows(y) / n
-    return CplxOcton._wrap(z.real / m + 1j * (z.imag / m))
+    with np.errstate(all="ignore"):
+        return CplxOcton._wrap(z.real / m + 1j * (z.imag / m))
 
 
 def commutator(x: CplxOcton, y: CplxOcton) -> CplxOcton:

@@ -252,10 +252,18 @@ def contract_rows(monos: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 
     Complex coefficients are contracted as their real and imaginary parts side
     by side, in one real product, as the monomials are real; real coefficients,
-    such as the real parameters of a subspace, give real rows.
+    such as the real parameters of a subspace, give real rows.  Real
+    coefficients are contracted where they lie, as a column slice of a block's
+    draws is, with the bits of a contiguous copy; complex ones are copied only
+    when their last axis is strided, which the float view cannot span.
     """
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.result_type(coeffs, np.float64))
-    return (monos @ coeffs.view(np.float64)).view(coeffs.dtype)
+    coeffs = np.asarray(coeffs)
+    if not np.iscomplexobj(coeffs):
+        return monos @ coeffs.astype(np.float64, copy=False)
+    coeffs = coeffs.astype(np.complex128, copy=False)
+    if coeffs.strides[-1] != coeffs.itemsize:
+        coeffs = np.ascontiguousarray(coeffs)
+    return (monos @ coeffs.view(np.float64)).view(np.complex128)
 
 
 def jet_rows(exps: np.ndarray, coeffs: np.ndarray, points: np.ndarray):
@@ -287,7 +295,8 @@ def _jet_along(f: PolyField, mu: int, p) -> tuple[np.ndarray, np.ndarray]:
 
 def eval_at(f: PolyField, p) -> CplxOcton:
     """Value at a real point: the value of f's jet there."""
-    return single(_jet_along(f, 0, p)[0])
+    with np.errstate(all="ignore"):
+        return single(_jet_along(f, 0, p)[0])
 
 
 def partial(f: PolyField, mu: int) -> PolyField:
@@ -365,7 +374,8 @@ def bilinear_rows(values: np.ndarray, grads: np.ndarray) -> np.ndarray:
 def dirac_scalar(f: PolyField, p) -> complex:
     """The first-derivative bilinear sum_rho <f*, ebar^rho d_rho f> at p."""
     _require_spinor(f.tag)
-    return single(bilinear_rows(*_jet(f, p)))
+    with np.errstate(all="ignore"):
+        return single(bilinear_rows(*_jet(f, p)))
 
 
 def lorentz_invariance_rows(tag, lam, lv, jet_at, points) -> np.ndarray:
@@ -397,7 +407,8 @@ def lorentz_invariance_residual(f: PolyField, theta: Theta, p) -> float:
         return jet_rows(f.exps, f.coeffs, q)
 
     lam, lv = lambda_S(theta).c, lambda_V(theta)
-    return single(lorentz_invariance_rows(f.tag, lam, lv, jet_at, _as_point(p)))
+    with np.errstate(all="ignore"):
+        return single(lorentz_invariance_rows(f.tag, lam, lv, jet_at, _as_point(p)))
 
 
 def _require_a_valued(u: PolyField) -> None:
@@ -440,4 +451,5 @@ def dexp_rows(u: np.ndarray, du: np.ndarray) -> np.ndarray:
 def dexp_at(u: PolyField, mu: int, p) -> CplxOcton:
     """Partial derivative of exp(u) along x_mu at p (see :func:`dexp_rows`)."""
     _require_a_valued(u)
-    return single(dexp_rows(*_jet_along(u, mu, p)))
+    with np.errstate(all="ignore"):
+        return single(dexp_rows(*_jet_along(u, mu, p)))

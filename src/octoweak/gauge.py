@@ -169,15 +169,17 @@ def _value(f: PolyField, p) -> np.ndarray:
 def transform_W_at(W: ConnectionField, u: PolyField, rho: int, p) -> CplxOcton:
     """Transported connection U W_rho U^-1 - (d_rho U) U^-1 at a point."""
     require_gauge_param(u)
-    uval, du = _jet_along(u, rho, p)
-    return single(transport_rows(_value(W[rho], p), uval, du))
+    with np.errstate(all="ignore"):
+        uval, du = _jet_along(u, rho, p)
+        return single(transport_rows(_value(W[rho], p), uval, du))
 
 
 def cov_der_alpha_at(alpha: PolyField, W: ConnectionField, rho: int, p) -> CplxOcton:
     """D_rho alpha = d_rho alpha - alpha W_rho at a point."""
     _require_field_tag(alpha, SubspaceTag.A, "alpha")
-    a, da = _jet_along(alpha, rho, p)
-    return single(cov_der_alpha_rows(a, da, _value(W[rho], p)))
+    with np.errstate(all="ignore"):
+        a, da = _jet_along(alpha, rho, p)
+        return single(cov_der_alpha_rows(a, da, _value(W[rho], p)))
 
 
 def cov_der_beta_at(
@@ -185,8 +187,9 @@ def cov_der_beta_at(
 ) -> CplxOcton:
     """D_rho beta = d_rho beta + r beta Scal(W_rho) at a point (see :func:`cov_der_beta_rows`)."""
     _require_field_tag(beta, SubspaceTag.B, "beta")
-    b, db = _jet_along(beta, rho, p)
-    return single(cov_der_beta_rows(b, db, _value(W[rho], p), r))
+    with np.errstate(all="ignore"):
+        b, db = _jet_along(beta, rho, p)
+        return single(cov_der_beta_rows(b, db, _value(W[rho], p), r))
 
 
 def transform_alpha_gauge_at(alpha: PolyField, u: PolyField, p) -> CplxOcton:
@@ -208,7 +211,8 @@ def global_alpha_invariance_residual(alpha: PolyField, u_const: CplxOcton, p) ->
     alpha -> alpha exp(-u).  Vanishes exactly when bar_star(u) = -u.
     """
     _require_field_tag(alpha, SubspaceTag.A, "alpha")
-    return single(global_alpha_rows(*_jet(alpha, p), u_const.c[None]))
+    with np.errstate(all="ignore"):
+        return single(global_alpha_rows(*_jet(alpha, p), u_const.c[None]))
 
 
 def covariance_residual_alpha(
@@ -217,8 +221,9 @@ def covariance_residual_alpha(
     """|| D_rho(alpha') with transported W  -  (D_rho alpha) U^-1 ||."""
     _require_field_tag(alpha, SubspaceTag.A, "alpha")
     require_gauge_param(u)
-    a, da = _jet_along(alpha, rho, p)
-    return single(covariance_alpha_rows(a, da, _value(W[rho], p), *_jet_along(u, rho, p)))
+    with np.errstate(all="ignore"):
+        a, da = _jet_along(alpha, rho, p)
+        return single(covariance_alpha_rows(a, da, _value(W[rho], p), *_jet_along(u, rho, p)))
 
 
 def covariance_residual_beta(
@@ -227,20 +232,23 @@ def covariance_residual_beta(
     """|| D_rho(beta') with transported W  -  (D_rho beta) exp(r Scal(u)) ||."""
     _require_field_tag(beta, SubspaceTag.B, "beta")
     require_gauge_param(u)
-    b, db = _jet_along(beta, rho, p)
-    return single(covariance_beta_rows(b, db, _value(W[rho], p), *_jet_along(u, rho, p), r))
+    with np.errstate(all="ignore"):
+        b, db = _jet_along(beta, rho, p)
+        return single(covariance_beta_rows(b, db, _value(W[rho], p), *_jet_along(u, rho, p), r))
 
 
 def scal_der_u_residual(u: PolyField, mu: int, p) -> complex:
     """<1, (d_mu U) U^-1> - <1, d_mu u>; zero for exponential group elements."""
     require_gauge_param(u)
-    return single(scal_der_u_rows(*_jet_along(u, mu, p)))
+    with np.errstate(all="ignore"):
+        return single(scal_der_u_rows(*_jet_along(u, mu, p)))
 
 
 def scal_ww_residual(W: ConnectionField, u: PolyField, rho: int, p) -> complex:
     """Scal(W' - W) + Scal(d_rho u); zero under the connection transport law."""
     require_gauge_param(u)
-    return single(scal_ww_rows(_value(W[rho], p), *_jet_along(u, rho, p)))
+    with np.errstate(all="ignore"):
+        return single(scal_ww_rows(_value(W[rho], p), *_jet_along(u, rho, p)))
 
 
 @rowwise

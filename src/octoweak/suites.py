@@ -187,12 +187,13 @@ def _rng_for(cfg: SuiteConfig, suite_id: str) -> np.random.Generator:
 #: temporaries grow with the floats a block draws, and BLOCK_DRAWS bounds them.
 #: No suite reaches it at field degrees 2 and 3, where one 512-row prop3 block
 #: peaks at about 3.3 MB (by tracemalloc, read and evaluated).  At the degree-12
-#: cap prop3 reads 47 rows a block (23 MB), lemma4 71 and prop1-A 143 (54 MB),
-#: and prop3, prop5, prop1-A and prop2 at 300 samples peak at 100 MB RSS in one
-#: process: 160 MB with a budget of 2**22, 198 MB with none, and 171 MB with
-#: none at 256 rows.  No contraction over a block's rows is a 2-D BLAS product
-#: (each row is a stacked product, a gather or a scatter), so BLAS threading does
-#: not depend on the block size, and no residual does.
+#: cap prop3 reads 47 rows a block (21 MB), lemma4 71 and prop1-A 143 (42 MB),
+#: and prop3, prop5, prop1-A and prop2 at 300 samples peak at 84 MB RSS in one
+#: process, as the field parameters are contracted in place (100 MB with a copy
+#: of each block's; with it, 160 MB with a budget of 2**22, 198 MB with none, and
+#: 171 MB with none at 256 rows).  No contraction over a block's rows is a 2-D
+#: BLAS product (each row is a stacked product, a gather or a scatter), so BLAS
+#: threading does not depend on the block size, and no residual does.
 BLOCK_ROWS = 512
 BLOCK_DRAWS = 2**21
 

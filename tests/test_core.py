@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -226,7 +227,9 @@ def test_zero_divisor_raises():
 
 
 def test_an_inverse_too_large_for_floats_raises():
-    with np.errstate(all="ignore"), pytest.raises(OverflowError):
+    # the documented OverflowError, not numpy's RuntimeWarning under -W error
+    with warnings.catch_warnings(), pytest.raises(OverflowError):
+        warnings.simplefilter("error")
         inverse(1e-310 * ONE)
     # a subnormal largest coefficient whose inverse floats still hold
     x = CplxOcton(np.full(8, 5e-309 + 0j))
@@ -295,14 +298,19 @@ def test_a_single_value_whose_exponential_overflows_raises():
 
 
 def test_an_operation_that_overflows_raises_instead_of_building_a_value():
-    # every route that builds a CplxOcton refuses inf and NaN coefficients
+    # every route that builds a CplxOcton refuses inf and NaN coefficients, with
+    # the OverflowError even where warnings are errors
     big = CplxOcton.scalar(1e200)
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         for build in (
             lambda: mul(big, big),
             lambda: CplxOcton.scalar(1e308) + CplxOcton.scalar(1e308),
+            lambda: CplxOcton.scalar(-1e308) - CplxOcton.scalar(1e308),
             lambda: CplxOcton.scalar(1e300) * 1e300,
+            lambda: 1e300 * CplxOcton.scalar(1e300),
             lambda: ONE / 0,
+            lambda: associator(big, big, big),
         ):
             with pytest.raises(OverflowError):
                 build()

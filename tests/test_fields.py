@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 from itertools import product as iter_product
 
 import numpy as np
@@ -251,11 +252,13 @@ def test_invariance_residual_requires_tagged_field():
 
 def test_a_single_field_value_that_overflows_raises():
     # x0^4 at x0 = 1e100, e^x0 at x0 = 800 and x0^2 W at x0 = 1e200 are not
-    # finite: the single-value routines raise rather than return them
+    # finite: the single-value routines raise rather than return them, with the
+    # OverflowError even where warnings are errors
     quartic = PolyField({(4, 0, 0, 0): ONE})
     u = PolyField({(1, 0, 0, 0): ONE}, tag=SubspaceTag.A)
     alpha = PolyField({(2, 0, 0, 0): ONE}, tag=SubspaceTag.A)
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         for evaluate in (
             lambda: eval_at(quartic, (1e100, 0, 0, 0)),
             lambda: dexp_at(u, 0, (800, 0, 0, 0)),

@@ -9,6 +9,8 @@ suites must give what their per-sample references in ``oracles`` give, from
 the same inputs.
 """
 
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -984,6 +986,62 @@ def test_the_directional_table_is_the_full_table_along_each_rows_axis(degree):
         got_value, got_derivative = fields._jet_along(f, mu, points[0])
         _close(got_value, values[:1])
         _close(got_derivative, grads[:1, mu])
+
+
+def _column_slice(rng, shape, kind="real", m=N):
+    """An input as ``_read_block`` hands it: columns of one wider draw, reshaped to
+    (m,) + shape.  A complex input's slots lie side by side; with "strided slots"
+    every other complex number of the draw is a slot."""
+    width = math.prod(shape)
+    if kind == "real":
+        raw = rng.uniform(-1, 1, (m, width + 7))
+    else:
+        raw = rng.uniform(-1, 1, (m, 4 * width + 14)).view(np.complex128)
+        if kind == "strided slots":
+            raw = raw[:, ::2]
+    view = raw[:, 3 : 3 + width].reshape((m,) + shape)
+    assert not view.flags.c_contiguous and np.shares_memory(view, raw)
+    return view
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 5])
+@pytest.mark.parametrize("kind", ["real", "complex", "strided slots"])
+def test_field_kernels_give_the_same_bits_on_strided_inputs_as_on_copies(degree, kind):
+    # real parameters are contracted where they lie; the bits must be a copy's
+    rng = np.random.default_rng(100 + degree)
+    exps = monomials(degree)
+    slots = ndof(SubspaceTag.A) if kind == "real" else 8
+    params = _column_slice(rng, (len(exps), slots), kind)
+    points = _column_slice(rng, (4,))
+    moved = _column_slice(rng, (4,))
+    rho = rng.integers(0, 4, N)
+    params_copy, points_copy = np.ascontiguousarray(params), np.ascontiguousarray(points)
+    full, along = monomial_rows(exps, points), monomial_rows(exps, points, rho)
+    assert _same_bits(full, monomial_rows(exps, points_copy))
+    assert _same_bits(along, monomial_rows(exps, points_copy, rho))
+    for table in (full, along):
+        assert _same_bits(contract_rows(table, params), contract_rows(table, params_copy))
+    # one point per row, and two per row stacked in front, as the prop1 suites read them
+    for at in (points, np.stack([moved, points])):
+        got = jet_rows(exps, params, at)
+        want = jet_rows(exps, params_copy, np.ascontiguousarray(at))
+        for g, w in zip(got, want):
+            assert _same_bits(g, w)
+
+
+def test_contracting_strided_real_parameters_does_not_copy_them():
+    # a prop1-A block at degree 3: 300 fields of 35 monomials with 8 real parameters
+    rng = np.random.default_rng(104)
+    exps = monomials(3)
+    params = _column_slice(rng, (len(exps), ndof(SubspaceTag.A)), m=300)
+    table = monomial_rows(exps, _column_slice(rng, (4,), m=300))
+    tracemalloc.start()
+    try:
+        contract_rows(table, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < params.nbytes / 2
 
 
 def test_eval_at_is_the_value_of_the_jet():
