@@ -9,8 +9,6 @@ image and immune to the algebra's zero divisors.
 
 from __future__ import annotations
 
-import cmath
-
 import numpy as np
 
 from .core import (
@@ -19,16 +17,13 @@ from .core import (
     associator_rows,
     bar_star_rows,
     conj_oct_rows,
-    exp_assoc,
     exp_rows,
-    mul,
     mul_rows,
     rowwise,
-    scal,
     single,
 )
 from .errors import DomainViolation
-from .fields import PolyField, _jet, _jet_along, bilinear_rows, dexp_rows, eval_at
+from .fields import PolyField, _jet, _jet_along, bilinear_rows, dexp_rows
 from .grading import SubspaceTag, require_member
 from .lorentz import lambda_S
 
@@ -164,46 +159,6 @@ def scal_ww_rows(w, u, du) -> np.ndarray:
 
 def _value(f: PolyField, p) -> np.ndarray:
     return _jet_along(f, 0, p)[0]
-
-
-def transform_W_at(W: ConnectionField, u: PolyField, rho: int, p) -> CplxOcton:
-    """Transported connection U W_rho U^-1 - (d_rho U) U^-1 at a point."""
-    require_gauge_param(u)
-    with np.errstate(all="ignore"):
-        uval, du = _jet_along(u, rho, p)
-        return single(transport_rows(_value(W[rho], p), uval, du))
-
-
-def cov_der_alpha_at(alpha: PolyField, W: ConnectionField, rho: int, p) -> CplxOcton:
-    """D_rho alpha = d_rho alpha - alpha W_rho at a point."""
-    _require_field_tag(alpha, SubspaceTag.A, "alpha")
-    with np.errstate(all="ignore"):
-        a, da = _jet_along(alpha, rho, p)
-        return single(cov_der_alpha_rows(a, da, _value(W[rho], p)))
-
-
-def cov_der_beta_at(
-    beta: PolyField, W: ConnectionField, rho: int, p, r: float
-) -> CplxOcton:
-    """D_rho beta = d_rho beta + r beta Scal(W_rho) at a point (see :func:`cov_der_beta_rows`)."""
-    _require_field_tag(beta, SubspaceTag.B, "beta")
-    with np.errstate(all="ignore"):
-        b, db = _jet_along(beta, rho, p)
-        return single(cov_der_beta_rows(b, db, _value(W[rho], p), r))
-
-
-def transform_alpha_gauge_at(alpha: PolyField, u: PolyField, p) -> CplxOcton:
-    """alpha' = alpha U^-1 at a point."""
-    _require_field_tag(alpha, SubspaceTag.A, "alpha")
-    require_gauge_param(u)
-    return mul(eval_at(alpha, p), exp_assoc(-eval_at(u, p)))
-
-
-def transform_beta_gauge_at(beta: PolyField, u: PolyField, p, r: float) -> CplxOcton:
-    """beta' = beta exp(r Scal(u)) at a point; the factor is a U(1) phase."""
-    _require_field_tag(beta, SubspaceTag.B, "beta")
-    require_gauge_param(u)
-    return eval_at(beta, p) * cmath.exp(r * scal(eval_at(u, p)))
 
 
 def global_alpha_invariance_residual(alpha: PolyField, u_const: CplxOcton, p) -> float:

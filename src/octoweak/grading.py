@@ -22,7 +22,6 @@ import numpy as np
 from .core import (
     CplxOcton,
     abs_rows,
-    bar_star,
     conj_oct_rows,
     inner_rows,
     mul_rows,
@@ -306,28 +305,3 @@ def closure_defect_rows(x, y, target: SubspaceTag) -> np.ndarray:
     """The part of each product x y outside ``target``, over max(1, |x y|), row by row."""
     p = mul_rows(x, y)
     return membership_defect(p, target) / np.maximum(1.0, abs_rows(p))
-
-
-def ab_lemma_closure_check(
-    tag_x: SubspaceTag, tag_y: SubspaceTag, samples: int, seed: int
-) -> bool:
-    """True iff sampled products land in the subspace the closure table dictates.
-
-    The samples are read in one block, the stream of alternating draws of x and y.
-    """
-    try:
-        target = AB_CLOSURE[(tag_x, tag_y)]
-    except KeyError:
-        raise ValueError("closure check is defined for tags A and B only") from None
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    nx = ndof(tag_x)
-    dof = np.random.default_rng(seed).uniform(-1, 1, (samples, nx + ndof(tag_y)))
-    x, y = dof_rows(tag_x, dof[:, :nx]), dof_rows(tag_y, dof[:, nx:])
-    return bool(np.all(closure_defect_rows(x, y, target) <= MEMBERSHIP_TOL))
-
-
-def pm_split(x: CplxOcton) -> tuple[CplxOcton, CplxOcton]:
-    """Decompose x = x_plus + x_minus into bar-star eigenvectors (full algebra)."""
-    s = bar_star(x)
-    return (x + s) * 0.5, (x - s) * 0.5

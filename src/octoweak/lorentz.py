@@ -17,9 +17,7 @@ from .core import (
     E,
     CplxOcton,
     abs_rows,
-    bar_star,
     bar_star_rows,
-    conj_complex,
     conj_oct,
     exp_rows,
     mul,
@@ -27,7 +25,6 @@ from .core import (
     rowwise,
     single_value,
 )
-from .grading import SubspaceTag, require_member
 
 #: Minkowski metric, mostly-plus convention.
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
@@ -295,28 +292,6 @@ def infinitesimal_dc_rows(mu, nu, rho) -> np.ndarray:
 def infinitesimal_dc_residual(mu: int, nu: int, rho: int) -> CplxOcton:
     """S*_mn ebar^rho + ebar^rho S_mn - (V_mn)^rho_sigma ebar^sigma."""
     return CplxOcton._wrap(infinitesimal_dc_rows(mu, nu, rho))
-
-
-def transform_alpha(lam: CplxOcton, alpha: CplxOcton) -> CplxOcton:
-    """Left action on the quaternionic spinor: alpha' = L alpha."""
-    require_member(lam, SubspaceTag.A, "transformation")
-    require_member(alpha, SubspaceTag.A, "alpha")
-    return mul(lam, alpha)
-
-
-def transform_beta(lam: CplxOcton, beta: CplxOcton) -> CplxOcton:
-    """Action on the complement spinor: beta' = bar_star(L) beta = beta conj_complex(L).
-
-    Both routes are computed; disagreement would mean the frozen table broke
-    the exchange identity that makes this representation exist.
-    """
-    require_member(lam, SubspaceTag.A, "transformation")
-    require_member(beta, SubspaceTag.B, "beta")
-    left = mul(bar_star(lam), beta)
-    right = mul(beta, conj_complex(lam))
-    if abs(left - right) > 1e-10 * max(1.0, abs(left)):
-        raise ArithmeticError("exchange identity violated for beta transform")
-    return left
 
 
 def gamma5_analogue() -> CplxOcton:

@@ -659,7 +659,7 @@ def render_text(reports: list[SuiteReport], cfg: SuiteConfig) -> str:
         lines.append(
             f"{'PASS' if r.passed else 'FAIL'}  {r.suite_id:<18} "
             f"samples={r.samples:<5d} max={r.max_residual:<12.3e} "
-            f"mean={r.mean_residual:<12.3e} tol={tol:<8.0e} ({r.elapsed_ms} ms)"
+            f"mean={r.mean_residual:<12.3e} tol={tol:<8.3g} ({r.elapsed_ms} ms)"
             + ("" if r.message is None else f"  error: {r.message}")
         )
     good = sum(r.passed for r in reports)

@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
 
-from octoweak.core import E, IM, ONE, CplxOcton, bar_star, commutator, isclose, mul
+from octoweak.core import E, IM, ONE, CplxOcton, bar_star, bar_star_rows, commutator, isclose, mul
 from octoweak.errors import DomainViolation
 from octoweak.grading import (
     AB_CLOSURE,
     IPMoveForm,
     SubspaceTag,
-    ab_lemma_closure_check,
     draw,
+    draw_rows,
     in_subspace,
     membership_defect,
-    pm_split,
     project,
     residual_ab,
     residual_aab,
@@ -23,6 +22,7 @@ from octoweak.grading import (
     residual_zvengrowski,
     sample,
 )
+from octoweak.suites import SuiteConfig, run_suite
 
 
 def rand_full(rng):
@@ -61,13 +61,13 @@ def test_projections_are_idempotent_and_complementary():
 
 
 def test_pm_split_diagonalizes_bar_star():
-    rng = np.random.default_rng(21)
-    for _ in range(20):
-        x = rand_full(rng)
-        plus, minus = pm_split(x)
-        assert isclose(plus + minus, x, 1e-15)
-        assert isclose(bar_star(plus), plus, 1e-15)
-        assert isclose(bar_star(minus), -minus, 1e-15)
+    # x = x+ + x-, with x+- = (x +- bar_star(x)) / 2 in bar_star's +1 and -1 eigenspaces
+    x = draw_rows(SubspaceTag.FULL_CO, np.random.default_rng(21), 20)
+    s = bar_star_rows(x)
+    plus, minus = (x + s) * 0.5, (x - s) * 0.5
+    assert np.allclose(plus + minus, x, rtol=1e-15, atol=1e-15)
+    assert np.allclose(bar_star_rows(plus), plus, rtol=1e-15, atol=1e-15)
+    assert np.allclose(bar_star_rows(minus), -minus, rtol=1e-15, atol=1e-15)
 
 
 # ------------------------------------------------------------------- sampling
@@ -156,24 +156,15 @@ def test_ipmove_residuals():
 
 
 def test_closure_check_all_four_combinations():
-    for (tx, ty), _target in AB_CLOSURE.items():
-        assert ab_lemma_closure_check(tx, ty, samples=1000, seed=5)
+    # the grading-closure suite samples each (tag_x, tag_y) of the closure table
+    report = run_suite("grading-closure", SuiteConfig())
+    assert report.passed and report.samples == 1000
 
 
 def test_closure_check_fails_when_a_closure_target_is_wrong(monkeypatch):
-    # A*B lands in B; a table that sends it to A must fail the check
+    # A*B lands in B; a table that sends it to A must fail the grading-closure suite
     monkeypatch.setitem(AB_CLOSURE, (SubspaceTag.A, SubspaceTag.B), SubspaceTag.A)
-    assert not ab_lemma_closure_check(SubspaceTag.A, SubspaceTag.B, samples=10, seed=5)
-    assert ab_lemma_closure_check(SubspaceTag.B, SubspaceTag.B, samples=10, seed=5)
-
-
-def test_closure_check_rejects_non_ab_tags():
-    with pytest.raises(ValueError):
-        ab_lemma_closure_check(SubspaceTag.FULL_CO, SubspaceTag.A, 10, 0)
-    # no samples, or a negative count, is not a passed check
-    for samples in (0, -1):
-        with pytest.raises(ValueError, match="samples must be >= 1"):
-            ab_lemma_closure_check(SubspaceTag.A, SubspaceTag.B, samples, 1)
+    assert run_suite("grading-closure", SuiteConfig()).passed is False
 
 
 def test_minus_eigenspace_closed_under_commutator():

@@ -8,15 +8,15 @@ from octoweak.core import (
     ONE,
     CplxOcton,
     bar_star,
-    conj_complex,
+    bar_star_rows,
     conj_oct,
     isclose,
     mul,
+    mul_rows,
     norm,
     scal,
 )
-from octoweak.errors import DomainViolation
-from octoweak.grading import SubspaceTag, draw, in_subspace
+from octoweak.grading import SubspaceTag, draw, draw_rows, in_subspace
 from octoweak import lorentz
 from octoweak.lorentz import (
     E_LOWER,
@@ -33,8 +33,6 @@ from octoweak.lorentz import (
     lorentz_algebra_residual,
     theta_rows,
     s_gen,
-    transform_alpha,
-    transform_beta,
     v_gen,
 )
 
@@ -286,6 +284,9 @@ def test_lambda_V_preserves_the_metric():
         assert np.max(np.abs(lv.T @ ETA @ lv - ETA)) < 1e-10
         # metric inverse equals the group inverse
         assert np.max(np.abs(eta_inverse_transform(lv) @ lv - np.eye(4))) < 1e-10
+    # and on a stack, matrix by matrix
+    lv = lambda_V(theta_rows(np.random.default_rng(29).uniform(-2, 2, (40, 6))))
+    assert np.allclose(eta_inverse_transform(lv) @ lv, np.eye(4), atol=1e-12)
 
 
 def test_lambda_S_has_unit_norm_for_random_parameters():
@@ -347,53 +348,40 @@ def test_equal_index_pairs_are_trivial():
 
 
 def test_transform_identity_and_double_cover_sign():
+    # a 2 pi rotation is L = -1: alpha' = L alpha and beta' = bar_star(L) beta flip sign
     rng = np.random.default_rng(36)
     alpha = draw(SubspaceTag.A, rng)
     beta = draw(SubspaceTag.B, rng)
-    assert isclose(transform_alpha(ONE, alpha), alpha, 0.0)
-    assert isclose(transform_beta(ONE, beta), beta, 0.0)
     lam = lambda_S(Theta.single(1, 2, 2 * math.pi))
     assert isclose(lam, -ONE, 1e-12)
-    assert isclose(transform_alpha(lam, alpha), -alpha, 1e-12)
+    assert isclose(mul(lam, alpha), -alpha, 1e-12)
+    assert isclose(mul(bar_star(lam), beta), -beta, 1e-12)
+
+
+def _spinor_rows(rng, n=20, bound=2.0):
+    return lambda_S(theta_rows(rng.uniform(-bound, bound, (n, 6))))
 
 
 def test_transform_beta_two_routes_agree():
+    # beta' = bar_star(L) beta = beta conj_complex(L), the exchange identity
+    # the complement representation rests on
     rng = np.random.default_rng(37)
-    for _ in range(20):
-        lam = lambda_S(Theta.random(rng, 2.0))
-        beta = draw(SubspaceTag.B, rng)
-        got = transform_beta(lam, beta)
-        assert isclose(got, mul(beta, conj_complex(lam)), 1e-11)
-        assert isclose(got, mul(bar_star(lam), beta), 0.0)
+    lam, beta = _spinor_rows(rng), draw_rows(SubspaceTag.B, rng, 20)
+    left, right = mul_rows(bar_star_rows(lam), beta), mul_rows(beta, np.conj(lam))
+    assert np.allclose(left, right, rtol=1e-11, atol=1e-11)
 
 
 def test_transform_composition_laws():
+    # L2 (L1 alpha) = (L2 L1) alpha, and likewise with bar_star(L) on beta
     rng = np.random.default_rng(38)
-    for _ in range(20):
-        l1 = lambda_S(Theta.random(rng, 1.5))
-        l2 = lambda_S(Theta.random(rng, 1.5))
-        l3 = mul(l2, l1)
-        alpha = draw(SubspaceTag.A, rng)
-        beta = draw(SubspaceTag.B, rng)
-        assert isclose(
-            transform_alpha(l2, transform_alpha(l1, alpha)),
-            transform_alpha(l3, alpha),
-            1e-11,
-        )
-        assert isclose(
-            transform_beta(l2, transform_beta(l1, beta)),
-            transform_beta(l3, beta),
-            1e-11,
-        )
-
-
-def test_transform_membership_violations():
-    with pytest.raises(DomainViolation):
-        transform_alpha(E[4], E[1])
-    with pytest.raises(DomainViolation):
-        transform_alpha(ONE, E[4])
-    with pytest.raises(DomainViolation):
-        transform_beta(ONE, E[1])
+    l1, l2 = _spinor_rows(rng, bound=1.5), _spinor_rows(rng, bound=1.5)
+    l3 = mul_rows(l2, l1)
+    alpha, beta = draw_rows(SubspaceTag.A, rng, 20), draw_rows(SubspaceTag.B, rng, 20)
+    twice = mul_rows(l2, mul_rows(l1, alpha))
+    assert np.allclose(twice, mul_rows(l3, alpha), rtol=1e-11, atol=1e-11)
+    s1, s2, s3 = (bar_star_rows(lam) for lam in (l1, l2, l3))
+    twice = mul_rows(s2, mul_rows(s1, beta))
+    assert np.allclose(twice, mul_rows(s3, beta), rtol=1e-11, atol=1e-11)
 
 
 # ------------------------------------------------------------- gamma5 analogue

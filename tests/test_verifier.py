@@ -1,3 +1,4 @@
+import ast
 import errno
 import json
 import math
@@ -172,6 +173,15 @@ def test_text_report_shape():
     text = render_text(reports, cfg)
     assert "PASS  gamma5" in text
     assert text.strip().endswith("2/2 suites passed")
+
+
+def test_text_report_gives_each_tolerance_to_three_digits():
+    cfg = SuiteConfig(
+        suites=("prop2", "double-cover", "zvengrowski"), tol_series=1.5e-8, tol_exact=2.5e-13, **FAST
+    )
+    text = render_text(run_all(cfg)[0], cfg)
+    for tol in ("1.5e-08", "1.5e-09", "2.5e-13"):
+        assert f" tol={tol}  (" in text
 
 
 def test_suite_selection_restricts_run():
@@ -595,3 +605,35 @@ def test_cli_out_of_range_config_is_a_usage_error(line, tmp_path, capsys):
         main(["--config", str(tmp_path / "run.cfg"), "--suite", "gamma5"])
     assert err.value.code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+# ------------------------------------------------------------- library routes
+
+
+def _names_read(node) -> set[str]:
+    # every name and attribute that the code under node reads or calls
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_public_library_function_has_a_caller_outside_its_unit_tests():
+    # a public function of the algebra and field modules is called by other
+    # library code, exported in octoweak.__all__ or called by the acceptance
+    # tests; one that only its own unit tests call is a second route to a law
+    trees = {p.stem: ast.parse(p.read_text()) for p in Path(octoweak.__file__).parent.glob("*.py")}
+    reads = [(node, _names_read(node)) for tree in trees.values() for node in tree.body]
+    acceptance = _names_read(ast.parse(Path(__file__).with_name("test_acceptance.py").read_text()))
+    unused = [
+        f"{module}.{fn.name}"
+        for module in ("core", "grading", "lorentz", "fields", "gauge")
+        for fn in trees[module].body
+        if isinstance(fn, ast.FunctionDef)
+        and not fn.name.startswith("_")
+        and fn.name not in octoweak.__all__
+        and fn.name not in acceptance
+        and not any(fn.name in names for node, names in reads if node is not fn)
+    ]
+    assert unused == []
