@@ -264,18 +264,12 @@ E = tuple(CplxOcton.basis(a) for a in range(8))
 IM = CplxOcton.scalar(1j)
 
 
-def mul(x: CplxOcton, y: CplxOcton) -> CplxOcton:
-    """Bilinear product via the frozen structure table (one row of :func:`mul_rows`)."""
-    with np.errstate(all="ignore"):
-        return CplxOcton._wrap(mul_rows(x.c, y.c))
-
-
-# ------------------------------------------------------------- row kernels
+# ------------------------------------------------------------- operations
 #
-# The *_rows functions act row by row on (..., 8) coefficient arrays, with the
-# leading axes broadcast together.  A lone (8,) row can round differently from
-# the same row inside a block, so one row is evaluated as block[i:i+1], the
-# block of one that a single value is.
+# One function per operation, of single values or of rows: (..., 8) arrays,
+# with the leading axes broadcast together (a name ending in _rows takes rows
+# only).  A lone (8,) row can round differently from that row in a block, so a
+# single value is evaluated as a block of one row.
 
 def single(out):
     """The single value that a block of one row stands for: row 0 of ``out``.
@@ -295,21 +289,22 @@ def single(out):
 def rowwise(fn):
     """Let fn, written on row arrays, also take single values.
 
-    Called with a single value (an instance of a :func:`single_value` class)
-    and no numpy array among its arguments, fn sees each single value as a
-    block of one row, and its result comes back through :func:`single`, with
-    numpy's floating-point warnings off, so an overflow is single's
-    OverflowError.  Any other call, on arrays or on array-likes such as lists,
-    is fn's on rows.
+    Each single value (an instance of a :func:`single_value` class) comes in
+    as its block of one row.  With a numpy array among the arguments, fn's
+    rows come back; with none, its block of one comes back through
+    :func:`single`, computed with numpy's floating-point warnings off, so an
+    overflow is single's OverflowError.  A call with no single value, on
+    arrays or array-likes such as lists, is fn's on rows.
     """
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         values = (*args, *kwargs.values())
-        on_rows = any(isinstance(a, np.ndarray) for a in values)
-        if on_rows or not any(type(a) in _SINGLE_VALUES for a in values):
+        if _SINGLE_VALUES.keys().isdisjoint(map(type, values)):
             return fn(*args, **kwargs)
         args, kwargs = map(_as_block, args), {k: _as_block(a) for k, a in kwargs.items()}
+        if any(isinstance(a, np.ndarray) for a in values):
+            return fn(*args, **kwargs)
         with np.errstate(all="ignore"):
             return single(fn(*args, **kwargs))
 
@@ -320,12 +315,12 @@ def rowwise(fn):
     return wrapper
 
 
-def mul_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """:func:`mul` row by row: each row x times the right-multiplication matrix of y.
-
-    The matrices are gathered from [y, -y] and applied as a stack of (1, 8) @
-    (8, 8) products, so a row's product does not depend on the rows around it.
-    """
+@rowwise
+def mul(x, y):
+    """Bilinear product via the frozen structure table, of values or rows: each
+    row x times the right-multiplication matrix of y, gathered from [y, -y] and
+    applied as a stack of (1, 8) @ (8, 8) products, so a row's product does
+    not depend on the rows around it."""
     y = np.asarray(y, dtype=np.complex128)
     right = np.take(np.concatenate([y, -y], axis=-1), _RIGHT_INDEX, axis=-1)
     return (np.asarray(x)[..., None, :] @ right)[..., 0, :]
@@ -336,48 +331,10 @@ _CONJ_SIGN = np.array([1.0] + [-1.0] * 7)
 _CONJ_SIGN.flags.writeable = False
 
 
-def conj_oct_rows(x: np.ndarray) -> np.ndarray:
-    """:func:`conj_oct` row by row."""
-    return x * _CONJ_SIGN
-
-
-def bar_star_rows(x: np.ndarray) -> np.ndarray:
-    """:func:`bar_star` row by row."""
-    return np.conj(x) * _CONJ_SIGN
-
-
-def inner_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """:func:`inner` row by row: the bilinear sum over the last axis."""
-    x, y = np.asarray(x), np.asarray(y)
-    if x.shape != y.shape:  # broadcasting equal shapes would return them unchanged
-        x, y = np.broadcast_arrays(x, y)
-    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
-
-
-def norm_rows(x: np.ndarray) -> np.ndarray:
-    """:func:`norm` row by row."""
-    return inner_rows(x, x)
-
-
-def abs_rows(x: np.ndarray) -> np.ndarray:
-    """Euclidean magnitude of each row's 16 real components, as ``abs`` of a value.
-
-    The formula ``np.linalg.norm(x, axis=-1)`` evaluates, bit for bit, without
-    its argument handling.
-    """
-    x = np.asarray(x)
-    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=-1))
-
-
-def associator_rows(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """:func:`associator` row by row."""
-    return mul_rows(mul_rows(x, y), z) - mul_rows(x, mul_rows(y, z))
-
-
 @rowwise
 def conj_oct(x):
     """Octonionic conjugation, fixing the scalar slot and negating e1..e7: a value or rows."""
-    return conj_oct_rows(x)
+    return x * _CONJ_SIGN
 
 
 def conj_complex(x: CplxOcton) -> CplxOcton:
@@ -388,7 +345,7 @@ def conj_complex(x: CplxOcton) -> CplxOcton:
 @rowwise
 def bar_star(x):
     """Combined octonionic and complex conjugation (an R-linear involution): a value or rows."""
-    return bar_star_rows(x)
+    return np.conj(x) * _CONJ_SIGN
 
 
 def scal(x: CplxOcton) -> complex:
@@ -407,16 +364,29 @@ def vec(x: CplxOcton) -> CplxOcton:
 def inner(x, y):
     """Symmetric complex-bilinear inner product 2<x,y> = x y~ + y x~: of values or rows.
 
-    Reduces to the coefficient contraction sum_a x_a y_a (no complex
-    conjugation: the form is bilinear, not sesquilinear).
+    Reduces to the coefficient contraction sum_a x_a y_a over the last axis
+    (no complex conjugation: the form is bilinear, not sesquilinear).
     """
-    return inner_rows(x, y)
+    x, y = np.asarray(x), np.asarray(y)
+    if x.shape != y.shape:  # broadcasting equal shapes would return them unchanged
+        x, y = np.broadcast_arrays(x, y)
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
 @rowwise
 def norm(x):
     """Complex quadratic form N(x) = x * conj_oct(x), multiplicative: of a value or rows."""
-    return norm_rows(x)
+    return inner(x, x)
+
+
+def abs_rows(x: np.ndarray) -> np.ndarray:
+    """Euclidean magnitude of each row's 16 real components, as ``abs`` of a value.
+
+    The formula ``np.linalg.norm(x, axis=-1)`` evaluates, bit for bit, without
+    its argument handling.
+    """
+    x = np.asarray(x)
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=-1))
 
 
 def inverse(x: CplxOcton) -> CplxOcton:
@@ -427,10 +397,10 @@ def inverse(x: CplxOcton) -> CplxOcton:
     if m == 0:
         raise ZeroDivisor("the zero element has no inverse")
     y = x.c.real / m + 1j * (x.c.imag / m)
-    n = norm_rows(y)
+    n = norm(y)
     if abs(n) <= ZERO_DIVISOR_EPS * float(np.real(np.vdot(y, y))):
         raise ZeroDivisor(f"element has vanishing quadratic norm: N(x/m) = {complex(n)!r}")
-    z = conj_oct_rows(y) / n
+    z = conj_oct(y) / n
     with np.errstate(all="ignore"):
         return CplxOcton._wrap(z.real / m + 1j * (z.imag / m))
 
@@ -442,21 +412,7 @@ def commutator(x: CplxOcton, y: CplxOcton) -> CplxOcton:
 @rowwise
 def associator(x, y, z):
     """[x, y, z] = (xy)z - x(yz): of values or rows."""
-    return associator_rows(x, y, z)
-
-
-@rowwise
-def exp_assoc(u):
-    """Closed-form exponential on the quaternionic subalgebra: of a value or rows.
-
-    With u = s + v (scalar plus vector part) and omega the principal square
-    root of <v, v>:  exp(u) = e^s (cos(omega) + sinc(omega) v).
-
-    Raises :class:`NotInAssociativeSubalgebra` if u has components on
-    e4..e7 beyond a scale-relative tolerance, and OverflowError if the
-    exponential of a single value overflows.
-    """
-    return exp_rows(u)
+    return mul(mul(x, y), z) - mul(x, mul(y, z))
 
 
 def _cos_sinc_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -476,12 +432,16 @@ def _cos_sinc_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cos_w, sinc_w
 
 
-def exp_rows(u: np.ndarray) -> np.ndarray:
-    """:func:`exp_assoc` row by row, with its membership check.
+@rowwise
+def exp_assoc(u):
+    """Closed-form exponential on the quaternionic subalgebra: of a value or rows.
 
-    Floating-point overflow is not an error here: a row whose exponential
-    overflows comes out as inf or NaN, for the caller's residual to report.
-    A lone (8,) row can round differently from that row inside a block.
+    With u = s + v (scalar plus vector part) and omega the principal square
+    root of <v, v>:  exp(u) = e^s (cos(omega) + sinc(omega) v).
+
+    Raises :class:`NotInAssociativeSubalgebra` if u has components on
+    e4..e7 beyond a scale-relative tolerance.  A single value whose exponential
+    overflows raises OverflowError; such a row comes out as inf or NaN.
     """
     tail = np.max(np.abs(u[..., 4:]), axis=-1)
     bad = tail > ASSOC_MEMBERSHIP_TOL * np.maximum(1.0, abs_rows(u))
@@ -491,7 +451,7 @@ def exp_rows(u: np.ndarray) -> np.ndarray:
         )
     v = u[..., 1:4]
     with np.errstate(over="ignore", invalid="ignore"):
-        cos_w, sinc_w = _cos_sinc_rows(inner_rows(v, v))
+        cos_w, sinc_w = _cos_sinc_rows(inner(v, v))
         es = np.exp(u[..., 0])
         out = np.zeros(u.shape, dtype=np.complex128)
         out[..., 0] = es * cos_w

@@ -28,14 +28,14 @@ import numpy as np
 from .core import (
     CplxOcton,
     _cos_sinc_rows,
-    bar_star_rows,
+    bar_star,
     exp_assoc,
-    inner_rows,
-    mul_rows,
+    inner,
+    mul,
     single,
 )
 from .errors import DomainViolation
-from .grading import AB_CLOSURE, SubspaceTag, draw_rows, in_subspace
+from .grading import AB_CLOSURE, SubspaceTag, dof_rows, in_subspace, ndof
 from .lorentz import EBAR_UPPER_ROWS, Theta, eta_inverse_transform, lambda_S, lambda_V
 
 Degree = tuple[int, int, int, int]
@@ -151,13 +151,13 @@ class PolyField:
     def scale_left(self, m: CplxOcton) -> "PolyField":
         """Coefficientwise left product m * coeff."""
         return PolyField._from_arrays(
-            self.exps, mul_rows(m.c, self.coeffs), self.max_total_degree, _scaled_tag(self.tag, m)
+            self.exps, mul(m.c, self.coeffs), self.max_total_degree, _scaled_tag(self.tag, m)
         )
 
     def scale_right(self, m: CplxOcton) -> "PolyField":
         """Coefficientwise right product coeff * m."""
         return PolyField._from_arrays(
-            self.exps, mul_rows(self.coeffs, m.c), self.max_total_degree, _scaled_tag(self.tag, m)
+            self.exps, mul(self.coeffs, m.c), self.max_total_degree, _scaled_tag(self.tag, m)
         )
 
     def __repr__(self) -> str:
@@ -338,7 +338,8 @@ def random_field(
     if degree < 0:
         raise ValueError("degree must be >= 0")
     exps = monomials(int(degree))
-    return PolyField._from_arrays(exps, draw_rows(tag, rng, len(exps), bound), degree, tag)
+    coeffs = dof_rows(tag, rng.uniform(-bound, bound, (len(exps), ndof(tag))))
+    return PolyField._from_arrays(exps, coeffs, degree, tag)
 
 
 def _require_spinor(tag: SubspaceTag | None) -> None:
@@ -350,7 +351,7 @@ def _ebar_left_tables() -> tuple[np.ndarray, np.ndarray]:
     # ebar^rho is a unit (-i) or a signed basis vector, so the left product
     # ebar^rho g has one term per slot: (ebar^rho g)_c = unit[rho, c] g[source[rho, c]],
     # with source a position in g.reshape(..., 32)
-    left = mul_rows(EBAR_UPPER_ROWS[:, None, :], np.eye(8))  # [rho, b] = ebar^rho e_b
+    left = mul(EBAR_UPPER_ROWS[:, None, :], np.eye(8))  # [rho, b] = ebar^rho e_b
     rho, b, c = np.nonzero(left)
     source, unit = np.empty((4, 8), np.intp), np.empty((4, 8), np.complex128)
     source[rho, c], unit[rho, c] = 8 * rho + b, left[rho, b, c]
@@ -368,7 +369,7 @@ def bilinear_rows(values: np.ndarray, grads: np.ndarray) -> np.ndarray:
     """
     flat = grads.reshape(grads.shape[:-2] + (32,))
     left = (np.take(flat, _EBAR_SOURCE, axis=-1) * _EBAR_UNIT).sum(axis=-2)
-    return inner_rows(np.conj(values), left)
+    return inner(np.conj(values), left)
 
 
 def dirac_scalar(f: PolyField, p) -> complex:
@@ -391,13 +392,13 @@ def lorentz_invariance_rows(tag, lam, lv, jet_at, points) -> np.ndarray:
     chain rule gives d_rho f'(x') = L sum_sigma M[sigma, rho] (d_sigma f)(M x').
     """
     _require_spinor(tag)
-    factor = lam if tag is SubspaceTag.A else bar_star_rows(lam)
+    factor = lam if tag is SubspaceTag.A else bar_star(lam)
     m = eta_inverse_transform(lv)
     values, grads = jet_at(np.stack([(m @ (lv @ points[..., None]))[..., 0], points]))
     # one rho at a time keeps the temporaries at one product per row
     pulled = np.swapaxes(m, -1, -2) @ grads[0]
-    moved = np.stack([mul_rows(factor, pulled[..., rho, :]) for rho in range(4)], axis=-2)
-    transformed = bilinear_rows(mul_rows(factor, values[0]), moved)
+    moved = np.stack([mul(factor, pulled[..., rho, :]) for rho in range(4)], axis=-2)
+    transformed = bilinear_rows(mul(factor, values[0]), moved)
     return np.abs(transformed - bilinear_rows(values[1], grads[1]))
 
 
@@ -433,7 +434,7 @@ def dexp_rows(u: np.ndarray, du: np.ndarray) -> np.ndarray:
     """
     u, du = np.broadcast_arrays(u, du)
     s, v, ds, dv = u[..., 0], u[..., 1:4], du[..., 0], du[..., 1:4]
-    z, a = inner_rows(v, v), inner_rows(v, dv)
+    z, a = inner(v, v), inner(v, dv)
     with np.errstate(over="ignore", invalid="ignore"):
         cos_w, sinc_w = _cos_sinc_rows(z)
         small = np.abs(z) < DEXP_TAYLOR_Z

@@ -14,11 +14,11 @@ import numpy as np
 from .core import (
     CplxOcton,
     abs_rows,
-    associator_rows,
-    bar_star_rows,
-    conj_oct_rows,
-    exp_rows,
-    mul_rows,
+    associator,
+    bar_star,
+    conj_oct,
+    exp_assoc,
+    mul,
     rowwise,
     single,
 )
@@ -72,17 +72,17 @@ def _require_field_tag(f: PolyField, tag: SubspaceTag, name: str) -> None:
 
 def transport_rows(w, u, du) -> np.ndarray:
     """Transported connection U w U^-1 - (d_rho U) U^-1, U = exp(u), row by row."""
-    return _transport(w, u, du, exp_rows(-u))
+    return _transport(w, u, du, exp_assoc(-u))
 
 
 def _transport(w, u, du, u_inv) -> np.ndarray:
     # transport_rows with U^-1 = exp(-u) given
-    return mul_rows(mul_rows(exp_rows(u), w), u_inv) - mul_rows(dexp_rows(u, du), u_inv)
+    return mul(mul(exp_assoc(u), w), u_inv) - mul(dexp_rows(u, du), u_inv)
 
 
 def cov_der_alpha_rows(a, da, w) -> np.ndarray:
     """D_rho alpha = d_rho alpha - alpha W_rho, row by row."""
-    return da - mul_rows(a, w)
+    return da - mul(a, w)
 
 
 def cov_der_beta_rows(b, db, w, r) -> np.ndarray:
@@ -94,7 +94,7 @@ def cov_der_beta_rows(b, db, w, r) -> np.ndarray:
     """
     r = np.asarray(r)[..., None]
     form3 = db + (r * w[..., :1]) * b
-    form1 = db + (0.5 * r) * (mul_rows(b, w) + mul_rows(w, b))
+    form1 = db + (0.5 * r) * (mul(b, w) + mul(w, b))
     if np.any(abs_rows(form3 - form1) > FORM_AGREEMENT_TOL * np.maximum(1.0, abs_rows(form3))):
         raise ArithmeticError("covariant-derivative forms disagree")
     return form3
@@ -114,9 +114,9 @@ def global_alpha_rows(a, grads, u) -> np.ndarray:
     """
     require_member(a, SubspaceTag.A, "alpha value")
     require_member(u, SubspaceTag.A, "u")
-    big_u_inv = exp_rows(-u)
-    moved = np.stack([mul_rows(grads[..., rho, :], big_u_inv) for rho in range(4)], axis=-2)
-    primed = bilinear_rows(mul_rows(a, big_u_inv), moved)
+    big_u_inv = exp_assoc(-u)
+    moved = np.stack([mul(grads[..., rho, :], big_u_inv) for rho in range(4)], axis=-2)
+    primed = bilinear_rows(mul(a, big_u_inv), moved)
     return np.abs(primed - bilinear_rows(a, grads))
 
 
@@ -124,12 +124,12 @@ def covariance_alpha_rows(a, da, w, u, du) -> np.ndarray:
     """|| D_rho(alpha') with transported W  -  (D_rho alpha) U^-1 ||, row by row."""
     require_member(a, SubspaceTag.A, "alpha value")
     _require_gauge_rows(u, w)
-    u_inv = exp_rows(-u)
+    u_inv = exp_assoc(-u)
     # d_rho(alpha U^-1) via the product rule; the U^-1 factor differentiates
     # through the closed-form derivative of exp(-u)
-    d_aprime = mul_rows(da, u_inv) + mul_rows(a, dexp_rows(-u, -du))
-    primed = d_aprime - mul_rows(mul_rows(a, u_inv), _transport(w, u, du, u_inv))
-    return abs_rows(primed - mul_rows(cov_der_alpha_rows(a, da, w), u_inv))
+    d_aprime = mul(da, u_inv) + mul(a, dexp_rows(-u, -du))
+    primed = d_aprime - mul(mul(a, u_inv), _transport(w, u, du, u_inv))
+    return abs_rows(primed - mul(cov_der_alpha_rows(a, da, w), u_inv))
 
 
 def covariance_beta_rows(b, db, w, u, du, r) -> np.ndarray:
@@ -148,7 +148,7 @@ def covariance_beta_rows(b, db, w, u, du, r) -> np.ndarray:
 def scal_der_u_rows(u, du) -> np.ndarray:
     """<1, (d_rho U) U^-1> - <1, d_rho u>, row by row; zero for exponential group elements."""
     _require_gauge_rows(u)
-    return mul_rows(dexp_rows(u, du), exp_rows(-u))[..., 0] - du[..., 0]
+    return mul(dexp_rows(u, du), exp_assoc(-u))[..., 0] - du[..., 0]
 
 
 def scal_ww_rows(w, u, du) -> np.ndarray:
@@ -217,6 +217,6 @@ def general_coupling_residual(r1, r2, theta, w_val, beta_val):
     """
     require_member(w_val, SubspaceTag.A_MINUS, "W value")
     require_member(beta_val, SubspaceTag.B, "beta value")
-    middle = np.asarray(r1)[..., None] * w_val + np.asarray(r2)[..., None] * conj_oct_rows(w_val)
-    lam = bar_star_rows(lambda_S(theta))
-    return abs_rows(associator_rows(lam, middle, beta_val))
+    middle = np.asarray(r1)[..., None] * w_val + np.asarray(r2)[..., None] * conj_oct(w_val)
+    lam = bar_star(lambda_S(theta))
+    return abs_rows(associator(lam, middle, beta_val))

@@ -22,9 +22,9 @@ import numpy as np
 from .core import (
     CplxOcton,
     abs_rows,
-    conj_oct_rows,
-    inner_rows,
-    mul_rows,
+    conj_oct,
+    inner,
+    mul,
     rowwise,
 )
 from .errors import DomainViolation
@@ -115,10 +115,13 @@ def in_subspace(x, tag: SubspaceTag):
 
 @rowwise
 def require_member(x, tag: SubspaceTag, name: str = "argument") -> None:
-    """Raise :class:`DomainViolation` unless x, or every row of x, is in the subspace."""
-    ok = in_subspace(x, tag)
+    """Raise :class:`DomainViolation` unless x, or every row of x, is in the
+    subspace; a value that is not finite raises OverflowError instead."""
+    defect, ok = _membership(x, tag)
     if not ok.all():
-        worst = float(np.max(np.where(ok, 0.0, membership_defect(x, tag))))
+        if not np.isfinite(defect).all():
+            raise OverflowError(f"{name} is not finite")
+        worst = float(np.max(np.where(ok, 0.0, defect)))
         raise DomainViolation(f"{name} is not in subspace {tag.value} (defect {worst:.3g})")
 
 
@@ -135,17 +138,6 @@ def dof_rows(tag: SubspaceTag, dof: np.ndarray) -> np.ndarray:
     out = np.zeros(np.shape(dof)[:-1] + (16,))
     out[..., _SLOTS[tag]] = dof
     return out.view(np.complex128)
-
-
-def draw_rows(
-    tag: SubspaceTag, rng: np.random.Generator, n: int, bound: float = 1.0
-) -> np.ndarray:
-    """n elements as the rows of an (n, 8) array, in one call.
-
-    The values and the generator state afterwards are those of n calls of
-    :func:`draw`.
-    """
-    return dof_rows(tag, rng.uniform(-bound, bound, size=(n, ndof(tag))))
 
 
 def sample(tag: SubspaceTag, rng_seed: int, bound: float = 1.0) -> CplxOcton:
@@ -165,27 +157,27 @@ def sample(tag: SubspaceTag, rng_seed: int, bound: float = 1.0) -> CplxOcton:
 
 
 def _ab(a, b, ab):
-    return ab - mul_rows(b, conj_oct_rows(a))
+    return ab - mul(b, conj_oct(a))
 
 
 def _aab(a, a2, b, ab):
-    return mul_rows(mul_rows(a, a2), b) - mul_rows(a2, ab)
+    return mul(mul(a, a2), b) - mul(a2, ab)
 
 
 def _baa(a, a2, b, ba):
-    return mul_rows(b, mul_rows(a2, a)) - mul_rows(ba, a2)
+    return mul(b, mul(a2, a)) - mul(ba, a2)
 
 
 def _bba(a, b2, ab, bb2):
-    return mul_rows(bb2, a) - mul_rows(ab, b2)
+    return mul(bb2, a) - mul(ab, b2)
 
 
 def _abb(a, b, b2, ba):
-    return mul_rows(a, mul_rows(b2, b)) - mul_rows(b2, ba)
+    return mul(a, mul(b2, b)) - mul(b2, ba)
 
 
 def _abba(a, a2, b2, ab, bb2):
-    return mul_rows(ab, mul_rows(b2, a2)) - mul_rows(mul_rows(a2, bb2), a)
+    return mul(ab, mul(b2, a2)) - mul(mul(a2, bb2), a)
 
 
 def _require_ab_pairs(a, a2, b, b2):
@@ -201,42 +193,42 @@ def _require_ab_pairs(a, a2, b, b2):
 def residual_ab(a, b):
     """a b - b conj_oct(a), for a in A and b in B."""
     _require_ab_pairs(a, None, b, None)
-    return _ab(a, b, mul_rows(a, b))
+    return _ab(a, b, mul(a, b))
 
 
 @rowwise
 def residual_aab(a, a2, b):
     """(a a')b - a'(a b)  [order of the A factors reverses]."""
     _require_ab_pairs(a, a2, b, None)
-    return _aab(a, a2, b, mul_rows(a, b))
+    return _aab(a, a2, b, mul(a, b))
 
 
 @rowwise
 def residual_baa(a, a2, b):
     """b(a' a) - (b a)a'  [order of the A factors reverses]."""
     _require_ab_pairs(a, a2, b, None)
-    return _baa(a, a2, b, mul_rows(b, a))
+    return _baa(a, a2, b, mul(b, a))
 
 
 @rowwise
 def residual_bba(a, b, b2):
     """(b b')a - (a b)b'  [order of the B factors does not reverse]."""
     _require_ab_pairs(a, None, b, b2)
-    return _bba(a, b2, mul_rows(a, b), mul_rows(b, b2))
+    return _bba(a, b2, mul(a, b), mul(b, b2))
 
 
 @rowwise
 def residual_abb(a, b, b2):
     """a(b' b) - b'(b a)  [order of the B factors does not reverse]."""
     _require_ab_pairs(a, None, b, b2)
-    return _abb(a, b, b2, mul_rows(b, a))
+    return _abb(a, b, b2, mul(b, a))
 
 
 @rowwise
 def residual_abba(a, a2, b, b2):
     """(a b)(b' a') - a'(b b')a; the right side associates since b b' lands in A."""
     _require_ab_pairs(a, a2, b, b2)
-    return _abba(a, a2, b2, mul_rows(a, b), mul_rows(b, b2))
+    return _abba(a, a2, b2, mul(a, b), mul(b, b2))
 
 
 def exchange_residuals(a, a2, b, b2) -> list[np.ndarray]:
@@ -247,7 +239,7 @@ def exchange_residuals(a, a2, b, b2) -> list[np.ndarray]:
     instead of 24.
     """
     _require_ab_pairs(a, a2, b, b2)
-    ab, ba, bb2 = mul_rows(a, b), mul_rows(b, a), mul_rows(b, b2)
+    ab, ba, bb2 = mul(a, b), mul(b, a), mul(b, b2)
     return [
         _ab(a, b, ab),
         _aab(a, a2, b, ab),
@@ -261,8 +253,8 @@ def exchange_residuals(a, a2, b, b2) -> list[np.ndarray]:
 @rowwise
 def residual_zvengrowski(x, y, z):
     """x(y~ z) + y(x~ z) - 2<x,y>z; holds on the whole algebra."""
-    lhs = mul_rows(x, mul_rows(conj_oct_rows(y), z)) + mul_rows(y, mul_rows(conj_oct_rows(x), z))
-    return lhs - (2.0 * inner_rows(x, y))[..., None] * z
+    lhs = mul(x, mul(conj_oct(y), z)) + mul(y, mul(conj_oct(x), z))
+    return lhs - (2.0 * inner(x, y))[..., None] * z
 
 
 def ipmove_residuals(x, y, z) -> list[np.ndarray]:
@@ -271,13 +263,13 @@ def ipmove_residuals(x, y, z) -> list[np.ndarray]:
     The products x y, x~ z and z y~ the forms share, and the inner products
     <xy, z> and <z, xy>, are formed once: 3 products a block instead of 8.
     """
-    xy, xz, zy = mul_rows(x, y), mul_rows(conj_oct_rows(x), z), mul_rows(z, conj_oct_rows(y))
-    xy_z, z_xy = inner_rows(xy, z), inner_rows(z, xy)
+    xy, xz, zy = mul(x, y), mul(conj_oct(x), z), mul(z, conj_oct(y))
+    xy_z, z_xy = inner(xy, z), inner(z, xy)
     return [
-        xy_z - inner_rows(y, xz),  # LL
-        xy_z - inner_rows(x, zy),  # LR
-        z_xy - inner_rows(xz, y),  # RL
-        z_xy - inner_rows(zy, x),  # RR
+        xy_z - inner(y, xz),  # LL
+        xy_z - inner(x, zy),  # LR
+        z_xy - inner(xz, y),  # RL
+        z_xy - inner(zy, x),  # RR
     ]
 
 
@@ -303,5 +295,5 @@ AB_CLOSURE = {
 
 def closure_defect_rows(x, y, target: SubspaceTag) -> np.ndarray:
     """The part of each product x y outside ``target``, over max(1, |x y|), row by row."""
-    p = mul_rows(x, y)
+    p = mul(x, y)
     return membership_defect(p, target) / np.maximum(1.0, abs_rows(p))

@@ -4,7 +4,7 @@ The invariant basis is e_mu = (i, e1, e2, e3) with metric
 eta = diag(-1, 1, 1, 1); raised indices flip the sign of the time slot,
 e^0 = -e_0.  Spinor generators live in the quaternionic subalgebra, so
 their exponential uses the closed form; the vector generators are 4x4
-matrices exponentiated by scaling and squaring.
+matrices, whose exponential is the Cayley-Hamilton closed form on so(1,3).
 """
 
 from __future__ import annotations
@@ -17,11 +17,10 @@ from .core import (
     E,
     CplxOcton,
     abs_rows,
-    bar_star_rows,
+    bar_star,
     conj_oct,
-    exp_rows,
+    exp_assoc,
     mul,
-    mul_rows,
     rowwise,
     single_value,
 )
@@ -164,13 +163,13 @@ def _generator_sum(theta: np.ndarray, gens: np.ndarray) -> np.ndarray:
 
 @rowwise
 def lambda_S(theta):
-    """Spinor transformation exp(-(i/2) theta^{mu nu} S_mu_nu), by :func:`exp_rows`.
+    """Spinor transformation exp(-(i/2) theta^{mu nu} S_mu_nu), by :func:`exp_assoc`.
 
     A :class:`Theta`, as a stack of one, gives a CplxOcton, and raises
     OverflowError if the exponential overflows; an (..., 4, 4) parameter
     stack gives (..., 8) rows, with inf or NaN where it overflows.
     """
-    return exp_rows(-0.5j * _generator_sum(theta, _S_PAIRS))
+    return exp_assoc(-0.5j * _generator_sum(theta, _S_PAIRS))
 
 
 def _sinc_excesses(x2: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -247,12 +246,12 @@ def double_cover_residual(theta):
     A float for a :class:`Theta`, an array for an (..., 4, 4) parameter stack.
     """
     lam = lambda_S(theta)
-    lam_bs = bar_star_rows(lam)
+    lam_bs = bar_star(lam)
     rhs = ebar_rows(lambda_V(theta))
     # one rho at a time keeps the temporaries at one product per row
     worst = np.max(
         [
-            abs_rows(mul_rows(mul_rows(lam_bs, ebar), lam) - rhs[..., rho, :])
+            abs_rows(mul(mul(lam_bs, ebar), lam) - rhs[..., rho, :])
             for rho, ebar in enumerate(EBAR_UPPER_ROWS)
         ],
         axis=0,
@@ -263,7 +262,7 @@ def double_cover_residual(theta):
 def lorentz_algebra_rows(mu, nu, rho, sigma) -> np.ndarray:
     """:func:`lorentz_algebra_residual` for index arrays broadcast together, as (..., 8) rows."""
     s_mn, s_rs = _S_ROWS[mu, nu], _S_ROWS[rho, sigma]
-    lhs = (mul_rows(s_mn, s_rs) - mul_rows(s_rs, s_mn)) * (-1j)
+    lhs = (mul(s_mn, s_rs) - mul(s_rs, s_mn)) * (-1j)
 
     def term(a, b, c, d):  # eta_ab S_cd
         return ETA[a, b][..., None] * _S_ROWS[c, d]
@@ -285,7 +284,7 @@ def lorentz_algebra_residual(mu: int, nu: int, rho: int, sigma: int) -> CplxOcto
 def infinitesimal_dc_rows(mu, nu, rho) -> np.ndarray:
     """:func:`infinitesimal_dc_residual` for index arrays broadcast together, as (..., 8) rows."""
     s, ebar = _S_ROWS[mu, nu], EBAR_UPPER_ROWS[rho]
-    lhs = mul_rows(np.conj(s), ebar) + mul_rows(ebar, s)
+    lhs = mul(np.conj(s), ebar) + mul(ebar, s)
     return lhs - ebar_rows(_V_ROWS[mu, nu, rho])
 
 

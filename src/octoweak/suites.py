@@ -26,9 +26,9 @@ from .core import (
     E,
     ONE,
     abs_rows,
-    bar_star_rows,
-    mul_rows,
-    norm_rows,
+    bar_star,
+    mul,
+    norm,
 )
 from .errors import UnknownSuite
 from .fields import (
@@ -326,14 +326,14 @@ _AXIS = _Input(0, 4, integer=True)
 
 def _composition(cfg, x, y):
     scale = np.maximum(1.0, abs_rows(x) ** 2 * abs_rows(y) ** 2)
-    return np.abs(norm_rows(mul_rows(x, y)) - norm_rows(x) * norm_rows(y)) / scale
+    return np.abs(norm(mul(x, y)) - norm(x) * norm(y)) / scale
 
 
 def _alternativity(cfg, x, y):
     # the associators [x, x, y] and [x, y, y], with the x y they share formed once
-    xy = mul_rows(x, y)
-    xxy = mul_rows(mul_rows(x, x), y) - mul_rows(x, xy)
-    xyy = mul_rows(xy, y) - mul_rows(x, mul_rows(y, y))
+    xy = mul(x, y)
+    xxy = mul(mul(x, x), y) - mul(x, xy)
+    xyy = mul(xy, y) - mul(x, mul(y, y))
     return np.maximum(abs_rows(xxy), abs_rows(xyy))
 
 
@@ -367,7 +367,7 @@ def _double_cover(cfg, theta):
 
 def _unitarity(cfg, theta):
     lam = lambda_S(theta_rows(theta, ROTATION_PAIRS))
-    return abs_rows(mul_rows(bar_star_rows(lam), lam) - ONE.c)
+    return abs_rows(mul(bar_star(lam), lam) - ONE.c)
 
 
 def _boost_selfconj_inputs(cfg):
@@ -378,7 +378,7 @@ def _boost_selfconj(cfg, axis, value):
     chi = np.zeros((len(axis), len(BOOST_PAIRS)))
     chi[np.arange(len(axis)), axis - 1] = value
     lam = lambda_S(theta_rows(chi, BOOST_PAIRS))
-    return abs_rows(bar_star_rows(lam) - lam)
+    return abs_rows(bar_star(lam) - lam)
 
 
 def _lorentz_algebra(cfg, *indices):

@@ -28,10 +28,8 @@ from octoweak.core import (
     commutator,
     conj_complex,
     conj_oct,
-    conj_oct_rows,
-    inner_rows,
+    inner,
     mul,
-    mul_rows,
     norm,
     rowwise,
     structure_table,
@@ -195,13 +193,13 @@ def residual_ipmove_per_form(form: IPMoveForm, x, y, z):
     reads is recomputed.  The library forms the products the four moves share
     once (``grading.ipmove_residuals``), with the same bits."""
     if form is IPMoveForm.LL:
-        return inner_rows(mul_rows(x, y), z) - inner_rows(y, mul_rows(conj_oct_rows(x), z))
+        return inner(mul(x, y), z) - inner(y, mul(conj_oct(x), z))
     if form is IPMoveForm.LR:
-        return inner_rows(mul_rows(x, y), z) - inner_rows(x, mul_rows(z, conj_oct_rows(y)))
+        return inner(mul(x, y), z) - inner(x, mul(z, conj_oct(y)))
     if form is IPMoveForm.RL:
-        return inner_rows(z, mul_rows(x, y)) - inner_rows(mul_rows(conj_oct_rows(x), z), y)
+        return inner(z, mul(x, y)) - inner(mul(conj_oct(x), z), y)
     if form is IPMoveForm.RR:
-        return inner_rows(z, mul_rows(x, y)) - inner_rows(mul_rows(z, conj_oct_rows(y)), x)
+        return inner(z, mul(x, y)) - inner(mul(z, conj_oct(y)), x)
     raise ValueError(f"unhandled form {form}")
 
 

@@ -9,10 +9,8 @@ from octoweak.core import (
     ONE,
     CplxOcton,
     exp_assoc,
-    exp_rows,
     inverse,
     mul,
-    mul_rows,
     scal,
 )
 from octoweak.errors import DomainViolation
@@ -29,8 +27,10 @@ from octoweak.gauge import (
     scal_ww_residual,
     transport_rows,
 )
-from octoweak.grading import SubspaceTag, draw, draw_rows, in_subspace
+from octoweak.grading import SubspaceTag, draw, in_subspace
 from octoweak.lorentz import Theta, theta_rows
+
+from oracles import draw_block
 
 RNG_AT = np.random.default_rng
 
@@ -54,8 +54,12 @@ def zero_u():
     return PolyField.zero(SubspaceTag.A_MINUS)
 
 
+def tagged_rows(tag, rng, n=40, bound=1.0):
+    return draw_block((tag,), rng, n, bound)[0]
+
+
 def minus_rows(rng, n=40, bound=1.0):
-    return draw_rows(SubspaceTag.A_MINUS, rng, n, bound)
+    return tagged_rows(SubspaceTag.A_MINUS, rng, n, bound)
 
 
 # The laws of the transport and of the covariant derivatives, on blocks of
@@ -95,7 +99,7 @@ def test_connection_field_validation():
 
 def test_cov_der_alpha_reduces_and_composes():
     rng = RNG_AT(63)
-    a, da = draw_rows(SubspaceTag.A, rng, 40), draw_rows(SubspaceTag.A, rng, 40)
+    a, da = tagged_rows(SubspaceTag.A, rng), tagged_rows(SubspaceTag.A, rng)
     w = minus_rows(rng)
     # D_rho alpha is d_rho alpha at W = 0, and -W_rho for alpha = 1
     assert np.array_equal(cov_der_alpha_rows(a, da, np.zeros_like(w)), da)
@@ -108,7 +112,7 @@ def test_cov_der_alpha_reduces_and_composes():
 
 def test_cov_der_beta_forms_and_decoupling():
     rng = RNG_AT(64)
-    b, db = draw_rows(SubspaceTag.B, rng, 40), draw_rows(SubspaceTag.B, rng, 40)
+    b, db = tagged_rows(SubspaceTag.B, rng), tagged_rows(SubspaceTag.B, rng)
     w = minus_rows(rng)
     assert np.array_equal(cov_der_beta_rows(b, db, w, 0.0), db)
     # a scalar-free connection decouples entirely
@@ -118,10 +122,10 @@ def test_cov_der_beta_forms_and_decoupling():
 
 def test_cov_der_beta_symmetrized_form_agrees():
     rng = RNG_AT(65)
-    b, db = draw_rows(SubspaceTag.B, rng, 1000), draw_rows(SubspaceTag.B, rng, 1000)
+    b, db = tagged_rows(SubspaceTag.B, rng, 1000), tagged_rows(SubspaceTag.B, rng, 1000)
     w, r = minus_rows(rng, 1000), rng.uniform(-1.5, 1.5, 1000)
     got = cov_der_beta_rows(b, db, w, r)
-    form1 = db + (0.5 * r)[:, None] * (mul_rows(b, w) + mul_rows(w, b))
+    form1 = db + (0.5 * r)[:, None] * (mul(b, w) + mul(w, b))
     assert np.max(np.abs(got - form1)) < 1e-12
 
 
@@ -131,9 +135,9 @@ def test_cov_der_beta_symmetrized_form_agrees():
 def test_gauge_transforms_at_zero_parameter():
     # alpha' = alpha exp(-u) and beta' = beta exp(r Scal(u)) are the fields at u = 0
     rng = RNG_AT(67)
-    a, b = draw_rows(SubspaceTag.A, rng, 40), draw_rows(SubspaceTag.B, rng, 40)
+    a, b = tagged_rows(SubspaceTag.A, rng), tagged_rows(SubspaceTag.B, rng)
     zero = np.zeros_like(a)
-    assert np.array_equal(mul_rows(a, exp_rows(-zero)), a)
+    assert np.array_equal(mul(a, exp_assoc(-zero)), a)
     assert np.array_equal(b * np.exp(0.7 * zero[:, :1]), b)
 
 
@@ -247,6 +251,26 @@ def test_scal_ww_residual_cases():
         assert abs(scal_ww_residual(W, u, int(rng.integers(4)), p)) < 1e-8
 
 
+def test_a_residual_where_a_field_overflows_names_the_value_that_is_not_finite():
+    # the fields' values overflow at this point: each residual raises
+    # OverflowError, as eval_at does, instead of blaming subspace membership
+    rng = RNG_AT(76)
+    alpha, beta = random_field(rng, 2, SubspaceTag.A), random_field(rng, 2, SubspaceTag.B)
+    W, u, p = connection(rng), gauge_param(rng), (1e200, 0.0, 0.0, 0.0)
+    with pytest.raises(OverflowError):
+        eval_at(alpha, p)
+    residuals = [
+        lambda: covariance_residual_alpha(alpha, W, u, 0, p),
+        lambda: covariance_residual_beta(beta, W, u, 0, p, 0.7),
+        lambda: scal_der_u_residual(u, 0, p),
+        lambda: scal_ww_residual(W, u, 0, p),
+        lambda: global_alpha_invariance_residual(alpha, draw(SubspaceTag.A_MINUS, rng), p),
+    ]
+    for residual in residuals:
+        with pytest.raises(OverflowError, match="value is not finite"):
+            residual()
+
+
 # ------------------------------------------------------------ coupling dichotomy
 
 
@@ -270,7 +294,7 @@ def test_unequal_weights_fixed_witness_fails_to_associate():
     # weights r and 0.3 r leave every row of a block well above rounding
     rng = RNG_AT(10)
     r, thetas = rng.uniform(0.1, 1.0, 40), theta_rows(rng.uniform(-2, 2, (40, 6)))
-    w, beta = minus_rows(rng), draw_rows(SubspaceTag.B, rng, 40)
+    w, beta = minus_rows(rng), tagged_rows(SubspaceTag.B, rng)
     assert general_coupling_residual(r, 0.3 * r, thetas, w, beta).min() > 1e-3
 
 

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from octoweak.core import E, IM, ONE, CplxOcton, bar_star, bar_star_rows, commutator, isclose, mul
+from octoweak.core import E, IM, ONE, CplxOcton, bar_star, commutator, isclose, mul
 from octoweak.errors import DomainViolation
 from octoweak.grading import (
     AB_CLOSURE,
     IPMoveForm,
     SubspaceTag,
     draw,
-    draw_rows,
     in_subspace,
     membership_defect,
     project,
@@ -23,6 +22,8 @@ from octoweak.grading import (
     sample,
 )
 from octoweak.suites import SuiteConfig, run_suite
+
+from oracles import draw_block
 
 
 def rand_full(rng):
@@ -62,12 +63,12 @@ def test_projections_are_idempotent_and_complementary():
 
 def test_pm_split_diagonalizes_bar_star():
     # x = x+ + x-, with x+- = (x +- bar_star(x)) / 2 in bar_star's +1 and -1 eigenspaces
-    x = draw_rows(SubspaceTag.FULL_CO, np.random.default_rng(21), 20)
-    s = bar_star_rows(x)
+    x = draw_block((SubspaceTag.FULL_CO,), np.random.default_rng(21), 20)[0]
+    s = bar_star(x)
     plus, minus = (x + s) * 0.5, (x - s) * 0.5
     assert np.allclose(plus + minus, x, rtol=1e-15, atol=1e-15)
-    assert np.allclose(bar_star_rows(plus), plus, rtol=1e-15, atol=1e-15)
-    assert np.allclose(bar_star_rows(minus), -minus, rtol=1e-15, atol=1e-15)
+    assert np.allclose(bar_star(plus), plus, rtol=1e-15, atol=1e-15)
+    assert np.allclose(bar_star(minus), -minus, rtol=1e-15, atol=1e-15)
 
 
 # ------------------------------------------------------------------- sampling

@@ -8,15 +8,13 @@ from octoweak.core import (
     ONE,
     CplxOcton,
     bar_star,
-    bar_star_rows,
     conj_oct,
     isclose,
     mul,
-    mul_rows,
     norm,
     scal,
 )
-from octoweak.grading import SubspaceTag, draw, draw_rows, in_subspace
+from octoweak.grading import SubspaceTag, draw, in_subspace
 from octoweak import lorentz
 from octoweak.lorentz import (
     E_LOWER,
@@ -36,7 +34,7 @@ from octoweak.lorentz import (
     v_gen,
 )
 
-from oracles import mat_exp, mat_exp_taylor
+from oracles import cd_conj, cd_mul, draw_block, mat_exp, mat_exp_taylor
 
 
 # -------------------------------------------------------------------- basis
@@ -68,6 +66,20 @@ def test_theta_validation_and_constructors():
 
 
 # ---------------------------------------------------------------- generators
+
+
+def test_generator_tables_equal_the_doubling_construction():
+    # e_mu = (i, e1, e2, e3), e^mu with the time slot negated, and the bars
+    # and products from the doubling recursion instead of the frozen table
+    lower = np.eye(8, dtype=complex)[:4] * np.array([1j, 1, 1, 1])[:, None]
+    upper = lower * np.array([-1, 1, 1, 1])[:, None]
+    assert np.array_equal(lorentz.EBAR_UPPER_ROWS, [cd_conj(e) for e in upper])
+    s = [
+        [(cd_mul(lower[m], cd_conj(lower[n])) - cd_mul(lower[n], cd_conj(lower[m]))) / 4j
+         for n in range(4)]
+        for m in range(4)
+    ]
+    assert np.array_equal(lorentz._S_ROWS, s)
 
 
 def test_spinor_generator_anchors():
@@ -366,8 +378,8 @@ def test_transform_beta_two_routes_agree():
     # beta' = bar_star(L) beta = beta conj_complex(L), the exchange identity
     # the complement representation rests on
     rng = np.random.default_rng(37)
-    lam, beta = _spinor_rows(rng), draw_rows(SubspaceTag.B, rng, 20)
-    left, right = mul_rows(bar_star_rows(lam), beta), mul_rows(beta, np.conj(lam))
+    lam, beta = _spinor_rows(rng), draw_block((SubspaceTag.B,), rng, 20)[0]
+    left, right = mul(bar_star(lam), beta), mul(beta, np.conj(lam))
     assert np.allclose(left, right, rtol=1e-11, atol=1e-11)
 
 
@@ -375,13 +387,13 @@ def test_transform_composition_laws():
     # L2 (L1 alpha) = (L2 L1) alpha, and likewise with bar_star(L) on beta
     rng = np.random.default_rng(38)
     l1, l2 = _spinor_rows(rng, bound=1.5), _spinor_rows(rng, bound=1.5)
-    l3 = mul_rows(l2, l1)
-    alpha, beta = draw_rows(SubspaceTag.A, rng, 20), draw_rows(SubspaceTag.B, rng, 20)
-    twice = mul_rows(l2, mul_rows(l1, alpha))
-    assert np.allclose(twice, mul_rows(l3, alpha), rtol=1e-11, atol=1e-11)
-    s1, s2, s3 = (bar_star_rows(lam) for lam in (l1, l2, l3))
-    twice = mul_rows(s2, mul_rows(s1, beta))
-    assert np.allclose(twice, mul_rows(s3, beta), rtol=1e-11, atol=1e-11)
+    l3 = mul(l2, l1)
+    alpha, beta = draw_block((SubspaceTag.A, SubspaceTag.B), rng, 20)
+    twice = mul(l2, mul(l1, alpha))
+    assert np.allclose(twice, mul(l3, alpha), rtol=1e-11, atol=1e-11)
+    s1, s2, s3 = (bar_star(lam) for lam in (l1, l2, l3))
+    twice = mul(s2, mul(s1, beta))
+    assert np.allclose(twice, mul(s3, beta), rtol=1e-11, atol=1e-11)
 
 
 # ------------------------------------------------------------- gamma5 analogue

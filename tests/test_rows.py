@@ -3,10 +3,10 @@
 A stack of inputs must give, row by row, what one scalar call per row gives.
 The arithmetic is the same apart from the order of a few sums, so rows
 agree to 1e-14 of their scale; the product itself matches bit for bit.  The
-algebra kernels are checked against the independent routes in ``oracles``,
-as their single-value forms are views of them.  The batched field and gauge
-suites must give what their per-sample references in ``oracles`` give, from
-the same inputs.
+algebra operations are checked on rows against the independent routes in
+``oracles``, as a single value is its row of a block.  The batched field and
+gauge suites must give what their per-sample references in ``oracles`` give,
+from the same inputs.
 """
 
 import math
@@ -23,19 +23,12 @@ from octoweak.core import (
     CplxOcton,
     abs_rows,
     associator,
-    associator_rows,
     bar_star,
-    bar_star_rows,
     conj_oct,
-    conj_oct_rows,
     exp_assoc,
-    exp_rows,
     inner,
-    inner_rows,
     mul,
-    mul_rows,
     norm,
-    norm_rows,
     structure_table,
 )
 from octoweak.errors import DomainViolation, NotInAssociativeSubalgebra
@@ -58,7 +51,6 @@ from octoweak.grading import (
     SubspaceTag,
     draw,
     dof_rows,
-    draw_rows,
     exchange_residuals,
     in_subspace,
     ipmove_residuals,
@@ -98,7 +90,7 @@ N = 40
 
 
 def _rows(tag, seed, n=N, bound=1.0):
-    return draw_rows(tag, np.random.default_rng(seed), n, bound)
+    return oracles.draw_block((tag,), np.random.default_rng(seed), n, bound)[0]
 
 
 def _values(rows):
@@ -163,17 +155,6 @@ def test_ndof_is_the_real_dimension_of_each_subspace():
 # ------------------------------------------------------------------ kernels
 
 
-@pytest.mark.parametrize("n", [35, 300])
-def test_mul_rows_matches_mul_bit_for_bit(n):
-    x, y = _rows(SubspaceTag.FULL_CO, 1, n), _rows(SubspaceTag.FULL_CO, 2, n)
-    want = np.array([mul(a, b).c for a, b in zip(_values(x), _values(y))])
-    assert np.array_equal(mul_rows(x, y), want)
-    assert all(mul_rows(a, b).tobytes() == w.tobytes() for a, b, w in zip(x, y, want))
-    # broadcasting one value against many rows, as the field layer does
-    want = np.array([mul(CplxOcton(x[0]), b).c for b in _values(y)])
-    assert np.array_equal(mul_rows(x[0], y), want)
-
-
 def _explicit_sum(a, b):
     # sum_k a_k b_k, term by term in Python complex arithmetic
     acc = 0j
@@ -186,30 +167,41 @@ def test_row_kernels_match_scalar_functions():
     # each kernel against an independent route: the doubling recursion for the
     # conjugations and the product, explicit sums for the bilinear forms
     x, y, z = (_rows(SubspaceTag.FULL_CO, s) for s in (3, 4, 5))
-    _close(conj_oct_rows(x), [oracles.cd_conj(a) for a in x], 0.0)
-    _close(bar_star_rows(x), [oracles.cd_conj(np.conj(a)) for a in x], 0.0)
+    _close(conj_oct(x), [oracles.cd_conj(a) for a in x], 0.0)
+    _close(bar_star(x), [oracles.cd_conj(np.conj(a)) for a in x], 0.0)
     # BLAS may add a contraction in any order and fuse its products, so the
     # forms match an explicit sum bit for bit where every product and partial
     # sum is exact (coefficients in eighths), and to rounding elsewhere
     rng = np.random.default_rng(54)
     p, q = ((rng.integers(-16, 17, (N, 8)) + 1j * rng.integers(-16, 17, (N, 8))) / 8 for _ in "pq")
-    assert np.array_equal(inner_rows(p, q), [_explicit_sum(a, b) for a, b in zip(p, q)])
-    assert np.array_equal(norm_rows(p), [_explicit_sum(a, a) for a in p])
-    _close(inner_rows(x, y), [_explicit_sum(a, b) for a, b in zip(x, y)])
-    _close(norm_rows(x), [_explicit_sum(a, a) for a in x])
+    assert np.array_equal(inner(p, q), [_explicit_sum(a, b) for a, b in zip(p, q)])
+    assert np.array_equal(norm(p), [_explicit_sum(a, a) for a in p])
+    _close(inner(x, y), [_explicit_sum(a, b) for a, b in zip(x, y)])
+    _close(norm(x), [_explicit_sum(a, a) for a in x])
     _close(abs_rows(x), [np.sqrt(_explicit_sum(a, np.conj(a)).real) for a in x])
     cd_mul = oracles.cd_mul
     want = [cd_mul(cd_mul(a, b), c) - cd_mul(a, cd_mul(b, c)) for a, b, c in zip(x, y, z)]
-    _close(associator_rows(x, y, z), want)
+    _close(associator(x, y, z), want)
 
 
 def test_a_rowwise_function_on_array_likes_and_no_single_value_acts_on_rows():
     # lists are rows, as arrays are: a lone list is one (8,) row or one 4x4
     # matrix, not a block of one whose row 0 is returned
     x, theta = _rows(SubspaceTag.FULL_CO, 55, 1)[0], _thetas(56, 1)[0]
-    assert _same_bits(conj_oct(x.tolist()), conj_oct_rows(x))
-    assert _same_bits(np.asarray(inner(x.tolist(), x.tolist())), np.asarray(inner_rows(x, x)))
+    assert _same_bits(conj_oct(x.tolist()), conj_oct(x))
+    assert _same_bits(np.asarray(inner(x.tolist(), x.tolist())), np.asarray(inner(x, x)))
     assert _same_bits(lambda_V(theta.tolist()), lambda_V(theta))
+
+
+def test_a_single_value_among_rows_is_its_block_of_one():
+    # a single value passed with an array broadcasts as its block of one
+    # against the array's rows, and the rows come back
+    rows, one = _rows(SubspaceTag.FULL_CO, 57, 3), E[1].c[None]
+    assert _same_bits(inner(E[1], rows), inner(one, rows))
+    assert _same_bits(associator(E[1], rows, rows), associator(one, rows, rows))
+    assert _same_bits(mul(E[1], rows), mul(one, rows))
+    assert _same_bits(mul(rows, E[1]), mul(rows, one))
+    assert _same_bits(residual_zvengrowski(rows, E[1], rows), residual_zvengrowski(rows, one, rows))
 
 
 def _full_rows(rng, shape):
@@ -220,22 +212,22 @@ def test_mul_rows_matches_the_dense_contraction():
     rng = np.random.default_rng(44)
     x, y = _full_rows(rng, (300,)), _full_rows(rng, (300,))
     scale = abs_rows(x) * abs_rows(y)
-    err = abs_rows(mul_rows(x, y) - oracles.mul_rows_dense(x, y))
+    err = abs_rows(mul(x, y) - oracles.mul_rows_dense(x, y))
     assert np.all(err <= 1e-15 * scale)
     # broadcasting: a stack (k, 1, 8) against one value and against rows
     stack, one, many = _full_rows(rng, (5, 1)), _full_rows(rng, ()), _full_rows(rng, (7,))
     for other in (one, many):
-        got, want = mul_rows(stack, other), oracles.mul_rows_dense(stack, other)
+        got, want = mul(stack, other), oracles.mul_rows_dense(stack, other)
         assert got.shape == want.shape == np.broadcast_shapes(stack.shape, other.shape)
         assert np.all(abs_rows(got - want) <= 1e-15 * abs_rows(stack) * abs_rows(other))
-        assert np.all(abs_rows(mul_rows(other, stack) - oracles.mul_rows_dense(other, stack))
+        assert np.all(abs_rows(mul(other, stack) - oracles.mul_rows_dense(other, stack))
                       <= 1e-15 * abs_rows(stack) * abs_rows(other))
 
 
 def test_mul_rows_is_exact_on_every_basis_pair():
     table = structure_table()
     basis = np.eye(8, dtype=np.complex128)
-    got = mul_rows(basis[:, None, :], basis[None, :, :])
+    got = mul(basis[:, None, :], basis[None, :, :])
     want = np.zeros((8, 8, 8), dtype=np.complex128)
     a, b = np.indices((8, 8))
     want[a, b, table.index] = table.sign
@@ -269,14 +261,14 @@ def test_exp_rows_matches_exp_assoc_across_branches():
     u[0] = 0.0  # omega = 0
     u[1, 1:4] = [1e-8, -2e-8j, 3e-9]  # Taylor branch
     u[2, 1:4] = [0.5j, 0.0, 0.0]  # pure boost: omega^2 < 0
-    _close(exp_rows(u), [oracles.exp_closed_form(a).c for a in _values(u)])
+    _close(exp_assoc(u), [oracles.exp_closed_form(a).c for a in _values(u)])
 
 
 def test_exp_rows_rejects_a_row_outside_the_subalgebra():
     u = _rows(SubspaceTag.A, 7)
     u[5, 6] = 0.1
     with pytest.raises(NotInAssociativeSubalgebra):
-        exp_rows(u)
+        exp_assoc(u)
 
 
 def test_exp_rows_overflow_is_a_non_finite_row_not_an_error():
@@ -286,7 +278,7 @@ def test_exp_rows_overflow_is_a_non_finite_row_not_an_error():
     u[2, 1] = 0.3
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = exp_rows(u)
+        out = exp_assoc(u)
     assert not np.all(np.isfinite(out[0])) and not np.all(np.isfinite(out[1]))
     assert np.all(np.isfinite(out[2]))
 
@@ -312,10 +304,10 @@ def _exp_and_dexp_pairs():
     u, du = _rows(SubspaceTag.A, 47, bound=2.0), _rows(SubspaceTag.A, 48)
     u[3, 1:4] = [1e-8, 0.0, 2e-9j]  # a row on the Taylor branch makes the block take it
     for block in (u[:3], u):
-        exp_block, dexp_block = exp_rows(block), dexp_rows(block, du[: len(block)])
+        exp_block, dexp_block = exp_assoc(block), dexp_rows(block, du[: len(block)])
         for i, row in enumerate(block):
             one = slice(i, i + 1)
-            yield exp_rows(block[one]), exp_block[one]
+            yield exp_assoc(block[one]), exp_block[one]
             yield exp_assoc(CplxOcton(row)), exp_block[i]
             yield dexp_rows(block[one], du[one]), dexp_block[one]
 
@@ -342,18 +334,16 @@ def _rowwise_pairs(cases):
 def _core_view_pairs():
     x, y, z = (_rows(SubspaceTag.FULL_CO, s) for s in (50, 51, 52))
     u = _rows(SubspaceTag.A, 53, bound=2.0)
-    views = [(conj_oct, conj_oct_rows, (x,)), (bar_star, bar_star_rows, (x,))]
-    views += [(inner, inner_rows, (x, y)), (norm, norm_rows, (x,))]
-    views += [(associator, associator_rows, (x, y, z)), (exp_assoc, exp_rows, (u,))]
-    yield from _rowwise_pairs([(view, rows) for view, _, rows in views])
-    # a view on rows is its kernel, bit for bit
-    yield from ((view(*rows), kernel(*rows)) for view, kernel, rows in views)
-    # mul and abs are one row of mul_rows and abs_rows (numpy's axis=None norm,
-    # the former route of abs, differs in the last bit on about one value in five)
-    products, sizes = mul_rows(x, y), abs_rows(x)
-    for i, (a, b) in enumerate(zip(_values(x), _values(y))):
-        yield mul(a, b), products[i]
-        yield abs(a), sizes[i]
+    cases = [(mul, (x, y)), (conj_oct, (x,)), (bar_star, (x,)), (inner, (x, y)), (norm, (x,))]
+    cases += [(associator, (x, y, z)), (exp_assoc, (u,))]
+    yield from _rowwise_pairs(cases)
+    # one value against many rows, as the field layer multiplies
+    products = mul(x[0], y)
+    yield from ((mul(CplxOcton(x[0]), b), products[i]) for i, b in enumerate(_values(y)))
+    # abs is one row of abs_rows (numpy's axis=None norm, the former route of
+    # abs, differs in the last bit on about one value in five)
+    sizes = abs_rows(x)
+    yield from ((abs(a), sizes[i]) for i, a in enumerate(_values(x)))
 
 
 def _grading_view_pairs():
@@ -721,7 +711,7 @@ def test_residual_ipmove_refuses_an_unknown_form():
 
 def test_alternativity_shares_x_y_with_the_same_bits():
     x, y = (_rows(SubspaceTag.FULL_CO, s, 300) for s in (54, 55))
-    want = np.maximum(abs_rows(associator_rows(x, x, y)), abs_rows(associator_rows(x, y, y)))
+    want = np.maximum(abs_rows(associator(x, x, y)), abs_rows(associator(x, y, y)))
     assert _same_bits(suites._alternativity(SuiteConfig(), x, y), want)
 
 
@@ -798,7 +788,8 @@ def test_each_rowwise_function_has_its_own_code_object():
 def test_jet_rows_matches_eval_at_and_partial(degree):
     rng = np.random.default_rng(31 + degree)
     exps = monomials(degree)
-    coeffs = draw_rows(SubspaceTag.FULL_CO, rng, N * len(exps)).reshape(N, len(exps), 8)
+    (coeffs,) = oracles.draw_block((SubspaceTag.FULL_CO,), rng, N * len(exps))
+    coeffs = coeffs.reshape(N, len(exps), 8)
     points = rng.uniform(-1.5, 1.5, (N, 4))
     values, grads = jet_rows(exps, coeffs, points)
     assert values.shape == (N, 8) and grads.shape == (N, 4, 8)
@@ -824,7 +815,8 @@ def _random_jet_inputs(exps, seed, real=False):
     if real:
         coeffs = rng.uniform(-1, 1, (N, m, ndof(SubspaceTag.A_MINUS)))
     else:
-        coeffs = draw_rows(SubspaceTag.FULL_CO, rng, N * m).reshape(N, m, 8)
+        (coeffs,) = oracles.draw_block((SubspaceTag.FULL_CO,), rng, N * m)
+        coeffs = coeffs.reshape(N, m, 8)
     return coeffs, rng.uniform(-1.5, 1.5, (N, 4))
 
 
@@ -1189,7 +1181,7 @@ def test_jets_of_real_parameters_map_to_jets_of_the_elements():
 def _break_identities(monkeypatch):
     # group elements scaled off the group and a spinor transformation that
     # does not match L_V: every residual becomes O(1) and depends on the inputs
-    monkeypatch.setattr(gauge, "exp_rows", lambda u: 1.5 * exp_rows(u))
+    monkeypatch.setattr(gauge, "exp_assoc", lambda u: 1.5 * exp_assoc(u))
     for module in (fields, suites):
         monkeypatch.setattr(module, "lambda_S", lambda theta: lambda_S(-theta))
 

@@ -637,3 +637,15 @@ def test_every_public_library_function_has_a_caller_outside_its_unit_tests():
         and not any(fn.name in names for node, names in reads if node is not fn)
     ]
     assert unused == []
+
+
+def test_no_module_defines_a_function_and_its_rows_twin():
+    # one function per operation: a public f takes a value or rows, and a name
+    # ending in _rows takes rows only, so no module has both f and f_rows
+    twins = []
+    for path in sorted(Path(octoweak.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        public = {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+        public = {name for name in public if not name.startswith("_")}
+        twins += [f"{path.stem}.{name}" for name in sorted(public) if f"{name}_rows" in public]
+    assert twins == []
