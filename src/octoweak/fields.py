@@ -20,6 +20,7 @@ and ``contract_rows`` applies it to any fields that share the exponents.
 from __future__ import annotations
 
 import numbers
+import operator
 from functools import lru_cache
 from itertools import product as iter_product
 
@@ -35,7 +36,7 @@ from .core import (
     single,
 )
 from .errors import DomainViolation
-from .grading import AB_CLOSURE, SubspaceTag, dof_rows, in_subspace, ndof
+from .grading import SubspaceTag, dof_rows, in_subspace, ndof
 from .lorentz import EBAR_UPPER_ROWS, Theta, eta_inverse_transform, lambda_S, lambda_V
 
 Degree = tuple[int, int, int, int]
@@ -121,22 +122,6 @@ class PolyField:
     def __call__(self, p) -> CplxOcton:
         return eval_at(self, p)
 
-    def __add__(self, other: "PolyField") -> "PolyField":
-        if not isinstance(other, PolyField):
-            return NotImplemented
-        exps, row = np.unique(np.concatenate([self.exps, other.exps]), axis=0, return_inverse=True)
-        coeffs = np.zeros((len(exps), 8), dtype=np.complex128)
-        np.add.at(coeffs, row.reshape(-1), np.concatenate([self.coeffs, other.coeffs]))
-        tag = self.tag if self.tag is other.tag else None
-        degree = max(self.max_total_degree, other.max_total_degree)
-        return PolyField._from_arrays(exps, coeffs, degree, tag)
-
-    def __sub__(self, other: "PolyField") -> "PolyField":
-        return self + (-other)
-
-    def __neg__(self) -> "PolyField":
-        return PolyField._from_arrays(self.exps, -self.coeffs, self.max_total_degree, self.tag)
-
     def __mul__(self, scalar):
         if not isinstance(scalar, numbers.Complex):
             return NotImplemented
@@ -148,30 +133,9 @@ class PolyField:
 
     __rmul__ = __mul__
 
-    def scale_left(self, m: CplxOcton) -> "PolyField":
-        """Coefficientwise left product m * coeff."""
-        return PolyField._from_arrays(
-            self.exps, mul(m.c, self.coeffs), self.max_total_degree, _scaled_tag(self.tag, m)
-        )
-
-    def scale_right(self, m: CplxOcton) -> "PolyField":
-        """Coefficientwise right product coeff * m."""
-        return PolyField._from_arrays(
-            self.exps, mul(self.coeffs, m.c), self.max_total_degree, _scaled_tag(self.tag, m)
-        )
-
     def __repr__(self) -> str:
         tag = self.tag.value if self.tag else None
         return f"PolyField({len(self.terms)} terms, deg<={self.max_total_degree}, tag={tag})"
-
-
-def _scaled_tag(tag: SubspaceTag | None, m: CplxOcton) -> SubspaceTag | None:
-    # products with a tagged multiplier land where the closure table says
-    if tag in (SubspaceTag.A, SubspaceTag.B):
-        for mtag in (SubspaceTag.A, SubspaceTag.B):
-            if in_subspace(m, mtag):
-                return AB_CLOSURE[(tag, mtag)]
-    return None
 
 
 @lru_cache(maxsize=64)
@@ -335,9 +299,10 @@ def random_field(
     from one draw, equal to one :func:`~octoweak.grading.draw` per monomial
     in that order, so the field is a pure function of the generator state.
     """
+    degree = operator.index(degree)
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    exps = monomials(int(degree))
+    exps = monomials(degree)
     coeffs = dof_rows(tag, rng.uniform(-bound, bound, (len(exps), ndof(tag))))
     return PolyField._from_arrays(exps, coeffs, degree, tag)
 

@@ -18,11 +18,12 @@ import math
 
 import numpy as np
 
-from octoweak import grading
+from octoweak import grading, lorentz
 from octoweak.core import (
     ONE,
     SMALL_ANGLE,
     CplxOcton,
+    abs_rows,
     associator,
     bar_star,
     commutator,
@@ -34,7 +35,7 @@ from octoweak.core import (
     rowwise,
     structure_table,
 )
-from octoweak.fields import PolyField, eval_at, lorentz_invariance_residual, partial, random_field
+from octoweak.fields import PolyField, eval_at, lorentz_invariance_residual, random_field
 from octoweak.gauge import (
     ConnectionField,
     covariance_residual_alpha,
@@ -215,49 +216,27 @@ def exp_closed_form(u: CplxOcton) -> CplxOcton:
     return CplxOcton(c)
 
 
-#: Taylor/squaring parameters for :func:`mat_exp`.
-MAT_EXP_NORM_CAP = 0.5
-MAT_EXP_TERMS = 18
-
-
 def mat_exp(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring on an 18-term Taylor sum: the series
-    route to ``lambda_V``, whose closed form it checks.
-
-    Takes one square matrix or a stack (..., k, k); each matrix is scaled by
-    its own 1-norm.  The sum runs in the input's precision: a real matrix gives
-    a float64 result, a complex one a complex128 result.  A matrix whose norm
-    is not finite is not scaled, and its exponential comes out non-finite, as
-    does one whose squarings overflow; the squaring stops once only such
-    matrices have squarings left.
-    """
+    """exp of one square matrix by scaling and squaring on an 18-term Taylor sum: the
+    series route to ``lambda_V``, whose closed form it checks.  The matrix is
+    halved until its 1-norm is at most 1/2; a real matrix gives a real result."""
     a = np.asarray(m)
-    a = a.astype(np.result_type(a.dtype, np.float64), copy=False)
-    with np.errstate(all="ignore"):
-        ratio = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0) / MAT_EXP_NORM_CAP
-        squarings = np.ceil(np.log2(np.maximum(ratio, 1.0)))
-        squarings = np.where(squarings < np.inf, squarings, 0.0)  # inf or NaN: unscaled
-        a = a * np.exp2(-squarings)[..., None, None]
-        acc = term = np.eye(a.shape[-1], dtype=a.dtype)
-        for k in range(1, MAT_EXP_TERMS + 1):
-            term = term @ a / k
-            acc = acc + term
-        # every matrix squares at least `common` times; past that, only those
-        # whose own count is not yet reached
-        steps = int(squarings.max(initial=0))
-        common = int(squarings.min(initial=steps))
-        for step in range(steps):
-            if step < common:
-                acc = acc @ acc
-            else:
-                acc = np.where((squarings > step)[..., None, None], acc @ acc, acc)
-            # the square of a non-finite matrix is non-finite, so once no
-            # finite matrix has squarings left, none can change
-            if not np.isfinite(acc).all():
-                finite = np.isfinite(acc).all(axis=(-2, -1))
-                if not np.any(finite & (squarings > step + 1)):
-                    break
+    squarings = math.ceil(math.log2(max(np.abs(a).sum(axis=0).max() / 0.5, 1.0)))
+    a = a / 2.0**squarings
+    acc = term = np.eye(len(a), dtype=a.dtype)
+    for k in range(1, 19):
+        term = term @ a / k
+        acc = acc + term
+    for _ in range(squarings):
+        acc = acc @ acc
     return acc
+
+
+def lambda_V_series(thetas: np.ndarray) -> np.ndarray:
+    """``lambda_V`` of each parameter matrix of a stack (..., 4, 4), by :func:`mat_exp`
+    of its generator sum, one matrix at a time."""
+    gens = lorentz._generator_sum(thetas, lorentz._V_REAL_PAIRS)
+    return np.array([mat_exp(g) for g in gens.reshape(-1, 4, 4)]).reshape(gens.shape)
 
 
 def mat_exp_taylor(m: np.ndarray, terms: int = 60) -> np.ndarray:
@@ -329,29 +308,35 @@ def central_difference(fn, p, mu: int, h: float = 1e-5) -> CplxOcton:
     return (fn(pp) - fn(pm)) * (1.0 / (2.0 * h))
 
 
-def dexp_series(u: PolyField, mu: int, p, tail_tol: float = 1e-14) -> CplxOcton:
-    """Derivative of exp(u) along x_mu by the series sum_m 1/m! sum_l u^l du u^(m-1-l).
+def dexp_series(u: np.ndarray, du: np.ndarray, tail_tol: float = 1e-14) -> np.ndarray:
+    """Derivative of exp(u) along a direction in which u changes by du, row by row,
+    by the series sum_m 1/m! sum_l u^l du u^(m-1-l).
 
-    u is A-valued, so the groupings are unambiguous.  The tail is cut once
-    m/m! * |u|^(m-1) * |du| falls below ``tail_tol``.
+    u and du are quaternionic rows (n, 8), so the groupings are unambiguous.
+    The tail is cut once m/m! * |u|^(m-1) * |du| falls below ``tail_tol`` in
+    every row.
     """
-    uval, du = eval_at(u, p), eval_at(partial(u, mu), p)
-    acc = CplxOcton.zero()
-    left, right = [CplxOcton.one()], [du]  # u^l and du u^j
+    size, step = abs_rows(u), abs_rows(du)
+    one = np.zeros_like(u)
+    one[:, 0] = 1.0
+    acc = np.zeros_like(u)
+    left, right = [one], [du]  # u^l and du u^j
     fact = 1.0
     for m in range(1, 121):
         fact *= m
-        left.append(mul(left[-1], uval))
-        right.append(mul(right[-1], uval))
+        left.append(mul(left[-1], u))
+        right.append(mul(right[-1], u))
         for l in range(m):
             acc = acc + mul(left[l], right[m - 1 - l]) * (1.0 / fact)
-        if (m / fact) * abs(uval) ** (m - 1) * abs(du) < tail_tol:
+        if np.all((m / fact) * size ** (m - 1) * step < tail_tol):
             return acc
     raise ArithmeticError("derivative-of-exponential series did not converge")
 
 
-def pullback_linear(f: PolyField, m) -> PolyField:
-    """The field x -> f(Mx) for a real 4x4 matrix M, expanded term by term."""
+def pullback_linear(f: PolyField, m, left: CplxOcton | None = None) -> PolyField:
+    """The field x -> f(Mx) for a real 4x4 matrix M, expanded term by term, each
+    coefficient multiplied on the left by ``left`` if given.  ``left`` lies in the
+    quaternionic subalgebra A, whose products keep an A or B field in its subspace."""
     arr = np.asarray(m)
     if arr.shape != (4, 4) or np.abs(arr.imag).max() > 1e-10 * max(1.0, np.abs(arr.real).max()):
         raise ValueError("pullback needs a real 4x4 matrix")
@@ -370,6 +355,8 @@ def pullback_linear(f: PolyField, m) -> PolyField:
                 expansion = grown
         for newdeg, val in expansion.items():
             terms[newdeg] = terms[newdeg] + coeff * val if newdeg in terms else coeff * val
+    if left is not None:
+        terms = {deg: mul(left, coeff) for deg, coeff in terms.items()}
     return PolyField(terms, f.max_total_degree, f.tag)
 
 

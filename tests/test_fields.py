@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from octoweak import fields
-from octoweak.core import E, IM, ONE, CplxOcton, bar_star, inner, isclose, mul
+from octoweak.core import E, IM, ONE, CplxOcton, abs_rows, bar_star, inner, isclose, mul
 from octoweak.errors import DomainViolation
 from octoweak.fields import (
     DEXP_TAYLOR_Z,
     PolyField,
     dexp_at,
+    dexp_rows,
     dirac_scalar,
     eval_at,
     exp_field_at,
@@ -23,7 +24,7 @@ from octoweak.fields import (
 from octoweak.grading import SubspaceTag, draw, in_subspace
 from octoweak.lorentz import EBAR_UPPER, Theta, eta_inverse_transform, lambda_S, lambda_V
 
-from oracles import central_difference, dexp_series, eval_naive, pullback_linear
+from oracles import central_difference, dexp_series, draw_block, eval_naive, pullback_linear
 
 
 def x_power(mu, coeff):
@@ -57,6 +58,8 @@ def test_field_validation():
         PolyField({(2, 0, 0, 0): E[1]}, max_total_degree=1)
     with pytest.raises(DomainViolation):
         PolyField({(0, 0, 0, 0): E[5]}, tag=SubspaceTag.A)
+    with pytest.raises(TypeError):
+        random_field(np.random.default_rng(0), 2.5, SubspaceTag.A)
 
 
 def test_point_validation():
@@ -200,21 +203,11 @@ def test_invariance_residual_boost_on_complement_fields():
         assert lorentz_invariance_residual(f, Theta.single(0, 1, 0.7), p) < 1e-9
 
 
-def test_invariance_residual_random_parameters_both_tags():
-    rng = np.random.default_rng(49)
-    for tag in (SubspaceTag.A, SubspaceTag.B):
-        for _ in range(25):
-            f = random_field(rng, 2, tag)
-            theta = Theta.random(rng, 1.5)
-            p = rng.uniform(-1, 1, 4)
-            assert lorentz_invariance_residual(f, theta, p) < 1e-9
-
-
 def _symbolic_invariance_residual(f, lam, theta, p):
     # the transformed field expanded term by term, then differentiated formally
     lv = lambda_V(theta)
     factor = lam if f.tag is SubspaceTag.A else bar_star(lam)
-    f_prime = pullback_linear(f, eta_inverse_transform(lv)).scale_left(factor)
+    f_prime = pullback_linear(f, eta_inverse_transform(lv), factor)
     return abs(dirac_scalar(f_prime, lv @ p) - dirac_scalar(f, p))
 
 
@@ -282,24 +275,6 @@ def test_dexp_scalar_valued_closed_form():
     assert abs(dexp_at(u, 1, p)) == 0.0
 
 
-def test_dexp_matches_finite_differences():
-    rng = np.random.default_rng(50)
-    for _ in range(25):
-        u = random_field(rng, 1, SubspaceTag.A, 0.12)
-        p = rng.uniform(-1, 1, 4)
-        for mu in range(4):
-            fd = central_difference(lambda q: exp_field_at(u, q), p, mu)
-            assert abs(dexp_at(u, mu, p) - fd) < 1e-7
-
-
-def _linear_field(value, grads, tag):
-    # u(x) = value + sum_mu x_mu grads[mu]: at the origin u = value, d_mu u = grads[mu]
-    terms = {(0, 0, 0, 0): CplxOcton(value)}
-    for mu in range(4):
-        terms[tuple(int(k == mu) for k in range(4))] = CplxOcton(grads[mu])
-    return PolyField(terms, tag=tag)
-
-
 def _vector_part(rng, tag, omega_sq, long):
     """A vector part v with |<v, v>| = omega_sq; ``long`` keeps |v| near 1."""
     if long:  # v = a + i b with a orthogonal to b and |a|^2 - |b|^2 = omega_sq
@@ -314,21 +289,32 @@ def _vector_part(rng, tag, omega_sq, long):
 
 
 def test_dexp_closed_form_matches_series_oracle():
+    # on both sides of DEXP_TAYLOR_Z: anti-Hermitian, short and long
+    # quaternionic values with |<v, v>| from 1e-12 to 1, four directions each,
+    # relative to the derivative's size
     rng = np.random.default_rng(54)
-    origin = (0.0, 0.0, 0.0, 0.0)
     omega_sqs = np.logspace(-12, 0, 25)
     assert omega_sqs[0] < DEXP_TAYLOR_Z < omega_sqs[-1]
-    worst = 0.0
+    u, du = [], []
     for tag, long in ((SubspaceTag.A_MINUS, False), (SubspaceTag.A, False), (SubspaceTag.A, True)):
         for omega_sq in omega_sqs:
             value = draw(tag, rng, 0.5).c.copy()
             value[1:4] = _vector_part(rng, tag, omega_sq, long)
             assert math.isclose(abs(np.dot(value[1:4], value[1:4])), omega_sq, rel_tol=1e-3)
-            u = _linear_field(value, [draw(tag, rng).c for _ in range(4)], tag)
-            for mu in range(4):
-                want = dexp_series(u, mu, origin)
-                worst = max(worst, abs(dexp_at(u, mu, origin) - want) / abs(want))
-    assert worst < 1e-11
+            u += [value] * 4
+            du += [draw(tag, rng).c for _ in range(4)]
+    u, du = np.array(u), np.array(du)
+    want = dexp_series(u, du)
+    assert np.max(abs_rows(dexp_rows(u, du) - want) / abs_rows(want)) < 1e-11
+    # quaternionic rows scaled to |<v, v>| from 1e-10 to 10**0.5, relative to
+    # each derivative's largest coefficient
+    omega_sqs = np.logspace(-10, 0.5, 30)
+    (u,) = draw_block((SubspaceTag.A,), np.random.default_rng(33), len(omega_sqs), 0.5)
+    (du,) = draw_block((SubspaceTag.A,), np.random.default_rng(34), len(omega_sqs))
+    u[:, 1:4] *= np.sqrt(omega_sqs / np.abs(inner(u[:, 1:4], u[:, 1:4])))[:, None]
+    want = dexp_series(u, du)
+    scale = np.max(np.abs(want), axis=-1)
+    assert np.all(np.max(np.abs(dexp_rows(u, du) - want), axis=-1) <= 1e-12 * scale)
 
 
 def test_exp_field_requires_quaternionic_values():
@@ -343,33 +329,16 @@ def test_exp_field_requires_quaternionic_values():
 
 
 def test_field_algebra_and_tag_propagation():
+    # a scalar multiple, as the gauge parameter is scaled to its value cap
     rng = np.random.default_rng(51)
     f = random_field(rng, 2, SubspaceTag.A)
-    g = random_field(rng, 2, SubspaceTag.A)
     p = rng.uniform(-1, 1, 4)
-    assert abs(eval_at(f + g, p) - (eval_at(f, p) + eval_at(g, p))) < 1e-13
-    assert abs(eval_at(f - g, p) - (eval_at(f, p) - eval_at(g, p))) < 1e-13
-    assert (f + g).tag is SubspaceTag.A
+    assert abs(eval_at(f * (0.3 - 2j), p) - eval_at(f, p) * (0.3 - 2j)) < 1e-13
     assert (2.0 * f).tag is SubspaceTag.A
     assert (1j * f).tag is SubspaceTag.A  # complex span
     h = random_field(rng, 1, SubspaceTag.A_MINUS)
     assert (2.0 * h).tag is SubspaceTag.A_MINUS
     assert (1j * h).tag is None  # only the real span survives
-
-
-def test_scale_left_right_follow_the_closure_table():
-    rng = np.random.default_rng(52)
-    f = random_field(rng, 2, SubspaceTag.B)
-    a = draw(SubspaceTag.A, rng)
-    b = draw(SubspaceTag.B, rng)
-    assert f.scale_left(a).tag is SubspaceTag.B
-    assert f.scale_right(b).tag is SubspaceTag.A
-    g = random_field(rng, 2, SubspaceTag.A)
-    assert g.scale_left(a).tag is SubspaceTag.A
-    assert g.scale_left(b).tag is SubspaceTag.B
-    p = rng.uniform(-1, 1, 4)
-    assert abs(eval_at(f.scale_left(a), p) - mul(a, eval_at(f, p))) < 1e-13
-    assert abs(eval_at(f.scale_right(b), p) - mul(eval_at(f, p), b)) < 1e-13
 
 
 def test_random_field_equals_one_draw_per_monomial_in_order():

@@ -1,12 +1,11 @@
-"""Row kernels and the batched identities against their scalar forms.
+"""Blocks of rows, the random stream, and single values.
 
-A stack of inputs must give, row by row, what one scalar call per row gives.
-The arithmetic is the same apart from the order of a few sums, so rows
-agree to 1e-14 of their scale; the product itself matches bit for bit.  The
-algebra operations are checked on rows against the independent routes in
-``oracles``, as a single value is its row of a block.  The batched field and
-gauge suites must give what their per-sample references in ``oracles`` give,
-from the same inputs.
+Each algebra operation on rows is checked against an independent route in
+``oracles``: the doubling recursion, a dense contraction, explicit sums or
+Python complex arithmetic.  A single value is its row of a block, bit for bit.
+A block reads the generator's stream as one draw per input and sample,
+whatever its size, and the batched field and gauge suites give what their
+per-sample references in ``oracles`` give from the same inputs.
 """
 
 import math
@@ -33,7 +32,6 @@ from octoweak.core import (
 )
 from octoweak.errors import DomainViolation, NotInAssociativeSubalgebra
 from octoweak.fields import (
-    DEXP_TAYLOR_Z,
     PolyField,
     bilinear_rows,
     dexp_rows,
@@ -163,8 +161,8 @@ def _explicit_sum(a, b):
     return acc
 
 
-def test_row_kernels_match_scalar_functions():
-    # each kernel against an independent route: the doubling recursion for the
+def test_core_operations_on_rows_match_independent_routes():
+    # each operation against an independent route: the doubling recursion for the
     # conjugations and the product, explicit sums for the bilinear forms
     x, y, z = (_rows(SubspaceTag.FULL_CO, s) for s in (3, 4, 5))
     _close(conj_oct(x), [oracles.cd_conj(a) for a in x], 0.0)
@@ -208,7 +206,7 @@ def _full_rows(rng, shape):
     return rng.uniform(-1, 1, shape + (8,)) + 1j * rng.uniform(-1, 1, shape + (8,))
 
 
-def test_mul_rows_matches_the_dense_contraction():
+def test_mul_matches_the_dense_contraction():
     rng = np.random.default_rng(44)
     x, y = _full_rows(rng, (300,)), _full_rows(rng, (300,))
     scale = abs_rows(x) * abs_rows(y)
@@ -224,7 +222,7 @@ def test_mul_rows_matches_the_dense_contraction():
                       <= 1e-15 * abs_rows(stack) * abs_rows(other))
 
 
-def test_mul_rows_is_exact_on_every_basis_pair():
+def test_mul_is_exact_on_every_basis_pair():
     table = structure_table()
     basis = np.eye(8, dtype=np.complex128)
     got = mul(basis[:, None, :], basis[None, :, :])
@@ -255,7 +253,7 @@ def test_project_and_bilinear_rows_match_the_dense_routes():
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
-def test_exp_rows_matches_exp_assoc_across_branches():
+def test_exp_assoc_matches_the_closed_form_across_branches():
     # against the closed form in Python complex arithmetic
     u = _rows(SubspaceTag.A, 6, bound=3.0)
     u[0] = 0.0  # omega = 0
@@ -264,14 +262,14 @@ def test_exp_rows_matches_exp_assoc_across_branches():
     _close(exp_assoc(u), [oracles.exp_closed_form(a).c for a in _values(u)])
 
 
-def test_exp_rows_rejects_a_row_outside_the_subalgebra():
+def test_exp_assoc_rejects_a_row_outside_the_subalgebra():
     u = _rows(SubspaceTag.A, 7)
     u[5, 6] = 0.1
     with pytest.raises(NotInAssociativeSubalgebra):
         exp_assoc(u)
 
 
-def test_exp_rows_overflow_is_a_non_finite_row_not_an_error():
+def test_exp_assoc_overflow_is_a_non_finite_row_not_an_error():
     u = np.zeros((3, 8), dtype=complex)
     u[0, 1] = 2000j  # cos(2000 i) overflows
     u[1, 0] = 800.0  # e^800 overflows
@@ -391,6 +389,7 @@ def _field_pairs():
     lam, lv = lambda_S(thetas), lambda_V(thetas)
     cases = [
         (lambda i: eval_at(f, points[i]), _along(f, 0, points)[0]),
+        (lambda i: eval_at(PolyField.zero(), points[i]), np.zeros((N, 8), np.complex128)),
         (lambda i: fields.dirac_scalar(f, points[i]), bilinear_rows(*jet_at(points))),
         (
             lambda i: fields.lorentz_invariance_residual(f, Theta(thetas[i]), points[i]),
@@ -460,63 +459,7 @@ def test_each_single_value_entry_point_is_its_row_of_a_block(case):
 # ------------------------------------------------------ Lorentz exponentials
 
 
-def test_mat_exp_stack_gives_each_matrix_its_own_squarings():
-    rng = np.random.default_rng(8)
-    scales = [0.1, 3.0, 40.0, 900.0]
-    m = np.array(
-        [s * (rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))) / 4 for s in scales]
-    )
-    n1 = np.abs(m).sum(axis=1).max(axis=1)
-    counts = [max(0, int(np.ceil(np.log2(v / oracles.MAT_EXP_NORM_CAP)))) for v in n1]
-    assert counts[0] == 0 and len(set(counts)) == len(counts)
-    stacked = oracles.mat_exp(m)
-    for got, one in zip(stacked, m):
-        want = oracles.mat_exp(one)
-        assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
-
-
-def test_mat_exp_non_finite_or_huge_norm_gives_non_finite_not_an_error():
-    m = np.zeros((3, 4, 4))
-    m[0, 0, 1] = np.inf
-    m[1, 0, 1] = m[1, 1, 0] = 1e300
-    m[2, 0, 1] = 0.5
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        out = oracles.mat_exp(m)
-    assert not np.all(np.isfinite(out[0])) and not np.all(np.isfinite(out[1]))
-    assert np.allclose(out[2], oracles.mat_exp(m[2]))
-
-
-def test_mat_exp_stops_squaring_a_huge_matrix_without_touching_the_others():
-    rng = np.random.default_rng(28)
-    ordinary = rng.uniform(-3, 3, (5, 4, 4)) + 1j * rng.uniform(-3, 3, (5, 4, 4))
-    huge = np.full((1, 4, 4), 1e300)  # about 1000 squarings, overflowing after a few
-    mixed = np.concatenate([ordinary[:2], huge, ordinary[2:]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        out = oracles.mat_exp(mixed)
-    assert np.array_equal(np.delete(out, 2, axis=0), oracles.mat_exp(ordinary))
-    assert not np.all(np.isfinite(out[2]))
-
-
-def test_mat_exp_of_a_real_stack_is_real_and_matches_the_complex_route():
-    rng = np.random.default_rng(37)
-    moderate = rng.uniform(-0.8, 0.8, (N, 4, 4))  # the range the series oracle handles
-    generators = lorentz._generator_sum(_thetas(38, bound=10.0), _V_REAL_PAIRS)
-    for m in (moderate, generators):
-        got = oracles.mat_exp(m)
-        assert got.dtype == np.float64
-        want = oracles.mat_exp(m.astype(np.complex128))
-        assert want.dtype == np.complex128
-        scale = np.max(np.abs(want), axis=(-2, -1))
-        assert np.all(np.max(np.abs(got - want), axis=(-2, -1)) <= 1e-15 * scale)
-    for got, m in zip(oracles.mat_exp(moderate), moderate):
-        assert np.max(np.abs(got - oracles.mat_exp_taylor(m))) < 1e-12
-    assert lambda_V(_thetas(39)).dtype == np.float64
-    assert lambda_V(Theta.single(0, 1, 0.4)).dtype == np.float64
-
-
-def test_lorentz_kernels_equal_the_scalar_residuals_bit_for_bit():
+def test_algebra_and_infinitesimal_dc_rows_equal_the_scalar_product_routes_bit_for_bit():
     for kernel, scalar, k in (
         (lorentz_algebra_rows, oracles.lorentz_algebra_residual, 4),
         (infinitesimal_dc_rows, oracles.infinitesimal_dc_residual, 3),
@@ -577,7 +520,7 @@ def test_lambda_V_gives_each_matrix_of_a_stack_its_own_real_result_bit_for_bit()
 def test_lambda_V_matches_the_series_route_on_every_case():
     thetas = _lambda_V_cases()
     got = lambda_V(thetas)
-    want = oracles.mat_exp(lorentz._generator_sum(thetas, _V_REAL_PAIRS))
+    want = oracles.lambda_V_series(thetas)
     scale = np.max(np.abs(want), axis=(-2, -1))
     assert np.all(np.max(np.abs(got - want), axis=(-2, -1)) <= 1e-13 * scale)
 
@@ -630,8 +573,6 @@ def test_membership_on_rows():
     a[3] = _rows(SubspaceTag.B, 19, 1)[0]
     ok = in_subspace(a, SubspaceTag.A)
     assert ok.dtype == bool and not ok[3] and ok.sum() == N - 1
-    single = [membership_defect(v, SubspaceTag.A) for v in _values(a)]
-    _close(membership_defect(a, SubspaceTag.A), single)
 
 
 def test_membership_tolerance_scales_with_the_magnitude():
@@ -683,8 +624,7 @@ def test_exchange_residuals_are_the_six_public_residuals():
 
 
 def test_ipmove_residuals_equal_the_per_form_oracle_bit_for_bit():
-    # the shared products change no bit: on a block, on one row as (8,)
-    # arrays, and on single values
+    # the shared products change no bit
     x, y, z = (_rows(SubspaceTag.FULL_CO, s, 300) for s in (50, 51, 52))
     got = ipmove_residuals(x, y, z)
     assert len(got) == len(IPMoveForm)
@@ -692,15 +632,6 @@ def test_ipmove_residuals_equal_the_per_form_oracle_bit_for_bit():
         want = oracles.residual_ipmove_per_form(form, x, y, z)
         assert _same_bits(got[i], want), form
         assert _same_bits(residual_ipmove(form, x, y, z), want), form
-        for row in list(zip(x, y, z))[:5]:
-            one = np.asarray(oracles.residual_ipmove_per_form(form, *row))
-            assert _same_bits(np.asarray(ipmove_residuals(*row)[i]), one), form
-            assert _same_bits(np.asarray(residual_ipmove(form, *row)), one), form
-            values = _values(row)
-            single = residual_ipmove(form, *values)
-            assert isinstance(single, complex)
-            want_single = oracles.residual_ipmove_per_form(form, *values)
-            assert _same_bits(np.asarray(single), np.asarray(want_single)), form
 
 
 def test_residual_ipmove_refuses_an_unknown_form():
@@ -797,8 +728,6 @@ def test_jet_rows_matches_eval_at_and_partial(degree):
     _close(values, [oracles.eval_naive(f, p).c for f, p in zip(polys, points)])
     want = [[eval_at(partial(f, rho), p).c for rho in range(4)] for f, p in zip(polys, points)]
     _close(grads, want)
-    # one field against many points broadcasts
-    _close(jet_rows(exps, coeffs[0], points)[0], [eval_at(polys[0], p).c for p in points])
 
 
 def test_jet_rows_gradient_along_an_absent_coordinate_is_exactly_zero():
@@ -940,32 +869,6 @@ def test_contracting_strided_real_parameters_does_not_copy_them():
     finally:
         tracemalloc.stop()
     assert peak < params.nbytes / 2
-
-
-def test_eval_at_is_the_value_of_the_jet():
-    for degree in (0, 2, 4):
-        exps = monomials(degree)
-        coeffs, points = _random_jet_inputs(exps, 95 + degree)
-        f = PolyField._from_arrays(exps, coeffs[0], degree, None)
-        _close(jet_rows(exps, coeffs[0], points)[0], [eval_at(f, p).c for p in points])
-    assert eval_at(PolyField.zero(), (0.1, 0.2, 0.3, 0.4)) == CplxOcton.zero()
-
-
-def test_dexp_rows_matches_the_series_across_the_taylor_boundary():
-    rng = np.random.default_rng(32)
-    omega_sqs = np.logspace(-10, 0.5, 30)
-    assert omega_sqs[0] < DEXP_TAYLOR_Z < omega_sqs[-1]
-    u = _rows(SubspaceTag.A, 33, len(omega_sqs), 0.5)
-    du = _rows(SubspaceTag.A, 34, len(omega_sqs))
-    for row, omega_sq in zip(u, omega_sqs):
-        row[1:4] *= np.sqrt(omega_sq / abs(np.dot(row[1:4], row[1:4])))
-    got = dexp_rows(u, du)
-    origin = (0.0, 0.0, 0.0, 0.0)
-    for got_row, value, grad in zip(got, u, du):
-        # u(x) = value + x0 grad: at the origin u = value and d_0 u = grad
-        field = PolyField({(0, 0, 0, 0): CplxOcton(value), (1, 0, 0, 0): CplxOcton(grad)})
-        want = oracles.dexp_series(field, 0, origin).c
-        assert np.max(np.abs(got_row - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # ------------------------------------------------------- field and gauge suites
