@@ -2,24 +2,18 @@
 
 from .core import (
     E,
-    IM,
     ONE,
     CplxOcton,
     StructureTable,
     associator,
     bar_star,
-    commutator,
-    conj_complex,
     conj_oct,
     exp_assoc,
     inner,
     inverse,
-    isclose,
     mul,
     norm,
-    scal,
     structure_table,
-    vec,
 )
 from .errors import (
     DomainViolation,
@@ -27,7 +21,7 @@ from .errors import (
     UnknownSuite,
     ZeroDivisor,
 )
-from .fields import PolyField, dexp_at, dirac_scalar, eval_at, exp_field_at, partial
+from .fields import PolyField, dexp_at, eval_at, exp_field_at
 from .gauge import ConnectionField
 from .grading import IPMoveForm, SubspaceTag, project, sample
 from .lorentz import Theta, gamma5_analogue, lambda_S, lambda_V, s_gen, v_gen
@@ -50,36 +44,28 @@ __all__ = [
     "UnknownSuite",
     "ZeroDivisor",
     "E",
-    "IM",
     "ONE",
     "associator",
     "bar_star",
-    "commutator",
-    "conj_complex",
     "conj_oct",
     "dexp_at",
-    "dirac_scalar",
     "eval_at",
     "exp_assoc",
     "exp_field_at",
     "gamma5_analogue",
     "inner",
     "inverse",
-    "isclose",
     "lambda_S",
     "lambda_V",
     "mul",
     "norm",
-    "partial",
     "project",
     "run_all",
     "run_suite",
     "s_gen",
     "sample",
-    "scal",
     "structure_table",
     "suite_ids",
     "v_gen",
-    "vec",
     "__version__",
 ]

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NotInAssociativeSubalgebra, ZeroDivisor
 
-#: Componentwise tolerance used by ``==`` and :func:`isclose`.
+#: Componentwise tolerance used by ``==``.
 EQ_TOL = 1e-12
 
 #: :func:`inverse`'s zero-divisor test: |N(y)| <= ZERO_DIVISOR_EPS |y|^2, y = x / max_a |x_a|.
@@ -182,10 +182,6 @@ class CplxOcton:
         return obj
 
     @classmethod
-    def zero(cls) -> "CplxOcton":
-        return cls._wrap(np.zeros(8, dtype=np.complex128))
-
-    @classmethod
     def one(cls) -> "CplxOcton":
         return cls.scalar(1.0)
 
@@ -229,12 +225,6 @@ class CplxOcton:
         with np.errstate(all="ignore"):
             return CplxOcton._wrap(self.c * complex(other))
 
-    def __truediv__(self, other):
-        if not isinstance(other, numbers.Complex):
-            return NotImplemented
-        with np.errstate(all="ignore"):
-            return CplxOcton._wrap(self.c / complex(other))
-
     def __abs__(self) -> float:
         # Euclidean magnitude of the 16 real components (not the quadratic norm):
         # one row of abs_rows
@@ -261,7 +251,6 @@ class CplxOcton:
 #: The multiplicative unit and the eight basis elements.
 ONE = CplxOcton.one()
 E = tuple(CplxOcton.basis(a) for a in range(8))
-IM = CplxOcton.scalar(1j)
 
 
 # ------------------------------------------------------------- operations
@@ -337,27 +326,10 @@ def conj_oct(x):
     return x * _CONJ_SIGN
 
 
-def conj_complex(x: CplxOcton) -> CplxOcton:
-    """Complex conjugation of every coefficient; basis untouched."""
-    return CplxOcton._wrap(np.conj(x.c))
-
-
 @rowwise
 def bar_star(x):
     """Combined octonionic and complex conjugation (an R-linear involution): a value or rows."""
     return np.conj(x) * _CONJ_SIGN
-
-
-def scal(x: CplxOcton) -> complex:
-    """Scalar part (x + conj_oct(x))/2, returned as a complex number."""
-    return complex(x.c[0])
-
-
-def vec(x: CplxOcton) -> CplxOcton:
-    """Vector part (x - conj_oct(x))/2."""
-    c = x.c.copy()
-    c[0] = 0.0
-    return CplxOcton._wrap(c)
 
 
 @rowwise
@@ -403,10 +375,6 @@ def inverse(x: CplxOcton) -> CplxOcton:
     z = conj_oct(y) / n
     with np.errstate(all="ignore"):
         return CplxOcton._wrap(z.real / m + 1j * (z.imag / m))
-
-
-def commutator(x: CplxOcton, y: CplxOcton) -> CplxOcton:
-    return mul(x, y) - mul(y, x)
 
 
 @rowwise
@@ -457,8 +425,3 @@ def exp_assoc(u):
         out[..., 0] = es * cos_w
         out[..., 1:4] = (es * sinc_w)[..., None] * v
     return out
-
-
-def isclose(x: CplxOcton, y: CplxOcton, tol: float = EQ_TOL) -> bool:
-    """Componentwise comparison within an absolute tolerance."""
-    return bool(np.all(np.abs(x.c - y.c) <= tol))

@@ -65,17 +65,12 @@ class PolyField:
     that subspace at every real point.
     """
 
-    __slots__ = ("exps", "coeffs", "max_total_degree", "tag")
+    __slots__ = ("exps", "coeffs", "tag")
 
-    def __init__(
-        self,
-        terms: dict[Degree, CplxOcton],
-        max_total_degree: int | None = None,
-        tag: SubspaceTag | None = None,
-    ) -> None:
+    def __init__(self, terms: dict[Degree, CplxOcton], tag: SubspaceTag | None = None) -> None:
         clean: dict[Degree, CplxOcton] = {}
         for deg, coeff in terms.items():
-            deg = tuple(int(d) for d in deg)
+            deg = tuple(map(operator.index, deg))
             if len(deg) != 4 or min(deg) < 0:
                 raise ValueError(f"bad multi-degree {deg}")
             if not isinstance(coeff, CplxOcton):
@@ -84,34 +79,20 @@ class PolyField:
                 raise DomainViolation(f"coefficient of {deg} is not in subspace {tag.value}")
             if np.any(coeff.c != 0):
                 clean[deg] = coeff
-        top = max(map(sum, clean), default=0)
-        if max_total_degree is None:
-            max_total_degree = top
-        if top > max_total_degree:
-            raise ValueError("terms exceed max_total_degree")
         exps = np.array(list(clean), dtype=np.int64).reshape(-1, 4)
         coeffs = np.array([c.c for c in clean.values()], dtype=np.complex128).reshape(-1, 8)
-        self._set(exps, coeffs, max_total_degree, tag)
+        self._set(exps, coeffs, tag)
 
-    def _set(self, exps, coeffs, max_total_degree, tag) -> None:
+    def _set(self, exps, coeffs, tag) -> None:
         exps.flags.writeable = coeffs.flags.writeable = False
         self.exps, self.coeffs, self.tag = exps, coeffs, tag
-        self.max_total_degree = int(max_total_degree)
 
     @classmethod
-    def _from_arrays(cls, exps, coeffs, max_total_degree, tag) -> "PolyField":
+    def _from_arrays(cls, exps, coeffs, tag) -> "PolyField":
         # trusted internal constructor: rows are distinct and in the subspace
         field = object.__new__(cls)
-        field._set(exps, coeffs, max_total_degree, tag)
+        field._set(exps, coeffs, tag)
         return field
-
-    @classmethod
-    def constant(cls, coeff: CplxOcton, tag: SubspaceTag | None = None) -> "PolyField":
-        return cls({(0, 0, 0, 0): coeff}, tag=tag)
-
-    @classmethod
-    def zero(cls, tag: SubspaceTag | None = None) -> "PolyField":
-        return cls({}, max_total_degree=0, tag=tag)
 
     @property
     def terms(self) -> dict[Degree, CplxOcton]:
@@ -129,13 +110,14 @@ class PolyField:
         # A and B are complex-linear; the +- eigenspaces are only real-linear
         keep = self.tag is None or z.imag == 0.0 or self.tag in (SubspaceTag.A, SubspaceTag.B)
         tag = self.tag if keep else None
-        return PolyField._from_arrays(self.exps, self.coeffs * z, self.max_total_degree, tag)
+        return PolyField._from_arrays(self.exps, self.coeffs * z, tag)
 
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
         tag = self.tag.value if self.tag else None
-        return f"PolyField({len(self.terms)} terms, deg<={self.max_total_degree}, tag={tag})"
+        degree = self.exps.sum(axis=1).max(initial=0)
+        return f"PolyField({len(self.terms)} terms, deg<={degree}, tag={tag})"
 
 
 @lru_cache(maxsize=64)
@@ -263,18 +245,6 @@ def eval_at(f: PolyField, p) -> CplxOcton:
         return single(_jet_along(f, 0, p)[0])
 
 
-def partial(f: PolyField, mu: int) -> PolyField:
-    """Exact formal partial derivative along x_mu."""
-    if not 0 <= mu <= 3:
-        raise ValueError("axis must be in 0..3")
-    d = f.exps[:, mu]
-    keep = d > 0
-    exps = f.exps[keep]
-    exps[:, mu] -= 1
-    coeffs = f.coeffs[keep] * d[keep, None]
-    return PolyField._from_arrays(exps, coeffs, max(0, f.max_total_degree - 1), f.tag)
-
-
 @lru_cache(maxsize=16)
 def monomials(degree: int) -> np.ndarray:
     """Every multi-degree of total degree <= degree, (M, 4), in lexicographic order.
@@ -304,7 +274,7 @@ def random_field(
         raise ValueError("degree must be >= 0")
     exps = monomials(degree)
     coeffs = dof_rows(tag, rng.uniform(-bound, bound, (len(exps), ndof(tag))))
-    return PolyField._from_arrays(exps, coeffs, degree, tag)
+    return PolyField._from_arrays(exps, coeffs, tag)
 
 
 def _require_spinor(tag: SubspaceTag | None) -> None:
@@ -335,13 +305,6 @@ def bilinear_rows(values: np.ndarray, grads: np.ndarray) -> np.ndarray:
     flat = grads.reshape(grads.shape[:-2] + (32,))
     left = (np.take(flat, _EBAR_SOURCE, axis=-1) * _EBAR_UNIT).sum(axis=-2)
     return inner(np.conj(values), left)
-
-
-def dirac_scalar(f: PolyField, p) -> complex:
-    """The first-derivative bilinear sum_rho <f*, ebar^rho d_rho f> at p."""
-    _require_spinor(f.tag)
-    with np.errstate(all="ignore"):
-        return single(bilinear_rows(*_jet(f, p)))
 
 
 def lorentz_invariance_rows(tag, lam, lv, jet_at, points) -> np.ndarray:

@@ -48,10 +48,6 @@ class ConnectionField:
     def __getitem__(self, rho: int) -> PolyField:
         return self.components[rho]
 
-    @classmethod
-    def zero(cls) -> "ConnectionField":
-        return cls([PolyField.zero(SubspaceTag.A_MINUS) for _ in range(4)])
-
 
 def require_gauge_param(u: PolyField, name: str = "gauge parameter") -> None:
     if not isinstance(u, PolyField) or u.tag is not SubspaceTag.A_MINUS:

@@ -71,10 +71,6 @@ class Theta:
         self.m = arr
 
     @classmethod
-    def zero(cls) -> "Theta":
-        return cls(np.zeros((4, 4)))
-
-    @classmethod
     def from_upper(cls, entries: dict[tuple[int, int], float]) -> "Theta":
         """Build from upper-triangle values {(mu, nu): theta^{mu nu}}, mu < nu."""
         if not all(0 <= mu < nu <= 3 for mu, nu in entries):

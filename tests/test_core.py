@@ -7,23 +7,17 @@ import pytest
 
 from octoweak.core import (
     E,
-    IM,
     ONE,
     CplxOcton,
     associator,
     bar_star,
-    commutator,
-    conj_complex,
     conj_oct,
     exp_assoc,
     inner,
     inverse,
-    isclose,
     mul,
     norm,
-    scal,
     structure_table,
-    vec,
 )
 from octoweak.errors import NotInAssociativeSubalgebra, ZeroDivisor
 from octoweak.lorentz import Theta, lambda_S
@@ -74,7 +68,7 @@ def test_complex_scalars_commute_with_everything():
     z = CplxOcton.scalar(0.3 - 1.7j)
     for _ in range(10):
         x = rand_octon(rng)
-        assert isclose(mul(z, x), mul(x, z), 1e-14)
+        assert np.allclose(mul(z, x).c, mul(x, z).c, rtol=0, atol=1e-14)
 
 
 # ------------------------------------------------------------- conjugations
@@ -82,50 +76,43 @@ def test_complex_scalars_commute_with_everything():
 
 def test_conj_oct_examples():
     assert conj_oct(E[1]) == -E[1]
-    assert conj_oct(IM) == IM
-    assert conj_complex(IM) == -IM
-    assert conj_complex(E[1]) == E[1]
-    assert conj_complex(1j * E[1]) == -1j * E[1]
+    assert conj_oct(1j * ONE) == 1j * ONE
+    assert bar_star(1j * ONE) == -1j * ONE
+    assert bar_star(E[1]) == -E[1]
+    assert bar_star(1j * E[1]) == 1j * E[1]
 
 
 def test_conj_oct_is_antiautomorphism():
     rng = np.random.default_rng(4)
     for _ in range(50):
         x, y = rand_octon(rng), rand_octon(rng)
-        assert isclose(conj_oct(mul(x, y)), mul(conj_oct(y), conj_oct(x)), 1e-13)
+        want = mul(conj_oct(y), conj_oct(x))
+        assert np.allclose(conj_oct(mul(x, y)).c, want.c, rtol=0, atol=1e-13)
 
 
 def test_bar_star_is_composition_of_both():
     rng = np.random.default_rng(5)
     x = rand_octon(rng)
-    assert isclose(bar_star(x), conj_complex(conj_oct(x)), 1e-15)
-
-
-# ---------------------------------------------------------------- scal / vec
-
-
-def test_scal_vec_split():
-    x = 3.0 * ONE + 2.0 * E[5]
-    assert scal(x) == 3.0
-    assert vec(x) == 2.0 * E[5]
-    assert scal(IM) == 1j
+    assert np.allclose(bar_star(x).c, np.conj(conj_oct(x).c), rtol=0, atol=1e-15)
 
 
 def test_scal_vec_reconstruction_and_definitions():
+    # Scal(x) = (x + x~)/2 is the scalar slot of x and Vec(x) = (x - x~)/2 the other seven
     rng = np.random.default_rng(6)
     for _ in range(20):
         x = rand_octon(rng)
-        assert isclose(CplxOcton.scalar(scal(x)) + vec(x), x, 0.0)
-        assert isclose(CplxOcton.scalar(scal(x)), (x + conj_oct(x)) * 0.5, 1e-15)
-        assert isclose(vec(x), (x - conj_oct(x)) * 0.5, 1e-15)
-        assert scal(vec(x)) == 0.0
+        vector = x.c.copy()
+        vector[0] = 0.0
+        assert np.allclose(((x + conj_oct(x)) * 0.5).c, x.c - vector, rtol=0, atol=1e-15)
+        assert np.allclose(((x - conj_oct(x)) * 0.5).c, vector, rtol=0, atol=1e-15)
 
 
 def test_scal_of_x_xbar_is_norm():
+    # x x~ is the scalar N(x): Scal(x x~) = N(x) and Vec(x x~) = 0
     rng = np.random.default_rng(7)
     for _ in range(20):
         x = rand_octon(rng)
-        assert abs(scal(mul(x, conj_oct(x))) - norm(x)) < 1e-13
+        assert np.allclose(mul(x, conj_oct(x)).c, (norm(x) * ONE).c, rtol=0, atol=1e-13)
 
 
 # -------------------------------------------------------------- inner product
@@ -149,7 +136,7 @@ def test_inner_examples_and_symmetry():
         assert abs(inner(x, y) - inner(conj_oct(x), conj_oct(y))) < 1e-14
         # definitional form: (x y~ + y x~)/2 is the same pure scalar
         definitional = (mul(x, conj_oct(y)) + mul(y, conj_oct(x))) * 0.5
-        assert isclose(definitional, CplxOcton.scalar(inner(x, y)), 1e-13)
+        assert np.allclose(definitional.c, CplxOcton.scalar(inner(x, y)).c, rtol=0, atol=1e-13)
 
 
 def test_inner_is_bilinear_not_sesquilinear():
@@ -160,7 +147,7 @@ def test_inner_is_bilinear_not_sesquilinear():
 
 
 def test_associator_quaternionic_arguments_vanish():
-    assert associator(E[1], E[2], E[3]) == CplxOcton.zero()
+    assert abs(associator(E[1], E[2], E[3])) == 0.0
 
 
 def test_associator_alternativity():
@@ -193,17 +180,17 @@ def test_norm_is_multiplicative():
 
 
 def test_inverse_examples():
-    assert isclose(inverse(2.0 * ONE), 0.5 * ONE, 1e-15)
+    assert np.allclose(inverse(2.0 * ONE).c, (0.5 * ONE).c, rtol=0, atol=1e-15)
     rng = np.random.default_rng(11)
     for _ in range(20):
         x = rand_octon(rng)
         if abs(norm(x)) < 1e-6:
             continue
-        assert isclose(mul(x, inverse(x)), ONE, 1e-10)
+        assert np.allclose(mul(x, inverse(x)).c, ONE.c, rtol=0, atol=1e-10)
     # an invertible element far from |x| = 1: its norm would underflow or overflow
     for scale in (1e-100, 1e-7, 1e155, 1e200):
         x = scale * (ONE + 0.5 * E[3])
-        assert isclose(mul(x, inverse(x)), ONE, 1e-10)
+        assert np.allclose(mul(x, inverse(x)).c, ONE.c, rtol=0, atol=1e-10)
 
 
 def test_zero_divisor_raises():
@@ -214,7 +201,7 @@ def test_zero_divisor_raises():
         with pytest.raises(ZeroDivisor):
             inverse(scale * (ONE + 1j * E[1]))
     with pytest.raises(ZeroDivisor):
-        inverse(CplxOcton.zero())
+        inverse(0 * ONE)
 
 
 def test_an_inverse_too_large_for_floats_raises():
@@ -228,26 +215,15 @@ def test_an_inverse_too_large_for_floats_raises():
     assert np.allclose(inverse(x).c, expected, rtol=1e-12, atol=0)
 
 
-# ----------------------------------------------------------------- commutator
-
-
-def test_commutator_examples():
-    assert commutator(E[1], E[2]) == 2.0 * E[3]
-    rng = np.random.default_rng(12)
-    x = rand_octon(rng)
-    assert abs(commutator(x, x)) == 0.0
-    assert abs(commutator(IM, x)) < 1e-15
-
-
 # ---------------------------------------------------------------- exponential
 
 
 def test_exp_assoc_fixed_points():
-    assert exp_assoc(CplxOcton.zero()) == ONE
+    assert exp_assoc(0 * ONE) == ONE
     got = exp_assoc((math.pi / 2) * E[3])
-    assert isclose(got, E[3], 1e-14)
+    assert np.allclose(got.c, E[3].c, rtol=0, atol=1e-14)
     s = 0.4 - 1.1j
-    assert isclose(exp_assoc(CplxOcton.scalar(s)), CplxOcton.scalar(cmath.exp(s)), 1e-14)
+    assert np.allclose(exp_assoc(s * ONE).c, (cmath.exp(s) * ONE).c, rtol=0, atol=1e-14)
 
 
 def rand_assoc(rng, bound):
@@ -267,7 +243,7 @@ def test_exp_assoc_inverse_law():
 def test_exp_assoc_small_angle_branch():
     u = 1e-8 * E[2]
     got = exp_assoc(u)
-    assert isclose(got, ONE + u, 1e-15)
+    assert np.allclose(got.c, (ONE + u).c, rtol=0, atol=1e-15)
 
 
 def test_a_single_value_whose_exponential_overflows_raises():
@@ -292,7 +268,6 @@ def test_an_operation_that_overflows_raises_instead_of_building_a_value():
             lambda: CplxOcton.scalar(-1e308) - CplxOcton.scalar(1e308),
             lambda: CplxOcton.scalar(1e300) * 1e300,
             lambda: 1e300 * CplxOcton.scalar(1e300),
-            lambda: ONE / 0,
             lambda: associator(big, big, big),
         ):
             with pytest.raises(OverflowError):
@@ -326,7 +301,6 @@ def test_scalar_operator_arithmetic():
     x = 2.0 * E[2] - E[2]
     assert x == E[2]
     assert (-x) == -1.0 * E[2]
-    assert (x / 2.0) == 0.5 * E[2]
     y = E[1] * 3j
     assert y == 3j * E[1]
 

@@ -8,6 +8,7 @@ whatever its size, and the batched field and gauge suites give what their
 per-sample references in ``oracles`` give from the same inputs.
 """
 
+import cmath
 import math
 import tracemalloc
 import warnings
@@ -40,7 +41,6 @@ from octoweak.fields import (
     jet_rows,
     monomial_rows,
     monomials,
-    partial,
     random_field,
 )
 from octoweak.gauge import general_coupling_residual
@@ -298,6 +298,18 @@ def test_cos_sinc_rows_equals_the_two_branch_form_bit_for_bit():
             assert isinstance(g, np.ndarray) and _same_bits(g, w), case
 
 
+def test_cos_sinc_rows_taylor_branch_matches_cmath():
+    # just under SMALL_ANGLE, for a real and an imaginary omega, the Taylor sums
+    # against cmath's cos and sin: a wrong z coefficient is off by about z
+    omegas = [0.99 * SMALL_ANGLE, 0.99j * SMALL_ANGLE]
+    z = np.array([w * w for w in omegas])
+    assert np.all(np.abs(np.sqrt(z)) < SMALL_ANGLE)
+    cos_w, sinc_w = core._cos_sinc_rows(z)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(cos_w - [cmath.cos(w) for w in omegas]) <= 4 * eps)
+    assert np.all(np.abs(sinc_w - [cmath.sin(w) / w for w in omegas]) <= 4 * eps)
+
+
 def _exp_and_dexp_pairs():
     u, du = _rows(SubspaceTag.A, 47, bound=2.0), _rows(SubspaceTag.A, 48)
     u[3, 1:4] = [1e-8, 0.0, 2e-9j]  # a row on the Taylor branch makes the block take it
@@ -389,8 +401,7 @@ def _field_pairs():
     lam, lv = lambda_S(thetas), lambda_V(thetas)
     cases = [
         (lambda i: eval_at(f, points[i]), _along(f, 0, points)[0]),
-        (lambda i: eval_at(PolyField.zero(), points[i]), np.zeros((N, 8), np.complex128)),
-        (lambda i: fields.dirac_scalar(f, points[i]), bilinear_rows(*jet_at(points))),
+        (lambda i: eval_at(PolyField({}), points[i]), np.zeros((N, 8), np.complex128)),
         (
             lambda i: fields.lorentz_invariance_residual(f, Theta(thetas[i]), points[i]),
             fields.lorentz_invariance_rows(f.tag, lam, lv, jet_at, points),
@@ -724,9 +735,9 @@ def test_jet_rows_matches_eval_at_and_partial(degree):
     points = rng.uniform(-1.5, 1.5, (N, 4))
     values, grads = jet_rows(exps, coeffs, points)
     assert values.shape == (N, 8) and grads.shape == (N, 4, 8)
-    polys = [PolyField._from_arrays(exps, c, degree, None) for c in coeffs]
+    polys = [PolyField._from_arrays(exps, c, None) for c in coeffs]
     _close(values, [oracles.eval_naive(f, p).c for f, p in zip(polys, points)])
-    want = [[eval_at(partial(f, rho), p).c for rho in range(4)] for f, p in zip(polys, points)]
+    want = [[eval_at(oracles.partial(f, rho), p).c for rho in range(4)] for f, p in zip(polys, points)]
     _close(grads, want)
 
 
@@ -781,7 +792,7 @@ def test_jets_of_sparse_fields_equal_the_exponent_route_bit_for_bit():
         got, want = jet_rows(exps, coeffs, points), oracles.jet_rows_by_exponents(exps, coeffs, points)
         for g, w in zip(got, want):
             assert _same_bits(g, w)
-        polys = [PolyField._from_arrays(exps, c, 3, None) for c in coeffs]
+        polys = [PolyField._from_arrays(exps, c, None) for c in coeffs]
         _close(got[0], [oracles.eval_naive(f, p).c for f, p in zip(polys, points)])
 
 
@@ -808,7 +819,7 @@ def test_the_directional_table_is_the_full_table_along_each_rows_axis(degree):
     _close(value, values)
     _close(derivative, grads[np.arange(N), rho])
     # one point and one axis
-    f = PolyField._from_arrays(exps, coeffs[0], degree, None)
+    f = PolyField._from_arrays(exps, coeffs[0], None)
     for mu in range(4):
         got_value, got_derivative = fields._jet_along(f, mu, points[0])
         _close(got_value, values[:1])

@@ -3,6 +3,7 @@ import errno
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -609,34 +610,145 @@ def test_cli_out_of_range_config_is_a_usage_error(line, tmp_path, capsys):
 
 # ------------------------------------------------------------- library routes
 
+ROOT = Path(__file__).resolve().parents[1]
 
-def _names_read(node) -> set[str]:
-    # every name and attribute that the code under node reads or calls
-    return {
-        n.id if isinstance(n, ast.Name) else n.attr
-        for n in ast.walk(node)
-        if isinstance(n, (ast.Name, ast.Attribute))
-    }
+#: The modules whose public names must each have a caller.
+GUARDED = ("core", "grading", "lorentz", "fields", "gauge", "suites")
+
+
+def readme_block(heading: str, lang: str) -> str:
+    """The first ``lang`` code block under the README section ``heading``."""
+    section = (ROOT / "README.md").read_text().partition(f"\n{heading}\n")[2]
+    block = re.search(rf"```{lang}\n(.*?)```", section, re.S)
+    assert block, f"README.md has no {lang} block under {heading!r}"
+    return block.group(1)
+
+
+def _defined(node) -> list[str]:
+    # the names that a module-level statement defines
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def _imports(tree, library, exports) -> dict[str, str]:
+    # local name -> the library module ("fields") or name ("fields.eval_at") that
+    # an import binds it to; ``exports`` resolves the package's own names
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {a.asname or a.name: "__init__" for a in node.names if a.name == "octoweak"}
+        elif isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").partition(".")[0] == "octoweak"
+        ):
+            module = (node.module or "").removeprefix("octoweak").strip(".") or "__init__"
+            for a in node.names:
+                if module != "__init__":
+                    out[a.asname or a.name] = f"{module}.{a.name}"
+                elif a.name in library or a.name in exports:
+                    out[a.asname or a.name] = a.name if a.name in library else exports[a.name]
+    return out
+
+
+def _reads(tree, bound: dict[str, str]) -> list[tuple[ast.AST, str]]:
+    # (node, what it reads) for each name and attribute that the tree loads: a
+    # library name where the binding is known, "*.attr" for an attribute of an
+    # unknown object, such as a method called on an instance
+    def target(node):
+        if isinstance(node, ast.Name):
+            return bound.get(node.id)
+        base = target(node.value) if isinstance(node.value, (ast.Name, ast.Attribute)) else None
+        return f"{base or '*'}.{node.attr}"
+
+    return [
+        (node, target(node))
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    ]
+
+
+def uncalled(library: dict[str, ast.Module], guarded, callers) -> list[str]:
+    """The public names of the guarded modules that nothing reads outside their definition.
+
+    ``library`` maps each module's name to its tree, ``"__init__"`` the
+    package's; every module but ``"__init__"`` is a caller too, so an export
+    alone is not a caller.  A name is a module-level function, class or
+    constant, or a public method, classmethod or property of a class; one read
+    through an instance counts for every class with a member of that name.
+    """
+    exports = _imports(library["__init__"], library, {})
+    reads = []
+    for module, tree in library.items():
+        if module != "__init__":
+            own = {name: f"{module}.{name}" for node in tree.body for name in _defined(node)}
+            reads += _reads(tree, own | _imports(tree, library, exports))
+    for tree in callers:
+        reads += _reads(tree, _imports(tree, library, exports))
+    names = {}
+    for module in guarded:
+        for node in library[module].body:
+            names |= {f"{module}.{name}": node for name in _defined(node)}
+            if isinstance(node, ast.ClassDef):
+                methods = (fn for fn in node.body if isinstance(fn, ast.FunctionDef))
+                names |= {f"{module}.{node.name}.{fn.name}": fn for fn in methods}
+    out = []
+    for name, node in names.items():
+        member = name.rpartition(".")[2]
+        if member.startswith("_"):
+            continue
+        aliases = {name, f"*.{member}"} if name.count(".") == 2 else {name}
+        inside = set(map(id, ast.walk(node)))
+        if not any(
+            read and (read in aliases or read.startswith(f"{name}.")) and id(n) not in inside
+            for n, read in reads
+        ):
+            out.append(name)
+    return out
 
 
 def test_every_public_library_function_has_a_caller_outside_its_unit_tests():
-    # a public function of the algebra and field modules is called by other
-    # library code, exported in octoweak.__all__ or called by the acceptance
-    # tests; one that only its own unit tests call is a second route to a law
-    trees = {p.stem: ast.parse(p.read_text()) for p in Path(octoweak.__file__).parent.glob("*.py")}
-    reads = [(node, _names_read(node)) for tree in trees.values() for node in tree.body]
-    acceptance = _names_read(ast.parse(Path(__file__).with_name("test_acceptance.py").read_text()))
-    unused = [
-        f"{module}.{fn.name}"
-        for module in ("core", "grading", "lorentz", "fields", "gauge")
-        for fn in trees[module].body
-        if isinstance(fn, ast.FunctionDef)
-        and not fn.name.startswith("_")
-        and fn.name not in octoweak.__all__
-        and fn.name not in acceptance
-        and not any(fn.name in names for node, names in reads if node is not fn)
+    # a public name that only unit tests read is a second route to a law. The
+    # callers: other library code, the acceptance criteria, the README
+    # quickstart and the benchmark's modules
+    library = {p.stem: ast.parse(p.read_text()) for p in Path(octoweak.__file__).parent.glob("*.py")}
+    sources = [(ROOT / "tests" / "test_acceptance.py").read_text()]
+    sources.append(readme_block("## Library quickstart", "python"))
+    bench = sorted((ROOT / "perfbench").glob("*.py"))
+    sources += [p.read_text() for p in bench if not p.name.startswith("test_")]
+    assert uncalled(library, GUARDED, [ast.parse(src) for src in sources]) == []
+
+
+def test_the_caller_scan_reports_an_uncalled_function_method_classmethod_and_constant():
+    toy = (
+        "LIMIT, USED = 3, 4\n"
+        "def lonely(): return USED\n"
+        "def partial(): return 0\n"
+        "class Value:\n"
+        "    def used(self): return 1\n"
+        "    def method(self): return self.method()\n"
+        "    @classmethod\n"
+        "    def build(cls): return cls.build()\n"
+    )
+    # a name that reads only itself has no caller, and functools' partial in
+    # another module is not toy's
+    other = "from functools import partial\npartial(print)\n"
+    library = {"__init__": "from .toy import Value", "toy": toy, "other": other}
+    library = {name: ast.parse(src) for name, src in library.items()}
+    caller = ast.parse("from octoweak import Value\nValue().used()")
+    assert uncalled(library, ["toy"], [caller]) == [
+        "toy.LIMIT", "toy.lonely", "toy.partial", "toy.Value.method", "toy.Value.build",
     ]
-    assert unused == []
+
+
+def test_the_readme_quickstart_runs():
+    code = compile(readme_block("## Library quickstart", "python"), "README.md quickstart", "exec")
+    exec(code, {})
 
 
 def test_no_module_defines_a_function_and_its_rows_twin():
