@@ -21,9 +21,9 @@ from .errors import (
     UnknownSuite,
     ZeroDivisor,
 )
-from .fields import PolyField, dexp_at, eval_at, exp_field_at
+from .fields import PolyField, dexp_at, eval_at
 from .gauge import ConnectionField
-from .grading import IPMoveForm, SubspaceTag, project, sample
+from .grading import SubspaceTag, project, sample
 from .lorentz import Theta, gamma5_analogue, lambda_S, lambda_V, s_gen, v_gen
 from .suites import SuiteConfig, SuiteReport, run_all, run_suite, suite_ids
 
@@ -36,7 +36,6 @@ __all__ = [
     "ConnectionField",
     "Theta",
     "SubspaceTag",
-    "IPMoveForm",
     "SuiteConfig",
     "SuiteReport",
     "DomainViolation",
@@ -51,7 +50,6 @@ __all__ = [
     "dexp_at",
     "eval_at",
     "exp_assoc",
-    "exp_field_at",
     "gamma5_analogue",
     "inner",
     "inverse",

@@ -243,8 +243,8 @@ class CplxOcton:
         for a, z in enumerate(self.c):
             if z == 0:
                 continue
-            zs = f"{z:.6g}" if z.imag == 0 else f"({z:.6g})"
-            parts.append(zs if a == 0 else f"{zs}{names[a]}")
+            zs = f"{z.real:.6g}" if z.imag == 0 else f"({z:.6g})"
+            parts.append(zs if a == 0 else f"{zs}*{names[a]}")
         return "CplxOcton<" + (" + ".join(parts) if parts else "0") + ">"
 
 
@@ -264,11 +264,14 @@ def single(out):
     """The single value that a block of one row stands for: row 0 of ``out``.
 
     None stays None, a scalar becomes a Python number, an (8,) row a CplxOcton
-    (which raises OverflowError on the inf or NaN that rows would carry), and
-    anything else, such as a 4x4 matrix, stays an array.
+    (which raises OverflowError on the inf or NaN that rows would carry), a
+    list the list of its entries' single values, and anything else, such as a
+    4x4 matrix, stays an array.
     """
     if out is None:
         return None
+    if isinstance(out, list):
+        return [single(o) for o in out]
     row = out[0]
     if isinstance(row, np.generic):
         return row.item()

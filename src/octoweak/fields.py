@@ -30,7 +30,6 @@ from .core import (
     CplxOcton,
     _cos_sinc_rows,
     bar_star,
-    exp_assoc,
     inner,
     mul,
     single,
@@ -233,6 +232,7 @@ def _jet(f: PolyField, p) -> tuple[np.ndarray, np.ndarray]:
 
 def _jet_along(f: PolyField, mu: int, p) -> tuple[np.ndarray, np.ndarray]:
     """f and its partial derivative along x_mu at p, as two (1, 8) blocks."""
+    mu = operator.index(mu)
     if not 0 <= mu <= 3:
         raise ValueError("axis must be in 0..3")
     jet = contract_rows(monomial_rows(f.exps, _as_point(p), [mu]), f.coeffs)
@@ -343,12 +343,6 @@ def lorentz_invariance_residual(f: PolyField, theta: Theta, p) -> float:
 def _require_a_valued(u: PolyField) -> None:
     if u.tag not in (SubspaceTag.A, SubspaceTag.A_MINUS, SubspaceTag.A_PLUS):
         raise DomainViolation("field must take values in the quaternionic subalgebra")
-
-
-def exp_field_at(u: PolyField, p) -> CplxOcton:
-    """exp(u(p)) via the closed form; u must be A-valued."""
-    _require_a_valued(u)
-    return exp_assoc(eval_at(u, p))
 
 
 def dexp_rows(u: np.ndarray, du: np.ndarray) -> np.ndarray:

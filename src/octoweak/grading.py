@@ -7,10 +7,10 @@ B*B = A.  The combined bar-star conjugation further splits A into real
 4-parameter eigenspaces; the minus eigenspace (spanned over R by
 i, e1, e2, e3) is the anti-Hermitian sector used for gauge parameters.
 
-The ``residual_*`` evaluators return left-hand side minus right-hand side
-of an exchange identity; their contract is to vanish within tolerance.
-They take single values or (..., 8) coefficient arrays evaluated row by
-row.
+The residual evaluators return left-hand side minus right-hand side of an
+identity, or, for a family of identities, the list of them; their contract
+is to vanish within tolerance.  They take single values or (..., 8)
+coefficient arrays evaluated row by row.
 """
 
 from __future__ import annotations
@@ -40,15 +40,6 @@ class SubspaceTag(Enum):
     B = "B"
     A_MINUS = "A-"
     A_PLUS = "A+"
-
-
-class IPMoveForm(Enum):
-    """The four ways of moving a factor across the inner product."""
-
-    LL = "LL"  # <xy, z> = <y, x~ z>
-    LR = "LR"  # <xy, z> = <x, z y~>
-    RL = "RL"  # <z, xy> = <x~ z, y>
-    RR = "RR"  # <z, xy> = <z y~, x>
 
 
 #: The one subspace table: per tag, an (ndof, 8) matrix whose rows unit * e_slot
@@ -148,105 +139,33 @@ def sample(tag: SubspaceTag, rng_seed: int, bound: float = 1.0) -> CplxOcton:
 
 
 # The residuals take CplxOcton arguments, or (..., 8) arrays whose rows are
-# checked and evaluated together (see core.rowwise).
-
-
-# The six exchange identities on rows, unchecked: a, a' in A and b, b' in B.
-# Each takes the products ab = a b, ba = b a and bb2 = b b' it reads, which
-# several identities share.
-
-
-def _ab(a, b, ab):
-    return ab - mul(b, conj_oct(a))
-
-
-def _aab(a, a2, b, ab):
-    return mul(mul(a, a2), b) - mul(a2, ab)
-
-
-def _baa(a, a2, b, ba):
-    return mul(b, mul(a2, a)) - mul(ba, a2)
-
-
-def _bba(a, b2, ab, bb2):
-    return mul(bb2, a) - mul(ab, b2)
-
-
-def _abb(a, b, b2, ba):
-    return mul(a, mul(b2, b)) - mul(b2, ba)
-
-
-def _abba(a, a2, b2, ab, bb2):
-    return mul(ab, mul(b2, a2)) - mul(mul(a2, bb2), a)
-
-
-def _require_ab_pairs(a, a2, b, b2):
-    for x, name in ((a, "a"), (a2, "a'")):
-        if x is not None:
-            require_member(x, SubspaceTag.A, name)
-    for x, name in ((b, "b"), (b2, "b'")):
-        if x is not None:
-            require_member(x, SubspaceTag.B, name)
+# checked and evaluated together (see core.rowwise).  A family kernel returns
+# one entry per law of its family, in the order of its docstring.
 
 
 @rowwise
-def residual_ab(a, b):
-    """a b - b conj_oct(a), for a in A and b in B."""
-    _require_ab_pairs(a, None, b, None)
-    return _ab(a, b, mul(a, b))
+def exchange_residuals(a, a2, b, b2):
+    """LHS - RHS of the six exchange identities, for a, a' in A and b, b' in B:
 
+        a b = b conj_oct(a)
+        (a a')b = a'(a b)       b(a' a) = (b a)a'   [the A factors reverse]
+        (b b')a = (a b)b'       a(b' b) = b'(b a)   [the B factors do not]
+        (a b)(b' a') = a'(b b')a   [the right side associates: b b' is in A]
 
-@rowwise
-def residual_aab(a, a2, b):
-    """(a a')b - a'(a b)  [order of the A factors reverses]."""
-    _require_ab_pairs(a, a2, b, None)
-    return _aab(a, a2, b, mul(a, b))
-
-
-@rowwise
-def residual_baa(a, a2, b):
-    """b(a' a) - (b a)a'  [order of the A factors reverses]."""
-    _require_ab_pairs(a, a2, b, None)
-    return _baa(a, a2, b, mul(b, a))
-
-
-@rowwise
-def residual_bba(a, b, b2):
-    """(b b')a - (a b)b'  [order of the B factors does not reverse]."""
-    _require_ab_pairs(a, None, b, b2)
-    return _bba(a, b2, mul(a, b), mul(b, b2))
-
-
-@rowwise
-def residual_abb(a, b, b2):
-    """a(b' b) - b'(b a)  [order of the B factors does not reverse]."""
-    _require_ab_pairs(a, None, b, b2)
-    return _abb(a, b, b2, mul(b, a))
-
-
-@rowwise
-def residual_abba(a, a2, b, b2):
-    """(a b)(b' a') - a'(b b')a; the right side associates since b b' lands in A."""
-    _require_ab_pairs(a, a2, b, b2)
-    return _abba(a, a2, b2, mul(a, b), mul(b, b2))
-
-
-def exchange_residuals(a, a2, b, b2) -> list[np.ndarray]:
-    """The six residuals residual_ab .. residual_abba of (..., 8) rows, in that order.
-
-    Each input is checked once, not once per identity that reads it, and the
-    shared products a b, b a and b b' are formed once: 19 products a block
-    instead of 24.
+    Each input is checked once, and the products a b, b a and b b' that
+    several identities read are formed once: 19 products a block instead of 24.
     """
-    _require_ab_pairs(a, a2, b, b2)
+    for x, tag, name in ((a, SubspaceTag.A, "a"), (a2, SubspaceTag.A, "a'"),
+                         (b, SubspaceTag.B, "b"), (b2, SubspaceTag.B, "b'")):
+        require_member(x, tag, name)
     ab, ba, bb2 = mul(a, b), mul(b, a), mul(b, b2)
     return [
-        _ab(a, b, ab),
-        _aab(a, a2, b, ab),
-        _baa(a, a2, b, ba),
-        _bba(a, b2, ab, bb2),
-        _abb(a, b, b2, ba),
-        _abba(a, a2, b2, ab, bb2),
+        ab - mul(b, conj_oct(a)),
+        mul(mul(a, a2), b) - mul(a2, ab),
+        mul(b, mul(a2, a)) - mul(ba, a2),
+        mul(bb2, a) - mul(ab, b2),
+        mul(a, mul(b2, b)) - mul(b2, ba),
+        mul(ab, mul(b2, a2)) - mul(mul(a2, bb2), a),
     ]
 
 
@@ -257,31 +176,19 @@ def residual_zvengrowski(x, y, z):
     return lhs - (2.0 * inner(x, y))[..., None] * z
 
 
-def ipmove_residuals(x, y, z) -> list[np.ndarray]:
-    """LHS - RHS of the four inner-product moves of (..., 8) rows, in IPMoveForm order.
+@rowwise
+def ipmove_residuals(x, y, z):
+    """LHS - RHS of the four moves of a factor across the inner product:
 
-    The products x y, x~ z and z y~ the forms share, and the inner products
+        LL  <xy, z> = <y, x~ z>        LR  <xy, z> = <x, z y~>
+        RL  <z, xy> = <x~ z, y>        RR  <z, xy> = <z y~, x>
+
+    The products x y, x~ z and z y~ the moves share, and the inner products
     <xy, z> and <z, xy>, are formed once: 3 products a block instead of 8.
     """
     xy, xz, zy = mul(x, y), mul(conj_oct(x), z), mul(z, conj_oct(y))
     xy_z, z_xy = inner(xy, z), inner(z, xy)
-    return [
-        xy_z - inner(y, xz),  # LL
-        xy_z - inner(x, zy),  # LR
-        z_xy - inner(xz, y),  # RL
-        z_xy - inner(zy, x),  # RR
-    ]
-
-
-_IPMOVE_FORMS = tuple(IPMoveForm)
-
-
-@rowwise
-def residual_ipmove(form: IPMoveForm, x, y, z):
-    """LHS - RHS of the selected inner-product move: its entry of :func:`ipmove_residuals`."""
-    if form not in _IPMOVE_FORMS:
-        raise ValueError(f"unhandled form {form}")
-    return ipmove_residuals(x, y, z)[_IPMOVE_FORMS.index(form)]
+    return [xy_z - inner(y, xz), xy_z - inner(x, zy), z_xy - inner(xz, y), z_xy - inner(zy, x)]
 
 
 #: Closure table of the grading: products of A/B land here.

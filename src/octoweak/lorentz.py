@@ -256,7 +256,10 @@ def double_cover_residual(theta):
 
 
 def lorentz_algebra_rows(mu, nu, rho, sigma) -> np.ndarray:
-    """:func:`lorentz_algebra_residual` for index arrays broadcast together, as (..., 8) rows."""
+    """-i[S_mn, S_rs] minus its metric combination of generators, as (..., 8) rows.
+
+    The indices are ints, or index arrays broadcast together.
+    """
     s_mn, s_rs = _S_ROWS[mu, nu], _S_ROWS[rho, sigma]
     lhs = (mul(s_mn, s_rs) - mul(s_rs, s_mn)) * (-1j)
 
@@ -272,21 +275,14 @@ def lorentz_algebra_rows(mu, nu, rho, sigma) -> np.ndarray:
     return lhs - rhs
 
 
-def lorentz_algebra_residual(mu: int, nu: int, rho: int, sigma: int) -> CplxOcton:
-    """-i[S_mn, S_rs] minus its metric combination of generators."""
-    return CplxOcton._wrap(lorentz_algebra_rows(mu, nu, rho, sigma))
-
-
 def infinitesimal_dc_rows(mu, nu, rho) -> np.ndarray:
-    """:func:`infinitesimal_dc_residual` for index arrays broadcast together, as (..., 8) rows."""
+    """S*_mn ebar^rho + ebar^rho S_mn - (V_mn)^rho_sigma ebar^sigma, as (..., 8) rows.
+
+    The indices are ints, or index arrays broadcast together.
+    """
     s, ebar = _S_ROWS[mu, nu], EBAR_UPPER_ROWS[rho]
     lhs = mul(np.conj(s), ebar) + mul(ebar, s)
     return lhs - ebar_rows(_V_ROWS[mu, nu, rho])
-
-
-def infinitesimal_dc_residual(mu: int, nu: int, rho: int) -> CplxOcton:
-    """S*_mn ebar^rho + ebar^rho S_mn - (V_mn)^rho_sigma ebar^sigma."""
-    return CplxOcton._wrap(infinitesimal_dc_rows(mu, nu, rho))
 
 
 def gamma5_analogue() -> CplxOcton:

@@ -45,19 +45,12 @@ from octoweak.gauge import (
 )
 from octoweak.grading import (
     AB_CLOSURE,
-    IPMoveForm,
     SubspaceTag,
     dof_rows,
     draw,
     membership_defect,
     ndof,
     require_member,
-    residual_ab,
-    residual_aab,
-    residual_abb,
-    residual_abba,
-    residual_baa,
-    residual_bba,
     residual_zvengrowski,
 )
 from octoweak.lorentz import ETA, EBAR_UPPER, Theta, lambda_S, lambda_V, s_gen, v_gen
@@ -187,20 +180,41 @@ def cos_sinc_rows_two_branch(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cos_w, sinc_w
 
 
+#: The inner-product moves, in ``grading.ipmove_residuals``' order.
+IPMOVE_FORMS = ("LL", "LR", "RL", "RR")
+
+
 @rowwise
-def residual_ipmove_per_form(form: IPMoveForm, x, y, z):
-    """LHS - RHS of one inner-product move, formed on its own: every product it
-    reads is recomputed.  The library forms the products the four moves share
-    once (``grading.ipmove_residuals``), with the same bits."""
-    if form is IPMoveForm.LL:
+def residual_ipmove_per_form(form: str, x, y, z):
+    """LHS - RHS of one inner-product move, named by its label in IPMOVE_FORMS,
+    formed on its own: every product it reads is recomputed.  The library forms
+    the products the four moves share once (``grading.ipmove_residuals``), with
+    the same bits."""
+    if form == "LL":
         return inner(mul(x, y), z) - inner(y, mul(conj_oct(x), z))
-    if form is IPMoveForm.LR:
+    if form == "LR":
         return inner(mul(x, y), z) - inner(x, mul(z, conj_oct(y)))
-    if form is IPMoveForm.RL:
+    if form == "RL":
         return inner(z, mul(x, y)) - inner(mul(conj_oct(x), z), y)
-    if form is IPMoveForm.RR:
+    if form == "RR":
         return inner(z, mul(x, y)) - inner(mul(z, conj_oct(y)), x)
     raise ValueError(f"unhandled form {form}")
+
+
+@rowwise
+def exchange_residuals_per_identity(a, a2, b, b2):
+    """The six exchange residuals, each formed on its own: every product it reads
+    is recomputed, and no input is checked.  The library forms the products a b,
+    b a and b b' that several identities share once (``grading.exchange_residuals``),
+    with the same bits."""
+    return [
+        mul(a, b) - mul(b, conj_oct(a)),
+        mul(mul(a, a2), b) - mul(a2, mul(a, b)),
+        mul(b, mul(a2, a)) - mul(mul(b, a), a2),
+        mul(mul(b, b2), a) - mul(mul(a, b), b2),
+        mul(a, mul(b2, b)) - mul(b2, mul(b, a)),
+        mul(mul(a, b), mul(b2, a2)) - mul(mul(a2, mul(b, b2)), a),
+    ]
 
 
 def exp_closed_form(u: CplxOcton) -> CplxOcton:
@@ -439,7 +453,7 @@ def run_ip_moves(cfg, n, rng):
     res = []
     for _ in range(n):
         x, y, z = _full(rng), _full(rng), _full(rng)
-        res.append(max(abs(residual_ipmove_per_form(f, x, y, z)) for f in IPMoveForm))
+        res.append(max(abs(residual_ipmove_per_form(f, x, y, z)) for f in IPMOVE_FORMS))
     return res, True
 
 
@@ -456,16 +470,7 @@ def run_ab_identities(cfg, n, rng):
     for _ in range(n):
         a, a2 = draw(SubspaceTag.A, rng), draw(SubspaceTag.A, rng)
         b, b2 = draw(SubspaceTag.B, rng), draw(SubspaceTag.B, rng)
-        res.append(
-            max(
-                abs(residual_ab(a, b)),
-                abs(residual_aab(a, a2, b)),
-                abs(residual_baa(a, a2, b)),
-                abs(residual_bba(a, b, b2)),
-                abs(residual_abb(a, b, b2)),
-                abs(residual_abba(a, a2, b, b2)),
-            )
-        )
+        res.append(max(map(abs, exchange_residuals_per_identity(a, a2, b, b2))))
     return res, True
 
 

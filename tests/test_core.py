@@ -305,6 +305,16 @@ def test_scalar_operator_arithmetic():
     assert y == 3j * E[1]
 
 
+def test_repr_prints_a_real_coefficient_by_its_real_part():
+    # "*" joins a coefficient and its basis name: 1e3 cannot read as a float
+    assert repr(E[3]) == "CplxOcton<1*e3>"
+    assert repr(2.0 * ONE + 1j * E[5]) == "CplxOcton<2 + (0+1j)*e5>"
+    assert repr(CplxOcton([complex(6.12323e-17, -0.0), 0, 0, 1, 0, 0, 0, 0])) == (
+        "CplxOcton<6.12323e-17 + 1*e3>"
+    )
+    assert repr(0 * ONE) == "CplxOcton<0>"
+
+
 def test_table_format_is_a_grid():
     text = structure_table().format()
     lines = text.splitlines()

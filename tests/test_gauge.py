@@ -12,7 +12,7 @@ from octoweak.core import (
     mul,
 )
 from octoweak.errors import DomainViolation
-from octoweak.fields import PolyField, eval_at, random_field
+from octoweak.fields import PolyField, dexp_at, eval_at, random_field
 from octoweak.gauge import (
     ConnectionField,
     cov_der_alpha_rows,
@@ -271,6 +271,28 @@ def test_a_residual_where_a_field_overflows_names_the_value_that_is_not_finite()
     for residual in residuals:
         with pytest.raises(OverflowError, match="value is not finite"):
             residual()
+
+
+@pytest.mark.parametrize(
+    "name", ["dexp_at", "covariance_alpha", "covariance_beta", "scal_der_u", "scal_ww"]
+)
+def test_a_float_axis_is_refused_with_type_error(name):
+    # an axis is read as an integer or refused: 1.5 used to leak numpy's
+    # IndexError and 3.7 to raise "axis must be in 0..3"
+    rng = RNG_AT(77)
+    alpha, beta = random_field(rng, 2, SubspaceTag.A), random_field(rng, 2, SubspaceTag.B)
+    W, u, p = connection(rng), gauge_param(rng), (0.1, 0.2, 0.3, 0.4)
+    residual = {
+        "dexp_at": lambda mu: dexp_at(u, mu, p),
+        "covariance_alpha": lambda mu: covariance_residual_alpha(alpha, W, u, mu, p),
+        "covariance_beta": lambda mu: covariance_residual_beta(beta, W, u, mu, p, 0.7),
+        "scal_der_u": lambda mu: scal_der_u_residual(u, mu, p),
+        "scal_ww": lambda mu: scal_ww_residual(W, u, mu, p),
+    }[name]
+    residual(np.int64(2))
+    for mu in (1.5, 3.7):
+        with pytest.raises(TypeError):
+            residual(mu)
 
 
 # ------------------------------------------------------------ coupling dichotomy

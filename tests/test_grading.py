@@ -1,20 +1,17 @@
 import numpy as np
 import pytest
 
-from octoweak.core import E, ONE, bar_star, mul
+from octoweak.core import E, ONE, CplxOcton, bar_star, mul
 from octoweak.errors import DomainViolation
 from octoweak.grading import (
     AB_CLOSURE,
-    IPMoveForm,
     SubspaceTag,
     draw,
+    exchange_residuals,
     in_subspace,
+    ipmove_residuals,
     membership_defect,
     project,
-    residual_ab,
-    residual_aab,
-    residual_abba,
-    residual_ipmove,
     residual_zvengrowski,
     sample,
 )
@@ -95,21 +92,19 @@ def test_sample_rejects_bad_bound():
 # ------------------------------------------------------------ exchange moves
 
 
-def test_residual_ab_basis_and_unit_cases():
-    assert abs(residual_ab(E[1], E[4])) == 0.0
-    assert abs(residual_ab(ONE, E[5])) == 0.0
-
-
-def test_residual_ab_rejects_wrong_membership():
-    with pytest.raises(DomainViolation):
-        residual_ab(E[4], E[4])
-    with pytest.raises(DomainViolation):
-        residual_ab(E[1], E[2])
-
-
 def test_exchange_residual_basis_anchors():
-    assert abs(residual_aab(E[1], E[2], E[4])) == 0.0
-    assert abs(residual_abba(ONE, ONE, E[4], E[5])) == 0.0
+    # every identity holds exactly on basis elements and units, and a single
+    # value gives one CplxOcton per identity
+    for args in ((E[1], E[2], E[4], E[5]), (ONE, ONE, E[4], E[5]), (ONE, E[3], E[5], E[7])):
+        got = exchange_residuals(*args)
+        assert len(got) == 6 and all(isinstance(r, CplxOcton) for r in got)
+        assert [abs(r) for r in got] == [0.0] * 6
+
+
+def test_exchange_residuals_reject_wrong_membership():
+    for bad in ((E[4], ONE, E[4], E[5]), (E[1], E[2], E[2], E[5]), (ONE, ONE, E[4], ONE)):
+        with pytest.raises(DomainViolation):
+            exchange_residuals(*bad)
 
 
 # -------------------------------------------------------- three-factor moves
@@ -126,8 +121,9 @@ def test_zvengrowski_residual():
 def test_ipmove_residuals():
     rng = np.random.default_rng(24)
     y, z = rand_full(rng), rand_full(rng)
-    assert abs(residual_ipmove(IPMoveForm.LL, ONE, y, z)) < 1e-15
-    assert abs(residual_ipmove(IPMoveForm.LR, E[1], E[4], E[2])) == 0.0
+    assert abs(ipmove_residuals(ONE, y, z)[0]) < 1e-15
+    assert [abs(r) for r in ipmove_residuals(E[1], E[4], E[2])] == [0.0] * 4
+    assert all(isinstance(r, complex) for r in ipmove_residuals(y, y, z))
 
 
 # -------------------------------------------------------------- grading closure

@@ -22,10 +22,10 @@ from octoweak.lorentz import (
     Theta,
     double_cover_residual,
     eta_inverse_transform,
-    infinitesimal_dc_residual,
+    infinitesimal_dc_rows,
     lambda_S,
     lambda_V,
-    lorentz_algebra_residual,
+    lorentz_algebra_rows,
     theta_rows,
     s_gen,
     v_gen,
@@ -77,6 +77,21 @@ def test_generator_tables_equal_the_doubling_construction():
         for m in range(4)
     ]
     assert np.array_equal(lorentz._S_ROWS, s)
+
+
+def test_vector_generator_table_is_the_doubling_construction_on_the_ebar_basis():
+    # S*_mn ebar^rho + ebar^rho S_mn = (V_mn)^rho_sigma ebar^sigma, with the
+    # products from the doubling recursion: each ebar^sigma is a unit in slot
+    # sigma, so the sum has no part in slots 4-7 and its slot sigma over
+    # ebar^sigma's unit is the entry
+    ebar = lorentz.EBAR_UPPER_ROWS
+    s = lorentz._S_ROWS
+    lhs = np.array([
+        [[cd_mul(np.conj(s[m, n]), e) + cd_mul(e, s[m, n]) for e in ebar] for n in range(4)]
+        for m in range(4)
+    ])
+    assert not lhs[..., 4:].any()
+    assert np.array_equal(lhs[..., :4] / np.diagonal(ebar), lorentz._V_ROWS)
 
 
 def test_spinor_generator_anchors():
@@ -287,8 +302,10 @@ def test_double_cover_residual_examples():
 
 
 def test_equal_index_pairs_are_trivial():
-    assert abs(lorentz_algebra_residual(0, 1, 0, 1)) == 0.0
-    assert abs(infinitesimal_dc_residual(1, 1, 2)) == 0.0
+    # the kernels take Python ints as well as index arrays
+    assert not lorentz_algebra_rows(0, 1, 0, 1).any()
+    assert not infinitesimal_dc_rows(1, 1, 2).any()
+    assert lorentz_algebra_rows(0, 1, 0, 1).shape == infinitesimal_dc_rows(1, 1, 2).shape == (8,)
 
 
 # ------------------------------------------------------------- spinor transforms

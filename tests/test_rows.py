@@ -45,7 +45,6 @@ from octoweak.fields import (
 )
 from octoweak.gauge import general_coupling_residual
 from octoweak.grading import (
-    IPMoveForm,
     SubspaceTag,
     draw,
     dof_rows,
@@ -56,13 +55,6 @@ from octoweak.grading import (
     ndof,
     project,
     require_member,
-    residual_ab,
-    residual_aab,
-    residual_abb,
-    residual_abba,
-    residual_baa,
-    residual_bba,
-    residual_ipmove,
     residual_zvengrowski,
 )
 from octoweak.lorentz import (
@@ -333,12 +325,17 @@ def _single_of(arg, i):
 
 
 def _rowwise_pairs(cases):
-    # each rowwise function of single values against its rows on the block
+    # each rowwise function of single values against its rows on the block; a
+    # family kernel gives a list, one entry per law, of values or of rows
     for fn, args in cases:
         block = fn(*args)
         for i in range(N):
             single = fn(*(_single_of(arg, i) for arg in args))
-            yield single, None if block is None else block[i]
+            if isinstance(block, list):
+                assert isinstance(single, list) and len(single) == len(block)
+                yield from ((one, rows[i]) for one, rows in zip(single, block))
+            else:
+                yield single, None if block is None else block[i]
 
 
 def _core_view_pairs():
@@ -362,9 +359,8 @@ def _grading_view_pairs():
     mixed = np.where((np.arange(N) % 3 == 0)[:, None], b, a)
     cases = [(project, (x, SubspaceTag.A_MINUS)), (membership_defect, (x, SubspaceTag.B))]
     cases += [(in_subspace, (mixed, SubspaceTag.A)), (require_member, (a, SubspaceTag.A))]
-    cases += _exchange_cases(a, a2, b, b2)
-    cases += [(residual_zvengrowski, (x, y, z))]
-    cases += [(residual_ipmove, (form, x, y, z)) for form in IPMoveForm]
+    cases += [(exchange_residuals, (a, a2, b, b2)), (residual_zvengrowski, (x, y, z))]
+    cases += [(ipmove_residuals, (x, y, z))]
     return _rowwise_pairs(cases)
 
 
@@ -567,18 +563,6 @@ def test_generator_sums_are_exact_contractions():
 # ------------------------------------------------------- grading residuals
 
 
-def _exchange_cases(a, a2, b, b2):
-    # each public exchange residual with its arguments, in exchange_residuals' order
-    return [
-        (residual_ab, (a, b)),
-        (residual_aab, (a, a2, b)),
-        (residual_baa, (a, a2, b)),
-        (residual_bba, (a, b, b2)),
-        (residual_abb, (a, b, b2)),
-        (residual_abba, (a, a2, b, b2)),
-    ]
-
-
 def test_membership_on_rows():
     a = _rows(SubspaceTag.A, 18)
     a[3] = _rows(SubspaceTag.B, 19, 1)[0]
@@ -602,9 +586,9 @@ def test_one_bad_row_raises_domain_violation():
     bad_a = a.copy()
     bad_a[7, 5] = 0.5
     with pytest.raises(DomainViolation):
-        residual_ab(bad_a, b)
+        exchange_residuals(bad_a, a, b, b)
     with pytest.raises(DomainViolation):
-        residual_abba(a, a, b, bad_a)
+        exchange_residuals(a, a, b, bad_a)
     w = _rows(SubspaceTag.A_MINUS, 22)
     w[0, 0] = 1.0  # a real scalar part leaves the anti-Hermitian sector
     with pytest.raises(DomainViolation):
@@ -613,42 +597,31 @@ def test_one_bad_row_raises_domain_violation():
 
 @pytest.mark.parametrize("position", range(4))
 def test_each_exchange_residual_refuses_an_off_subspace_row(position):
+    # the error names the input that holds the bad row
     inputs = list(oracles.draw_block(suites._AB_TAGS, np.random.default_rng(48), N))
     inputs[position] = inputs[position].copy()
     inputs[position][N // 2, 0 if position >= 2 else 4] = 0.5  # a B part on a, a scalar on b
-    bad = inputs[position]
-    for fn, args in _exchange_cases(*inputs):
-        if any(arg is bad for arg in args):
-            with pytest.raises(DomainViolation):
-                fn(*args)
-        else:
-            fn(*args)
-    with pytest.raises(DomainViolation):
+    name = ("a", "a'", "b", "b'")[position]
+    with pytest.raises(DomainViolation, match=f"^{name} is not in subspace"):
         exchange_residuals(*inputs)
 
 
-def test_exchange_residuals_are_the_six_public_residuals():
-    inputs = oracles.draw_block(suites._AB_TAGS, np.random.default_rng(49), N)
-    public = [fn(*args) for fn, args in _exchange_cases(*inputs)]
+def test_exchange_residuals_equal_the_per_identity_oracle_bit_for_bit():
+    # the shared products change no bit
+    inputs = oracles.draw_block(suites._AB_TAGS, np.random.default_rng(49), 300)
     got = exchange_residuals(*inputs)
-    assert len(got) == 6 and all(_same_bits(g, w) for g, w in zip(got, public))
+    want = oracles.exchange_residuals_per_identity(*inputs)
+    assert len(got) == len(want) == 6
+    assert all(_same_bits(g, w) for g, w in zip(got, want))
 
 
 def test_ipmove_residuals_equal_the_per_form_oracle_bit_for_bit():
     # the shared products change no bit
     x, y, z = (_rows(SubspaceTag.FULL_CO, s, 300) for s in (50, 51, 52))
     got = ipmove_residuals(x, y, z)
-    assert len(got) == len(IPMoveForm)
-    for i, form in enumerate(IPMoveForm):
-        want = oracles.residual_ipmove_per_form(form, x, y, z)
-        assert _same_bits(got[i], want), form
-        assert _same_bits(residual_ipmove(form, x, y, z), want), form
-
-
-def test_residual_ipmove_refuses_an_unknown_form():
-    x = _rows(SubspaceTag.FULL_CO, 53, 3)
-    with pytest.raises(ValueError, match="unhandled form"):
-        residual_ipmove("LL", x, x, x)
+    assert len(got) == len(oracles.IPMOVE_FORMS)
+    for i, form in enumerate(oracles.IPMOVE_FORMS):
+        assert _same_bits(got[i], oracles.residual_ipmove_per_form(form, x, y, z)), form
 
 
 def test_alternativity_shares_x_y_with_the_same_bits():
@@ -718,7 +691,8 @@ def test_require_member_reports_the_worst_bad_row():
 
 def test_each_rowwise_function_has_its_own_code_object():
     # profilers key calls by code object: shared code would pool their counts
-    fns = (in_subspace, membership_defect, project, lambda_S, lambda_V, residual_ab, residual_abba)
+    fns = (in_subspace, membership_defect, project, lambda_S, lambda_V)
+    fns += (exchange_residuals, ipmove_residuals)
     assert len({fn.__code__ for fn in fns}) == len(fns)
     assert [fn.__code__.co_name for fn in fns] == [fn.__name__ for fn in fns]
 

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -751,13 +752,49 @@ def test_the_readme_quickstart_runs():
     exec(code, {})
 
 
+def test_the_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
+    # each line in a directory that holds the config file the examples name
+    (tmp_path / "run.cfg").write_text("seed = 7\nsamples_per_suite = 20\n")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("OCTOWEAK_SEED", raising=False)
+    for line in readme_block("## Command line", "sh").splitlines():
+        argv = shlex.split(line, comments=True)
+        assert argv[:1] == ["octoweak"], f"not an octoweak command: {line!r}"
+        assert main(argv[1:]) == 0, line
+
+
+def twins(tree: ast.Module) -> list[str]:
+    """The public functions of a module that have a rows twin: ``f`` beside
+    ``f_rows``, or ``X_residual`` beside an ``X_rows`` with the same parameter names."""
+    public = {
+        fn.name: [a.arg for a in fn.args.args]
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+    }
+    return [
+        name
+        for name, params in sorted(public.items())
+        if f"{name}_rows" in public
+        or (name.endswith("_residual") and public.get(f"{name[:-9]}_rows") == params)
+    ]
+
+
 def test_no_module_defines_a_function_and_its_rows_twin():
     # one function per operation: a public f takes a value or rows, and a name
-    # ending in _rows takes rows only, so no module has both f and f_rows
-    twins = []
+    # ending in _rows takes rows only, so no module has both f and f_rows, nor
+    # an X_residual that only wraps its X_rows
+    found = []
     for path in sorted(Path(octoweak.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        public = {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)}
-        public = {name for name in public if not name.startswith("_")}
-        twins += [f"{path.stem}.{name}" for name in sorted(public) if f"{name}_rows" in public]
-    assert twins == []
+        found += [f"{path.stem}.{name}" for name in twins(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_the_twin_scan_reports_each_kind_of_twin():
+    # an X_residual whose X_rows takes other parameters, such as a field's
+    # residual beside the kernel on its values, is not a twin
+    toy = (
+        "def mul(x, y): pass\ndef mul_rows(x, y): pass\n"
+        "def spin_residual(mu, nu): pass\ndef spin_rows(mu, nu): pass\n"
+        "def field_residual(f, p): pass\ndef field_rows(values, grads): pass\n"
+    )
+    assert twins(ast.parse(toy)) == ["mul", "spin_residual"]
