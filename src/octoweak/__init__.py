@@ -21,8 +21,7 @@ from .errors import (
     UnknownSuite,
     ZeroDivisor,
 )
-from .fields import PolyField, dexp_at, eval_at
-from .gauge import ConnectionField
+from .fields import PolyField, eval_at
 from .grading import SubspaceTag, project, sample
 from .lorentz import Theta, gamma5_analogue, lambda_S, lambda_V, s_gen, v_gen
 from .suites import SuiteConfig, SuiteReport, run_all, run_suite, suite_ids
@@ -33,7 +32,6 @@ __all__ = [
     "CplxOcton",
     "StructureTable",
     "PolyField",
-    "ConnectionField",
     "Theta",
     "SubspaceTag",
     "SuiteConfig",
@@ -47,7 +45,6 @@ __all__ = [
     "associator",
     "bar_star",
     "conj_oct",
-    "dexp_at",
     "eval_at",
     "exp_assoc",
     "gamma5_analogue",

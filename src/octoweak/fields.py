@@ -11,8 +11,8 @@ derivatives up.  Transformed fields are differentiated by the pointwise
 chain rule, and exp(u) by the differential of its closed form.
 
 The *_rows functions evaluate many fields of one exponent matrix at once, as
-a coefficient stack (..., M, 8) with one point (..., 4) per field; the
-single-field functions call them on a block of one.  ``monomial_rows`` gives the
+a coefficient stack (..., M, 8) with one point (..., 4) per field;
+:func:`eval_at` calls them on a block of one.  ``monomial_rows`` gives the
 monomial table of a block of points, all four derivatives or one per point,
 and ``contract_rows`` applies it to any fields that share the exponents.
 """
@@ -36,7 +36,7 @@ from .core import (
 )
 from .errors import DomainViolation
 from .grading import SubspaceTag, dof_rows, in_subspace, ndof
-from .lorentz import EBAR_UPPER_ROWS, Theta, eta_inverse_transform, lambda_S, lambda_V
+from .lorentz import EBAR_UPPER_ROWS, eta_inverse_transform
 
 Degree = tuple[int, int, int, int]
 
@@ -225,24 +225,10 @@ def jet_rows(exps: np.ndarray, coeffs: np.ndarray, points: np.ndarray):
     return jet[..., 0, :], jet[..., 1:, :]
 
 
-def _jet(f: PolyField, p) -> tuple[np.ndarray, np.ndarray]:
-    """f and its four partial derivatives at p, as a (1, 8) and a (1, 4, 8) block."""
-    return jet_rows(f.exps, f.coeffs, _as_point(p))
-
-
-def _jet_along(f: PolyField, mu: int, p) -> tuple[np.ndarray, np.ndarray]:
-    """f and its partial derivative along x_mu at p, as two (1, 8) blocks."""
-    mu = operator.index(mu)
-    if not 0 <= mu <= 3:
-        raise ValueError("axis must be in 0..3")
-    jet = contract_rows(monomial_rows(f.exps, _as_point(p), [mu]), f.coeffs)
-    return jet[:, 0], jet[:, 1]
-
-
 def eval_at(f: PolyField, p) -> CplxOcton:
     """Value at a real point: the value of f's jet there."""
     with np.errstate(all="ignore"):
-        return single(_jet_along(f, 0, p)[0])
+        return single(contract_rows(monomial_rows(f.exps, _as_point(p), [0]), f.coeffs)[:, 0])
 
 
 @lru_cache(maxsize=16)
@@ -330,21 +316,6 @@ def lorentz_invariance_rows(tag, lam, lv, jet_at, points) -> np.ndarray:
     return np.abs(transformed - bilinear_rows(values[1], grads[1]))
 
 
-def lorentz_invariance_residual(f: PolyField, theta: Theta, p) -> float:
-    """:func:`lorentz_invariance_rows` for one field, parameter and point."""
-    def jet_at(q):
-        return jet_rows(f.exps, f.coeffs, q)
-
-    lam, lv = lambda_S(theta).c, lambda_V(theta)
-    with np.errstate(all="ignore"):
-        return single(lorentz_invariance_rows(f.tag, lam, lv, jet_at, _as_point(p)))
-
-
-def _require_a_valued(u: PolyField) -> None:
-    if u.tag not in (SubspaceTag.A, SubspaceTag.A_MINUS, SubspaceTag.A_PLUS):
-        raise DomainViolation("field must take values in the quaternionic subalgebra")
-
-
 def dexp_rows(u: np.ndarray, du: np.ndarray) -> np.ndarray:
     """Derivative of exp(u) along a direction in which u changes by du, row by row.
 
@@ -370,9 +341,3 @@ def dexp_rows(u: np.ndarray, du: np.ndarray) -> np.ndarray:
         )
     return out
 
-
-def dexp_at(u: PolyField, mu: int, p) -> CplxOcton:
-    """Partial derivative of exp(u) along x_mu at p (see :func:`dexp_rows`)."""
-    _require_a_valued(u)
-    with np.errstate(all="ignore"):
-        return single(dexp_rows(*_jet_along(u, mu, p)))

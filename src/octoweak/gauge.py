@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
-    CplxOcton,
     abs_rows,
     associator,
     bar_star,
@@ -20,10 +19,8 @@ from .core import (
     exp_assoc,
     mul,
     rowwise,
-    single,
 )
-from .errors import DomainViolation
-from .fields import PolyField, _jet, _jet_along, bilinear_rows, dexp_rows
+from .fields import bilinear_rows, dexp_rows
 from .grading import SubspaceTag, require_member
 from .lorentz import lambda_S
 
@@ -31,39 +28,10 @@ from .lorentz import lambda_S
 FORM_AGREEMENT_TOL = 1e-12
 
 
-class ConnectionField:
-    """Four anti-Hermitian component fields W_0..W_3."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components) -> None:
-        comps = tuple(components)
-        if len(comps) != 4:
-            raise ValueError("a connection has exactly 4 components")
-        for k, w in enumerate(comps):
-            if not isinstance(w, PolyField) or w.tag is not SubspaceTag.A_MINUS:
-                raise DomainViolation(f"component {k} must be an A- tagged field")
-        self.components = comps
-
-    def __getitem__(self, rho: int) -> PolyField:
-        return self.components[rho]
-
-
-def require_gauge_param(u: PolyField, name: str = "gauge parameter") -> None:
-    if not isinstance(u, PolyField) or u.tag is not SubspaceTag.A_MINUS:
-        raise DomainViolation(f"{name} must be an A- tagged field")
-
-
-def _require_field_tag(f: PolyField, tag: SubspaceTag, name: str) -> None:
-    if not isinstance(f, PolyField) or f.tag is not tag:
-        raise DomainViolation(f"{name} must be a {tag.value} tagged field")
-
-
 # The *_rows functions take the values and derivatives of the fields at the
 # point, one sample per row: (..., 8) arrays, with the leading axes broadcast
 # together.  u is the gauge parameter, du its derivative along x_rho, w the
-# value of W_rho.  The PolyField-taking functions evaluate one sample as a
-# block of one row and return it through core.single.
+# value of W_rho.
 
 
 def transport_rows(w, u, du) -> np.ndarray:
@@ -151,55 +119,6 @@ def scal_ww_rows(w, u, du) -> np.ndarray:
     """Scal(W' - W) + Scal(d_rho u), row by row; zero under the connection transport law."""
     _require_gauge_rows(u, w)
     return (transport_rows(w, u, du) - w)[..., 0] + du[..., 0]
-
-
-def _value(f: PolyField, p) -> np.ndarray:
-    return _jet_along(f, 0, p)[0]
-
-
-def global_alpha_invariance_residual(alpha: PolyField, u_const: CplxOcton, p) -> float:
-    """Change of the derivative bilinear under the constant transformation
-    alpha -> alpha exp(-u).  Vanishes exactly when bar_star(u) = -u.
-    """
-    _require_field_tag(alpha, SubspaceTag.A, "alpha")
-    with np.errstate(all="ignore"):
-        return single(global_alpha_rows(*_jet(alpha, p), u_const.c[None]))
-
-
-def covariance_residual_alpha(
-    alpha: PolyField, W: ConnectionField, u: PolyField, rho: int, p
-) -> float:
-    """|| D_rho(alpha') with transported W  -  (D_rho alpha) U^-1 ||."""
-    _require_field_tag(alpha, SubspaceTag.A, "alpha")
-    require_gauge_param(u)
-    with np.errstate(all="ignore"):
-        a, da = _jet_along(alpha, rho, p)
-        return single(covariance_alpha_rows(a, da, _value(W[rho], p), *_jet_along(u, rho, p)))
-
-
-def covariance_residual_beta(
-    beta: PolyField, W: ConnectionField, u: PolyField, rho: int, p, r: float
-) -> float:
-    """|| D_rho(beta') with transported W  -  (D_rho beta) exp(r Scal(u)) ||."""
-    _require_field_tag(beta, SubspaceTag.B, "beta")
-    require_gauge_param(u)
-    with np.errstate(all="ignore"):
-        b, db = _jet_along(beta, rho, p)
-        return single(covariance_beta_rows(b, db, _value(W[rho], p), *_jet_along(u, rho, p), r))
-
-
-def scal_der_u_residual(u: PolyField, mu: int, p) -> complex:
-    """<1, (d_mu U) U^-1> - <1, d_mu u>; zero for exponential group elements."""
-    require_gauge_param(u)
-    with np.errstate(all="ignore"):
-        return single(scal_der_u_rows(*_jet_along(u, mu, p)))
-
-
-def scal_ww_residual(W: ConnectionField, u: PolyField, rho: int, p) -> complex:
-    """Scal(W' - W) + Scal(d_rho u); zero under the connection transport law."""
-    require_gauge_param(u)
-    with np.errstate(all="ignore"):
-        return single(scal_ww_rows(_value(W[rho], p), *_jet_along(u, rho, p)))
 
 
 @rowwise

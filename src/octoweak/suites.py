@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import time
 import zlib
 from dataclasses import asdict, dataclass
@@ -43,7 +44,6 @@ from .gauge import (
     covariance_alpha_rows,
     covariance_beta_rows,
     general_coupling_residual,
-    global_alpha_invariance_residual,
     global_alpha_rows,
     scal_der_u_rows,
     scal_ww_rows,
@@ -108,6 +108,10 @@ class SuiteConfig:
     suites: tuple[str, ...] = ()
 
     def __post_init__(self):
+        # integer fields are read as random_field reads a degree, and kept as Python ints
+        for name in ("seed", "field_degree", "samples_per_suite"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.samples_per_suite is not None and self.samples_per_suite < 1:
             raise ValueError("samples_per_suite must be >= 1")
         if self.seed < 0:
@@ -428,9 +432,8 @@ def _prop2(cfg, alpha, u0, p):
 
 
 def _prop2_witness():
-    return global_alpha_invariance_residual(
-        PROP2_WITNESS_ALPHA, PROP2_WITNESS_U, PROP2_WITNESS_POINT
-    )
+    alpha, point = PROP2_WITNESS_ALPHA, np.array(PROP2_WITNESS_POINT)
+    return float(global_alpha_rows(*jet_rows(alpha.exps, alpha.coeffs, point), PROP2_WITNESS_U.c))
 
 
 def _gauge_param(cfg) -> _Input:

@@ -9,7 +9,8 @@ summation instead of closed forms (and the closed form from Python's
 expansion instead of the pointwise chain rule, field derivatives term by
 term instead of from the jet's table of monomials, derivatives from central
 differences instead of formal calculus, and the sampled suites from one
-draw and one single-value evaluation per sample instead of blocks of rows.
+draw and one evaluation per sample (a single value, or a field's block of
+one row) instead of blocks of rows.
 """
 
 from __future__ import annotations
@@ -34,14 +35,21 @@ from octoweak.core import (
     rowwise,
     structure_table,
 )
-from octoweak.fields import PolyField, eval_at, lorentz_invariance_residual, random_field
+from octoweak.fields import (
+    PolyField,
+    contract_rows,
+    eval_at,
+    jet_rows,
+    lorentz_invariance_rows,
+    monomial_rows,
+    random_field,
+)
 from octoweak.gauge import (
-    ConnectionField,
-    covariance_residual_alpha,
-    covariance_residual_beta,
-    global_alpha_invariance_residual,
-    scal_der_u_residual,
-    scal_ww_residual,
+    covariance_alpha_rows,
+    covariance_beta_rows,
+    global_alpha_rows,
+    scal_der_u_rows,
+    scal_ww_rows,
 )
 from octoweak.grading import (
     AB_CLOSURE,
@@ -546,6 +554,33 @@ def run_prop4(cfg, n, rng):
     return res, witness > NEG_CONTROL_MIN
 
 
+def along(f: PolyField, mu: int, points: np.ndarray):
+    """A field's values and derivatives along x_mu at a block of points (n, 4): two (n, 8)."""
+    jet = contract_rows(monomial_rows(f.exps, points, np.full(len(points), mu)), f.coeffs)
+    return jet[:, 0], jet[:, 1]
+
+
+def _at(kernel, *rows) -> float:
+    # the size of a kernel's residual on a block of one sample, as a Python number
+    with np.errstate(all="ignore"):
+        return abs(kernel(*rows)[0].item())
+
+
+def lorentz_invariance_residual(f: PolyField, theta: Theta, p) -> float:
+    """``fields.lorentz_invariance_rows`` for one field, parameter and point."""
+    def jet_at(q):
+        return jet_rows(f.exps, f.coeffs, q)
+
+    point = np.asarray(p, dtype=float)[None]
+    return _at(lorentz_invariance_rows, f.tag, lambda_S(theta).c, lambda_V(theta), jet_at, point)
+
+
+def global_alpha_invariance_residual(alpha: PolyField, u_const: CplxOcton, p) -> float:
+    """``gauge.global_alpha_rows`` for one field, constant parameter and point."""
+    values, grads = jet_rows(alpha.exps, alpha.coeffs, np.asarray(p, dtype=float)[None])
+    return _at(global_alpha_rows, values, grads, u_const.c[None])
+
+
 def _prop1_runner(tag):
     def run(cfg, n, rng):
         res = []
@@ -581,64 +616,50 @@ def gauge_param(cfg, rng, at) -> PolyField:
     return u
 
 
-def connection(cfg, rng) -> ConnectionField:
-    return ConnectionField(
-        [random_field(rng, cfg.field_degree, SubspaceTag.A_MINUS) for _ in range(4)]
-    )
+def connection(cfg, rng) -> list[PolyField]:
+    """The four A- components W_0..W_3 of a connection."""
+    return [random_field(rng, cfg.field_degree, SubspaceTag.A_MINUS) for _ in range(4)]
 
 
-def run_prop3(cfg, n, rng):
-    res = []
-    for _ in range(n):
-        p = rng.uniform(-1.0, 1.0, 4)
-        u = gauge_param(cfg, rng, p)
-        res.append(
-            covariance_residual_alpha(
-                random_field(rng, cfg.field_degree, SubspaceTag.A),
-                connection(cfg, rng),
-                u,
-                integer(rng, 0, 4),
-                p,
-            )
-        )
-    return res, True
+def _gauge_runner(residual):
+    # each sample: a point, a gauge parameter capped there, then what
+    # ``residual(cfg, rng, u, p)`` draws and evaluates along a drawn axis at p (1, 4)
+    def run(cfg, n, rng):
+        res = []
+        for _ in range(n):
+            p = rng.uniform(-1.0, 1.0, 4)
+            res.append(residual(cfg, rng, gauge_param(cfg, rng, p), p[None]))
+        return res, True
+
+    return run
 
 
-def run_prop5(cfg, n, rng):
-    res = []
-    for _ in range(n):
-        p = rng.uniform(-1.0, 1.0, 4)
-        u = gauge_param(cfg, rng, p)
-        r = float(rng.uniform(0.25, 1.5))
-        res.append(
-            covariance_residual_beta(
-                random_field(rng, cfg.field_degree, SubspaceTag.B),
-                connection(cfg, rng),
-                u,
-                integer(rng, 0, 4),
-                p,
-                r,
-            )
-        )
-    return res, True
+@_gauge_runner
+def run_prop3(cfg, rng, u, p):
+    alpha, w = random_field(rng, cfg.field_degree, SubspaceTag.A), connection(cfg, rng)
+    rho = integer(rng, 0, 4)
+    w_rho = along(w[rho], 0, p)[0]
+    return _at(covariance_alpha_rows, *along(alpha, rho, p), w_rho, *along(u, rho, p))
 
 
-def run_lemma3(cfg, n, rng):
-    res = []
-    for _ in range(n):
-        p = rng.uniform(-1.0, 1.0, 4)
-        u = gauge_param(cfg, rng, p)
-        res.append(abs(scal_der_u_residual(u, integer(rng, 0, 4), p)))
-    return res, True
+@_gauge_runner
+def run_prop5(cfg, rng, u, p):
+    r = float(rng.uniform(0.25, 1.5))
+    beta, w = random_field(rng, cfg.field_degree, SubspaceTag.B), connection(cfg, rng)
+    rho = integer(rng, 0, 4)
+    w_rho = along(w[rho], 0, p)[0]
+    return _at(covariance_beta_rows, *along(beta, rho, p), w_rho, *along(u, rho, p), r)
 
 
-def run_lemma4(cfg, n, rng):
-    res = []
-    for _ in range(n):
-        p = rng.uniform(-1.0, 1.0, 4)
-        u = gauge_param(cfg, rng, p)
-        res.append(abs(scal_ww_residual(connection(cfg, rng), u, integer(rng, 0, 4), p)))
-    return res, True
+@_gauge_runner
+def run_lemma3(cfg, rng, u, p):
+    return _at(scal_der_u_rows, *along(u, integer(rng, 0, 4), p))
+
+
+@_gauge_runner
+def run_lemma4(cfg, rng, u, p):
+    w, rho = connection(cfg, rng), integer(rng, 0, 4)
+    return _at(scal_ww_rows, along(w[rho], 0, p)[0], *along(u, rho, p))
 
 
 #: Reference route of each field and gauge suite, by suite id.

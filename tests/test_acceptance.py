@@ -20,20 +20,13 @@ from octoweak.core import (
     norm,
     structure_table,
 )
-from octoweak.fields import (
-    dexp_at,
-    eval_at,
-    lorentz_invariance_residual,
-    random_field,
-)
+from octoweak.fields import dexp_rows, eval_at, random_field
 from octoweak.gauge import (
-    ConnectionField,
-    covariance_residual_alpha,
-    covariance_residual_beta,
+    covariance_alpha_rows,
+    covariance_beta_rows,
     general_coupling_residual,
-    global_alpha_invariance_residual,
-    scal_der_u_residual,
-    scal_ww_residual,
+    scal_der_u_rows,
+    scal_ww_rows,
 )
 from octoweak.grading import (
     AB_CLOSURE,
@@ -64,7 +57,14 @@ from octoweak.suites import (
     run_all,
 )
 
-from oracles import cd_basis_product, central_difference, exp_taylor
+from oracles import (
+    along,
+    cd_basis_product,
+    central_difference,
+    exp_taylor,
+    global_alpha_invariance_residual,
+    lorentz_invariance_residual,
+)
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -73,17 +73,17 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
 
 
 def _gauge_draws(rng, n):
-    """Shared sampler for the local-gauge criteria: point, parameter, connection."""
+    """Shared sampler for the local-gauge criteria: a point as a block of one row,
+    the parameter's value and derivative along x_rho there, W_rho's value there, rho."""
     for _ in range(n):
         p = rng.uniform(-1.0, 1.0, 4)
         u = random_field(rng, 2, SubspaceTag.A_MINUS, GAUGE_PARAM_BOUND)
         m = abs(u(p))
         if m > GAUGE_PARAM_VALUE_CAP:
             u = u * (GAUGE_PARAM_VALUE_CAP / m)
-        W = ConnectionField(
-            [random_field(rng, 2, SubspaceTag.A_MINUS) for _ in range(4)]
-        )
-        yield p, u, W, int(rng.integers(4))
+        W = [random_field(rng, 2, SubspaceTag.A_MINUS) for _ in range(4)]
+        rho = int(rng.integers(4))
+        yield p[None], along(u, rho, p[None]), along(W[rho], 0, p[None])[0], rho
 
 
 def test_criterion_01_gamma5_triviality():
@@ -207,23 +207,23 @@ def test_criterion_07_gauge_sector_sweeps():
         w_global = max(w_global, global_alpha_invariance_residual(alpha, u0, p))
 
     w_alpha = 0.0
-    for p, u, W, rho in _gauge_draws(rng, n):
+    for p, u, w, rho in _gauge_draws(rng, n):
         alpha = random_field(rng, 2, SubspaceTag.A)
-        w_alpha = max(w_alpha, covariance_residual_alpha(alpha, W, u, rho, p))
+        w_alpha = max(w_alpha, covariance_alpha_rows(*along(alpha, rho, p), w, *u)[0])
 
     w_beta = 0.0
-    for p, u, W, rho in _gauge_draws(rng, n):
+    for p, u, w, rho in _gauge_draws(rng, n):
         beta = random_field(rng, 2, SubspaceTag.B)
         r = float(rng.uniform(0.25, 1.5))
-        w_beta = max(w_beta, covariance_residual_beta(beta, W, u, rho, p, r))
+        w_beta = max(w_beta, covariance_beta_rows(*along(beta, rho, p), w, *u, r)[0])
 
     w_l3 = 0.0
-    for p, u, _W, rho in _gauge_draws(rng, n):
-        w_l3 = max(w_l3, abs(scal_der_u_residual(u, rho, p)))
+    for _p, u, _w, _rho in _gauge_draws(rng, n):
+        w_l3 = max(w_l3, abs(scal_der_u_rows(*u)[0]))
 
     w_l4 = 0.0
-    for p, u, W, rho in _gauge_draws(rng, n):
-        w_l4 = max(w_l4, abs(scal_ww_residual(W, u, rho, p)))
+    for _p, u, w, _rho in _gauge_draws(rng, n):
+        w_l4 = max(w_l4, abs(scal_ww_rows(w, *u)[0]))
 
     witness = global_alpha_invariance_residual(
         PROP2_WITNESS_ALPHA, PROP2_WITNESS_U, PROP2_WITNESS_POINT
@@ -282,7 +282,8 @@ def test_criterion_09_oracle_equivalence():
         p = rng.uniform(-1.0, 1.0, 4)
         for mu in range(4):
             fd = central_difference(lambda q: exp_assoc(eval_at(u, q)), p, mu)
-            worst_dexp = max(worst_dexp, abs(dexp_at(u, mu, p) - fd))
+            dexp = dexp_rows(*along(u, mu, p[None]))[0]
+            worst_dexp = max(worst_dexp, float(abs_rows(dexp - fd.c)))
 
     table = structure_table()
     signs_exact = all(

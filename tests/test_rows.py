@@ -379,12 +379,6 @@ def _general_coupling_pairs():
     return _rowwise_pairs([(general_coupling_residual, (r, 0.3 * r, _thetas(63), w, beta))])
 
 
-def _along(f, mu, points):
-    # a field's values and derivatives along x_mu at a block of points
-    jet = contract_rows(monomial_rows(f.exps, points, np.full(len(points), mu)), f.coeffs)
-    return jet[:, 0], jet[:, 1]
-
-
 def _field_pairs():
     rng = np.random.default_rng(64)
     points = rng.uniform(-1.5, 1.5, (N, 4))
@@ -396,42 +390,16 @@ def _field_pairs():
 
     lam, lv = lambda_S(thetas), lambda_V(thetas)
     cases = [
-        (lambda i: eval_at(f, points[i]), _along(f, 0, points)[0]),
+        (lambda i: eval_at(f, points[i]), oracles.along(f, 0, points)[0]),
         (lambda i: eval_at(PolyField({}), points[i]), np.zeros((N, 8), np.complex128)),
         (
-            lambda i: fields.lorentz_invariance_residual(f, Theta(thetas[i]), points[i]),
+            lambda i: oracles.lorentz_invariance_residual(f, Theta(thetas[i]), points[i]),
             fields.lorentz_invariance_rows(f.tag, lam, lv, jet_at, points),
         ),
-        (lambda i: fields.dexp_at(u, 2, points[i]), dexp_rows(*_along(u, 2, points))),
-    ]
-    return ((single(i), block[i]) for single, block in cases for i in range(N))
-
-
-def _gauge_pairs():
-    rng = np.random.default_rng(66)
-    points = rng.uniform(-1.5, 1.5, (N, 4))
-    alpha, beta = random_field(rng, 2, SubspaceTag.A), random_field(rng, 2, SubspaceTag.B)
-    u = random_field(rng, 2, SubspaceTag.A_MINUS)
-    W = gauge.ConnectionField([random_field(rng, 2, SubspaceTag.A_MINUS) for _ in range(4)])
-    u_const, rho, r = _rows(SubspaceTag.A_MINUS, 67, bound=2.0), 1, 0.7
-    u_const_values = _values(u_const)
-    (a, da), (b, db), (uv, du) = (_along(g, rho, points) for g in (alpha, beta, u))
-    w = _along(W[rho], 0, points)[0]
-    cases = [
         (
-            lambda i: gauge.global_alpha_invariance_residual(alpha, u_const_values[i], points[i]),
-            gauge.global_alpha_rows(*jet_rows(alpha.exps, alpha.coeffs, points), u_const),
+            lambda i: core.single(dexp_rows(*oracles.along(u, 2, points[i : i + 1]))),
+            dexp_rows(*oracles.along(u, 2, points)),
         ),
-        (
-            lambda i: gauge.covariance_residual_alpha(alpha, W, u, rho, points[i]),
-            gauge.covariance_alpha_rows(a, da, w, uv, du),
-        ),
-        (
-            lambda i: gauge.covariance_residual_beta(beta, W, u, rho, points[i], r),
-            gauge.covariance_beta_rows(b, db, w, uv, du, r),
-        ),
-        (lambda i: gauge.scal_der_u_residual(u, rho, points[i]), gauge.scal_der_u_rows(uv, du)),
-        (lambda i: gauge.scal_ww_residual(W, u, rho, points[i]), gauge.scal_ww_rows(w, uv, du)),
     ]
     return ((single(i), block[i]) for single, block in cases for i in range(N))
 
@@ -443,7 +411,6 @@ _SINGLE_VALUE_CASES = {
     "lorentz": _lorentz_pairs,
     "general-coupling": _general_coupling_pairs,
     "fields": _field_pairs,
-    "gauge": _gauge_pairs,
 }
 
 
@@ -795,7 +762,7 @@ def test_the_directional_table_is_the_full_table_along_each_rows_axis(degree):
     # one point and one axis
     f = PolyField._from_arrays(exps, coeffs[0], None)
     for mu in range(4):
-        got_value, got_derivative = fields._jet_along(f, mu, points[0])
+        got_value, got_derivative = oracles.along(f, mu, points[:1])
         _close(got_value, values[:1])
         _close(got_derivative, grads[:1, mu])
 
@@ -1070,7 +1037,7 @@ def _break_identities(monkeypatch):
     # group elements scaled off the group and a spinor transformation that
     # does not match L_V: every residual becomes O(1) and depends on the inputs
     monkeypatch.setattr(gauge, "exp_assoc", lambda u: 1.5 * exp_assoc(u))
-    for module in (fields, suites):
+    for module in (oracles, suites):
         monkeypatch.setattr(module, "lambda_S", lambda theta: lambda_S(-theta))
 
 

@@ -74,6 +74,18 @@ def test_config_rejects_negative_seeds_and_non_finite_bounds(bad):
         SuiteConfig(**bad)
 
 
+@pytest.mark.parametrize("field", ["seed", "field_degree", "samples_per_suite"])
+def test_config_reads_its_integer_fields_as_python_ints(field):
+    # a float is refused at construction, not by a suite, and a numpy integer
+    # is kept as a Python int, which the JSON report can write
+    with pytest.raises(TypeError):
+        SuiteConfig(**{field: 2.5})
+    cfg = SuiteConfig(**{field: np.int64(2)}, suites=("gamma5", "prop2"))
+    assert type(getattr(cfg, field)) is int
+    reports, code = run_all(cfg)
+    assert code == 0 and json.loads(render_json(reports, cfg))["suites"]
+
+
 def test_run_suite_gamma5():
     report = run_suite("gamma5", SuiteConfig())
     assert report.passed
@@ -763,26 +775,46 @@ def test_the_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
         assert main(argv[1:]) == 0, line
 
 
+def _returns(node):
+    # the return statements of a function, not of the functions nested in it
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Return):
+            yield child
+        elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield from _returns(child)
+
+
 def twins(tree: ast.Module) -> list[str]:
     """The public functions of a module that have a rows twin: ``f`` beside
-    ``f_rows``, or ``X_residual`` beside an ``X_rows`` with the same parameter names."""
-    public = {
-        fn.name: [a.arg for a in fn.args.args]
+    ``f_rows``, an ``X_residual`` beside an ``X_rows`` with the same parameter
+    names, or a function that returns ``single(K(...))`` for a public ``K`` ending
+    in ``_rows``."""
+    functions = {
+        fn.name: fn
         for fn in tree.body
         if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
     }
+    public = {name: [a.arg for a in fn.args.args] for name, fn in functions.items()}
+
+    def wraps_rows(fn):
+        calls = [r.value for r in _returns(fn) if isinstance(r.value, ast.Call)]
+        inner = [c.args[0] for c in calls if ast.unparse(c.func) == "single" and c.args]
+        kernels = [ast.unparse(c.func) for c in inner if isinstance(c, ast.Call)]
+        return any(k.endswith("_rows") and k in public for k in kernels)
+
     return [
         name
         for name, params in sorted(public.items())
         if f"{name}_rows" in public
         or (name.endswith("_residual") and public.get(f"{name[:-9]}_rows") == params)
+        or wraps_rows(functions[name])
     ]
 
 
 def test_no_module_defines_a_function_and_its_rows_twin():
     # one function per operation: a public f takes a value or rows, and a name
     # ending in _rows takes rows only, so no module has both f and f_rows, nor
-    # an X_residual that only wraps its X_rows
+    # an X_residual or any other function that only wraps an X_rows
     found = []
     for path in sorted(Path(octoweak.__file__).parent.glob("*.py")):
         found += [f"{path.stem}.{name}" for name in twins(ast.parse(path.read_text()))]
@@ -791,10 +823,12 @@ def test_no_module_defines_a_function_and_its_rows_twin():
 
 def test_the_twin_scan_reports_each_kind_of_twin():
     # an X_residual whose X_rows takes other parameters, such as a field's
-    # residual beside the kernel on its values, is not a twin
+    # residual beside the kernel on its values, is not a twin; a function that
+    # returns single(X_rows(...)), however deep the return, is
     toy = (
         "def mul(x, y): pass\ndef mul_rows(x, y): pass\n"
         "def spin_residual(mu, nu): pass\ndef spin_rows(mu, nu): pass\n"
         "def field_residual(f, p): pass\ndef field_rows(values, grads): pass\n"
+        "def field_at(f, p):\n    with f:\n        return single(field_rows(*f.jet(p)))\n"
     )
-    assert twins(ast.parse(toy)) == ["mul", "spin_residual"]
+    assert twins(ast.parse(toy)) == ["field_at", "mul", "spin_residual"]
