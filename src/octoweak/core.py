@@ -1,12 +1,14 @@
 """Arithmetic of complexified octonions.
 
 An element carries eight complex coefficients over the basis
-(1, e1, ..., e7).  The basis product table is generated once at import
-time by Cayley-Dickson doubling of the quaternions,
+(1, e1, ..., e7).  The basis product table is the one Cayley-Dickson doubling
+of the quaternions gives,
 
     (a, b)(c, d) = (ac - d~b, da + bc~),        e4 = (0, 1),
 
-with e_{4+i} = e_i e4, and is then frozen as a :class:`StructureTable`.
+with e_{4+i} = e_i e4.  Doubling puts e_a e_b on the slot a XOR b, with the
+signs of the seven quaternionic triples of the Fano plane, and the table is
+built once at import from that rule and frozen as a :class:`StructureTable`.
 The span of {1, e1, e2, e3} is the canonical associative (quaternionic)
 subalgebra; all of its complements are reached by the doubling step.
 """
@@ -35,55 +37,12 @@ ASSOC_MEMBERSHIP_TOL = 1e-10
 SMALL_ANGLE = 1e-6
 
 
-def _qmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # quaternion product on integer coefficient vectors (1, e1, e2, e3)
-    a0, a1, a2, a3 = x
-    b0, b1, b2, b3 = y
-    return np.array(
-        [
-            a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-            a0 * b2 + a2 * b0 + a3 * b1 - a1 * b3,
-            a0 * b3 + a3 * b0 + a1 * b2 - a2 * b1,
-        ],
-        dtype=np.int64,
-    )
-
-
-def _qconj(x: np.ndarray) -> np.ndarray:
-    return np.array([x[0], -x[1], -x[2], -x[3]], dtype=np.int64)
-
-
 @dataclass(frozen=True)
 class StructureTable:
     """Signed basis-product table: b_a * b_b = sign[a, b] * b_index[a, b]."""
 
     sign: np.ndarray
     index: np.ndarray
-
-    @classmethod
-    def build(cls) -> "StructureTable":
-        sign = np.zeros((8, 8), dtype=np.int8)
-        index = np.zeros((8, 8), dtype=np.int8)
-        for a in range(8):
-            xa = np.zeros(4, np.int64)
-            xb = np.zeros(4, np.int64)
-            (xa if a < 4 else xb)[a % 4] = 1
-            for b in range(8):
-                ya = np.zeros(4, np.int64)
-                yb = np.zeros(4, np.int64)
-                (ya if b < 4 else yb)[b % 4] = 1
-                za = _qmul(xa, ya) - _qmul(_qconj(yb), xb)
-                zb = _qmul(yb, xa) + _qmul(xb, _qconj(ya))
-                z = np.concatenate([za, zb])
-                (nz,) = np.nonzero(z)
-                if len(nz) != 1 or abs(z[nz[0]]) != 1:
-                    raise AssertionError("basis product is not a signed basis element")
-                index[a, b] = nz[0]
-                sign[a, b] = z[nz[0]]
-        sign.flags.writeable = False
-        index.flags.writeable = False
-        return cls(sign=sign, index=index)
 
     def format(self) -> str:
         """Render the table as a signed-index text grid."""
@@ -105,22 +64,33 @@ class StructureTable:
         return "\n".join(rows)
 
 
-_TABLE = StructureTable.build()
+#: The seven quaternionic triples (i, j, k) of the Fano plane: e_i e_j = e_k,
+#: and cyclically.
+_TRIPLES = ((1, 2, 3), (1, 4, 5), (1, 7, 6), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 6, 5))
 
 
-def _right_index(table: StructureTable) -> np.ndarray:
-    # Each row of the table permutes the basis, so the right-multiplication
-    # matrix of y, R[a, c] = sum_b y_b (coefficient of b_c in b_a b_b), has one
-    # signed entry per slot: R[a, index[a, b]] = sign[a, b] y_b.  Stored as
-    # positions in [y, -y], one gather builds R
-    out = np.empty((8, 8), dtype=np.intp)
-    for a in range(8):
-        out[a, table.index[a]] = np.arange(8) + 8 * (table.sign[a] < 0)
-    out.flags.writeable = False
-    return out
+def _build_table() -> StructureTable:
+    # e_a e_b lies on slot a XOR b.  Its sign is +1 when a or b is the unit and
+    # along each triple's cyclic order, -1 on the reversed order and for
+    # e_a e_a = -1, a >= 1
+    index = np.bitwise_xor.outer(np.arange(8), np.arange(8)).astype(np.int8)
+    sign = np.full((8, 8), -1, dtype=np.int8)
+    sign[0] = sign[:, 0] = 1
+    for i, j, k in _TRIPLES:
+        sign[[i, j, k], [j, k, i]] = 1
+    sign.flags.writeable = index.flags.writeable = False
+    return StructureTable(sign=sign, index=index)
 
 
-_RIGHT_INDEX = _right_index(_TABLE)
+_TABLE = _build_table()
+
+# The right-multiplication matrix of y, R[a, c] = sum_b y_b (coefficient of
+# b_c in b_a b_b), has one signed entry per slot: R[a, a ^ b] = sign[a, b] y_b.
+# Stored as positions in [y, -y], one gather builds R
+_RIGHT_INDEX = (
+    _TABLE.index + 8 * (np.take_along_axis(_TABLE.sign, _TABLE.index, 1) < 0)
+).astype(np.intp)
+_RIGHT_INDEX.flags.writeable = False
 
 
 def structure_table() -> StructureTable:
@@ -180,10 +150,6 @@ class CplxOcton:
         arr.flags.writeable = False
         obj.c = arr
         return obj
-
-    @classmethod
-    def one(cls) -> "CplxOcton":
-        return cls.scalar(1.0)
 
     @classmethod
     def scalar(cls, z: complex) -> "CplxOcton":
@@ -249,7 +215,7 @@ class CplxOcton:
 
 
 #: The multiplicative unit and the eight basis elements.
-ONE = CplxOcton.one()
+ONE = CplxOcton.scalar(1.0)
 E = tuple(CplxOcton.basis(a) for a in range(8))
 
 
@@ -282,11 +248,11 @@ def rowwise(fn):
     """Let fn, written on row arrays, also take single values.
 
     Each single value (an instance of a :func:`single_value` class) comes in
-    as its block of one row.  With a numpy array among the arguments, fn's
-    rows come back; with none, its block of one comes back through
-    :func:`single`, computed with numpy's floating-point warnings off, so an
-    overflow is single's OverflowError.  A call with no single value, on
-    arrays or array-likes such as lists, is fn's on rows.
+    as its block of one row.  With rows among the arguments (a numpy array,
+    or a list or tuple of them), fn's rows come back; with none, its block of
+    one comes back through :func:`single`, computed with numpy's
+    floating-point warnings off, so an overflow is single's OverflowError.  A
+    call with no single value is fn's on rows.
     """
 
     @functools.wraps(fn)
@@ -295,7 +261,7 @@ def rowwise(fn):
         if _SINGLE_VALUES.keys().isdisjoint(map(type, values)):
             return fn(*args, **kwargs)
         args, kwargs = map(_as_block, args), {k: _as_block(a) for k, a in kwargs.items()}
-        if any(isinstance(a, np.ndarray) for a in values):
+        if any(isinstance(a, (np.ndarray, list, tuple)) for a in values):
             return fn(*args, **kwargs)
         with np.errstate(all="ignore"):
             return single(fn(*args, **kwargs))

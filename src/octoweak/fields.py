@@ -13,8 +13,9 @@ chain rule, and exp(u) by the differential of its closed form.
 The *_rows functions evaluate many fields of one exponent matrix at once, as
 a coefficient stack (..., M, 8) with one point (..., 4) per field;
 :func:`eval_at` calls them on a block of one.  ``monomial_rows`` gives the
-monomial table of a block of points, all four derivatives or one per point,
-and ``contract_rows`` applies it to any fields that share the exponents.
+one monomial table of a block of points, the values and all four
+derivatives, and ``contract_rows`` applies it, or the rows a caller gathers
+from it, to any fields that share the exponents.
 """
 
 from __future__ import annotations
@@ -161,14 +162,12 @@ def _power_table(points: np.ndarray, top: int) -> np.ndarray:
     return table[..., : top + 1]
 
 
-def monomial_rows(exps: np.ndarray, points: np.ndarray, along=None) -> np.ndarray:
+def monomial_rows(exps: np.ndarray, points: np.ndarray) -> np.ndarray:
     """The monomials of ``exps`` (M, 4) and their derivatives at each point (..., 4).
 
     Returns (..., 5, M): row 0 the monomials' values, row 1 + rho their
-    derivatives along x_rho.  With ``along``, one integer axis per point
-    (...,), it returns (..., 2, M): the values and the derivatives along each
-    point's own axis.  A derivative d_rho x^E = E_rho x^(E - e_rho) is a
-    monomial's value times its factor, so the values are formed once, on the
+    derivatives along x_rho.  A derivative d_rho x^E = E_rho x^(E - e_rho) is
+    a monomial's value times its factor, so the values are formed once, on the
     exponents' closure under differentiation, and the derivatives looked up.
     """
     exps = np.asarray(exps, dtype=np.int64)
@@ -179,16 +178,8 @@ def monomial_rows(exps: np.ndarray, points: np.ndarray, along=None) -> np.ndarra
     values = table[..., 0, closure[:, 0]]
     for axis in range(1, 4):
         values *= table[..., axis, closure[:, axis]]
-    if along is None:
-        monos = values[..., columns]
-        monos *= factors
-        return monos
-    along = np.asarray(along)
-    rows = np.stack([np.zeros_like(along), along + 1], axis=-1)
-    # each point's columns, as positions in its flattened values
-    start = np.arange(along.size).reshape(along.shape) * values.shape[-1]
-    monos = values.reshape(-1)[columns[rows] + start[..., None, None]]
-    monos *= factors[rows]
+    monos = values[..., columns]
+    monos *= factors
     return monos
 
 
@@ -228,7 +219,7 @@ def jet_rows(exps: np.ndarray, coeffs: np.ndarray, points: np.ndarray):
 def eval_at(f: PolyField, p) -> CplxOcton:
     """Value at a real point: the value of f's jet there."""
     with np.errstate(all="ignore"):
-        return single(contract_rows(monomial_rows(f.exps, _as_point(p), [0]), f.coeffs)[:, 0])
+        return single(jet_rows(f.exps, f.coeffs, _as_point(p))[0])
 
 
 @lru_cache(maxsize=16)

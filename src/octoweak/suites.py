@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 import time
 import zlib
@@ -108,10 +109,15 @@ class SuiteConfig:
     suites: tuple[str, ...] = ()
 
     def __post_init__(self):
-        # integer fields are read as random_field reads a degree, and kept as Python ints
+        # integer fields are read as random_field reads a degree, and kept as Python ints;
+        # float fields must be real numbers, and are kept as Python floats
         for name in ("seed", "field_degree", "samples_per_suite"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, operator.index(getattr(self, name)))
+        for name in ("tol_exact", "tol_series", "theta_bound"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise TypeError(f"{name} must be a real number")
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.samples_per_suite is not None and self.samples_per_suite < 1:
             raise ValueError("samples_per_suite must be >= 1")
         if self.seed < 0:
@@ -301,11 +307,12 @@ def _field(tag: SubspaceTag, degree: int, bound: float = 1.0) -> _Input:
     return _params(tag, (len(monomials(degree)),), bound)
 
 
-def _jets(tag: SubspaceTag, degree: int, params, points):
-    """Values (m, 8) and gradients (m, 4, 8) of fields given by their real parameters
-    (m, M, ndof): the jets of the parameters, made elements by the linear ``dof_rows``."""
-    value, grads = jet_rows(monomials(degree), params, points)
-    return dof_rows(tag, value), dof_rows(tag, grads)
+def _jets(tag: SubspaceTag, table, params):
+    """Value rows (..., 8) and derivative rows (..., k, 8) of fields given by their real
+    parameters (..., M, ndof), from monomial rows (..., 1 + k, M) whose row 0 holds the
+    values: the jets of the parameters, made elements by the linear ``dof_rows``."""
+    jet = dof_rows(tag, contract_rows(table, params))
+    return jet[..., 0, :], jet[..., 1:, :]
 
 
 def _thetas(pairs):
@@ -405,9 +412,8 @@ def _prop1_inputs(tag: SubspaceTag, cfg):
 def _prop1(tag: SubspaceTag, cfg, f, theta, p):
     theta = theta_rows(theta)
     lam, lv = lambda_S(theta), lambda_V(theta)
-    return lorentz_invariance_rows(
-        tag, lam, lv, lambda q: _jets(tag, cfg.field_degree, f, q), p
-    )
+    exps = monomials(cfg.field_degree)
+    return lorentz_invariance_rows(tag, lam, lv, lambda q: _jets(tag, monomial_rows(exps, q), f), p)
 
 
 #: Fixed witnesses for the inverted (must-fail) checks.
@@ -428,7 +434,8 @@ def _prop2_inputs(cfg):
 
 
 def _prop2(cfg, alpha, u0, p):
-    return global_alpha_rows(*_jets(SubspaceTag.A, cfg.field_degree, alpha, p), u0)
+    table = monomial_rows(monomials(cfg.field_degree), p)
+    return global_alpha_rows(*_jets(SubspaceTag.A, table, alpha), u0)
 
 
 def _prop2_witness():
@@ -445,42 +452,27 @@ def _connection(cfg) -> _Input:
     return _params(SubspaceTag.A_MINUS, (4, len(monomials(cfg.field_degree))))
 
 
-def _along(grads, rho):
-    # each row's gradient along its own axis
-    return grads[np.arange(len(rho)), rho]
+def _gauge_table(cfg, p, rho):
+    """A gauge block's monomial rows (m, 2, M) at field_degree: each row's values and
+    derivatives along its own rho, gathered from the one full table at its point."""
+    table = monomial_rows(monomials(cfg.field_degree), p)
+    return table[np.arange(len(rho))[:, None], np.stack([0 * rho, rho + 1], -1)]
 
 
-def _tables(cfg, p, rho):
-    """A gauge block's monomial tables (m, 2, M), the values and the derivatives along
-    each row's rho at its point: the fields' at field_degree, then u's, the same
-    table when u's degree min(2, field_degree) is field_degree."""
-    table = monomial_rows(monomials(cfg.field_degree), p, rho)
-    u_degree = min(2, cfg.field_degree)
-    if u_degree == cfg.field_degree:
-        return table, table
-    return table, monomial_rows(monomials(u_degree), p, rho)
-
-
-def _field_jet(tag: SubspaceTag, table, params):
-    """Fields' values and derivatives along each row's rho, from their real parameters
-    (m, M, ndof) and the block's table: the jets of the parameters, made elements."""
-    jet = dof_rows(tag, contract_rows(table, params))
-    return jet[:, 0], jet[:, 1]
-
-
-def _gauge_param_jet(u_table, u):
-    """u and d_rho u at each sample's point, u scaled to the value cap where it exceeds it."""
-    value, du = _field_jet(SubspaceTag.A_MINUS, u_table, u)
+def _gauge_param_jet(cfg, table, u):
+    """u and d_rho u at each sample's point, u scaled to the value cap where it exceeds it.
+    u's monomials, of total degree <= 2, are a subsequence of the block's, in order,
+    so u reads their columns of the block's table."""
+    u_table = table[..., monomials(cfg.field_degree).sum(axis=1) <= 2]
+    value, du = _jets(SubspaceTag.A_MINUS, u_table, u)
     mag = abs_rows(value)
     scale = np.where(mag > GAUGE_PARAM_VALUE_CAP, GAUGE_PARAM_VALUE_CAP / mag, 1.0)[:, None]
-    return value * scale, du * scale
+    return value * scale, du[:, 0] * scale
 
 
 def _connection_value(table, w, rho):
-    """The value of each sample's connection component W_rho at its point.  It takes
-    the table's two rows: the value row alone would be a matrix-vector product,
-    whose sums can round differently."""
-    return _field_jet(SubspaceTag.A_MINUS, table, _along(w, rho))[0]
+    """The value of each sample's connection component W_rho at its point."""
+    return _jets(SubspaceTag.A_MINUS, table, w[np.arange(len(rho)), rho])[0]
 
 
 def _prop3_inputs(cfg):
@@ -489,12 +481,10 @@ def _prop3_inputs(cfg):
 
 
 def _prop3(cfg, p, u, alpha, w, rho):
-    table, u_table = _tables(cfg, p, rho)
-    return covariance_alpha_rows(
-        *_field_jet(SubspaceTag.A, table, alpha),
-        _connection_value(table, w, rho),
-        *_gauge_param_jet(u_table, u),
-    )
+    table = _gauge_table(cfg, p, rho)
+    a, da = _jets(SubspaceTag.A, table, alpha)
+    w_rho = _connection_value(table, w, rho)
+    return covariance_alpha_rows(a, da[:, 0], w_rho, *_gauge_param_jet(cfg, table, u))
 
 
 def _prop4_inputs(cfg):
@@ -517,23 +507,19 @@ def _prop5_inputs(cfg):
 
 
 def _prop5(cfg, p, u, r, beta, w, rho):
-    table, u_table = _tables(cfg, p, rho)
-    return covariance_beta_rows(
-        *_field_jet(SubspaceTag.B, table, beta),
-        _connection_value(table, w, rho),
-        *_gauge_param_jet(u_table, u),
-        r,
-    )
+    table = _gauge_table(cfg, p, rho)
+    b, db = _jets(SubspaceTag.B, table, beta)
+    w_rho = _connection_value(table, w, rho)
+    return covariance_beta_rows(b, db[:, 0], w_rho, *_gauge_param_jet(cfg, table, u), r)
 
 
 def _lemma3(cfg, p, u, rho):
-    u_table = monomial_rows(monomials(min(2, cfg.field_degree)), p, rho)
-    return np.abs(scal_der_u_rows(*_gauge_param_jet(u_table, u)))
+    return np.abs(scal_der_u_rows(*_gauge_param_jet(cfg, _gauge_table(cfg, p, rho), u)))
 
 
 def _lemma4(cfg, p, u, w, rho):
-    table, u_table = _tables(cfg, p, rho)
-    return np.abs(scal_ww_rows(_connection_value(table, w, rho), *_gauge_param_jet(u_table, u)))
+    table = _gauge_table(cfg, p, rho)
+    return np.abs(scal_ww_rows(_connection_value(table, w, rho), *_gauge_param_jet(cfg, table, u)))
 
 
 _A, _B = SubspaceTag.A, SubspaceTag.B

@@ -37,11 +37,9 @@ from octoweak.core import (
 )
 from octoweak.fields import (
     PolyField,
-    contract_rows,
     eval_at,
     jet_rows,
     lorentz_invariance_rows,
-    monomial_rows,
     random_field,
 )
 from octoweak.gauge import (
@@ -154,8 +152,7 @@ def bilinear_rows_dense(values: np.ndarray, grads: np.ndarray) -> np.ndarray:
 
 def exp_taylor(u: CplxOcton, terms: int = 20) -> CplxOcton:
     """Plain series sum of u^k / k! using the library product."""
-    acc = CplxOcton.one()
-    power = CplxOcton.one()
+    acc = power = ONE
     fact = 1.0
     for k in range(1, terms + 1):
         power = mul(power, u)
@@ -556,8 +553,8 @@ def run_prop4(cfg, n, rng):
 
 def along(f: PolyField, mu: int, points: np.ndarray):
     """A field's values and derivatives along x_mu at a block of points (n, 4): two (n, 8)."""
-    jet = contract_rows(monomial_rows(f.exps, points, np.full(len(points), mu)), f.coeffs)
-    return jet[:, 0], jet[:, 1]
+    values, grads = jet_rows(f.exps, f.coeffs, points)
+    return values, grads[:, mu]
 
 
 def _at(kernel, *rows) -> float:

@@ -63,6 +63,15 @@ def test_mul_agrees_with_doubling_oracle_on_random_elements():
         assert np.allclose(mul(x, y).c, want, atol=1e-13)
 
 
+def test_rows_given_as_a_list_beside_a_single_value_come_back_as_rows():
+    rows = [E[1].c, E[2].c]
+    for fn in (mul, inner):
+        want = fn(np.array(rows), E[2])
+        assert want.shape[0] == 2
+        for given in (rows, tuple(rows)):
+            assert np.array_equal(fn(given, E[2]), want)
+
+
 def test_complex_scalars_commute_with_everything():
     rng = np.random.default_rng(3)
     z = CplxOcton.scalar(0.3 - 1.7j)

@@ -747,26 +747,6 @@ def test_jets_match_the_exponent_route_within_rounding_above_degree_three(degree
         assert np.all(np.abs(g - w) <= 1e-13 * scale)
 
 
-@pytest.mark.parametrize("degree", [0, 2, 3, 5])
-def test_the_directional_table_is_the_full_table_along_each_rows_axis(degree):
-    exps = monomials(degree)
-    coeffs, points = _random_jet_inputs(exps, 90 + degree)
-    rho = np.random.default_rng(91).integers(0, 4, N)
-    full, along = monomial_rows(exps, points), monomial_rows(exps, points, rho)
-    assert along.shape == (N, 2, len(exps))
-    assert _same_bits(along, full[np.arange(N)[:, None], np.stack([0 * rho, rho + 1], -1)])
-    value, derivative = np.moveaxis(contract_rows(along, coeffs), -2, 0)
-    values, grads = jet_rows(exps, coeffs, points)
-    _close(value, values)
-    _close(derivative, grads[np.arange(N), rho])
-    # one point and one axis
-    f = PolyField._from_arrays(exps, coeffs[0], None)
-    for mu in range(4):
-        got_value, got_derivative = oracles.along(f, mu, points[:1])
-        _close(got_value, values[:1])
-        _close(got_derivative, grads[:1, mu])
-
-
 def _column_slice(rng, shape, kind="real", m=N):
     """An input as ``_read_block`` hands it: columns of one wider draw, reshaped to
     (m,) + shape.  A complex input's slots lie side by side; with "strided slots"
@@ -793,13 +773,10 @@ def test_field_kernels_give_the_same_bits_on_strided_inputs_as_on_copies(degree,
     params = _column_slice(rng, (len(exps), slots), kind)
     points = _column_slice(rng, (4,))
     moved = _column_slice(rng, (4,))
-    rho = rng.integers(0, 4, N)
     params_copy, points_copy = np.ascontiguousarray(params), np.ascontiguousarray(points)
-    full, along = monomial_rows(exps, points), monomial_rows(exps, points, rho)
-    assert _same_bits(full, monomial_rows(exps, points_copy))
-    assert _same_bits(along, monomial_rows(exps, points_copy, rho))
-    for table in (full, along):
-        assert _same_bits(contract_rows(table, params), contract_rows(table, params_copy))
+    table = monomial_rows(exps, points)
+    assert _same_bits(table, monomial_rows(exps, points_copy))
+    assert _same_bits(contract_rows(table, params), contract_rows(table, params_copy))
     # one point per row, and two per row stacked in front, as the prop1 suites read them
     for at in (points, np.stack([moved, points])):
         got = jet_rows(exps, params, at)

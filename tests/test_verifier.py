@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 from dataclasses import fields, replace
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +83,22 @@ def test_config_reads_its_integer_fields_as_python_ints(field):
         SuiteConfig(**{field: 2.5})
     cfg = SuiteConfig(**{field: np.int64(2)}, suites=("gamma5", "prop2"))
     assert type(getattr(cfg, field)) is int
+    reports, code = run_all(cfg)
+    assert code == 0 and json.loads(render_json(reports, cfg))["suites"]
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [("tol_exact", Decimal("1e-12")), ("tol_series", Decimal("1e-8")), ("theta_bound", "2.0")],
+    ids=["tol_exact", "tol_series", "theta_bound"],
+)
+def test_config_reads_its_float_fields_as_python_floats(field, bad):
+    # a value that is not a real number is refused at construction, naming the
+    # field, and a numpy float is kept as a Python float
+    with pytest.raises(TypeError, match=field):
+        SuiteConfig(**{field: bad})
+    cfg = SuiteConfig(**{field: np.float32(getattr(SuiteConfig(), field))}, suites=("gamma5", "prop2"))
+    assert type(getattr(cfg, field)) is float
     reports, code = run_all(cfg)
     assert code == 0 and json.loads(render_json(reports, cfg))["suites"]
 
