@@ -36,7 +36,7 @@ from .core import (
     single,
 )
 from .errors import DomainViolation
-from .grading import SubspaceTag, dof_rows, in_subspace, ndof
+from .grading import SubspaceTag, dof_rows, ndof, require_member
 from .lorentz import EBAR_UPPER_ROWS, eta_inverse_transform
 
 Degree = tuple[int, int, int, int]
@@ -75,12 +75,12 @@ class PolyField:
                 raise ValueError(f"bad multi-degree {deg}")
             if not isinstance(coeff, CplxOcton):
                 raise TypeError("coefficients must be CplxOcton")
-            if tag is not None and not in_subspace(coeff, tag):
-                raise DomainViolation(f"coefficient of {deg} is not in subspace {tag.value}")
             if np.any(coeff.c != 0):
                 clean[deg] = coeff
         exps = np.array(list(clean), dtype=np.int64).reshape(-1, 4)
         coeffs = np.array([c.c for c in clean.values()], dtype=np.complex128).reshape(-1, 8)
+        if tag is not None:
+            require_member(coeffs, tag, "a coefficient")
         self._set(exps, coeffs, tag)
 
     def _set(self, exps, coeffs, tag) -> None:

@@ -100,11 +100,6 @@ def membership_defect(x, tag: SubspaceTag):
 
 
 @rowwise
-def in_subspace(x, tag: SubspaceTag):
-    return _membership(x, tag)[1]
-
-
-@rowwise
 def require_member(x, tag: SubspaceTag, name: str = "argument") -> None:
     """Raise :class:`DomainViolation` unless x, or every row of x, is in the
     subspace; a value that is not finite raises OverflowError instead."""

@@ -171,13 +171,11 @@ def lambda_S(theta):
 def _sinc_excesses(x2: np.ndarray, x: np.ndarray) -> np.ndarray:
     # sinh(a)/a - 1 and 1 - sin(b)/b, (2, ...), from x2 = (a^2, b^2) >= 0 and
     # x = (a, b): they are S(a^2) and -S(-b^2), S(w) = w/3! + w^2/5! + ...
-    # The series is formed only for an array with an entry below
-    # SINC_TAYLOR_X, elementwise, so no entry's bits depend on its neighbours
+    # Both are formed directly and by the series on every entry, elementwise,
+    # and the series is kept below SINC_TAYLOR_X, where the direct forms cancel
     small = x < SINC_TAYLOR_X
     a, b = np.where(small, 1.0, x)
     direct = np.stack([np.sinh(a) / a - 1, 1 - np.sin(b) / b])
-    if not small.any():
-        return direct
     w = x2.copy()
     w[1] = -w[1]
     series = 0.0

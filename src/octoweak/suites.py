@@ -129,12 +129,13 @@ class SuiteConfig:
             raise ValueError("theta_bound must be positive, with 2 * theta_bound finite")
         if not 0 <= self.field_degree <= MAX_FIELD_DEGREE:
             raise ValueError(f"field_degree must be in 0..{MAX_FIELD_DEGREE}")
-        known = set(_REGISTRY)
-        unknown = [s for s in self.suites if s not in known]
+        # a str is one id, not a sequence of them; an empty sequence runs every suite
+        if isinstance(self.suites, str):
+            raise TypeError("suites must be a sequence of suite ids, not a str")
+        object.__setattr__(self, "suites", tuple(self.suites) or tuple(_REGISTRY))
+        unknown = [s for s in self.suites if s not in _REGISTRY]
         if unknown:
             raise UnknownSuite(f"unknown suite id(s): {', '.join(unknown)}")
-        if not self.suites:
-            object.__setattr__(self, "suites", tuple(_REGISTRY))
 
     def suite_tolerance(self, suite_id: str) -> float:
         return _lookup(suite_id).tolerance(self)
@@ -199,11 +200,10 @@ def _rng_for(cfg: SuiteConfig, suite_id: str) -> np.random.Generator:
 #: peaks at about 3.3 MB (by tracemalloc, read and evaluated).  At the degree-12
 #: cap prop3 reads 47 rows a block (21 MB), lemma4 71 and prop1-A 143 (42 MB),
 #: and prop3, prop5, prop1-A and prop2 at 300 samples peak at 84 MB RSS in one
-#: process, as the field parameters are contracted in place (100 MB with a copy
-#: of each block's; with it, 160 MB with a budget of 2**22, 198 MB with none, and
-#: 171 MB with none at 256 rows).  No contraction over a block's rows is a 2-D
-#: BLAS product (each row is a stacked product, a gather or a scatter), so BLAS
-#: threading does not depend on the block size, and no residual does.
+#: process, as the field parameters are contracted in place.  No contraction
+#: over a block's rows is a 2-D BLAS product (each row is a stacked product, a
+#: gather or a scatter), so BLAS threading does not depend on the block size,
+#: and no residual does.
 BLOCK_ROWS = 512
 BLOCK_DRAWS = 2**21
 

@@ -23,7 +23,6 @@ import numpy as np
 from octoweak import grading, lorentz
 from octoweak.core import (
     ONE,
-    SMALL_ANGLE,
     CplxOcton,
     abs_rows,
     associator,
@@ -163,26 +162,13 @@ def exp_taylor(u: CplxOcton, terms: int = 20) -> CplxOcton:
 
 def _cos_sinc(z: complex) -> tuple[complex, complex]:
     # cos(omega) and sin(omega)/omega as functions of z = omega^2, on the
-    # principal branch, with a 4-term Taylor fallback near zero
+    # principal branch, with a 4-term Taylor sum below |omega| = 1e-6
     om = cmath.sqrt(z)
-    if abs(om) < SMALL_ANGLE:
+    if abs(om) < 1e-6:
         z2 = z * z
         z3 = z2 * z
         return 1 - z / 2 + z2 / 24 - z3 / 720, 1 - z / 6 + z2 / 120 - z3 / 5040
     return cmath.cos(om), cmath.sin(om) / om
-
-
-def cos_sinc_rows_two_branch(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos(omega) and sin(omega)/omega of z = omega^2, elementwise: both branches on
-    every entry, the 4-term Taylor one kept where |omega| < SMALL_ANGLE.  The
-    library forms the Taylor sums only for arrays that need them, with the same bits."""
-    om = np.sqrt(z)
-    z2 = z * z
-    z3 = z2 * z
-    small = np.abs(om) < SMALL_ANGLE
-    cos_w = np.where(small, 1 - z / 2 + z2 / 24 - z3 / 720, np.cos(om))
-    sinc_w = np.where(small, 1 - z / 6 + z2 / 120 - z3 / 5040, np.sin(om) / np.where(small, 1, om))
-    return cos_w, sinc_w
 
 
 #: The inner-product moves, in ``grading.ipmove_residuals``' order.

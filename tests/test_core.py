@@ -72,6 +72,14 @@ def test_rows_given_as_a_list_beside_a_single_value_come_back_as_rows():
             assert np.array_equal(fn(given, E[2]), want)
 
 
+def test_single_values_in_a_list_beside_a_single_value_are_refused():
+    # rows are coefficient arrays: a list of values is not read as one
+    for fn in (mul, inner):
+        for given in ([E[1], E[2]], (E[1], E[2].c)):
+            with pytest.raises(TypeError, match="coefficient arrays"):
+                fn(given, E[2])
+
+
 def test_complex_scalars_commute_with_everything():
     rng = np.random.default_rng(3)
     z = CplxOcton.scalar(0.3 - 1.7j)

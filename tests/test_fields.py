@@ -17,7 +17,7 @@ from octoweak.fields import (
     jet_rows,
     random_field,
 )
-from octoweak.grading import SubspaceTag, draw, in_subspace
+from octoweak.grading import SubspaceTag, draw, require_member
 from octoweak.lorentz import EBAR_UPPER, Theta, eta_inverse_transform, lambda_S, lambda_V
 
 import oracles
@@ -364,4 +364,4 @@ def test_random_field_values_stay_in_the_tagged_subspace():
     for tag in (SubspaceTag.A, SubspaceTag.B, SubspaceTag.A_MINUS):
         f = random_field(rng, 2, tag)
         for _ in range(5):
-            assert in_subspace(eval_at(f, rng.uniform(-1, 1, 4)), tag)
+            require_member(eval_at(f, rng.uniform(-1, 1, 4)), tag)

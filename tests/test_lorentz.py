@@ -12,7 +12,7 @@ from octoweak.core import (
     mul,
     norm,
 )
-from octoweak.grading import SubspaceTag, draw, in_subspace
+from octoweak.grading import SubspaceTag, draw, require_member
 from octoweak import lorentz
 from octoweak.lorentz import (
     E_LOWER,
@@ -103,7 +103,7 @@ def test_spinor_generator_anchors():
             g = s_gen(mu, nu)
             assert np.allclose(g.c, (-s_gen(nu, mu)).c, rtol=0, atol=0.0)
             assert g.c[0] == 0.0  # zero scalar part
-            assert in_subspace(g, SubspaceTag.A)
+            require_member(g, SubspaceTag.A)
 
 
 def test_vector_generator_entries():

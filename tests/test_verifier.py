@@ -55,6 +55,11 @@ def test_config_validation():
         SuiteConfig(tol_exact=-1.0)
     with pytest.raises(UnknownSuite):
         SuiteConfig(suites=("nonexistent",))
+    # a bare id is refused, not read letter by letter; a list is kept as a tuple
+    with pytest.raises(TypeError, match="suites"):
+        SuiteConfig(suites="gamma5")
+    cfg = SuiteConfig(suites=["gamma5"])
+    assert cfg.suites == ("gamma5",) and hash(cfg) == hash(SuiteConfig(suites=("gamma5",)))
     cfg = SuiteConfig()
     assert cfg.suites == suite_ids()
 
