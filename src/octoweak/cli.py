@@ -124,7 +124,22 @@ def _write(parser: argparse.ArgumentParser, out, text: str) -> None:
             out.write(text)
             out.flush()
     except OSError as exc:
+        if out is sys.stdout:
+            _drop_buffered(out)
         _cannot_write(parser, exc)
+
+
+def _drop_buffered(out) -> None:
+    """Point standard output's descriptor at devnull, so that the text a failed flush left
+    in its buffer is written there at exit, and does not fail again (exit code 120).  A
+    stream with no descriptor is left as it is."""
+    try:
+        fd = out.fileno()
+    except (AttributeError, OSError, ValueError):  # io.UnsupportedOperation is both
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -419,62 +419,36 @@ def draw_block(tags, rng, n: int, bound: float = 1.0) -> list[np.ndarray]:
     return out
 
 
-def _full(rng):
-    return draw(SubspaceTag.FULL_CO, rng)
+def _on_elements(tags, residual):
+    """The runner of a suite that reads one element per tag a sample: the elements
+    drawn in turn, then ``residual`` of them."""
+    def run(cfg, n, rng):
+        return [residual(*[draw(tag, rng) for tag in tags]) for _ in range(n)], True
+
+    return run
 
 
-def run_composition(cfg, n, rng):
-    res = []
-    for _ in range(n):
-        x, y = _full(rng), _full(rng)
-        scale = max(1.0, abs(x) ** 2 * abs(y) ** 2)
-        res.append(abs(norm(mul(x, y)) - norm(x) * norm(y)) / scale)
-    return res, True
+def _composition(x, y):
+    return abs(norm(mul(x, y)) - norm(x) * norm(y)) / max(1.0, abs(x) ** 2 * abs(y) ** 2)
 
 
-def run_alternativity(cfg, n, rng):
-    res = []
-    for _ in range(n):
-        x, y = _full(rng), _full(rng)
-        res.append(max(abs(associator(x, x, y)), abs(associator(x, y, y))))
-    return res, True
+def _grading_closure(*xs):
+    # xs holds x, y for each (tag_x, tag_y) of the closure table in turn
+    products = [mul(x, y) for x, y in zip(xs[::2], xs[1::2])]
+    return max(membership_defect(p, target) / max(1.0, abs(p))
+               for p, target in zip(products, AB_CLOSURE.values()))
 
 
-def run_ip_moves(cfg, n, rng):
-    res = []
-    for _ in range(n):
-        x, y, z = _full(rng), _full(rng), _full(rng)
-        res.append(max(abs(residual_ipmove_per_form(f, x, y, z)) for f in IPMOVE_FORMS))
-    return res, True
-
-
-def run_zvengrowski(cfg, n, rng):
-    res = []
-    for _ in range(n):
-        x, y, z = _full(rng), _full(rng), _full(rng)
-        res.append(abs(residual_zvengrowski(x, y, z)))
-    return res, True
-
-
-def run_ab_identities(cfg, n, rng):
-    res = []
-    for _ in range(n):
-        a, a2 = draw(SubspaceTag.A, rng), draw(SubspaceTag.A, rng)
-        b, b2 = draw(SubspaceTag.B, rng), draw(SubspaceTag.B, rng)
-        res.append(max(map(abs, exchange_residuals_per_identity(a, a2, b, b2))))
-    return res, True
-
-
-def run_grading_closure(cfg, n, rng):
-    res = []
-    for _ in range(n):
-        worst = 0.0
-        for pair, target in AB_CLOSURE.items():
-            x, y = draw(pair[0], rng), draw(pair[1], rng)
-            p = mul(x, y)
-            worst = max(worst, membership_defect(p, target) / max(1.0, abs(p)))
-        res.append(worst)
-    return res, True
+_F, _A, _B = SubspaceTag.FULL_CO, SubspaceTag.A, SubspaceTag.B
+run_composition = _on_elements((_F, _F), _composition)
+run_alternativity = _on_elements(
+    (_F, _F), lambda x, y: max(abs(associator(x, x, y)), abs(associator(x, y, y))))
+run_ip_moves = _on_elements(
+    (_F, _F, _F), lambda *xyz: max(abs(residual_ipmove_per_form(f, *xyz)) for f in IPMOVE_FORMS))
+run_zvengrowski = _on_elements((_F, _F, _F), lambda *xyz: abs(residual_zvengrowski(*xyz)))
+run_ab_identities = _on_elements(
+    (_A, _A, _B, _B), lambda *ab: max(map(abs, exchange_residuals_per_identity(*ab))))
+run_grading_closure = _on_elements([tag for pair in AB_CLOSURE for tag in pair], _grading_closure)
 
 
 def double_cover_residual(theta: Theta) -> float:

@@ -198,22 +198,6 @@ def test_invariance_residual_zero_parameters():
     assert lorentz_invariance_residual(f, Theta(np.zeros((4, 4))), (0.2, 0.4, 0.1, -0.3)) < 1e-14
 
 
-def test_invariance_residual_rotation_on_quaternionic_fields():
-    rng = np.random.default_rng(47)
-    for _ in range(25):
-        f = random_field(rng, 2, SubspaceTag.A)
-        p = rng.uniform(-1, 1, 4)
-        assert lorentz_invariance_residual(f, Theta.single(1, 2, 1.0), p) < 1e-9
-
-
-def test_invariance_residual_boost_on_complement_fields():
-    rng = np.random.default_rng(48)
-    for _ in range(25):
-        f = random_field(rng, 2, SubspaceTag.B)
-        p = rng.uniform(-1, 1, 4)
-        assert lorentz_invariance_residual(f, Theta.single(0, 1, 0.7), p) < 1e-9
-
-
 def _symbolic_invariance_residual(f, lam, theta, p):
     # the transformed field expanded term by term, then differentiated formally
     lv = lambda_V(theta)

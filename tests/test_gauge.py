@@ -297,23 +297,6 @@ def test_unequal_weights_fixed_witness_fails_to_associate():
     assert general_coupling_residual(r, 0.3 * r, thetas, w, beta).min() > 1e-3
 
 
-def test_unit_weight_gap_median_residual_is_large():
-    rng = RNG_AT(77)
-    residuals = []
-    for _ in range(100):
-        r2 = float(rng.uniform(-0.5, 0.5))
-        residuals.append(
-            general_coupling_residual(
-                r2 + 1.0,
-                r2,
-                Theta.random(rng, 2.0),
-                draw(SubspaceTag.A_MINUS, rng),
-                draw(SubspaceTag.B, rng),
-            )
-        )
-    assert float(np.median(residuals)) > 1e-3
-
-
 def test_scalar_connection_value_associates_for_any_weights():
     theta = Theta.from_upper({(1, 2): 0.8})
     assert general_coupling_residual(1.0, 0.0, theta, 0.7j * ONE, E[4]) < 1e-12

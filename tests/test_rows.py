@@ -785,23 +785,6 @@ def test_contracting_strided_real_parameters_does_not_copy_them():
 # ------------------------------------------------------- field and gauge suites
 
 
-def test_per_sample_inputs_read_the_stream_as_single_draws():
-    cfg = SuiteConfig(field_degree=3)
-    inputs = (suites._POINT, suites._gauge_param(cfg), suites._connection(cfg), suites._AXIS)
-    block_rng, loop_rng = np.random.default_rng(35), np.random.default_rng(35)
-    p, u, w, rho = suites._read_block(block_rng, 70, inputs)
-    a_minus = SubspaceTag.A_MINUS
-    for i in range(70):
-        assert np.array_equal(p[i], loop_rng.uniform(-1.0, 1.0, 4))
-        want_u = random_field(loop_rng, 2, a_minus, suites.GAUGE_PARAM_BOUND)
-        assert np.array_equal(dof_rows(a_minus, u[i]), want_u.coeffs)
-        for k in range(4):
-            want_w = random_field(loop_rng, 3, a_minus).coeffs
-            assert np.array_equal(dof_rows(a_minus, w[i, k]), want_w)
-        assert rho[i] == oracles.integer(loop_rng, 0, 4)
-    assert block_rng.bit_generator.state == loop_rng.bit_generator.state
-
-
 _I = suites._Input
 
 
@@ -815,8 +798,10 @@ _I = suites._Input
         (_I(1, 4, integer=True), _I(-2.0, 2.0)),
         # uniform, integer, uniform
         (_I(-1.0, 1.0, (4,)), _I(0.25, 1.5), _I(0, 4, integer=True), _I(-3.0, 0.5, (2, 3))),
+        # lemma4 at degree 3: a point, a gauge parameter, a connection's four fields, an axis
+        suites._REGISTRY["lemma4"].inputs(SuiteConfig(field_degree=3)),
     ],
-    ids=["prop4", "boost-selfconj", "mixed"],
+    ids=["prop4", "boost-selfconj", "mixed", "lemma4"],
 )
 def test_read_block_reads_the_stream_as_one_draw_per_input_and_sample(inputs):
     block_rng, loop_rng = np.random.default_rng(41), np.random.default_rng(41)

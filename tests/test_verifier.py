@@ -126,13 +126,14 @@ def test_run_suite_lorentz_algebra_is_exhaustive(suite_id, rows):
 
 @pytest.mark.parametrize("suite_id", ["prop2", "prop4-dichotomy"])
 def test_a_witness_under_its_floor_fails_the_suite(suite_id, monkeypatch):
-    sdef = suites._REGISTRY[suite_id]
-    monkeypatch.setitem(suites._REGISTRY, suite_id, replace(sdef, witness=lambda: 0.0))
-    cfg = SuiteConfig(**FAST)
-    report = run_suite(suite_id, cfg)
-    assert report.max_residual < cfg.suite_tolerance(suite_id)  # every residual passes
-    assert report.message is None
-    assert not report.passed
+    # a witness must exceed its floor: one at the floor fails too
+    sdef, cfg = suites._REGISTRY[suite_id], SuiteConfig(**FAST)
+    for value in (0.0, suites.NEG_CONTROL_MIN):
+        monkeypatch.setitem(suites._REGISTRY, suite_id, replace(sdef, witness=lambda: value))
+        report = run_suite(suite_id, cfg)
+        assert report.max_residual < cfg.suite_tolerance(suite_id)  # every residual passes
+        assert report.message is None
+        assert not report.passed
 
 
 def test_a_nan_residual_fails_the_suite(monkeypatch):
@@ -260,10 +261,18 @@ def test_cli_json_to_file(tmp_path, capsys):
     assert "report written" in capsys.readouterr().out
 
 
-def test_cli_rejects_unknown_suite(capsys):
+def _exit_2(capsys, argv) -> list[str]:
+    """The standard error lines of main(argv), which must exit 2 with no traceback."""
     with pytest.raises(SystemExit) as err:
-        main(["--suite", "bogus"])
+        main(argv)
     assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert "Traceback" not in err_text
+    return err_text.splitlines()
+
+
+def test_cli_rejects_unknown_suite(capsys):
+    _exit_2(capsys, ["--suite", "bogus"])
 
 
 @pytest.mark.parametrize("via_config", [False, True])
@@ -274,10 +283,7 @@ def test_cli_unknown_suite_error_is_the_message_itself(via_config, tmp_path, cap
         argv = ["--config", str(tmp_path / "run.cfg")]
     else:
         argv = ["--suite", "nope"]
-    with pytest.raises(SystemExit) as err:
-        main(argv)
-    assert err.value.code == 2
-    errors = [ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]
+    errors = [ln for ln in _exit_2(capsys, argv) if "error:" in ln]
     assert errors == ["octoweak: error: unknown suite id(s): nope"]
     assert str(UnknownSuite("unknown suite id: 'nope'")) == "unknown suite id: 'nope'"
 
@@ -305,11 +311,8 @@ def test_cli_hostile_config_is_a_one_line_usage_error(
     if config_text is not None:
         (tmp_path / "run.cfg").write_text(config_text)
     argv = [str(tmp_path / a) if a.endswith(".cfg") else a for a in argv]
-    with pytest.raises(SystemExit) as err:
-        main(argv + ["--suite", "gamma5"])
-    assert err.value.code == 2
-    errors = [ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]
-    assert len(errors) == 1 and "Traceback" not in errors[0]
+    errors = [ln for ln in _exit_2(capsys, argv + ["--suite", "gamma5"]) if "error:" in ln]
+    assert len(errors) == 1
     if "abc" in (config_text or env or ""):
         # the error line names the value's source, worded as argparse's own
         source = "OCTOWEAK_SEED" if env else f"{tmp_path / 'run.cfg'}:1: seed"
@@ -323,17 +326,28 @@ def test_cli_unwritable_out_path_is_a_usage_error_before_the_run(out, tmp_path, 
         raise AssertionError("the suites ran before the output was opened")
 
     monkeypatch.setattr(cli, "run_all", no_run)
-    with pytest.raises(SystemExit) as err:
-        main(["--suite", "gamma5", "--out", str(tmp_path / out)])
-    assert err.value.code == 2
-    err_text = capsys.readouterr().err
-    assert "Traceback" not in err_text
-    errors = [ln for ln in err_text.splitlines() if ln.startswith("octoweak: error:")]
+    lines = _exit_2(capsys, ["--suite", "gamma5", "--out", str(tmp_path / out)])
+    errors = [ln for ln in lines if ln.startswith("octoweak: error:")]
     assert len(errors) == 1 and str(tmp_path) in errors[0]
 
 
 def _enospc() -> OSError:
     return OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+#: What a report that cannot be written leaves on standard error.
+_FULL = [f"octoweak: error: cannot write report: {_enospc()}"]
+_CLOSED = ["octoweak: error: cannot write report: standard output is closed"]
+
+
+def _run_octoweak(argv, **kwargs) -> tuple[int, list[str]]:
+    """``python -m octoweak`` in a child process, with its standard output buffered, as
+    it is where PYTHONUNBUFFERED is unset: its exit code and standard error lines."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(octoweak.__file__).parents[1])
+    run = subprocess.run([sys.executable, "-m", "octoweak", *argv], stderr=subprocess.PIPE,
+                         text=True, env=env, timeout=120, **kwargs)
+    return run.returncode, run.stderr.splitlines()
 
 
 class _FullDevice:
@@ -370,54 +384,24 @@ def test_cli_report_write_failure_is_one_error_line(to_file, buffered, capsys, m
     else:
         monkeypatch.setattr(cli.sys, "stdout", device)
         argv = []
-    with pytest.raises(SystemExit) as err:
-        main(["--suite", "gamma5", "--report", "json", *argv])
-    assert err.value.code == 2
-    err_text = capsys.readouterr().err
-    assert "Traceback" not in err_text
-    assert err_text.splitlines() == [f"octoweak: error: cannot write report: {_enospc()}"]
+    assert _exit_2(capsys, ["--suite", "gamma5", "--report", "json", *argv]) == _FULL
 
 
 def test_cli_with_standard_output_closed_is_one_error_line():
-    env = dict(os.environ, PYTHONPATH=str(Path(octoweak.__file__).parents[1]))
-    run = subprocess.run(
-        [sys.executable, "-m", "octoweak", "--suite", "gamma5"],
-        preexec_fn=lambda: os.close(1),  # started as `octoweak >&-` is
-        stderr=subprocess.PIPE,
-        text=True,
-        env=env,
-        timeout=120,
-    )
-    assert run.returncode == 2
-    assert "Traceback" not in run.stderr
-    assert run.stderr.splitlines() == ["octoweak: error: cannot write report: standard output is closed"]
+    # started as `octoweak >&-` is
+    assert _run_octoweak(["--suite", "gamma5"], preexec_fn=lambda: os.close(1)) == (2, _CLOSED)
 
 
 @pytest.mark.parametrize("buffered", [False, True])
 @pytest.mark.parametrize("flag", ["--list-suites", "--dump-table"])
 def test_cli_listing_write_failure_is_one_error_line(flag, buffered, capsys, monkeypatch):
     monkeypatch.setattr(cli.sys, "stdout", _FullDevice(buffered))
-    with pytest.raises(SystemExit) as err:
-        main([flag])
-    assert err.value.code == 2
-    err_text = capsys.readouterr().err
-    assert "Traceback" not in err_text
-    assert err_text.splitlines() == [f"octoweak: error: cannot write report: {_enospc()}"]
+    assert _exit_2(capsys, [flag]) == _FULL
 
 
 @pytest.mark.parametrize("flag", ["--list-suites", "--dump-table"])
 def test_cli_listing_with_standard_output_closed_is_one_error_line(flag):
-    env = dict(os.environ, PYTHONPATH=str(Path(octoweak.__file__).parents[1]))
-    run = subprocess.run(
-        [sys.executable, "-m", "octoweak", flag],
-        preexec_fn=lambda: os.close(1),  # started as `octoweak >&-` is
-        stderr=subprocess.PIPE,
-        text=True,
-        env=env,
-        timeout=120,
-    )
-    assert run.returncode == 2
-    assert run.stderr.splitlines() == ["octoweak: error: cannot write report: standard output is closed"]
+    assert _run_octoweak([flag], preexec_fn=lambda: os.close(1)) == (2, _CLOSED)
 
 
 @pytest.mark.parametrize("buffered", [False, True])
@@ -427,30 +411,16 @@ def test_cli_confirmation_write_failure_is_one_error_line(buffered, tmp_path, ca
     assert main(argv + [str(tmp_path / "want.json")]) == 0
     capsys.readouterr()
     monkeypatch.setattr(cli.sys, "stdout", _FullDevice(buffered))
-    with pytest.raises(SystemExit) as err:
-        main(argv + [str(tmp_path / "got.json")])
-    assert err.value.code == 2
-    err_text = capsys.readouterr().err
-    assert "Traceback" not in err_text
-    assert err_text.splitlines() == [f"octoweak: error: cannot write report: {_enospc()}"]
+    assert _exit_2(capsys, argv + [str(tmp_path / "got.json")]) == _FULL
     assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
 def test_cli_confirmation_to_a_full_device_is_one_error_line(tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(Path(octoweak.__file__).parents[1]))
     out_path = tmp_path / "report.json"
     with open("/dev/full", "w") as full:  # started as `octoweak ... > /dev/full` is
-        run = subprocess.run(
-            [sys.executable, "-m", "octoweak", "--suite", "gamma5", "--report", "json", "--out", str(out_path)],
-            stdout=full,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=env,
-            timeout=120,
-        )
-    assert run.returncode == 2
-    assert run.stderr.splitlines() == [f"octoweak: error: cannot write report: {_enospc()}"]
+        argv = ["--suite", "gamma5", "--report", "json", "--out", str(out_path)]
+        assert _run_octoweak(argv, stdout=full) == (2, _FULL)
     assert _strict_json(out_path.read_text())["passed"] is True
 
 
@@ -626,21 +596,13 @@ def test_cli_theta_bound_and_field_degree_flags_override_the_config_file(
 
 @pytest.mark.parametrize("flag", [["--field-degree", "13"], ["--theta-bound", "1e308"]])
 def test_cli_out_of_range_flag_is_a_usage_error(flag, capsys):
-    with pytest.raises(SystemExit) as err:
-        main(flag + ["--suite", "gamma5"])
-    assert err.value.code == 2
-    err_text = capsys.readouterr().err
-    assert "Traceback" not in err_text
-    assert err_text.strip().splitlines()[-1].startswith("octoweak: error: ")
+    assert _exit_2(capsys, flag + ["--suite", "gamma5"])[-1].startswith("octoweak: error: ")
 
 
 @pytest.mark.parametrize("line", ["field_degree = 1000000", "theta_bound = 1e308"])
 def test_cli_out_of_range_config_is_a_usage_error(line, tmp_path, capsys):
     (tmp_path / "run.cfg").write_text(line + "\n")
-    with pytest.raises(SystemExit) as err:
-        main(["--config", str(tmp_path / "run.cfg"), "--suite", "gamma5"])
-    assert err.value.code == 2
-    assert "Traceback" not in capsys.readouterr().err
+    _exit_2(capsys, ["--config", str(tmp_path / "run.cfg"), "--suite", "gamma5"])
 
 
 # ------------------------------------------------------------- library routes
