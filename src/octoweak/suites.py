@@ -11,6 +11,7 @@ halves of the claims.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import numbers
@@ -18,7 +19,7 @@ import operator
 import time
 import zlib
 from dataclasses import asdict, dataclass
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from itertools import accumulate
 from typing import Callable, NamedTuple
 
@@ -194,11 +195,11 @@ def _rng_for(cfg: SuiteConfig, suite_id: str) -> np.random.Generator:
 #: reads at most BLOCK_ROWS samples and at most BLOCK_DRAWS floats (16 MB of
 #: draws), but never less than one sample (:func:`_block_rows`).  Most of a pass
 #: is fixed cost per numpy call, so larger blocks run faster up to about 512
-#: rows; 1024-row blocks run the 1000-sample algebra suites 3-60% slower.  The
-#: temporaries grow with the floats a block draws, and BLOCK_DRAWS bounds them.
-#: No suite reaches it at field degrees 2 and 3, where one 512-row prop3 block
-#: peaks at about 3.3 MB (by tracemalloc, read and evaluated).  At the degree-12
-#: cap prop3 reads 47 rows a block (21 MB), lemma4 71 and prop1-A 143 (42 MB),
+#: rows; 1024-row blocks run the 1000-sample algebra suites no faster (-3% to +4%
+#: a suite).  The temporaries grow with the floats a block draws, and BLOCK_DRAWS
+#: bounds them.  No suite reaches it at field degrees 2 and 3, where one 512-row
+#: prop3 block peaks at about 3.3 MB (by tracemalloc, read and evaluated).  At the
+#: degree-12 cap prop3 reads 47 rows a block (21 MB), lemma4 71 and prop1-A 143 (42 MB),
 #: and prop3, prop5, prop1-A and prop2 at 300 samples peak at 84 MB RSS in one
 #: process, as the field parameters are contracted in place.  No contraction
 #: over a block's rows is a 2-D BLAS product (each row is a stacked product, a
@@ -206,6 +207,29 @@ def _rng_for(cfg: SuiteConfig, suite_id: str) -> np.random.Generator:
 #: and no residual does.
 BLOCK_ROWS = 512
 BLOCK_DRAWS = 2**21
+
+#: glibc's malloc hands freed memory back to the OS by default: it trims the
+#: heap top (past 128 KiB free, to start) and unmaps each chunk it served with
+#: mmap, so every block faults its temporaries' pages in again.  At field degrees
+#: 2 and 3 a whole 512-row block peaks at 3.3 MB, so chunks under 4 MiB come from
+#: the heap, and the heap keeps up to 32 MiB free at its top: a warm pass then
+#: faults no page in.  Larger arrays, as at the degree-12 cap, still go through
+#: mmap and back when freed (its CI step peaks at 84 MB); 4 MiB is also
+#: where numpy asks for huge pages.
+_MALLOC_POLICY = ((-3, 4 << 20), (-1, 32 << 20))  # (M_MMAP_THRESHOLD, M_TRIM_THRESHOLD)
+
+
+@cache
+def _keep_block_memory() -> None:
+    """Set :data:`_MALLOC_POLICY` with glibc's ``mallopt``, once per process; where the
+    C library has no ``mallopt`` (macOS, musl, Windows) this does nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt; Windows refuses CDLL(None)
+        return
+    for param, value in _MALLOC_POLICY:
+        mallopt(param, value)
+
 
 _FULL = SubspaceTag.FULL_CO
 
@@ -570,6 +594,7 @@ def run_suite(suite_id: str, cfg: SuiteConfig) -> SuiteReport:
     whose ``message`` names the error.
     """
     sdef = _lookup(suite_id)
+    _keep_block_memory()
     n = cfg.samples_per_suite or sdef.default_samples
     rng = _rng_for(cfg, suite_id)
     start = time.perf_counter()

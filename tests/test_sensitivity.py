@@ -185,6 +185,9 @@ FAULTS = [
     Fault("json-elapsed", "suites", '            "passed": r.passed,\n        }',
           '            "passed": r.passed,\n            "elapsed_ms": r.elapsed_ms,\n        }',
           survivor=_OUTSIDE, killer=_CLI + "test_json_report_is_byte_identical_across_runs"),
+    Fault("malloc-policy-off", "suites", "    _keep_block_memory()\n", "",
+          survivor="the malloc policy decides where freed memory goes, not a bit of a result",
+          killer="test_block_memory.py::test_warm_field_passes_fault_no_block_memory_back_in"),
     Fault("cannot-write-1", "cli", 'parser.exit(2, f"{parser.prog}: error: cannot write report',
           'parser.exit(1, f"{parser.prog}: error: cannot write report', survivor=_OUTSIDE,
           killer=_CLI + "test_cli_report_write_failure_is_one_error_line"),
