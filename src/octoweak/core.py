@@ -273,15 +273,31 @@ def rowwise(fn):
     return wrapper
 
 
+def right_rows(y) -> np.ndarray:
+    """The right-multiplication matrix of each row y, (..., 8, 8): x y = x R(y).
+
+    One signed gather from [y, -y].  A kernel that multiplies several rows by
+    one right factor gathers it once and applies it with
+    :func:`apply_right_rows` to each.
+    """
+    y = np.asarray(y, dtype=np.complex128)
+    # ndarray.take skips np.take's wrapper, and mode="wrap" its per-index
+    # bounds check: the indices lie in [0, 16) by construction
+    return np.concatenate([y, -y], axis=-1).take(_RIGHT_INDEX, axis=-1, mode="wrap")
+
+
+def apply_right_rows(x, right: np.ndarray) -> np.ndarray:
+    """Each row x times its right-multiplication matrix from :func:`right_rows`,
+    as a stack of (1, 8) @ (8, 8) products, so a row's product does not depend
+    on the rows around it."""
+    return (np.asarray(x)[..., None, :] @ right)[..., 0, :]
+
+
 @rowwise
 def mul(x, y):
-    """Bilinear product via the frozen structure table, of values or rows: each
-    row x times the right-multiplication matrix of y, gathered from [y, -y] and
-    applied as a stack of (1, 8) @ (8, 8) products, so a row's product does
-    not depend on the rows around it."""
-    y = np.asarray(y, dtype=np.complex128)
-    right = np.take(np.concatenate([y, -y], axis=-1), _RIGHT_INDEX, axis=-1)
-    return (np.asarray(x)[..., None, :] @ right)[..., 0, :]
+    """Bilinear product via the frozen structure table, of values or rows:
+    each row x times the right-multiplication matrix of y."""
+    return apply_right_rows(x, right_rows(y))
 
 
 #: Octonionic conjugation as a sign per slot.
@@ -346,8 +362,9 @@ def inverse(x: CplxOcton) -> CplxOcton:
 
 @rowwise
 def associator(x, y, z):
-    """[x, y, z] = (xy)z - x(yz): of values or rows."""
-    return mul(mul(x, y), z) - mul(x, mul(y, z))
+    """[x, y, z] = (xy)z - x(yz): of values or rows, with z's matrix gathered once."""
+    by_z = right_rows(z)
+    return apply_right_rows(mul(x, y), by_z) - mul(x, apply_right_rows(y, by_z))
 
 
 def _cos_sinc_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -373,12 +390,18 @@ def exp_assoc(u):
     e4..e7 beyond a scale-relative tolerance.  A single value whose exponential
     overflows raises OverflowError; such a row comes out as inf or NaN.
     """
-    tail = np.max(np.abs(u[..., 4:]), axis=-1)
-    bad = tail > ASSOC_MEMBERSHIP_TOL * np.maximum(1.0, abs_rows(u))
-    if np.any(bad):
-        raise NotInAssociativeSubalgebra(
-            f"argument has components outside span{{1,e1,e2,e3}} (max {np.max(tail[bad]):.3g})"
-        )
+    # a block whose e4..e7 components are all exactly zero passes without the
+    # full test, which cannot refuse it: 0 > bound is False for every bound, an
+    # inf or NaN one included.  An inf or NaN on e4..e7 is not zero, so a block
+    # with one takes the full test
+    if u[..., 4:].any():
+        tail = np.max(np.abs(u[..., 4:]), axis=-1)
+        bad = tail > ASSOC_MEMBERSHIP_TOL * np.maximum(1.0, abs_rows(u))
+        if np.any(bad):
+            raise NotInAssociativeSubalgebra(
+                f"argument has components outside span{{1,e1,e2,e3}} "
+                f"(max {np.max(tail[bad]):.3g})"
+            )
     v = u[..., 1:4]
     with np.errstate(over="ignore", invalid="ignore"):
         cos_w, sinc_w = _cos_sinc_rows(inner(v, v))

@@ -13,11 +13,13 @@ import numpy as np
 
 from .core import (
     abs_rows,
+    apply_right_rows,
     associator,
     bar_star,
     conj_oct,
     exp_assoc,
     mul,
+    right_rows,
     rowwise,
 )
 from .fields import bilinear_rows, dexp_rows
@@ -32,12 +34,13 @@ from .lorentz import lambda_S
 
 def transport_rows(w, u, du) -> np.ndarray:
     """Transported connection U w U^-1 - (d_rho U) U^-1, U = exp(u), row by row."""
-    return _transport(w, u, du, exp_assoc(-u))
+    return _transport(w, u, du, right_rows(exp_assoc(-u)))
 
 
-def _transport(w, u, du, u_inv) -> np.ndarray:
-    # transport_rows with U^-1 = exp(-u) given
-    return mul(mul(exp_assoc(u), w), u_inv) - mul(dexp_rows(u, du), u_inv)
+def _transport(w, u, du, by_u_inv) -> np.ndarray:
+    # transport_rows with the right-multiplication matrix of U^-1 = exp(-u) given
+    return (apply_right_rows(mul(exp_assoc(u), w), by_u_inv)
+            - apply_right_rows(dexp_rows(u, du), by_u_inv))
 
 
 def cov_der_alpha_rows(a, da, w) -> np.ndarray:
@@ -69,9 +72,11 @@ def global_alpha_rows(a, grads, u) -> np.ndarray:
     """
     require_member(a, SubspaceTag.A, "alpha value")
     require_member(u, SubspaceTag.A, "u")
-    big_u_inv = exp_assoc(-u)
-    moved = np.stack([mul(grads[..., rho, :], big_u_inv) for rho in range(4)], axis=-2)
-    primed = bilinear_rows(mul(a, big_u_inv), moved)
+    # U^-1's matrix is gathered once, and applied to the four gradients in one
+    # product broadcast over the rho axis
+    by_u_inv = right_rows(exp_assoc(-u))
+    moved = apply_right_rows(grads, by_u_inv[..., None, :, :])
+    primed = bilinear_rows(apply_right_rows(a, by_u_inv), moved)
     return np.abs(primed - bilinear_rows(a, grads))
 
 
@@ -79,12 +84,13 @@ def covariance_alpha_rows(a, da, w, u, du) -> np.ndarray:
     """|| D_rho(alpha') with transported W  -  (D_rho alpha) U^-1 ||, row by row."""
     require_member(a, SubspaceTag.A, "alpha value")
     _require_gauge_rows(u, w)
-    u_inv = exp_assoc(-u)
-    # d_rho(alpha U^-1) via the product rule; the U^-1 factor differentiates
-    # through the closed-form derivative of exp(-u)
-    d_aprime = mul(da, u_inv) + mul(a, dexp_rows(-u, -du))
-    primed = d_aprime - mul(mul(a, u_inv), _transport(w, u, du, u_inv))
-    return abs_rows(primed - mul(cov_der_alpha_rows(a, da, w), u_inv))
+    # U^-1's matrix is gathered once for its five products: 5 gathers a block
+    # instead of 9.  d_rho(alpha U^-1) via the product rule; the U^-1 factor
+    # differentiates through the closed-form derivative of exp(-u)
+    by_u_inv = right_rows(exp_assoc(-u))
+    d_aprime = apply_right_rows(da, by_u_inv) + mul(a, dexp_rows(-u, -du))
+    primed = d_aprime - mul(apply_right_rows(a, by_u_inv), _transport(w, u, du, by_u_inv))
+    return abs_rows(primed - apply_right_rows(cov_der_alpha_rows(a, da, w), by_u_inv))
 
 
 def covariance_beta_rows(b, db, w, u, du, r) -> np.ndarray:

@@ -22,9 +22,11 @@ import numpy as np
 from .core import (
     CplxOcton,
     abs_rows,
+    apply_right_rows,
     conj_oct,
     inner,
     mul,
+    right_rows,
     rowwise,
 )
 from .errors import DomainViolation
@@ -66,7 +68,10 @@ _SLOTS = {tag: np.nonzero(m.view(np.float64))[1] for tag, m in _DOF.items()}
 #: that diagonal.
 _MASK = {tag: np.bincount(slots, minlength=16).astype(np.float64) for tag, slots in _SLOTS.items()}
 
-for _table in (*_SLOTS.values(), *_MASK.values()):
+#: Per tag, the projector on the complement: 1 - _MASK.
+_COMPLEMENT = {tag: 1.0 - mask for tag, mask in _MASK.items()}
+
+for _table in (*_SLOTS.values(), *_MASK.values(), *_COMPLEMENT.values()):
     _table.flags.writeable = False
 
 
@@ -84,8 +89,16 @@ def project(x, tag: SubspaceTag):
 
 def _membership(rows: np.ndarray, tag: SubspaceTag):
     # per row: the magnitude outside the subspace, and whether it is within
-    # tolerance.  The bound MEMBERSHIP_TOL * max(1, |x|) is at least
+    # tolerance.  A block whose complement coordinates are all exactly zero,
+    # and whose coordinates are all finite, has defect +0.0 on every row, the
+    # bits the full route gives it: the complement projection times any finite
+    # coordinate is +-0, times an inf or NaN is NaN, so one test finds such a
+    # block.  The bound MEMBERSHIP_TOL * max(1, |x|) is at least
     # MEMBERSHIP_TOL, so |x| is needed only when some defect exceeds that
+    real = np.ascontiguousarray(rows, dtype=np.complex128).view(np.float64)
+    if not (real * _COMPLEMENT[tag]).any():
+        defect = np.zeros(real.shape[:-1])[()]  # a scalar for one row, as abs_rows gives
+        return defect, defect <= MEMBERSHIP_TOL
     defect = abs_rows(rows - project(rows, tag))
     ok = defect <= MEMBERSHIP_TOL
     if not ok.all():
@@ -149,25 +162,44 @@ def exchange_residuals(a, a2, b, b2):
 
     Each input is checked once, and the products a b, b a and b b' that
     several identities read are formed once: 19 products a block instead of 24.
+    The right factors a, a', b and b' are gathered once each (see
+    :func:`core.right_rows`): 11 gathers instead of 19.  b' is kept for its
+    second product, (a b) b', and each other shared matrix is freed before the
+    next is gathered, so at most two are alive at once.
     """
     for x, tag, name in ((a, SubspaceTag.A, "a"), (a2, SubspaceTag.A, "a'"),
                          (b, SubspaceTag.B, "b"), (b2, SubspaceTag.B, "b'")):
         require_member(x, tag, name)
-    ab, ba, bb2 = mul(a, b), mul(b, a), mul(b, b2)
+    by_b2 = right_rows(b2)
+    bb2 = apply_right_rows(b, by_b2)
+    ba, a2a, bb2_a, a2bb2_a = _times(a, b, a2, bb2, mul(a2, bb2))
+    aa2, b2a2, ba_a2 = _times(a2, a, b2, ba)
+    ab, b2b, aa2_b = _times(b, a, b2, aa2)
+    fourth = bb2_a - apply_right_rows(ab, by_b2)
+    del by_b2  # the last products gather their own matrices: one alive at a time
     return [
         ab - mul(b, conj_oct(a)),
-        mul(mul(a, a2), b) - mul(a2, ab),
-        mul(b, mul(a2, a)) - mul(ba, a2),
-        mul(bb2, a) - mul(ab, b2),
-        mul(a, mul(b2, b)) - mul(b2, ba),
-        mul(ab, mul(b2, a2)) - mul(mul(a2, bb2), a),
+        aa2_b - mul(a2, ab),
+        mul(b, a2a) - ba_a2,
+        fourth,
+        mul(a, b2b) - mul(b2, ba),
+        mul(ab, b2a2) - a2bb2_a,
     ]
+
+
+def _times(y, *xs) -> list:
+    # x y for each x, with y's right-multiplication matrix gathered once and
+    # freed on return
+    by_y = right_rows(y)
+    return [apply_right_rows(x, by_y) for x in xs]
 
 
 @rowwise
 def residual_zvengrowski(x, y, z):
-    """x(y~ z) + y(x~ z) - 2<x,y>z; holds on the whole algebra."""
-    lhs = mul(x, mul(conj_oct(y), z)) + mul(y, mul(conj_oct(x), z))
+    """x(y~ z) + y(x~ z) - 2<x,y>z; holds on the whole algebra.  z's matrix is
+    gathered once: 3 gathers a block instead of 4."""
+    yz, xz = _times(z, conj_oct(y), conj_oct(x))
+    lhs = mul(x, yz) + mul(y, xz)
     return lhs - (2.0 * inner(x, y))[..., None] * z
 
 

@@ -17,10 +17,12 @@ from .core import (
     E,
     CplxOcton,
     abs_rows,
+    apply_right_rows,
     bar_star,
     conj_oct,
     exp_assoc,
     mul,
+    right_rows,
     rowwise,
     single_value,
 )
@@ -242,11 +244,14 @@ def double_cover_residual(theta):
     lam = lambda_S(theta)
     lam_bs = bar_star(lam)
     rhs = ebar_rows(lambda_V(theta))
-    # one rho at a time keeps the temporaries at one product per row
+    # L's matrix is gathered once for the four rho, and the four ebar^rho's
+    # once together; one rho at a time keeps the temporaries at one product per row
+    by_lam, by_ebar = right_rows(lam), right_rows(EBAR_UPPER_ROWS)
     worst = np.max(
         [
-            abs_rows(mul(mul(lam_bs, ebar), lam) - rhs[..., rho, :])
-            for rho, ebar in enumerate(EBAR_UPPER_ROWS)
+            abs_rows(apply_right_rows(apply_right_rows(lam_bs, by_ebar[rho]), by_lam)
+                     - rhs[..., rho, :])
+            for rho in range(4)
         ],
         axis=0,
     )

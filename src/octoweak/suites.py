@@ -29,9 +29,11 @@ from .core import (
     E,
     ONE,
     abs_rows,
+    apply_right_rows,
     bar_star,
     mul,
     norm,
+    right_rows,
 )
 from .errors import UnknownSuite
 from .fields import (
@@ -280,19 +282,27 @@ def _read_block(rng, m: int, inputs) -> list[np.ndarray]:
     ``rng.uniform(low, high, size)`` is ``low + (high - low) * rng.random(size)``
     bit for bit, with the same generator state, so the block equals one uniform
     draw per input and sample; an integer input is its uniform rounded down (see
-    :class:`_Input`).
+    :class:`_Input`).  An element of the full algebra reads its 16 parameters in
+    the (..., 8) complex layout, so it is a view of the block's draws.  The
+    block is read-only once scaled: a kernel that writes into an input raises
+    instead of changing another input.
     """
     low, width, spans = _layout(inputs)
     raw = rng.random((m, len(low)))
     # in place, as low + width * raw bit for bit: one copy of the block's draws
     raw *= width
     raw += low
+    raw.flags.writeable = False
     out = []
     for x, span in zip(inputs, spans):
         v = raw[:, span].reshape((m,) + x.shape)
         if x.integer:
             v = np.minimum(np.floor(v), x.high - 1).astype(np.intp)
-        out.append(v if x.tag is None else dof_rows(x.tag, v))
+        if x.tag is _FULL:
+            v = v.view(np.complex128)
+        elif x.tag is not None:
+            v = dof_rows(x.tag, v)
+        out.append(v)
     return out
 
 
@@ -365,10 +375,12 @@ def _composition(cfg, x, y):
 
 
 def _alternativity(cfg, x, y):
-    # the associators [x, x, y] and [x, y, y], with the x y they share formed once
-    xy = mul(x, y)
-    xxy = mul(mul(x, x), y) - mul(x, xy)
-    xyy = mul(xy, y) - mul(x, mul(y, y))
+    # the associators [x, x, y] and [x, y, y], with the x y they share formed
+    # once and y's matrix gathered once: 4 gathers a block instead of 7
+    by_y = right_rows(y)
+    xy = apply_right_rows(x, by_y)
+    xxy = apply_right_rows(mul(x, x), by_y) - mul(x, xy)
+    xyy = apply_right_rows(xy, by_y) - mul(x, apply_right_rows(y, by_y))
     return np.maximum(abs_rows(xxy), abs_rows(xyy))
 
 

@@ -22,12 +22,14 @@ import numpy as np
 
 from octoweak import grading, lorentz
 from octoweak.core import (
+    ASSOC_MEMBERSHIP_TOL,
     ONE,
     CplxOcton,
     abs_rows,
     associator,
     bar_star,
     conj_oct,
+    exp_assoc,
     inner,
     mul,
     norm,
@@ -36,12 +38,15 @@ from octoweak.core import (
 )
 from octoweak.fields import (
     PolyField,
+    bilinear_rows,
+    dexp_rows,
     eval_at,
     jet_rows,
     lorentz_invariance_rows,
     random_field,
 )
 from octoweak.gauge import (
+    cov_der_alpha_rows,
     covariance_alpha_rows,
     covariance_beta_rows,
     global_alpha_rows,
@@ -196,8 +201,8 @@ def residual_ipmove_per_form(form: str, x, y, z):
 def exchange_residuals_per_identity(a, a2, b, b2):
     """The six exchange residuals, each formed on its own: every product it reads
     is recomputed, and no input is checked.  The library forms the products a b,
-    b a and b b' that several identities share once (``grading.exchange_residuals``),
-    with the same bits."""
+    b a and b b' that several identities share once, and gathers each shared
+    right factor's matrix once (``grading.exchange_residuals``), with the same bits."""
     return [
         mul(a, b) - mul(b, conj_oct(a)),
         mul(mul(a, a2), b) - mul(a2, mul(a, b)),
@@ -206,6 +211,81 @@ def exchange_residuals_per_identity(a, a2, b, b2):
         mul(a, mul(b2, b)) - mul(b2, mul(b, a)),
         mul(mul(a, b), mul(b2, a2)) - mul(mul(a2, mul(b, b2)), a),
     ]
+
+
+# ------------------------------------------ one right-multiplication matrix a product
+#
+# The library's kernels gather the right-multiplication matrix of a right factor
+# that several products share once (``core.right_rows``) and apply it to each.
+# These are the same formulas with one ``mul``, and one gather, a product; no
+# input is checked.  Each must give the library's bits.
+
+
+def associator_by_mul(x, y, z):
+    """``core.associator``."""
+    return mul(mul(x, y), z) - mul(x, mul(y, z))
+
+
+def zvengrowski_by_mul(x, y, z):
+    """``grading.residual_zvengrowski``."""
+    lhs = mul(x, mul(conj_oct(y), z)) + mul(y, mul(conj_oct(x), z))
+    return lhs - (2.0 * inner(x, y))[..., None] * z
+
+
+def alternativity_by_mul(x, y):
+    """The alternativity suite's residual: the larger of |[x, x, y]| and |[x, y, y]|."""
+    xy = mul(x, y)
+    xxy = mul(mul(x, x), y) - mul(x, xy)
+    xyy = mul(xy, y) - mul(x, mul(y, y))
+    return np.maximum(abs_rows(xxy), abs_rows(xyy))
+
+
+def double_cover_by_mul(theta):
+    """``lorentz.double_cover_residual`` of an (..., 4, 4) parameter stack."""
+    lam = lambda_S(theta)
+    lam_bs = bar_star(lam)
+    rhs = lorentz.ebar_rows(lambda_V(theta))
+    return np.max(
+        [abs_rows(mul(mul(lam_bs, ebar), lam) - rhs[..., rho, :])
+         for rho, ebar in enumerate(lorentz.EBAR_UPPER_ROWS)],
+        axis=0,
+    )
+
+
+def transport_by_mul(w, u, du):
+    """``gauge.transport_rows``."""
+    u_inv = exp_assoc(-u)
+    return mul(mul(exp_assoc(u), w), u_inv) - mul(dexp_rows(u, du), u_inv)
+
+
+def covariance_alpha_by_mul(a, da, w, u, du):
+    """``gauge.covariance_alpha_rows``."""
+    u_inv = exp_assoc(-u)
+    d_aprime = mul(da, u_inv) + mul(a, dexp_rows(-u, -du))
+    primed = d_aprime - mul(mul(a, u_inv), transport_by_mul(w, u, du))
+    return abs_rows(primed - mul(cov_der_alpha_rows(a, da, w), u_inv))
+
+
+def global_alpha_by_mul(a, grads, u):
+    """``gauge.global_alpha_rows``, one product per rho."""
+    u_inv = exp_assoc(-u)
+    moved = np.stack([mul(grads[..., rho, :], u_inv) for rho in range(4)], axis=-2)
+    primed = bilinear_rows(mul(a, u_inv), moved)
+    return np.abs(primed - bilinear_rows(a, grads))
+
+
+def membership_full(rows: np.ndarray, tag: SubspaceTag):
+    """Each row's magnitude outside the subspace, by its projection, and whether it
+    is within tolerance, with no shortcut for rows whose complement is exactly zero."""
+    defect = abs_rows(rows - grading.project(rows, tag))
+    return defect, defect <= grading.MEMBERSHIP_TOL * np.maximum(1.0, abs_rows(rows))
+
+
+def outside_quaternions(u: np.ndarray) -> bool:
+    """Whether ``core.exp_assoc`` refuses some row of u, by its full test: components
+    on e4..e7 beyond a scale-relative tolerance."""
+    tail = np.max(np.abs(u[..., 4:]), axis=-1)
+    return bool(np.any(tail > ASSOC_MEMBERSHIP_TOL * np.maximum(1.0, abs_rows(u))))
 
 
 def exp_closed_form(u: CplxOcton) -> CplxOcton:

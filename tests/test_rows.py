@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
-from octoweak import core, fields, gauge, lorentz, suites
+from octoweak import core, fields, gauge, grading, lorentz, suites
 from octoweak.core import (
     E,
     CplxOcton,
@@ -575,8 +575,144 @@ def test_ipmove_residuals_equal_the_per_form_oracle_bit_for_bit():
 
 def test_alternativity_shares_x_y_with_the_same_bits():
     x, y = (_rows(SubspaceTag.FULL_CO, s, 300) for s in (54, 55))
-    want = np.maximum(abs_rows(associator(x, x, y)), abs_rows(associator(x, y, y)))
+    want = oracles.alternativity_by_mul(x, y)
     assert _same_bits(suites._alternativity(SuiteConfig(), x, y), want)
+
+
+# ------------------------------------------- shared right-multiplication matrices
+
+
+def _same_words(got, want):
+    # bit for bit, NaN included: the arrays as 64-bit words
+    return np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
+
+
+def _gauge_inputs(seed, n=300):
+    # the values and derivatives of a transport or covariance law at a point
+    rng = np.random.default_rng(seed)
+    a, da = oracles.draw_block((SubspaceTag.A, SubspaceTag.A), rng, n)
+    w, du = oracles.draw_block((SubspaceTag.A_MINUS, SubspaceTag.A_MINUS), rng, n)
+    (u,) = oracles.draw_block((SubspaceTag.A_MINUS,), rng, n, 0.5)
+    return a, da, w, u, du
+
+
+_SHARED_RIGHT_FACTOR_CASES = {
+    "associator": (associator, oracles.associator_by_mul,
+                   lambda: [_rows(SubspaceTag.FULL_CO, s, 300) for s in (56, 57, 58)]),
+    "zvengrowski": (residual_zvengrowski, oracles.zvengrowski_by_mul,
+                    lambda: [_rows(SubspaceTag.FULL_CO, s, 300) for s in (59, 60, 61)]),
+    "double-cover": (double_cover_residual, oracles.double_cover_by_mul,
+                     lambda: [_thetas(62, 300)]),
+    "transport": (gauge.transport_rows, oracles.transport_by_mul,
+                  lambda: _gauge_inputs(63)[2:]),
+    "covariance-alpha": (gauge.covariance_alpha_rows, oracles.covariance_alpha_by_mul,
+                         lambda: _gauge_inputs(64)),
+    "global-alpha": (gauge.global_alpha_rows, oracles.global_alpha_by_mul,
+                     lambda: [_rows(SubspaceTag.A, 65, 300),
+                              _rows(SubspaceTag.A, 66, 1200).reshape(300, 4, 8),
+                              _rows(SubspaceTag.A_MINUS, 67, 300)]),
+}
+
+
+@pytest.mark.parametrize("case", list(_SHARED_RIGHT_FACTOR_CASES))
+def test_a_kernel_that_gathers_a_shared_right_factor_once_gives_the_bits_of_one_mul_a_product(case):
+    kernel, by_mul, inputs = _SHARED_RIGHT_FACTOR_CASES[case]
+    args = inputs()
+    got, want = kernel(*args), by_mul(*args)
+    assert np.shape(got) == np.shape(want) == (300,) + np.shape(want)[1:]
+    assert _same_words(got, want)
+
+
+def test_right_index_lies_in_y_and_minus_y():
+    # right_rows takes with mode="wrap", which would fold an index outside [0, 16) back in
+    index = core._RIGHT_INDEX
+    assert index.shape == (8, 8) and index.dtype == np.intp and not index.flags.writeable
+    assert index.min() >= 0 and index.max() < 16
+
+
+#: Gathers (right_rows calls on a whole block) of one block of each suite
+#: whose products share a right factor.
+_GATHERS_A_BLOCK = {
+    "ab-identities": 11,
+    "alternativity": 4,
+    "zvengrowski": 3,
+    "double-cover": 1,
+    "prop4-dichotomy": 3,
+    "prop2": 1,
+    "prop3": 5,
+}
+
+
+@pytest.mark.parametrize("suite_id", list(_GATHERS_A_BLOCK))
+def test_each_shared_right_factor_is_gathered_once_a_block(suite_id, monkeypatch):
+    m = 64
+    shapes = []
+
+    def counted(y, right_rows=core.right_rows):
+        shapes.append(np.shape(y))
+        return right_rows(y)
+
+    for module in (core, grading, lorentz, fields, gauge, suites):
+        if hasattr(module, "right_rows"):
+            monkeypatch.setattr(module, "right_rows", counted)
+    sdef, cfg = suites._REGISTRY[suite_id], SuiteConfig()
+    block = suites._read_block(np.random.default_rng(68), m, sdef.inputs(cfg))
+    residuals = sdef.residual(cfg, *block)
+    assert residuals.shape == (m,) and residuals.max() < cfg.suite_tolerance(suite_id)
+    assert sum(shape[:1] == (m,) for shape in shapes) == _GATHERS_A_BLOCK[suite_id]
+
+
+# ------------------------------------------------ exact-zero membership checks
+
+
+def _around(tag, rng):
+    """Rows of ``tag`` in and around it, in blocks of one kind: inside, just outside
+    (one complement coordinate the least subnormal, or just over the tolerance), far
+    outside, and with an inf or NaN on a coordinate inside or outside the subspace."""
+    inside = oracles.draw_block((tag,), rng, 8)[0]
+    kinds = {"inside": inside}
+    real_inside = np.flatnonzero(grading._MASK[tag])
+    real_outside = np.flatnonzero(grading._COMPLEMENT[tag])
+    for name, slots, value in [
+        ("least subnormal", real_outside, 5e-324),
+        ("just over tolerance", real_outside, 1.5 * grading.MEMBERSHIP_TOL),
+        ("far outside", real_outside, 3.0),
+        ("inf inside", real_inside, np.inf),
+        ("NaN inside", real_inside, np.nan),
+        ("inf outside", real_outside, -np.inf),
+        ("NaN outside", real_outside, np.nan),
+    ]:
+        if len(slots):
+            rows = inside.copy()
+            rows.view(np.float64)[np.arange(8), rng.choice(slots, 8)] = value
+            kinds[name] = rows
+    return kinds
+
+
+@pytest.mark.parametrize("tag", list(SubspaceTag))
+def test_the_exact_zero_membership_branch_gives_the_full_routes_defect_and_verdict(tag):
+    rng = np.random.default_rng(69)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for name, rows in _around(tag, rng).items():
+            for block in (rows, rows[:1], rows[1:2]):
+                got_defect, got_ok = grading._membership(block, tag)
+                want_defect, want_ok = oracles.membership_full(block, tag)
+                assert _same_words(got_defect, want_defect), name
+                assert np.array_equal(got_ok, want_ok), name
+                assert got_ok.dtype == bool, name
+
+
+def test_the_exact_zero_exp_assoc_branch_refuses_the_rows_the_full_test_refuses():
+    rng = np.random.default_rng(70)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for name, rows in _around(SubspaceTag.A, rng).items():
+            for block in (rows, rows[:1]):
+                try:
+                    exp_assoc(block)
+                    refused = False
+                except NotInAssociativeSubalgebra:
+                    refused = True
+                assert refused == oracles.outside_quaternions(block), name
 
 
 def test_abs_rows_is_the_norm_numpy_computes_bit_for_bit():
@@ -837,6 +973,16 @@ def test_read_block_on_tagged_elements_equals_draw_block(tags):
             want = oracles.draw_block(tags, ref_rng, m)
             assert all(_same_bits(g, w) for g, w in zip(got, want))
             assert block_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_a_block_is_read_only_once_scaled():
+    # a kernel that writes into one input raises instead of changing another
+    inputs = (_I(-2.0, 2.0, (3,)), *suites._elements(SubspaceTag.FULL_CO, SubspaceTag.A)(None))
+    x, full, a = suites._read_block(np.random.default_rng(71), 5, inputs)
+    assert not x.flags.writeable and not full.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        full *= 2
+    assert a.flags.writeable  # made by dof_rows, not a view of the block
 
 
 _SAMPLED = sorted(sid for sid, sdef in suites._REGISTRY.items() if not sdef.exhaustive)

@@ -55,6 +55,8 @@ _OUTSIDE = "it acts after the suites: on the configuration, the report or the ex
 _ROWS = "test_rows.py::"
 _CLI = "test_verifier.py::"
 _REFERENCE = _ROWS + "test_batched_field_runner_matches_its_per_sample_reference"
+_EXACT_ZERO = "test_the_exact_zero_membership_branch_gives_the_full_routes_defect_and_verdict"
+_BROKEN = "test_batched_runner_matches_its_per_sample_reference_on_broken_identities"
 
 FAULTS = [
     # ------------------------------------------------------------------ core
@@ -85,6 +87,9 @@ FAULTS = [
     Fault("single-list", "core", "return [single(o) for o in out]", "return out",
           survivor="no suite calls a family kernel on single values",
           killer="test_grading.py::test_ipmove_residuals"),
+    Fault("exp-tail-skip", "core", "    if u[..., 4:].any():\n", "    if False:\n",
+          survivor="every exponent a suite forms lies in the quaternionic subalgebra",
+          killer="test_core.py::test_exp_assoc_rejects_complement_components"),
     # --------------------------------------------------------------- grading
     Fault("aminus-real", "grading", "SubspaceTag.A_MINUS: [(0, 1j),",
           "SubspaceTag.A_MINUS: [(0, 1.0),", "prop2"),
@@ -92,8 +97,14 @@ FAULTS = [
           "ok = np.full(np.shape(defect), True)\n",
           survivor="every suite input is drawn inside its subspace",
           killer="test_fields.py::test_field_validation"),
-    Fault("exch4", "grading", "mul(bb2, a) - mul(ab, b2)", "mul(bb2, a) - mul(ba, b2)",
-          "ab-identities"),
+    Fault("membership-zero-always", "grading", "    if not (real * _COMPLEMENT[tag]).any():\n",
+          "    if True:\n", survivor="every suite input is drawn inside its subspace",
+          killer=_ROWS + _EXACT_ZERO),
+    Fault("membership-zero-nan", "grading", "    if not (real * _COMPLEMENT[tag]).any():\n",
+          "    if not np.nan_to_num(real * _COMPLEMENT[tag]).any():\n",
+          survivor="no suite input is inf or NaN", killer=_ROWS + _EXACT_ZERO),
+    Fault("exch4", "grading", "fourth = bb2_a - apply_right_rows(ab, by_b2)",
+          "fourth = bb2_a - apply_right_rows(ba, by_b2)", "ab-identities"),
     # --------------------------------------------------------------- lorentz
     Fault("eta-inv", "lorentz", "return ETA @ np.swapaxes(lv, -1, -2) @ ETA",
           "return np.swapaxes(lv, -1, -2)", "prop1-A prop1-B"),
@@ -123,10 +134,10 @@ FAULTS = [
           survivor="the one tagged PolyField a suite builds, the prop2 witness, is in its subspace",
           killer="test_fields.py::test_field_validation"),
     # ----------------------------------------------------------------- gauge
-    Fault("transport-sign", "gauge", "w), u_inv) - mul(dexp_rows(u, du), u_inv)",
-          "w), u_inv) + mul(dexp_rows(u, du), u_inv)", "prop3 prop5 lemma4"),
-    Fault("transport-1e-9", "gauge", "w), u_inv) - mul(dexp_rows(u, du), u_inv)",
-          "w), u_inv) - mul(dexp_rows(u, du), u_inv) + 1e-9 * du",
+    Fault("transport-sign", "gauge", "- apply_right_rows(dexp_rows(u, du), by_u_inv))",
+          "+ apply_right_rows(dexp_rows(u, du), by_u_inv))", "prop3 prop5 lemma4"),
+    Fault("transport-1e-9", "gauge", "- apply_right_rows(dexp_rows(u, du), by_u_inv))",
+          "- apply_right_rows(dexp_rows(u, du), by_u_inv) + 1e-9 * du)",
           survivor="prop3 stays under its 1e-8 tolerance",
           killer="test_gauge.py::test_transport_rows_matches_the_series_route"),
     Fault("covbeta-half", "gauge", "return db + (r * w[..., :1]) * b",
@@ -157,6 +168,12 @@ FAULTS = [
     Fault("span-off-by-one", "suites", "slice(stop - k, stop)",
           "slice(stop - k - (stop > k), stop - (stop > k))", survivor=_ANY_INPUTS,
           killer=_ROWS + "test_read_block_on_tagged_elements_equals_draw_block"),
+    Fault("full-view-conj", "suites", "v = v.view(np.complex128)",
+          "v = v.view(np.complex128).conj()", survivor=_ANY_INPUTS,
+          killer=_CLI + _BROKEN),
+    Fault("block-writeable", "suites", "    raw.flags.writeable = False\n", "",
+          survivor="no kernel writes into its inputs",
+          killer=_ROWS + "test_a_block_is_read_only_once_scaled"),
     Fault("block-rows-over", "suites", "BLOCK_DRAWS // len(_layout(inputs)[0]))",
           "BLOCK_DRAWS // len(_layout(inputs)[0]) + 1)", survivor=_ANY_INPUTS,
           killer=_ROWS + "test_a_block_reads_at_least_one_row_and_at_most_block_rows"),
