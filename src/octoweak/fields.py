@@ -190,15 +190,13 @@ def contract_rows(monos: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     by side, in one real product, as the monomials are real; real coefficients,
     such as the real parameters of a subspace, give real rows.  Real
     coefficients are contracted where they lie, as a column slice of a block's
-    draws is, with the bits of a contiguous copy; complex ones are copied only
-    when their last axis is strided, which the float view cannot span.
+    draws is, with the bits of a contiguous copy; complex ones are made
+    contiguous first, as the float view needs.
     """
     coeffs = np.asarray(coeffs)
     if not np.iscomplexobj(coeffs):
         return monos @ coeffs.astype(np.float64, copy=False)
-    coeffs = coeffs.astype(np.complex128, copy=False)
-    if coeffs.strides[-1] != coeffs.itemsize:
-        coeffs = np.ascontiguousarray(coeffs)
+    coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
     return (monos @ coeffs.view(np.float64)).view(np.complex128)
 
 

@@ -8,9 +8,11 @@ summation instead of closed forms (and the closed form from Python's
 ``cmath`` instead of numpy rows), pulled-back fields from symbolic
 expansion instead of the pointwise chain rule, field derivatives term by
 term instead of from the jet's table of monomials, derivatives from central
-differences instead of formal calculus, and the sampled suites from one
-draw and one evaluation per sample (a single value, or a field's block of
-one row) instead of blocks of rows.
+differences instead of formal calculus, and the sampled suites one sample
+at a time instead of in blocks of rows: ``SAMPLE_RESIDUALS`` holds, for each
+of the 17 sampled suites, a function that draws one sample and evaluates it
+as a single value (a field's kernel on a block of one row), and
+``WITNESSES`` the two must-fail residuals.
 """
 
 from __future__ import annotations
@@ -66,8 +68,6 @@ from octoweak.grading import (
 from octoweak.lorentz import ETA, EBAR_UPPER, Theta, lambda_S, lambda_V, s_gen, v_gen
 from octoweak.suites import (
     GAUGE_PARAM_BOUND,
-    GAUGE_PARAM_VALUE_CAP,
-    NEG_CONTROL_MIN,
     PROP1_THETA_BOUND,
     PROP2_WITNESS_ALPHA,
     PROP2_WITNESS_POINT,
@@ -454,11 +454,12 @@ def pullback_linear(f: PolyField, m, left: CplxOcton | None = None) -> PolyField
     return PolyField(terms, tag=f.tag)
 
 
-# ------------------------------------------------- per-sample suite runners
+# ------------------------------------------------ one sample of each suite
 #
-# The sampled suites as one draw and one single-value evaluation per sample,
-# with the (cfg, n, rng) -> (residuals, controls_ok) contract of the
-# registered runners.  They read the generator in the same order.
+# Each sampled suite as a function (cfg, rng) -> residual: one sample read in
+# the suite's own order through ``draw``, ``Theta.random``, ``random_field`` and
+# :func:`integer`, and evaluated as a single value (a field's kernel on a block
+# of one row).  n calls read the stream as the suite's n samples do.
 
 
 def integer(rng, low: int, high: int) -> int:
@@ -499,13 +500,13 @@ def draw_block(tags, rng, n: int, bound: float = 1.0) -> list[np.ndarray]:
     return out
 
 
-def _on_elements(tags, residual):
-    """The runner of a suite that reads one element per tag a sample: the elements
-    drawn in turn, then ``residual`` of them."""
-    def run(cfg, n, rng):
-        return [residual(*[draw(tag, rng) for tag in tags]) for _ in range(n)], True
+_F, _A, _B, _AM = SubspaceTag.FULL_CO, SubspaceTag.A, SubspaceTag.B, SubspaceTag.A_MINUS
 
-    return run
+
+def _on_elements(tags, residual):
+    """The sample of a suite that reads one element per tag: the elements drawn in
+    turn, then ``residual`` of them."""
+    return lambda cfg, rng: residual(*[draw(tag, rng) for tag in tags])
 
 
 def _composition(x, y):
@@ -517,18 +518,6 @@ def _grading_closure(*xs):
     products = [mul(x, y) for x, y in zip(xs[::2], xs[1::2])]
     return max(membership_defect(p, target) / max(1.0, abs(p))
                for p, target in zip(products, AB_CLOSURE.values()))
-
-
-_F, _A, _B = SubspaceTag.FULL_CO, SubspaceTag.A, SubspaceTag.B
-run_composition = _on_elements((_F, _F), _composition)
-run_alternativity = _on_elements(
-    (_F, _F), lambda x, y: max(abs(associator(x, x, y)), abs(associator(x, y, y))))
-run_ip_moves = _on_elements(
-    (_F, _F, _F), lambda *xyz: max(abs(residual_ipmove_per_form(f, *xyz)) for f in IPMOVE_FORMS))
-run_zvengrowski = _on_elements((_F, _F, _F), lambda *xyz: abs(residual_zvengrowski(*xyz)))
-run_ab_identities = _on_elements(
-    (_A, _A, _B, _B), lambda *ab: max(map(abs, exchange_residuals_per_identity(*ab))))
-run_grading_closure = _on_elements([tag for pair in AB_CLOSURE for tag in pair], _grading_closure)
 
 
 def double_cover_residual(theta: Theta) -> float:
@@ -544,26 +533,15 @@ def double_cover_residual(theta: Theta) -> float:
     return worst
 
 
-def run_double_cover(cfg, n, rng):
-    return [double_cover_residual(Theta.random(rng, cfg.theta_bound)) for _ in range(n)], True
+def _rotation_unitarity(cfg, rng):
+    lam = lambda_S(Theta.random_rotation(rng, cfg.theta_bound))
+    return abs(mul(bar_star(lam), lam) - ONE)
 
 
-def run_rotation_unitarity(cfg, n, rng):
-    res = []
-    for _ in range(n):
-        lam = lambda_S(Theta.random_rotation(rng, cfg.theta_bound))
-        res.append(abs(mul(bar_star(lam), lam) - ONE))
-    return res, True
-
-
-def run_boost_selfconj(cfg, n, rng):
-    res = []
-    for _ in range(n):
-        axis = integer(rng, 1, 4)
-        chi = float(rng.uniform(-cfg.theta_bound, cfg.theta_bound))
-        lam = lambda_S(Theta.single(0, axis, chi))
-        res.append(abs(bar_star(lam) - lam))
-    return res, True
+def _boost_selfconj(cfg, rng):
+    axis = integer(rng, 1, 4)
+    lam = lambda_S(Theta.single(0, axis, float(rng.uniform(-cfg.theta_bound, cfg.theta_bound))))
+    return abs(bar_star(lam) - lam)
 
 
 def general_coupling_residual(r1, r2, theta, w_val, beta_val) -> float:
@@ -574,21 +552,10 @@ def general_coupling_residual(r1, r2, theta, w_val, beta_val) -> float:
     return abs(associator(bar_star(lambda_S(theta)), middle, beta_val))
 
 
-def run_prop4(cfg, n, rng):
-    res = []
-    for _ in range(n):
-        r = float(rng.uniform(0.1, 1.0))
-        res.append(
-            general_coupling_residual(
-                0.5 * r,
-                0.5 * r,
-                Theta.random(rng, cfg.theta_bound),
-                draw(SubspaceTag.A_MINUS, rng),
-                draw(SubspaceTag.B, rng),
-            )
-        )
-    witness = general_coupling_residual(**PROP4_WITNESS)
-    return res, witness > NEG_CONTROL_MIN
+def _prop4(cfg, rng):
+    r = 0.5 * float(rng.uniform(0.1, 1.0))
+    theta = Theta.random(rng, cfg.theta_bound)
+    return general_coupling_residual(r, r, theta, draw(_AM, rng), draw(_B, rng))
 
 
 def along(f: PolyField, mu: int, points: np.ndarray):
@@ -618,109 +585,104 @@ def global_alpha_invariance_residual(alpha: PolyField, u_const: CplxOcton, p) ->
     return _at(global_alpha_rows, values, grads, u_const.c[None])
 
 
-def _prop1_runner(tag):
-    def run(cfg, n, rng):
-        res = []
-        for _ in range(n):
-            f = random_field(rng, cfg.field_degree, tag)
-            theta = Theta.random(rng, PROP1_THETA_BOUND)
-            p = rng.uniform(-1.0, 1.0, 4)
-            res.append(lorentz_invariance_residual(f, theta, p))
-        return res, True
+def _prop1(tag):
+    def sample(cfg, rng):
+        f = random_field(rng, cfg.field_degree, tag)
+        theta = Theta.random(rng, PROP1_THETA_BOUND)
+        return lorentz_invariance_residual(f, theta, rng.uniform(-1.0, 1.0, 4))
 
-    return run
+    return sample
 
 
-def run_prop2(cfg, n, rng):
-    res = []
-    for _ in range(n):
-        alpha = random_field(rng, cfg.field_degree, SubspaceTag.A)
-        u0 = draw(SubspaceTag.A_MINUS, rng)
-        p = rng.uniform(-1.0, 1.0, 4)
-        res.append(global_alpha_invariance_residual(alpha, u0, p))
-    witness = global_alpha_invariance_residual(
-        PROP2_WITNESS_ALPHA, PROP2_WITNESS_U, PROP2_WITNESS_POINT
-    )
-    return res, witness > NEG_CONTROL_MIN
+def _prop2(cfg, rng):
+    alpha = random_field(rng, cfg.field_degree, _A)
+    u0 = draw(_AM, rng)
+    return global_alpha_invariance_residual(alpha, u0, rng.uniform(-1.0, 1.0, 4))
 
 
-def gauge_param(cfg, rng, at) -> PolyField:
-    """A gauge parameter as the gauge suites draw it, its value at ``at`` capped."""
-    u = random_field(rng, min(2, cfg.field_degree), SubspaceTag.A_MINUS, GAUGE_PARAM_BOUND)
-    m = abs(eval_at(u, at))
-    if m > GAUGE_PARAM_VALUE_CAP:
-        u = u * (GAUGE_PARAM_VALUE_CAP / m)
+def gauge_param(rng, degree: int = 2, at=None) -> PolyField:
+    """A gauge parameter as the gauge suites draw it: degree at most 2, coefficients
+    within ``GAUGE_PARAM_BOUND`` and, given a point ``at``, its value there capped at 0.9.
+    The cap is stated here, not read from ``suites``, so that a changed cap there shows
+    as a disagreement with this reference."""
+    u = random_field(rng, min(2, degree), _AM, GAUGE_PARAM_BOUND)
+    if at is not None:
+        m = abs(eval_at(u, at))
+        if m > 0.9:
+            u = u * (0.9 / m)
     return u
 
 
-def connection(cfg, rng) -> list[PolyField]:
+def connection(rng, degree: int = 2) -> list[PolyField]:
     """The four A- components W_0..W_3 of a connection."""
-    return [random_field(rng, cfg.field_degree, SubspaceTag.A_MINUS) for _ in range(4)]
+    return [random_field(rng, degree, _AM) for _ in range(4)]
 
 
-def _gauge_runner(residual):
-    # each sample: a point, a gauge parameter capped there, then what
-    # ``residual(cfg, rng, u, p)`` draws and evaluates along a drawn axis at p (1, 4)
-    def run(cfg, n, rng):
-        res = []
-        for _ in range(n):
-            p = rng.uniform(-1.0, 1.0, 4)
-            res.append(residual(cfg, rng, gauge_param(cfg, rng, p), p[None]))
-        return res, True
+def _on_gauge_param(residual):
+    """The sample of a gauge suite: a point, a gauge parameter capped there, then what
+    ``residual(cfg, rng, u, p)`` draws and evaluates along a drawn axis at p (1, 4)."""
+    def sample(cfg, rng):
+        p = rng.uniform(-1.0, 1.0, 4)
+        return residual(cfg, rng, gauge_param(rng, cfg.field_degree, p), p[None])
 
-    return run
+    return sample
 
 
-@_gauge_runner
-def run_prop3(cfg, rng, u, p):
-    alpha, w = random_field(rng, cfg.field_degree, SubspaceTag.A), connection(cfg, rng)
+@_on_gauge_param
+def _prop3(cfg, rng, u, p):
+    alpha, w = random_field(rng, cfg.field_degree, _A), connection(rng, cfg.field_degree)
     rho = integer(rng, 0, 4)
     w_rho = along(w[rho], 0, p)[0]
     return _at(covariance_alpha_rows, *along(alpha, rho, p), w_rho, *along(u, rho, p))
 
 
-@_gauge_runner
-def run_prop5(cfg, rng, u, p):
+@_on_gauge_param
+def _prop5(cfg, rng, u, p):
     r = float(rng.uniform(0.25, 1.5))
-    beta, w = random_field(rng, cfg.field_degree, SubspaceTag.B), connection(cfg, rng)
+    beta, w = random_field(rng, cfg.field_degree, _B), connection(rng, cfg.field_degree)
     rho = integer(rng, 0, 4)
     w_rho = along(w[rho], 0, p)[0]
     return _at(covariance_beta_rows, *along(beta, rho, p), w_rho, *along(u, rho, p), r)
 
 
-@_gauge_runner
-def run_lemma3(cfg, rng, u, p):
+@_on_gauge_param
+def _lemma3(cfg, rng, u, p):
     return _at(scal_der_u_rows, *along(u, integer(rng, 0, 4), p))
 
 
-@_gauge_runner
-def run_lemma4(cfg, rng, u, p):
-    w, rho = connection(cfg, rng), integer(rng, 0, 4)
+@_on_gauge_param
+def _lemma4(cfg, rng, u, p):
+    w, rho = connection(rng, cfg.field_degree), integer(rng, 0, 4)
     return _at(scal_ww_rows, along(w[rho], 0, p)[0], *along(u, rho, p))
 
 
-#: Reference route of each field and gauge suite, by suite id.
-FIELD_SUITE_RUNNERS = {
-    "prop1-A": _prop1_runner(SubspaceTag.A),
-    "prop1-B": _prop1_runner(SubspaceTag.B),
-    "prop2": run_prop2,
-    "prop3": run_prop3,
-    "prop5": run_prop5,
-    "lemma3": run_lemma3,
-    "lemma4": run_lemma4,
+#: One sample's residual, (cfg, rng) -> float, of each sampled suite, by suite id.
+SAMPLE_RESIDUALS = {
+    "ip-moves": _on_elements(
+        (_F, _F, _F), lambda *xyz: max(abs(residual_ipmove_per_form(f, *xyz)) for f in IPMOVE_FORMS)),
+    "zvengrowski": _on_elements((_F, _F, _F), lambda *xyz: abs(residual_zvengrowski(*xyz))),
+    "ab-identities": _on_elements(
+        (_A, _A, _B, _B), lambda *ab: max(map(abs, exchange_residuals_per_identity(*ab)))),
+    "grading-closure": _on_elements([tag for pair in AB_CLOSURE for tag in pair], _grading_closure),
+    "double-cover": lambda cfg, rng: double_cover_residual(Theta.random(rng, cfg.theta_bound)),
+    "rotation-unitarity": _rotation_unitarity,
+    "boost-selfconj": _boost_selfconj,
+    "prop1-A": _prop1(_A),
+    "prop1-B": _prop1(_B),
+    "prop2": _prop2,
+    "prop3": _prop3,
+    "prop4-dichotomy": _prop4,
+    "prop5": _prop5,
+    "lemma3": _lemma3,
+    "lemma4": _lemma4,
+    "composition-law": _on_elements((_F, _F), _composition),
+    "alternativity": _on_elements(
+        (_F, _F), lambda x, y: max(abs(associator(x, x, y)), abs(associator(x, y, y)))),
 }
 
-
-#: Reference route of each sampled algebra suite, by suite id.
-SUITE_RUNNERS = {
-    "ip-moves": run_ip_moves,
-    "zvengrowski": run_zvengrowski,
-    "ab-identities": run_ab_identities,
-    "grading-closure": run_grading_closure,
-    "double-cover": run_double_cover,
-    "rotation-unitarity": run_rotation_unitarity,
-    "boost-selfconj": run_boost_selfconj,
-    "prop4-dichotomy": run_prop4,
-    "composition-law": run_composition,
-    "alternativity": run_alternativity,
+#: The must-fail residual of each suite with a witness, by suite id.
+WITNESSES = {
+    "prop2": lambda: global_alpha_invariance_residual(
+        PROP2_WITNESS_ALPHA, PROP2_WITNESS_U, PROP2_WITNESS_POINT),
+    "prop4-dichotomy": lambda: general_coupling_residual(**PROP4_WITNESS),
 }

@@ -27,22 +27,16 @@ from octoweak.gauge import (
 from octoweak.grading import SubspaceTag, draw, require_member
 from octoweak.lorentz import Theta, theta_rows
 
-from oracles import along, dexp_series, draw_block, global_alpha_invariance_residual
+from oracles import (
+    along,
+    connection,
+    dexp_series,
+    draw_block,
+    gauge_param,
+    global_alpha_invariance_residual,
+)
 
 RNG_AT = np.random.default_rng
-
-
-def gauge_param(rng, degree=2, bound=0.5, at=None, cap=0.9):
-    u = random_field(rng, degree, SubspaceTag.A_MINUS, bound)
-    if at is not None:
-        m = abs(eval_at(u, at))
-        if m > cap:
-            u = u * (cap / m)
-    return u
-
-
-def connection(rng, degree=2):
-    return [random_field(rng, degree, SubspaceTag.A_MINUS) for _ in range(4)]
 
 
 def jets(p, rho, *fields):

@@ -4,14 +4,17 @@ Each algebra operation on rows is checked against an independent route in
 ``oracles``: the doubling recursion, a dense contraction, explicit sums or
 Python complex arithmetic.  A single value is its row of a block, bit for bit.
 A block reads the generator's stream as one draw per input and sample,
-whatever its size, and the batched field and gauge suites give what their
-per-sample references in ``oracles`` give from the same inputs.
+whatever its size.  One test checks every sampled suite of the registry
+against its per-sample reference in ``oracles.SAMPLE_RESIDUALS``, from the
+same stream, as the identities hold and under one breaker that makes every
+residual O(1) and dependent on the inputs.
 """
 
 import cmath
 import math
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -81,10 +84,6 @@ def _rows(tag, seed, n=N, bound=1.0):
     return oracles.draw_block((tag,), np.random.default_rng(seed), n, bound)[0]
 
 
-def _values(rows):
-    return [CplxOcton(r) for r in rows]
-
-
 def _close(stacked, scalars, rel=1e-14):
     ref = np.array(scalars)
     scale = max(1.0, float(np.max(np.abs(ref))))
@@ -93,6 +92,8 @@ def _close(stacked, scalars, rel=1e-14):
 
 
 def _same_bits(got, want):
+    # bit for bit, NaN included: equal dtypes, shapes and bytes
+    got, want = np.asarray(got), np.asarray(want)
     return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -177,7 +178,7 @@ def test_a_rowwise_function_on_array_likes_and_no_single_value_acts_on_rows():
     # matrix, not a block of one whose row 0 is returned
     x, theta = _rows(SubspaceTag.FULL_CO, 55, 1)[0], _thetas(56, 1)[0]
     assert _same_bits(conj_oct(x.tolist()), conj_oct(x))
-    assert _same_bits(np.asarray(inner(x.tolist(), x.tolist())), np.asarray(inner(x, x)))
+    assert _same_bits(inner(x.tolist(), x.tolist()), inner(x, x))
     assert _same_bits(lambda_V(theta.tolist()), lambda_V(theta))
 
 
@@ -249,7 +250,7 @@ def test_exp_assoc_matches_the_closed_form_across_branches():
     u[0] = 0.0  # omega = 0
     u[1, 1:4] = [1e-8, -2e-8j, 3e-9]  # Taylor branch
     u[2, 1:4] = [0.5j, 0.0, 0.0]  # pure boost: omega^2 < 0
-    _close(exp_assoc(u), [oracles.exp_closed_form(a).c for a in _values(u)])
+    _close(exp_assoc(u), [oracles.exp_closed_form(a).c for a in map(CplxOcton, u)])
 
 
 def test_exp_assoc_rejects_a_row_outside_the_subalgebra():
@@ -325,11 +326,11 @@ def _core_view_pairs():
     yield from _rowwise_pairs(cases)
     # one value against many rows, as the field layer multiplies
     products = mul(x[0], y)
-    yield from ((mul(CplxOcton(x[0]), b), products[i]) for i, b in enumerate(_values(y)))
+    yield from ((mul(CplxOcton(x[0]), b), products[i]) for i, b in enumerate(map(CplxOcton, y)))
     # abs is one row of abs_rows (numpy's axis=None norm, the former route of
     # abs, differs in the last bit on about one value in five)
     sizes = abs_rows(x)
-    yield from ((abs(a), sizes[i]) for i, a in enumerate(_values(x)))
+    yield from ((abs(a), sizes[i]) for i, a in enumerate(map(CplxOcton, x)))
 
 
 def _grading_view_pairs():
@@ -404,7 +405,7 @@ def test_each_single_value_entry_point_is_its_row_of_a_block(case):
             assert isinstance(single, CplxOcton) and single.c.tobytes() == row.tobytes()
         elif row.ndim == 0:
             assert type(single) is type(row.item())
-            assert _same_bits(np.asarray(single), np.asarray(row))
+            assert _same_bits(single, row)
         else:
             assert isinstance(single, np.ndarray) and _same_bits(single, row)
 
@@ -555,36 +556,7 @@ def test_each_exchange_residual_refuses_an_off_subspace_row(position):
         exchange_residuals(*inputs)
 
 
-def test_exchange_residuals_equal_the_per_identity_oracle_bit_for_bit():
-    # the shared products change no bit
-    inputs = oracles.draw_block(suites._AB_TAGS, np.random.default_rng(49), 300)
-    got = exchange_residuals(*inputs)
-    want = oracles.exchange_residuals_per_identity(*inputs)
-    assert len(got) == len(want) == 6
-    assert all(_same_bits(g, w) for g, w in zip(got, want))
-
-
-def test_ipmove_residuals_equal_the_per_form_oracle_bit_for_bit():
-    # the shared products change no bit
-    x, y, z = (_rows(SubspaceTag.FULL_CO, s, 300) for s in (50, 51, 52))
-    got = ipmove_residuals(x, y, z)
-    assert len(got) == len(oracles.IPMOVE_FORMS)
-    for i, form in enumerate(oracles.IPMOVE_FORMS):
-        assert _same_bits(got[i], oracles.residual_ipmove_per_form(form, x, y, z)), form
-
-
-def test_alternativity_shares_x_y_with_the_same_bits():
-    x, y = (_rows(SubspaceTag.FULL_CO, s, 300) for s in (54, 55))
-    want = oracles.alternativity_by_mul(x, y)
-    assert _same_bits(suites._alternativity(SuiteConfig(), x, y), want)
-
-
 # ------------------------------------------- shared right-multiplication matrices
-
-
-def _same_words(got, want):
-    # bit for bit, NaN included: the arrays as 64-bit words
-    return np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
 
 
 def _gauge_inputs(seed, n=300):
@@ -596,15 +568,28 @@ def _gauge_inputs(seed, n=300):
     return a, da, w, u, du
 
 
+def _full(*seeds):
+    # the inputs of a case: one 300-row block of the full algebra per seed
+    return lambda: [_rows(SubspaceTag.FULL_CO, s, 300) for s in seeds]
+
+
+# Each kernel that forms a shared product, or gathers a shared right factor's matrix,
+# once, beside its oracle that forms every product with its own ``mul``: the sharing
+# changes no bit.
 _SHARED_RIGHT_FACTOR_CASES = {
-    "associator": (associator, oracles.associator_by_mul,
-                   lambda: [_rows(SubspaceTag.FULL_CO, s, 300) for s in (56, 57, 58)]),
-    "zvengrowski": (residual_zvengrowski, oracles.zvengrowski_by_mul,
-                    lambda: [_rows(SubspaceTag.FULL_CO, s, 300) for s in (59, 60, 61)]),
+    "exchange": (exchange_residuals, oracles.exchange_residuals_per_identity,
+                 lambda: oracles.draw_block(suites._AB_TAGS, np.random.default_rng(49), 300)),
+    "ip-moves": (ipmove_residuals,
+                 lambda *xyz: [oracles.residual_ipmove_per_form(f, *xyz)
+                               for f in oracles.IPMOVE_FORMS],
+                 _full(50, 51, 52)),
+    "alternativity": (partial(suites._alternativity, SuiteConfig()), oracles.alternativity_by_mul,
+                      _full(54, 55)),
+    "associator": (associator, oracles.associator_by_mul, _full(56, 57, 58)),
+    "zvengrowski": (residual_zvengrowski, oracles.zvengrowski_by_mul, _full(59, 60, 61)),
     "double-cover": (double_cover_residual, oracles.double_cover_by_mul,
                      lambda: [_thetas(62, 300)]),
-    "transport": (gauge.transport_rows, oracles.transport_by_mul,
-                  lambda: _gauge_inputs(63)[2:]),
+    "transport": (gauge.transport_rows, oracles.transport_by_mul, lambda: _gauge_inputs(63)[2:]),
     "covariance-alpha": (gauge.covariance_alpha_rows, oracles.covariance_alpha_by_mul,
                          lambda: _gauge_inputs(64)),
     "global-alpha": (gauge.global_alpha_rows, oracles.global_alpha_by_mul,
@@ -619,8 +604,7 @@ def test_a_kernel_that_gathers_a_shared_right_factor_once_gives_the_bits_of_one_
     kernel, by_mul, inputs = _SHARED_RIGHT_FACTOR_CASES[case]
     args = inputs()
     got, want = kernel(*args), by_mul(*args)
-    assert np.shape(got) == np.shape(want) == (300,) + np.shape(want)[1:]
-    assert _same_words(got, want)
+    assert 300 in np.shape(want) and _same_bits(got, want)
 
 
 def test_right_index_lies_in_y_and_minus_y():
@@ -697,7 +681,7 @@ def test_the_exact_zero_membership_branch_gives_the_full_routes_defect_and_verdi
             for block in (rows, rows[:1], rows[1:2]):
                 got_defect, got_ok = grading._membership(block, tag)
                 want_defect, want_ok = oracles.membership_full(block, tag)
-                assert _same_words(got_defect, want_defect), name
+                assert _same_bits(got_defect, want_defect), name
                 assert np.array_equal(got_ok, want_ok), name
                 assert got_ok.dtype == bool, name
 
@@ -742,7 +726,7 @@ def test_abs_rows_is_the_norm_numpy_computes_bit_for_bit():
     with np.errstate(all="ignore"):
         for name, x in cases.items():
             got, want = abs_rows(x), np.linalg.norm(x, axis=-1)
-            assert _same_bits(np.asarray(got), np.asarray(want)), name
+            assert _same_bits(got, want), name
         # inf * conj(inf + NaN i) has a NaN real part, in either route
         assert np.isinf(abs_rows(special)[[0, 1, 4]]).all()
         assert np.isnan(abs_rows(special)[[2, 3]]).all()
@@ -1004,19 +988,14 @@ def test_an_integer_input_never_reads_its_high_bound():
 
 
 class _CountingRng:
-    """Forwards to a generator and counts the calls made on it."""
+    """A generator's ``random``, counting its calls; a block reads through nothing else."""
 
     def __init__(self, rng):
         self.rng, self.calls = rng, 0
 
-    def __getattr__(self, name):
-        method = getattr(self.rng, name)
-
-        def counted(*args, **kwargs):
-            self.calls += 1
-            return method(*args, **kwargs)
-
-        return counted
+    def random(self, size=None):
+        self.calls += 1
+        return self.rng.random(size)
 
 
 @pytest.mark.parametrize("degree", [2, 3])
@@ -1123,33 +1102,59 @@ def test_jets_of_real_parameters_map_to_jets_of_the_elements():
     assert np.array_equal(dof_rows(SubspaceTag.B, real_grads), grads)
 
 
-def _break_identities(monkeypatch):
-    # group elements scaled off the group and a spinor transformation that
-    # does not match L_V: every residual becomes O(1) and depends on the inputs
-    monkeypatch.setattr(gauge, "exp_assoc", lambda u: 1.5 * exp_assoc(u))
-    for module in (oracles, suites):
-        monkeypatch.setattr(module, "lambda_S", lambda theta: lambda_S(-theta))
+def _break_algebra(monkeypatch):
+    # every product x y becomes x y + i x/2, which is neither alternative nor graded,
+    # nor equivariant under complex conjugation as the true product is, and bar_star
+    # scales by 3/2: every residual becomes O(1) and depends on the inputs,
+    # conjugated or not.  Every product goes through right_rows, by its name in each module
+    right_rows, bar_star = core.right_rows, core.bar_star
+    for module in (core, grading, lorentz, gauge, suites):
+        monkeypatch.setattr(module, "right_rows", lambda y: right_rows(y) + 0.5j * np.eye(8))
+    for module in (lorentz, gauge, suites, oracles):
+        monkeypatch.setattr(module, "bar_star", lambda x: 1.5 * bar_star(x))
 
+
+def _inputs(suite_id, degree):
+    return suites._REGISTRY[suite_id].inputs(SuiteConfig(field_degree=degree))
+
+
+#: Each sampled suite at field degree 2, and at degree 3 where its inputs change.
+_SAMPLED_AT_DEGREES = [
+    (suite_id, degree) for suite_id in _SAMPLED
+    for degree in (2, 3) if degree == 2 or _inputs(suite_id, 3) != _inputs(suite_id, 2)
+]
+
+
+_WITNESSED = [suite_id for suite_id in _SAMPLED if suites._REGISTRY[suite_id].witness]
+
+
+@pytest.mark.parametrize("suite_id", _WITNESSED)
+def test_the_reference_witness_is_the_suites_own_must_fail_residual(suite_id):
+    # the reference tables hold no stale suite, and each witness is the suite's own
+    assert sorted(oracles.SAMPLE_RESIDUALS) == _SAMPLED and sorted(oracles.WITNESSES) == _WITNESSED
+    want = oracles.WITNESSES[suite_id]()
+    assert abs(suites._REGISTRY[suite_id].witness() - want) <= 1e-14 * want
 
 @pytest.mark.parametrize("broken", [False, True])
-@pytest.mark.parametrize("degree", [2, 3])
-@pytest.mark.parametrize("suite_id", sorted(oracles.FIELD_SUITE_RUNNERS))
-def test_batched_field_runner_matches_its_per_sample_reference(
-    suite_id, degree, broken, monkeypatch
-):
+@pytest.mark.parametrize("suite_id, degree", _SAMPLED_AT_DEGREES)
+def test_batched_suite_matches_its_per_sample_reference(suite_id, degree, broken, monkeypatch):
     if broken:
-        _break_identities(monkeypatch)
+        _break_algebra(monkeypatch)
     monkeypatch.setattr(suites, "BLOCK_ROWS", 64)
     n = 150
     assert n > 2 * suites.BLOCK_ROWS  # crosses block boundaries, ends on a part block
     cfg = SuiteConfig(seed=2025, field_degree=degree)
     rng_batched, rng_ref = suites._rng_for(cfg, suite_id), suites._rng_for(cfg, suite_id)
     got, got_ok = suites._evaluate(suites._REGISTRY[suite_id], cfg, n, rng_batched)
-    want, want_ok = oracles.FIELD_SUITE_RUNNERS[suite_id](cfg, n, rng_ref)
-    got, want = np.asarray(got), np.asarray(want)
+    sample, witness = oracles.SAMPLE_RESIDUALS[suite_id], oracles.WITNESSES.get(suite_id)
+    want = np.array([sample(cfg, rng_ref) for _ in range(n)])
     assert got.shape == want.shape == (n,)
-    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, want))
-    assert got_ok == want_ok
+    if _inputs(suite_id, 0) != _inputs(suite_id, 2):  # it reads fields: a bound per row
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, want))
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, want.max())
+    assert got_ok == (witness is None or witness() > suites.NEG_CONTROL_MIN)
+    # the batched draws read the stream exactly as the per-sample ones did
     assert rng_batched.bit_generator.state == rng_ref.bit_generator.state
     if broken:  # residuals that tell the inputs apart
         assert np.median(want) > 1e-3

@@ -52,11 +52,11 @@ class Fault(NamedTuple):
 _ANY_INPUTS = "the identities hold on any inputs, so no suite sees which uniforms a sample reads"
 _JETS = "the gauge identities are algebraic in the jet values, so consistent wrong jets pass"
 _OUTSIDE = "it acts after the suites: on the configuration, the report or the exit code"
+_ANY_U = "the gauge identities hold for any u, capped or not"
 _ROWS = "test_rows.py::"
 _CLI = "test_verifier.py::"
-_REFERENCE = _ROWS + "test_batched_field_runner_matches_its_per_sample_reference"
+_REFERENCE = _ROWS + "test_batched_suite_matches_its_per_sample_reference"
 _EXACT_ZERO = "test_the_exact_zero_membership_branch_gives_the_full_routes_defect_and_verdict"
-_BROKEN = "test_batched_runner_matches_its_per_sample_reference_on_broken_identities"
 
 FAULTS = [
     # ------------------------------------------------------------------ core
@@ -111,6 +111,14 @@ FAULTS = [
     Fault("null-f2", "lorentz", "np.where(null, 0.5,", "np.where(null, 0.4,",
           survivor="no drawn parameter matrix is a null rotation",
           killer="test_lorentz.py::test_lambda_V_of_a_null_rotation_is_the_cubic_polynomial"),
+    Fault("s-rows-transposed", "lorentz",
+          "_S_ROWS = np.array([[s_gen(mu, nu).c for nu in range(4)] for mu in range(4)])",
+          "_S_ROWS = np.array([[s_gen(mu, nu).c for mu in range(4)] for nu in range(4)])",
+          "lorentz-algebra infinitesimal-dc double-cover prop1-A prop1-B"),
+    Fault("v-rows-transposed", "lorentz",
+          "_V_ROWS = np.array([[v_gen(mu, nu) for nu in range(4)] for mu in range(4)])",
+          "_V_ROWS = np.array([[v_gen(mu, nu) for mu in range(4)] for nu in range(4)])",
+          "infinitesimal-dc double-cover prop1-A prop1-B"),
     Fault("sinc-series", "lorentz", "range(17, 1, -2)", "range(17, 3, -2)",
           "double-cover prop1-A prop1-B"),
     Fault("ebar-diag", "lorentz", "_EBAR_UPPER_DIAG = np.diagonal(EBAR_UPPER_ROWS).copy()\n",
@@ -119,7 +127,8 @@ FAULTS = [
     # ---------------------------------------------------------------- fields
     Fault("factors", "fields", "    monos *= factors\n", "", survivor=_JETS,
           killer="test_fields.py::test_invariance_residual_matches_the_symbolic_pullback"),
-    Fault("strided-copy", "fields", "if coeffs.strides[-1] != coeffs.itemsize:", "if False:",
+    Fault("strided-copy", "fields", "np.ascontiguousarray(coeffs, dtype=np.complex128)",
+          "np.asarray(coeffs, dtype=np.complex128)",
           survivor="no suite contracts complex coefficients on a strided axis",
           killer=_ROWS + "test_field_kernels_give_the_same_bits_on_strided_inputs_as_on_copies"),
     Fault("dexp-taylor", "fields", "z * (1 / 30 -", "z * (1 / 31 -",
@@ -149,8 +158,13 @@ FAULTS = [
           "np.stack([0 * rho, rho], -1)", survivor=_JETS, killer=_REFERENCE),
     Fault("cap-drop", "suites",
           "np.where(mag > GAUGE_PARAM_VALUE_CAP, GAUGE_PARAM_VALUE_CAP / mag, 1.0)",
-          "np.ones_like(mag)", survivor="the gauge identities hold for any u, capped or not",
-          killer=_REFERENCE),
+          "np.ones_like(mag)", survivor=_ANY_U, killer=_REFERENCE),
+    Fault("cap-0.5", "suites", "GAUGE_PARAM_VALUE_CAP = 0.9", "GAUGE_PARAM_VALUE_CAP = 0.5",
+          survivor=_ANY_U, killer=_REFERENCE),
+    Fault("w-tag", "suites", "_jets(SubspaceTag.A_MINUS, table, w[",
+          "_jets(SubspaceTag.A_PLUS, table, w[", "prop3 prop5 lemma4"),
+    Fault("u-tag", "suites", "_jets(SubspaceTag.A_MINUS, u_table, u)",
+          "_jets(SubspaceTag.A_PLUS, u_table, u)", "prop3 prop5 lemma3 lemma4"),
     Fault("u-cols", "suites", ".sum(axis=1) <= 2]", ".sum(axis=1) <= 1]",
           "prop3 prop5 lemma3 lemma4"),
     # --------------------------------------------------------- stream reader
@@ -170,7 +184,7 @@ FAULTS = [
           killer=_ROWS + "test_read_block_on_tagged_elements_equals_draw_block"),
     Fault("full-view-conj", "suites", "v = v.view(np.complex128)",
           "v = v.view(np.complex128).conj()", survivor=_ANY_INPUTS,
-          killer=_CLI + _BROKEN),
+          killer=_REFERENCE),
     Fault("block-writeable", "suites", "    raw.flags.writeable = False\n", "",
           survivor="no kernel writes into its inputs",
           killer=_ROWS + "test_a_block_is_read_only_once_scaled"),

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import octoweak
-from octoweak import cli, core, gauge, grading, lorentz, suites
+from octoweak import cli, suites
 from octoweak.cli import main, parse_config_file
 from octoweak.errors import DomainViolation, UnknownSuite
 from octoweak.suites import (
@@ -28,8 +28,6 @@ from octoweak.suites import (
     suite_ids,
 )
 
-import oracles
-from oracles import SUITE_RUNNERS
 
 #: Trimmed sample count so harness tests stay quick; acceptance runs defaults.
 FAST = dict(samples_per_suite=25)
@@ -473,55 +471,6 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     bad.write_text("volume = 11\n")
     with pytest.raises(ValueError):
         parse_config_file(str(bad))
-
-
-# ------------------------------------------------------- batched suite runners
-
-
-def _batched_and_per_sample(suite_id, monkeypatch):
-    # one suite's residuals by its batched runner and by its per-sample reference,
-    # from the same stream, checked to agree; the reference residuals come back
-    monkeypatch.setattr(suites, "BLOCK_ROWS", 128)
-    n = 300
-    assert n > suites.BLOCK_ROWS  # crosses a block boundary
-    cfg = SuiteConfig(seed=2024)
-    rng_batched, rng_ref = suites._rng_for(cfg, suite_id), suites._rng_for(cfg, suite_id)
-    got, got_ok = suites._evaluate(suites._REGISTRY[suite_id], cfg, n, rng_batched)
-    want, want_ok = SUITE_RUNNERS[suite_id](cfg, n, rng_ref)
-    got, want = np.asarray(got), np.asarray(want)
-    assert got.shape == want.shape == (n,)
-    assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, float(np.max(want)))
-    assert got_ok == want_ok
-    # the batched draws read the stream exactly as the per-sample ones did
-    assert rng_batched.bit_generator.state == rng_ref.bit_generator.state
-    return want
-
-
-@pytest.mark.parametrize("suite_id", sorted(SUITE_RUNNERS))
-def test_batched_runner_matches_its_per_sample_reference(suite_id, monkeypatch):
-    _batched_and_per_sample(suite_id, monkeypatch)
-
-
-def _break_algebra(monkeypatch):
-    # every product x y becomes x y + i x/2, which is neither alternative nor graded,
-    # nor equivariant under complex conjugation as the true product is, and bar_star
-    # scales by 3/2: every algebra residual becomes O(1) and depends on the inputs,
-    # conjugated or not.  Every product goes through right_rows, by its name in each module
-    right_rows, bar_star = core.right_rows, core.bar_star
-    for module in (core, grading, lorentz, gauge, suites):
-        monkeypatch.setattr(module, "right_rows", lambda y: right_rows(y) + 0.5j * np.eye(8))
-    for module in (lorentz, gauge, suites, oracles):
-        monkeypatch.setattr(module, "bar_star", lambda x: 1.5 * bar_star(x))
-
-
-@pytest.mark.parametrize("suite_id", sorted(SUITE_RUNNERS))
-def test_batched_runner_matches_its_per_sample_reference_on_broken_identities(
-    suite_id, monkeypatch
-):
-    # residuals that tell the inputs apart: a batched runner that reads other
-    # uniforms than its reference fails here
-    _break_algebra(monkeypatch)
-    assert np.median(_batched_and_per_sample(suite_id, monkeypatch)) > 1e-3
 
 
 def test_json_report_is_strict_when_residuals_overflow(tmp_path, capsys):
