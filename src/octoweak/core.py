@@ -11,6 +11,11 @@ signs of the seven quaternionic triples of the Fano plane, and the table is
 built once at import from that rule and frozen as a :class:`StructureTable`.
 The span of {1, e1, e2, e3} is the canonical associative (quaternionic)
 subalgebra; all of its complements are reached by the doubling step.
+
+A product of rows is a row times a multiplication matrix gathered from that
+table: x y = x R(y) with ``right_rows(y)``, or x y = y L(x) with
+``left_rows(x)``, each applied by ``apply_right_rows``, so a kernel gathers a
+factor that several of its products share once.
 """
 
 from __future__ import annotations
@@ -80,13 +85,21 @@ def _build_table() -> StructureTable:
 
 _TABLE = _build_table()
 
+
+def _gather_index(sign: np.ndarray) -> np.ndarray:
+    # a multiplication matrix M[b, c] = sign[b, b ^ c] z_(b ^ c), with one signed
+    # entry per slot, as positions in [z, -z]: one gather builds M
+    index = (_TABLE.index + 8 * (np.take_along_axis(sign, _TABLE.index, 1) < 0)).astype(np.intp)
+    index.flags.writeable = False
+    return index
+
+
 # The right-multiplication matrix of y, R[a, c] = sum_b y_b (coefficient of
-# b_c in b_a b_b), has one signed entry per slot: R[a, a ^ b] = sign[a, b] y_b.
-# Stored as positions in [y, -y], one gather builds R
-_RIGHT_INDEX = (
-    _TABLE.index + 8 * (np.take_along_axis(_TABLE.sign, _TABLE.index, 1) < 0)
-).astype(np.intp)
-_RIGHT_INDEX.flags.writeable = False
+# b_c in b_a b_b), has R[a, a ^ b] = sign[a, b] y_b; the left-multiplication
+# matrix of x, L[b, c] = sum_a x_a (coefficient of b_c in b_a b_b), has
+# L[b, a ^ b] = sign[a, b] x_a, the same rule on the transposed signs
+_RIGHT_INDEX = _gather_index(_TABLE.sign)
+_LEFT_INDEX = _gather_index(_TABLE.sign.T)
 
 
 def structure_table() -> StructureTable:
@@ -286,8 +299,20 @@ def right_rows(y) -> np.ndarray:
     return np.concatenate([y, -y], axis=-1).take(_RIGHT_INDEX, axis=-1, mode="wrap")
 
 
+def left_rows(x) -> np.ndarray:
+    """The left-multiplication matrix of each row x, (..., 8, 8): x y = y L(x).
+
+    One signed gather from [x, -x], as :func:`right_rows`.  A kernel that
+    multiplies several rows by one left factor gathers it once and applies it
+    with :func:`apply_right_rows` to each, as ``apply_right_rows(y, left_rows(x))``.
+    """
+    x = np.asarray(x, dtype=np.complex128)
+    return np.concatenate([x, -x], axis=-1).take(_LEFT_INDEX, axis=-1, mode="wrap")
+
+
 def apply_right_rows(x, right: np.ndarray) -> np.ndarray:
-    """Each row x times its right-multiplication matrix from :func:`right_rows`,
+    """Each row x times its right-multiplication matrix from :func:`right_rows`
+    (or, for y L(x) = x y, the left-multiplication matrix of :func:`left_rows`),
     as a stack of (1, 8) @ (8, 8) products, so a row's product does not depend
     on the rows around it."""
     return (np.asarray(x)[..., None, :] @ right)[..., 0, :]

@@ -7,7 +7,8 @@ any residual seen by the verification suites comes from the algebra, not
 from discretization.  A derivative d_rho x^E = E_rho x^(E - e_rho) is
 another monomial's value times an integer, so a jet forms the monomials
 once, on the exponents' closure under differentiation, and looks the
-derivatives up.  Transformed fields are differentiated by the pointwise
+derivatives up; each coordinate's powers are running products,
+x^k = x^(k-1) x.  Transformed fields are differentiated by the pointwise
 chain rule, and exp(u) by the differential of its closed form.
 
 The *_rows functions evaluate many fields of one exponent matrix at once, as
@@ -15,7 +16,9 @@ a coefficient stack (..., M, 8) with one point (..., 4) per field;
 :func:`eval_at` calls them on a block of one.  ``monomial_rows`` gives the
 one monomial table of a block of points, the values and all four
 derivatives, and ``contract_rows`` applies it, or the rows a caller gathers
-from it, to any fields that share the exponents.
+from it, to any fields that share the exponents.  ``lorentz_invariance_rows``
+multiplies a block's values and gradients by one spinor factor, whose
+left-multiplication matrix (``core.left_rows``) it gathers once.
 """
 
 from __future__ import annotations
@@ -30,8 +33,10 @@ import numpy as np
 from .core import (
     CplxOcton,
     _cos_sinc_rows,
+    apply_right_rows,
     bar_star,
     inner,
+    left_rows,
     mul,
     single,
 )
@@ -149,17 +154,14 @@ def _jet_exponents(exps_bytes: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def _power_table(points: np.ndarray, top: int) -> np.ndarray:
-    # each coordinate's powers 0..top, (..., 4, top + 1).  Powers 0 and 1 are 1
-    # and the coordinate, exactly; np.power forms the others, which is most of
-    # the cost, from an exponent array as large as its result (numpy squares
-    # for an exponent broadcast from one 2, and rounds differently)
-    table = np.empty(points.shape + (max(top, 1) + 1,))
-    table[..., 0] = 1.0
-    table[..., 1] = points
-    if top >= 2:
-        exponents = np.broadcast_to(np.arange(2.0, top + 1), points.shape + (top - 1,))
-        table[..., 2:] = np.power(points[..., None], exponents.copy())
-    return table[..., : top + 1]
+    # each coordinate's powers 0..top, (..., 4, top + 1).  Power k is power k - 1
+    # times the coordinate, one product an element, as x * x * ... * x in Python
+    # floats (power 1 is exact, a square correctly rounded), whatever SIMD loops
+    # numpy dispatches to
+    table = np.ones(points.shape + (top + 1,))
+    for k in range(1, top + 1):
+        np.multiply(table[..., k - 1], points, out=table[..., k])
+    return table
 
 
 def monomial_rows(exps: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -298,10 +300,12 @@ def lorentz_invariance_rows(tag, lam, lv, jet_at, points) -> np.ndarray:
     factor = lam if tag is SubspaceTag.A else bar_star(lam)
     m = eta_inverse_transform(lv)
     values, grads = jet_at(np.stack([(m @ (lv @ points[..., None]))[..., 0], points]))
-    # one rho at a time keeps the temporaries at one product per row
+    # the value and the four pulled-back gradients share the left factor: its
+    # matrix is gathered once: factor f = f L(factor)
+    by_factor = left_rows(factor)
     pulled = np.swapaxes(m, -1, -2) @ grads[0]
-    moved = np.stack([mul(factor, pulled[..., rho, :]) for rho in range(4)], axis=-2)
-    transformed = bilinear_rows(mul(factor, values[0]), moved)
+    moved = apply_right_rows(pulled, by_factor[..., None, :, :])
+    transformed = bilinear_rows(apply_right_rows(values[0], by_factor), moved)
     return np.abs(transformed - bilinear_rows(values[1], grads[1]))
 
 

@@ -369,12 +369,14 @@ def eval_naive(f, p) -> CplxOcton:
 def jet_rows_by_exponents(exps: np.ndarray, coeffs: np.ndarray, points: np.ndarray):
     """``fields.jet_rows`` from the exponents of each monomial and of its four
     derivatives, (5, M, 4), each row's product formed from the powers in turn and
-    started from its integer factor, instead of from the values of the closure."""
+    started from its integer factor, instead of from the values of the closure.
+    Each coordinate's powers are running products, 1, x, x * x, ..., by ``np.cumprod``."""
     exps = np.asarray(exps, dtype=np.int64)
     shifted = exps[None] - np.eye(4, dtype=np.int64)[:, None, :]
     powers = np.concatenate([exps[None], np.where(exps.T[:, :, None] > 0, shifted, 0)])
     factors = np.concatenate([np.ones((1, len(exps))), exps.T])
-    table = points[..., :, None] ** np.arange(exps.max(initial=0) + 1)
+    repeated = np.broadcast_to(points[..., None], points.shape + (exps.max(initial=0),))
+    table = np.cumprod(np.concatenate([np.ones(points.shape + (1,)), repeated], axis=-1), axis=-1)
     monos = table[..., 0, powers[..., 0]]
     monos *= factors
     for axis in range(1, 4):

@@ -77,6 +77,8 @@ FAULTS = [
     Fault("abs-noconj", "core", "np.add.reduce((x.conj() * x).real", "np.add.reduce((x * x).real",
           "zvengrowski ab-identities grading-closure double-cover prop3 prop4-dichotomy prop5 "
           "composition-law alternativity"),
+    Fault("left-index-transposed", "core", "_LEFT_INDEX = _gather_index(_TABLE.sign.T)",
+          "_LEFT_INDEX = _gather_index(_TABLE.sign)", "prop1-A prop1-B"),
     Fault("sinc0", "core", "np.where(zero, 1, np.sin(om)", "np.where(zero, 0, np.sin(om)",
           survivor="no drawn rotation angle is exactly 0",
           killer=_ROWS + "test_cos_sinc_rows_matches_cmath_near_and_at_zero"),
@@ -127,6 +129,10 @@ FAULTS = [
     # ---------------------------------------------------------------- fields
     Fault("factors", "fields", "    monos *= factors\n", "", survivor=_JETS,
           killer="test_fields.py::test_invariance_residual_matches_the_symbolic_pullback"),
+    Fault("power-from-x", "fields", "np.multiply(table[..., k - 1], points,",
+          "np.multiply(table[..., 1], points,",
+          survivor="at the default field degree 2, x * x is the only power formed by a product",
+          killer=_ROWS + "test_the_power_table_is_the_running_product_within_a_ceiling_in_ulp"),
     Fault("strided-copy", "fields", "np.ascontiguousarray(coeffs, dtype=np.complex128)",
           "np.asarray(coeffs, dtype=np.complex128)",
           survivor="no suite contracts complex coefficients on a strided axis",
