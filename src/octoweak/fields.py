@@ -1,8 +1,10 @@
 """Spacetime-dependent values: polynomial fields with octonion coefficients.
 
 A field stores one monomial x0^d0 x1^d1 x2^d2 x3^d3 per row: an integer
-exponent matrix E of shape (M, 4) and a coefficient array C of shape (M, 8).
-Its value at p is prod(p**E, axis=1) @ C, and differentiation is exact, so
+exponent matrix E of shape (M, 4), its subspace tag, and its coefficients
+as their real parameters P of shape (M, ndof) on the tag's table rows
+(``grading.dof_rows``), the layout in which the suites draw them.  Its value
+at p is dof_rows(prod(p**E, axis=1) @ P), and differentiation is exact, so
 any residual seen by the verification suites comes from the algebra, not
 from discretization.  A derivative d_rho x^E = E_rho x^(E - e_rho) is
 another monomial's value times an integer, so a jet forms the monomials
@@ -11,14 +13,15 @@ derivatives up; each coordinate's powers are running products,
 x^k = x^(k-1) x.  Transformed fields are differentiated by the pointwise
 chain rule, and exp(u) by the differential of its closed form.
 
-The *_rows functions evaluate many fields of one exponent matrix at once, as
-a coefficient stack (..., M, 8) with one point (..., 4) per field;
-:func:`eval_at` calls them on a block of one.  ``monomial_rows`` gives the
-one monomial table of a block of points, the values and all four
-derivatives, and ``contract_rows`` applies it, or the rows a caller gathers
-from it, to any fields that share the exponents.  ``lorentz_invariance_rows``
-multiplies a block's values and gradients by one spinor factor, whose
-left-multiplication matrix (``core.left_rows``) it gathers once.
+The row functions evaluate many fields of one exponent matrix and one tag
+at once, as a parameter stack (..., M, ndof) with one point (..., 4) per
+field; :func:`eval_at` calls them on a block of one.  ``monomial_rows``
+gives the one monomial table of a block of points, the values and all four
+derivatives, and ``jets`` applies it, or the rows a caller gathers from it,
+to any fields that share the exponents and the tag.
+``lorentz_invariance_rows`` multiplies a block's values and gradients by
+one spinor factor, whose left-multiplication matrix (``core.left_rows``) it
+gathers once.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .core import (
     single,
 )
 from .errors import DomainViolation
-from .grading import SubspaceTag, dof_rows, ndof, require_member
+from .grading import SubspaceTag, dof_rows, ndof, params_rows, require_member
 from .lorentz import EBAR_UPPER_ROWS, eta_inverse_transform
 
 Degree = tuple[int, int, int, int]
@@ -64,15 +67,19 @@ def _as_point(p) -> np.ndarray:
 class PolyField:
     """Multivariate polynomial in x0..x3 with octonion coefficients.
 
-    ``exps`` (M, 4) holds one multi-degree per row and ``coeffs`` (M, 8) the
-    matching coefficients; both are read-only.  ``tag`` optionally
-    constrains every coefficient to a subspace; tagged fields take values in
-    that subspace at every real point.
+    ``exps`` (M, 4) holds one multi-degree per row and ``params`` (M, ndof)
+    the real parameters of the matching coefficients on the table rows of
+    ``tag`` (``grading.dof_rows``); both are read-only.  Every coefficient
+    lies in the tagged subspace, so the field takes values there at every
+    real point; an untagged field is FULL_CO.  A coefficient within
+    ``MEMBERSHIP_TOL`` of the subspace is kept as its projection.
     """
 
-    __slots__ = ("exps", "coeffs", "tag")
+    __slots__ = ("exps", "params", "tag")
 
-    def __init__(self, terms: dict[Degree, CplxOcton], tag: SubspaceTag | None = None) -> None:
+    def __init__(
+        self, terms: dict[Degree, CplxOcton], tag: SubspaceTag = SubspaceTag.FULL_CO
+    ) -> None:
         clean: dict[Degree, CplxOcton] = {}
         for deg, coeff in terms.items():
             deg = tuple(map(operator.index, deg))
@@ -84,26 +91,25 @@ class PolyField:
                 clean[deg] = coeff
         exps = np.array(list(clean), dtype=np.int64).reshape(-1, 4)
         coeffs = np.array([c.c for c in clean.values()], dtype=np.complex128).reshape(-1, 8)
-        if tag is not None:
-            require_member(coeffs, tag, "a coefficient")
-        self._set(exps, coeffs, tag)
+        require_member(coeffs, tag, "a coefficient")
+        self._set(exps, params_rows(tag, coeffs), tag)
 
-    def _set(self, exps, coeffs, tag) -> None:
-        exps.flags.writeable = coeffs.flags.writeable = False
-        self.exps, self.coeffs, self.tag = exps, coeffs, tag
+    def _set(self, exps, params, tag) -> None:
+        exps.flags.writeable = params.flags.writeable = False
+        self.exps, self.params, self.tag = exps, params, tag
 
     @classmethod
-    def _from_arrays(cls, exps, coeffs, tag) -> "PolyField":
-        # trusted internal constructor: rows are distinct and in the subspace
+    def _from_arrays(cls, exps, params, tag) -> "PolyField":
+        # trusted internal constructor: rows are distinct
         field = object.__new__(cls)
-        field._set(exps, coeffs, tag)
+        field._set(exps, params, tag)
         return field
 
     @property
     def terms(self) -> dict[Degree, CplxOcton]:
         """The nonzero terms as a fresh {multi-degree: coefficient} dict."""
-        rows = zip(self.exps.tolist(), self.coeffs)
-        return {tuple(d): CplxOcton._wrap(c.copy()) for d, c in rows if c.any()}
+        rows = zip(self.exps.tolist(), dof_rows(self.tag, self.params))
+        return {tuple(d): CplxOcton._wrap(c) for d, c in rows if c.any()}
 
     def __call__(self, p) -> CplxOcton:
         return eval_at(self, p)
@@ -112,17 +118,18 @@ class PolyField:
         if not isinstance(scalar, numbers.Complex):
             return NotImplemented
         z = complex(scalar)
+        if z.imag == 0.0:
+            return PolyField._from_arrays(self.exps, self.params * z.real, self.tag)
         # A and B are complex-linear; the +- eigenspaces are only real-linear
-        keep = self.tag is None or z.imag == 0.0 or self.tag in (SubspaceTag.A, SubspaceTag.B)
-        tag = self.tag if keep else None
-        return PolyField._from_arrays(self.exps, self.coeffs * z, tag)
+        tag = self.tag if self.tag in (SubspaceTag.A, SubspaceTag.B) else SubspaceTag.FULL_CO
+        coeffs = dof_rows(self.tag, self.params) * z
+        return PolyField._from_arrays(self.exps, params_rows(tag, coeffs), tag)
 
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
-        tag = self.tag.value if self.tag else None
         degree = self.exps.sum(axis=1).max(initial=0)
-        return f"PolyField({len(self.terms)} terms, deg<={degree}, tag={tag})"
+        return f"PolyField({len(self.terms)} terms, deg<={degree}, tag={self.tag.value})"
 
 
 @lru_cache(maxsize=64)
@@ -185,41 +192,25 @@ def monomial_rows(exps: np.ndarray, points: np.ndarray) -> np.ndarray:
     return monos
 
 
-def contract_rows(monos: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Monomial rows (..., k, M) times the fields' coefficients (..., M, n): (..., k, n).
+def jets(tag: SubspaceTag, table: np.ndarray, params: np.ndarray):
+    """Value rows (..., 8) and derivative rows (..., k, 8) of fields of ``tag``.
 
-    Complex coefficients are contracted as their real and imaginary parts side
-    by side, in one real product, as the monomials are real; real coefficients,
-    such as the real parameters of a subspace, give real rows.  Real
-    coefficients are contracted where they lie, as a column slice of a block's
-    draws is, with the bits of a contiguous copy; complex ones are made
-    contiguous first, as the float view needs.
+    The fields are given by their real parameters (..., M, ndof) on the tag's
+    table rows and ``table`` (..., 1 + k, M) holds their monomial rows, row 0
+    the values, as :func:`monomial_rows` gives them or a caller gathers them;
+    the leading axes broadcast together.  The monomials are real, so the jets
+    of the parameters are one real product, made elements by the linear
+    ``dof_rows``.  Parameters are contracted where they lie, as a column slice
+    of a block's draws is, with the bits of a contiguous copy.
     """
-    coeffs = np.asarray(coeffs)
-    if not np.iscomplexobj(coeffs):
-        return monos @ coeffs.astype(np.float64, copy=False)
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
-    return (monos @ coeffs.view(np.float64)).view(np.complex128)
-
-
-def jet_rows(exps: np.ndarray, coeffs: np.ndarray, points: np.ndarray):
-    """Each field's value and its four gradients at its own point.
-
-    The fields share the exponent matrix ``exps`` (M, 4); ``coeffs``
-    (..., M, 8) holds their coefficients and ``points`` (..., 4) their points,
-    with the leading axes broadcast together.  Returns the values (..., 8) and
-    the gradients (..., 4, 8), row rho the derivative along x_rho.  Real
-    coefficients (..., M, k), such as the real parameters of a subspace, give
-    real values (..., k) and gradients (..., 4, k).
-    """
-    jet = contract_rows(monomial_rows(exps, points), coeffs)
+    jet = dof_rows(tag, table @ params)
     return jet[..., 0, :], jet[..., 1:, :]
 
 
 def eval_at(f: PolyField, p) -> CplxOcton:
     """Value at a real point: the value of f's jet there."""
     with np.errstate(all="ignore"):
-        return single(jet_rows(f.exps, f.coeffs, _as_point(p))[0])
+        return single(jets(f.tag, monomial_rows(f.exps, _as_point(p)), f.params)[0])
 
 
 @lru_cache(maxsize=16)
@@ -245,16 +236,16 @@ def random_field(
     Multi-indices are taken in lexicographic order and all coefficients come
     from one draw, equal to one :func:`~octoweak.grading.draw` per monomial
     in that order, so the field is a pure function of the generator state.
+    The draw is kept as it is: it is the field's parameters.
     """
     degree = operator.index(degree)
     if degree < 0:
         raise ValueError("degree must be >= 0")
     exps = monomials(degree)
-    coeffs = dof_rows(tag, rng.uniform(-bound, bound, (len(exps), ndof(tag))))
-    return PolyField._from_arrays(exps, coeffs, tag)
+    return PolyField._from_arrays(exps, rng.uniform(-bound, bound, (len(exps), ndof(tag))), tag)
 
 
-def _require_spinor(tag: SubspaceTag | None) -> None:
+def _require_spinor(tag: SubspaceTag) -> None:
     if tag not in (SubspaceTag.A, SubspaceTag.B):
         raise DomainViolation("field must be tagged A or B")
 
@@ -284,22 +275,23 @@ def bilinear_rows(values: np.ndarray, grads: np.ndarray) -> np.ndarray:
     return inner(np.conj(values), left)
 
 
-def lorentz_invariance_rows(tag, lam, lv, jet_at, points) -> np.ndarray:
+def lorentz_invariance_rows(tag, exps, params, lam, lv, points) -> np.ndarray:
     """Change of the derivative bilinear under a Lorentz transformation, row by row.
 
-    Each row is a field of the spinor type ``tag``, a spinor transformation
-    ``lam`` (..., 8), the real vector transformation ``lv`` (..., 4, 4) and a
-    point (..., 4); ``jet_at(q)`` gives the fields' values (k, ..., 8) and
-    gradients (k, ..., 4, 8) at points q (k, ..., 4), as :func:`jet_rows` does,
-    and is called once, for the pulled-back points and the points.  The
-    transformed field is f'(x) = L f(M x), M = L_V^{-1}, with L the spinor
-    transformation (bar_star of it for a B-valued field).  At x' = L_V p the
-    chain rule gives d_rho f'(x') = L sum_sigma M[sigma, rho] (d_sigma f)(M x').
+    Each row is a field of the spinor type ``tag``, exponents ``exps`` (M, 4)
+    and parameters (..., M, ndof), a spinor transformation ``lam`` (..., 8),
+    the real vector transformation ``lv`` (..., 4, 4) and a point (..., 4).
+    The jets at the pulled-back points and at the points come from one
+    monomial table of both.  The transformed field is f'(x) = L f(M x),
+    M = L_V^{-1}, with L the spinor transformation (bar_star of it for a
+    B-valued field).  At x' = L_V p the chain rule gives
+    d_rho f'(x') = L sum_sigma M[sigma, rho] (d_sigma f)(M x').
     """
     _require_spinor(tag)
     factor = lam if tag is SubspaceTag.A else bar_star(lam)
     m = eta_inverse_transform(lv)
-    values, grads = jet_at(np.stack([(m @ (lv @ points[..., None]))[..., 0], points]))
+    at = np.stack([(m @ (lv @ points[..., None]))[..., 0], points])
+    values, grads = jets(tag, monomial_rows(exps, at), params)
     # the value and the four pulled-back gradients share the left factor: its
     # matrix is gathered once: factor f = f L(factor)
     by_factor = left_rows(factor)

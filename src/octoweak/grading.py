@@ -139,6 +139,15 @@ def dof_rows(tag: SubspaceTag, dof: np.ndarray) -> np.ndarray:
     return out.view(np.complex128)
 
 
+def params_rows(tag: SubspaceTag, rows) -> np.ndarray:
+    """Real coefficients (..., ndof) on the tag's table rows, from elements (..., 8).
+
+    The inverse of :func:`dof_rows` on the subspace: each row's real slot is read,
+    so a value off the subspace comes back as its projection.
+    """
+    return np.ascontiguousarray(rows, dtype=np.complex128).view(np.float64)[..., _SLOTS[tag]]
+
+
 def sample(tag: SubspaceTag, rng_seed: int, bound: float = 1.0) -> CplxOcton:
     """Deterministic single draw: same seed, same element."""
     if bound <= 0:

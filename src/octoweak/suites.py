@@ -38,8 +38,7 @@ from .core import (
 from .errors import UnknownSuite
 from .fields import (
     PolyField,
-    contract_rows,
-    jet_rows,
+    jets,
     lorentz_invariance_rows,
     monomial_rows,
     monomials,
@@ -341,14 +340,6 @@ def _field(tag: SubspaceTag, degree: int, bound: float = 1.0) -> _Input:
     return _params(tag, (len(monomials(degree)),), bound)
 
 
-def _jets(tag: SubspaceTag, table, params):
-    """Value rows (..., 8) and derivative rows (..., k, 8) of fields given by their real
-    parameters (..., M, ndof), from monomial rows (..., 1 + k, M) whose row 0 holds the
-    values: the jets of the parameters, made elements by the linear ``dof_rows``."""
-    jet = dof_rows(tag, contract_rows(table, params))
-    return jet[..., 0, :], jet[..., 1:, :]
-
-
 def _thetas(pairs):
     """Inputs of Lorentz parameters on ``pairs``, uniform within theta_bound."""
     return lambda cfg: (_Input(-cfg.theta_bound, cfg.theta_bound, (len(pairs),)),)
@@ -448,8 +439,7 @@ def _prop1_inputs(tag: SubspaceTag, cfg):
 def _prop1(tag: SubspaceTag, cfg, f, theta, p):
     theta = theta_rows(theta)
     lam, lv = lambda_S(theta), lambda_V(theta)
-    exps = monomials(cfg.field_degree)
-    return lorentz_invariance_rows(tag, lam, lv, lambda q: _jets(tag, monomial_rows(exps, q), f), p)
+    return lorentz_invariance_rows(tag, monomials(cfg.field_degree), f, lam, lv, p)
 
 
 #: Fixed witnesses for the inverted (must-fail) checks.
@@ -471,12 +461,13 @@ def _prop2_inputs(cfg):
 
 def _prop2(cfg, alpha, u0, p):
     table = monomial_rows(monomials(cfg.field_degree), p)
-    return global_alpha_rows(*_jets(SubspaceTag.A, table, alpha), u0)
+    return global_alpha_rows(*jets(SubspaceTag.A, table, alpha), u0)
 
 
 def _prop2_witness():
-    alpha, point = PROP2_WITNESS_ALPHA, np.array(PROP2_WITNESS_POINT)
-    return float(global_alpha_rows(*jet_rows(alpha.exps, alpha.coeffs, point), PROP2_WITNESS_U.c))
+    alpha = PROP2_WITNESS_ALPHA
+    table = monomial_rows(alpha.exps, np.array(PROP2_WITNESS_POINT))
+    return float(global_alpha_rows(*jets(alpha.tag, table, alpha.params), PROP2_WITNESS_U.c))
 
 
 def _gauge_param(cfg) -> _Input:
@@ -488,19 +479,19 @@ def _connection(cfg) -> _Input:
     return _params(SubspaceTag.A_MINUS, (4, len(monomials(cfg.field_degree))))
 
 
-def _gauge_table(cfg, p, rho):
-    """A gauge block's monomial rows (m, 2, M) at field_degree: each row's values and
+def _gauge_table(degree, p, rho):
+    """A gauge block's monomial rows (m, 2, M) at ``degree``: each row's values and
     derivatives along its own rho, gathered from the one full table at its point."""
-    table = monomial_rows(monomials(cfg.field_degree), p)
+    table = monomial_rows(monomials(degree), p)
     return table[np.arange(len(rho))[:, None], np.stack([0 * rho, rho + 1], -1)]
 
 
-def _gauge_param_jet(cfg, table, u):
+def _gauge_param_jet(degree, table, u):
     """u and d_rho u at each sample's point, u scaled to the value cap where it exceeds it.
-    u's monomials, of total degree <= 2, are a subsequence of the block's, in order,
-    so u reads their columns of the block's table."""
-    u_table = table[..., monomials(cfg.field_degree).sum(axis=1) <= 2]
-    value, du = _jets(SubspaceTag.A_MINUS, u_table, u)
+    u's monomials, of total degree <= 2, are a subsequence of those of the ``degree``
+    the table was built at, in order, so u reads their columns of the table."""
+    u_table = table[..., monomials(degree).sum(axis=1) <= 2]
+    value, du = jets(SubspaceTag.A_MINUS, u_table, u)
     mag = abs_rows(value)
     scale = np.where(mag > GAUGE_PARAM_VALUE_CAP, GAUGE_PARAM_VALUE_CAP / mag, 1.0)[:, None]
     return value * scale, du[:, 0] * scale
@@ -508,7 +499,7 @@ def _gauge_param_jet(cfg, table, u):
 
 def _connection_value(table, w, rho):
     """The value of each sample's connection component W_rho at its point."""
-    return _jets(SubspaceTag.A_MINUS, table, w[np.arange(len(rho)), rho])[0]
+    return jets(SubspaceTag.A_MINUS, table, w[np.arange(len(rho)), rho])[0]
 
 
 def _prop3_inputs(cfg):
@@ -517,10 +508,10 @@ def _prop3_inputs(cfg):
 
 
 def _prop3(cfg, p, u, alpha, w, rho):
-    table = _gauge_table(cfg, p, rho)
-    a, da = _jets(SubspaceTag.A, table, alpha)
+    table = _gauge_table(cfg.field_degree, p, rho)
+    a, da = jets(SubspaceTag.A, table, alpha)
     w_rho = _connection_value(table, w, rho)
-    return covariance_alpha_rows(a, da[:, 0], w_rho, *_gauge_param_jet(cfg, table, u))
+    return covariance_alpha_rows(a, da[:, 0], w_rho, *_gauge_param_jet(cfg.field_degree, table, u))
 
 
 def _prop4_inputs(cfg):
@@ -543,19 +534,23 @@ def _prop5_inputs(cfg):
 
 
 def _prop5(cfg, p, u, r, beta, w, rho):
-    table = _gauge_table(cfg, p, rho)
-    b, db = _jets(SubspaceTag.B, table, beta)
+    table = _gauge_table(cfg.field_degree, p, rho)
+    b, db = jets(SubspaceTag.B, table, beta)
     w_rho = _connection_value(table, w, rho)
-    return covariance_beta_rows(b, db[:, 0], w_rho, *_gauge_param_jet(cfg, table, u), r)
+    u_jet = _gauge_param_jet(cfg.field_degree, table, u)
+    return covariance_beta_rows(b, db[:, 0], w_rho, *u_jet, r)
 
 
 def _lemma3(cfg, p, u, rho):
-    return np.abs(scal_der_u_rows(*_gauge_param_jet(cfg, _gauge_table(cfg, p, rho), u)))
+    # u is the only field, so the table is built at u's degree
+    degree = min(2, cfg.field_degree)
+    return np.abs(scal_der_u_rows(*_gauge_param_jet(degree, _gauge_table(degree, p, rho), u)))
 
 
 def _lemma4(cfg, p, u, w, rho):
-    table = _gauge_table(cfg, p, rho)
-    return np.abs(scal_ww_rows(_connection_value(table, w, rho), *_gauge_param_jet(cfg, table, u)))
+    table = _gauge_table(cfg.field_degree, p, rho)
+    w_rho = _connection_value(table, w, rho)
+    return np.abs(scal_ww_rows(w_rho, *_gauge_param_jet(cfg.field_degree, table, u)))
 
 
 _A, _B = SubspaceTag.A, SubspaceTag.B

@@ -7,7 +7,10 @@ replace), exponentials and their derivatives from plain series
 summation instead of closed forms (and the closed form from Python's
 ``cmath`` instead of numpy rows), pulled-back fields from symbolic
 expansion instead of the pointwise chain rule, field derivatives term by
-term instead of from the jet's table of monomials, derivatives from central
+term instead of from the jet's table of monomials (and the real jets of a
+field's parameters from each monomial's exponents, ``jet_rows_by_exponents``,
+instead of from the closure's table; a field's single-sample jets, ``jets_at``,
+are the library's one ``fields.jets`` on its real parameters), derivatives from central
 differences instead of formal calculus, and the sampled suites one sample
 at a time instead of in blocks of rows: ``SAMPLE_RESIDUALS`` holds, for each
 of the 17 sampled suites, a function that draws one sample and evaluates it
@@ -43,8 +46,9 @@ from octoweak.fields import (
     bilinear_rows,
     dexp_rows,
     eval_at,
-    jet_rows,
+    jets,
     lorentz_invariance_rows,
+    monomial_rows,
     random_field,
 )
 from octoweak.gauge import (
@@ -366,11 +370,13 @@ def eval_naive(f, p) -> CplxOcton:
     return acc
 
 
-def jet_rows_by_exponents(exps: np.ndarray, coeffs: np.ndarray, points: np.ndarray):
-    """``fields.jet_rows`` from the exponents of each monomial and of its four
-    derivatives, (5, M, 4), each row's product formed from the powers in turn and
-    started from its integer factor, instead of from the values of the closure.
-    Each coordinate's powers are running products, 1, x, x * x, ..., by ``np.cumprod``."""
+def jet_rows_by_exponents(exps: np.ndarray, params: np.ndarray, points: np.ndarray):
+    """The real jets that ``fields.jets`` makes elements, values (..., ndof) and gradients
+    (..., 4, ndof) of the real parameters (..., M, ndof) at points (..., 4), from the
+    exponents of each monomial and of its four derivatives, (5, M, 4), each row's product
+    formed from the powers in turn and started from its integer factor, instead of from
+    the values of the closure.  Each coordinate's powers are running products, 1, x,
+    x * x, ..., by ``np.cumprod``."""
     exps = np.asarray(exps, dtype=np.int64)
     shifted = exps[None] - np.eye(4, dtype=np.int64)[:, None, :]
     powers = np.concatenate([exps[None], np.where(exps.T[:, :, None] > 0, shifted, 0)])
@@ -381,8 +387,7 @@ def jet_rows_by_exponents(exps: np.ndarray, coeffs: np.ndarray, points: np.ndarr
     monos *= factors
     for axis in range(1, 4):
         monos *= table[..., axis, powers[..., axis]]
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.result_type(coeffs, np.float64))
-    jet = (monos @ coeffs.view(np.float64)).view(coeffs.dtype)
+    jet = monos @ params
     return jet[..., 0, :], jet[..., 1:, :]
 
 
@@ -560,9 +565,14 @@ def _prop4(cfg, rng):
     return general_coupling_residual(r, r, theta, draw(_AM, rng), draw(_B, rng))
 
 
+def jets_at(f: PolyField, points: np.ndarray):
+    """A field's values (..., 8) and gradients (..., 4, 8) at points (..., 4)."""
+    return jets(f.tag, monomial_rows(f.exps, points), f.params)
+
+
 def along(f: PolyField, mu: int, points: np.ndarray):
     """A field's values and derivatives along x_mu at a block of points (n, 4): two (n, 8)."""
-    values, grads = jet_rows(f.exps, f.coeffs, points)
+    values, grads = jets_at(f, points)
     return values, grads[:, mu]
 
 
@@ -574,16 +584,14 @@ def _at(kernel, *rows) -> float:
 
 def lorentz_invariance_residual(f: PolyField, theta: Theta, p) -> float:
     """``fields.lorentz_invariance_rows`` for one field, parameter and point."""
-    def jet_at(q):
-        return jet_rows(f.exps, f.coeffs, q)
-
     point = np.asarray(p, dtype=float)[None]
-    return _at(lorentz_invariance_rows, f.tag, lambda_S(theta).c, lambda_V(theta), jet_at, point)
+    lam, lv = lambda_S(theta).c, lambda_V(theta)
+    return _at(lorentz_invariance_rows, f.tag, f.exps, f.params, lam, lv, point)
 
 
 def global_alpha_invariance_residual(alpha: PolyField, u_const: CplxOcton, p) -> float:
     """``gauge.global_alpha_rows`` for one field, constant parameter and point."""
-    values, grads = jet_rows(alpha.exps, alpha.coeffs, np.asarray(p, dtype=float)[None])
+    values, grads = jets_at(alpha, np.asarray(p, dtype=float)[None])
     return _at(global_alpha_rows, values, grads, u_const.c[None])
 
 

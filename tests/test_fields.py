@@ -14,10 +14,16 @@ from octoweak.fields import (
     bilinear_rows,
     dexp_rows,
     eval_at,
-    jet_rows,
     random_field,
 )
-from octoweak.grading import SubspaceTag, draw, require_member
+from octoweak.grading import (
+    SubspaceTag,
+    dof_rows,
+    draw,
+    membership_defect,
+    project,
+    require_member,
+)
 from octoweak.lorentz import EBAR_UPPER, Theta, eta_inverse_transform, lambda_S, lambda_V
 
 import oracles
@@ -27,6 +33,7 @@ from oracles import (
     dexp_series,
     draw_block,
     eval_naive,
+    jets_at,
     lorentz_invariance_residual,
     partial,
     pullback_linear,
@@ -171,7 +178,7 @@ def test_pullback_rejects_complex_matrix():
 
 def dirac_scalar(f, p) -> complex:
     # the derivative bilinear sum_rho <f*, ebar^rho d_rho f> of one field at one point
-    return complex(bilinear_rows(*jet_rows(f.exps, f.coeffs, np.asarray(p, dtype=float))))
+    return complex(bilinear_rows(*jets_at(f, np.asarray(p, dtype=float))))
 
 
 def test_dirac_scalar_constant_field_vanishes():
@@ -321,16 +328,35 @@ def test_exp_field_requires_quaternionic_values():
 
 
 def test_field_algebra_and_tag_propagation():
-    # a scalar multiple, as the gauge parameter is scaled to its value cap
+    # a scalar multiple, as the gauge parameter is scaled to its value cap: a real one
+    # scales the parameters and keeps every tag; A and B are complex-linear, and the
+    # +- eigenspaces only real-linear, so a complex one takes A+- to the full algebra
     rng = np.random.default_rng(51)
-    f = random_field(rng, 2, SubspaceTag.A)
-    p = rng.uniform(-1, 1, 4)
-    assert abs(eval_at(f * (0.3 - 2j), p) - eval_at(f, p) * (0.3 - 2j)) < 1e-13
-    assert (2.0 * f).tag is SubspaceTag.A
-    assert (1j * f).tag is SubspaceTag.A  # complex span
-    h = random_field(rng, 1, SubspaceTag.A_MINUS)
-    assert (2.0 * h).tag is SubspaceTag.A_MINUS
-    assert (1j * h).tag is None  # only the real span survives
+    complex_span = (SubspaceTag.FULL_CO, SubspaceTag.A, SubspaceTag.B)
+    for tag in SubspaceTag:
+        f = random_field(rng, 2, tag)
+        p = rng.uniform(-1, 1, 4)
+        for z in (2, -0.3, 0.3 - 2j, 1j):
+            g = z * f
+            if isinstance(z, complex):
+                assert g.tag is (tag if tag in complex_span else SubspaceTag.FULL_CO)
+            else:
+                assert g.tag is tag and g.params.tobytes() == (f.params * z).tobytes()
+            assert abs(eval_at(g, p) - eval_at(f, p) * z) < 1e-13
+
+
+def test_a_tagged_coefficient_is_kept_as_its_projection():
+    # within MEMBERSHIP_TOL of the subspace, a coefficient is kept as its projection,
+    # exactly in the subspace; further off, it is refused
+    rng = np.random.default_rng(52)
+    for tag in SubspaceTag:
+        near = draw(tag, rng) + 1e-12 * draw(SubspaceTag.FULL_CO, rng)
+        (kept,) = PolyField({(1, 0, 2, 0): near}, tag).terms.values()
+        assert np.array_equal(kept.c, project(near, tag).c)
+        assert membership_defect(kept, tag) == 0.0
+        if tag is not SubspaceTag.FULL_CO:
+            with pytest.raises(DomainViolation):
+                PolyField({(1, 0, 2, 0): near + 1e-6 * draw(SubspaceTag.FULL_CO, rng)}, tag)
 
 
 def test_random_field_equals_one_draw_per_monomial_in_order():
@@ -339,7 +365,8 @@ def test_random_field_equals_one_draw_per_monomial_in_order():
         rng_field, rng_draws = np.random.default_rng(55), np.random.default_rng(55)
         f = random_field(rng_field, 3, tag, 0.5)
         assert f.exps.tolist() == [list(d) for d in sorted(degrees)]
-        assert np.array_equal(f.coeffs, [draw(tag, rng_draws, 0.5).c for _ in degrees])
+        want = [draw(tag, rng_draws, 0.5).c for _ in degrees]
+        assert np.array_equal(dof_rows(tag, f.params), want)
         assert rng_field.random() == rng_draws.random()
 
 

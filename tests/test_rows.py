@@ -40,8 +40,7 @@ from octoweak.fields import (
     bilinear_rows,
     dexp_rows,
     eval_at,
-    contract_rows,
-    jet_rows,
+    jets,
     monomial_rows,
     monomials,
     random_field,
@@ -368,17 +367,13 @@ def _field_pairs():
     points = rng.uniform(-1.5, 1.5, (N, 4))
     f, u = random_field(rng, 3, SubspaceTag.B), random_field(rng, 2, SubspaceTag.A_MINUS)
     thetas = _thetas(65, bound=1.5)
-
-    def jet_at(q):
-        return jet_rows(f.exps, f.coeffs, q)
-
     lam, lv = lambda_S(thetas), lambda_V(thetas)
     cases = [
         (lambda i: eval_at(f, points[i]), oracles.along(f, 0, points)[0]),
         (lambda i: eval_at(PolyField({}), points[i]), np.zeros((N, 8), np.complex128)),
         (
             lambda i: oracles.lorentz_invariance_residual(f, Theta(thetas[i]), points[i]),
-            fields.lorentz_invariance_rows(f.tag, lam, lv, jet_at, points),
+            fields.lorentz_invariance_rows(f.tag, f.exps, f.params, lam, lv, points),
         ),
         (
             lambda i: core.single(dexp_rows(*oracles.along(u, 2, points[i : i + 1]))),
@@ -780,14 +775,14 @@ def test_each_rowwise_function_has_its_own_code_object():
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 3])
 def test_jet_rows_matches_eval_at_and_partial(degree):
+    # the jets of full-algebra fields, from their 16 real parameters a monomial
     rng = np.random.default_rng(31 + degree)
     exps = monomials(degree)
-    (coeffs,) = oracles.draw_block((SubspaceTag.FULL_CO,), rng, N * len(exps))
-    coeffs = coeffs.reshape(N, len(exps), 8)
+    params = rng.uniform(-1, 1, (N, len(exps), ndof(SubspaceTag.FULL_CO)))
     points = rng.uniform(-1.5, 1.5, (N, 4))
-    values, grads = jet_rows(exps, coeffs, points)
+    values, grads = jets(SubspaceTag.FULL_CO, monomial_rows(exps, points), params)
     assert values.shape == (N, 8) and grads.shape == (N, 4, 8)
-    polys = [PolyField._from_arrays(exps, c, None) for c in coeffs]
+    polys = [PolyField._from_arrays(exps, c, SubspaceTag.FULL_CO) for c in params]
     _close(values, [oracles.eval_naive(f, p).c for f, p in zip(polys, points)])
     want = [[eval_at(oracles.partial(f, rho), p).c for rho in range(4)] for f, p in zip(polys, points)]
     _close(grads, want)
@@ -796,20 +791,26 @@ def test_jet_rows_matches_eval_at_and_partial(degree):
 def test_jet_rows_gradient_along_an_absent_coordinate_is_exactly_zero():
     f = PolyField({(0, 3, 0, 0): E[2]})  # x1^3 at x1 = 1e200 overflows
     with np.errstate(over="ignore", invalid="ignore"):
-        values, grads = jet_rows(f.exps, f.coeffs, np.array([0.5, 1e200, 0.0, 0.0]))
+        values, grads = oracles.jets_at(f, np.array([0.5, 1e200, 0.0, 0.0]))
     assert not np.all(np.isfinite(values))
     assert np.array_equal(grads[[0, 2, 3]], np.zeros((3, 8)))
 
 
 def _random_jet_inputs(exps, seed, real=False):
+    # N fields of the exponents: their tag, their real parameters and their points.
+    # ``real`` selects the tag: A-, a subspace that is only real-linear, with 4
+    # parameters a monomial, or else the full algebra, with 16
     rng = np.random.default_rng(seed)
-    m = len(exps)
-    if real:
-        coeffs = rng.uniform(-1, 1, (N, m, ndof(SubspaceTag.A_MINUS)))
-    else:
-        (coeffs,) = oracles.draw_block((SubspaceTag.FULL_CO,), rng, N * m)
-        coeffs = coeffs.reshape(N, m, 8)
-    return coeffs, rng.uniform(-1.5, 1.5, (N, 4))
+    tag = SubspaceTag.A_MINUS if real else SubspaceTag.FULL_CO
+    params = rng.uniform(-1, 1, (N, len(exps), ndof(tag)))
+    return tag, params, rng.uniform(-1.5, 1.5, (N, 4))
+
+
+def _jets_and_exponent_route(exps, tag, params, points):
+    # fields.jets, and the same real parameters' jets by the exponent route, made elements
+    got = jets(tag, monomial_rows(exps, points), params)
+    want = oracles.jet_rows_by_exponents(exps, params, points)
+    return got, [dof_rows(tag, w) for w in want]
 
 
 def _sparse_exponents():
@@ -827,8 +828,7 @@ def test_jets_equal_the_exponent_route_bit_for_bit_up_to_degree_three(degree, re
     # each factor is 1 or 2, or the monomial is x_rho^3: scaling by it first
     # or last rounds the same
     exps = monomials(degree)
-    coeffs, points = _random_jet_inputs(exps, 62 + degree, real)
-    got, want = jet_rows(exps, coeffs, points), oracles.jet_rows_by_exponents(exps, coeffs, points)
+    got, want = _jets_and_exponent_route(exps, *_random_jet_inputs(exps, 62 + degree, real))
     for g, w in zip(got, want):
         assert _same_bits(g, w)
 
@@ -840,19 +840,18 @@ def test_jets_of_sparse_fields_equal_the_exponent_route_bit_for_bit():
         assert np.array_equal(closure[: len(exps)], exps)
         assert any(not row.any() for row in closure)
         assert np.array_equal(closure[columns[0]], exps)
-        coeffs, points = _random_jet_inputs(exps, 70 + k)
-        got, want = jet_rows(exps, coeffs, points), oracles.jet_rows_by_exponents(exps, coeffs, points)
+        tag, params, points = _random_jet_inputs(exps, 70 + k)
+        got, want = _jets_and_exponent_route(exps, tag, params, points)
         for g, w in zip(got, want):
             assert _same_bits(g, w)
-        polys = [PolyField._from_arrays(exps, c, None) for c in coeffs]
+        polys = [PolyField._from_arrays(exps, c, tag) for c in params]
         _close(got[0], [oracles.eval_naive(f, p).c for f, p in zip(polys, points)])
 
 
 @pytest.mark.parametrize("degree", [4, 5, 6])
 def test_jets_match_the_exponent_route_within_rounding_above_degree_three(degree):
     exps = monomials(degree)
-    coeffs, points = _random_jet_inputs(exps, 80 + degree)
-    got, want = jet_rows(exps, coeffs, points), oracles.jet_rows_by_exponents(exps, coeffs, points)
+    got, want = _jets_and_exponent_route(exps, *_random_jet_inputs(exps, 80 + degree))
     for g, w in zip(got, want):
         scale = np.max(np.abs(w), axis=-1, keepdims=True)
         assert np.all(np.abs(g - w) <= 1e-13 * scale)
@@ -890,17 +889,13 @@ def test_the_power_table_is_the_running_product_within_a_ceiling_in_ulp():
     assert worst.max() <= POWER_ULP_CEILING, worst
 
 
-def _column_slice(rng, shape, kind="real", m=N):
+def _column_slice(rng, shape, strided=False, m=N):
     """An input as ``_read_block`` hands it: columns of one wider draw, reshaped to
-    (m,) + shape.  A complex input's slots lie side by side; with "strided slots"
-    every other complex number of the draw is a slot."""
+    (m,) + shape; with ``strided``, every other float of the draw is a column."""
     width = math.prod(shape)
-    if kind == "real":
-        raw = rng.uniform(-1, 1, (m, width + 7))
-    else:
-        raw = rng.uniform(-1, 1, (m, 4 * width + 14)).view(np.complex128)
-        if kind == "strided slots":
-            raw = raw[:, ::2]
+    raw = rng.uniform(-1, 1, (m, 2 * width + 14))
+    if strided:
+        raw = raw[:, ::2]
     view = raw[:, 3 : 3 + width].reshape((m,) + shape)
     assert not view.flags.c_contiguous and np.shares_memory(view, raw)
     return view
@@ -909,21 +904,22 @@ def _column_slice(rng, shape, kind="real", m=N):
 @pytest.mark.parametrize("degree", [0, 1, 2, 3, 5])
 @pytest.mark.parametrize("kind", ["real", "complex", "strided slots"])
 def test_field_kernels_give_the_same_bits_on_strided_inputs_as_on_copies(degree, kind):
-    # real parameters are contracted where they lie; the bits must be a copy's
+    # parameters are contracted where they lie; the bits must be a copy's.  ``kind``
+    # selects the fields: "real" A fields, 8 parameters a monomial; "complex" full-
+    # algebra fields, 16 a monomial, the width of a complex coefficient's float view;
+    # "strided slots" full-algebra fields whose parameters are every other float
     rng = np.random.default_rng(100 + degree)
     exps = monomials(degree)
-    slots = ndof(SubspaceTag.A) if kind == "real" else 8
-    params = _column_slice(rng, (len(exps), slots), kind)
+    tag = SubspaceTag.A if kind == "real" else SubspaceTag.FULL_CO
+    params = _column_slice(rng, (len(exps), ndof(tag)), kind == "strided slots")
     points = _column_slice(rng, (4,))
     moved = _column_slice(rng, (4,))
     params_copy, points_copy = np.ascontiguousarray(params), np.ascontiguousarray(points)
-    table = monomial_rows(exps, points)
-    assert _same_bits(table, monomial_rows(exps, points_copy))
-    assert _same_bits(contract_rows(table, params), contract_rows(table, params_copy))
+    assert _same_bits(monomial_rows(exps, points), monomial_rows(exps, points_copy))
     # one point per row, and two per row stacked in front, as the prop1 suites read them
     for at in (points, np.stack([moved, points])):
-        got = jet_rows(exps, params, at)
-        want = jet_rows(exps, params_copy, np.ascontiguousarray(at))
+        got = jets(tag, monomial_rows(exps, at), params)
+        want = jets(tag, monomial_rows(exps, np.ascontiguousarray(at)), params_copy)
         for g, w in zip(got, want):
             assert _same_bits(g, w)
 
@@ -936,7 +932,7 @@ def test_contracting_strided_real_parameters_does_not_copy_them():
     table = monomial_rows(exps, _column_slice(rng, (4,), m=300))
     tracemalloc.start()
     try:
-        contract_rows(table, params)
+        jets(SubspaceTag.A, table, params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1147,15 +1143,20 @@ def test_jet_exponent_tables_are_cached_and_read_only():
 
 
 def test_jets_of_real_parameters_map_to_jets_of_the_elements():
+    # for every tag: the jets of the real parameters, made elements, are those of the
+    # complex coefficients the parameters give, within rounding, and lie exactly in
+    # the subspace
     rng = np.random.default_rng(36)
     exps = monomials(2)
-    params = rng.uniform(-1, 1, (N, len(exps), ndof(SubspaceTag.B)))
-    points = rng.uniform(-1, 1, (N, 4))
-    real_value, real_grads = jet_rows(exps, params, points)
-    value, grads = jet_rows(exps, dof_rows(SubspaceTag.B, params), points)
-    assert real_value.dtype == float and real_grads.shape == (N, 4, ndof(SubspaceTag.B))
-    assert np.array_equal(dof_rows(SubspaceTag.B, real_value), value)
-    assert np.array_equal(dof_rows(SubspaceTag.B, real_grads), grads)
+    table = monomial_rows(exps, rng.uniform(-1, 1, (N, 4)))
+    for tag in SubspaceTag:
+        params = rng.uniform(-1, 1, (N, len(exps), ndof(tag)))
+        value, grads = jets(tag, table, params)
+        assert value.shape == (N, 8) and grads.shape == (N, 4, 8)
+        coeffs = dof_rows(tag, params)
+        _close(value, np.einsum("nm,nmc->nc", table[:, 0], coeffs))
+        _close(grads, np.einsum("nkm,nmc->nkc", table[:, 1:], coeffs))
+        assert not membership_defect(np.concatenate([value[:, None], grads], 1), tag).any()
 
 
 def _break_algebra(monkeypatch):

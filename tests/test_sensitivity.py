@@ -105,6 +105,11 @@ FAULTS = [
     Fault("membership-zero-nan", "grading", "    if not (real * _COMPLEMENT[tag]).any():\n",
           "    if not np.nan_to_num(real * _COMPLEMENT[tag]).any():\n",
           survivor="no suite input is inf or NaN", killer=_ROWS + _EXACT_ZERO),
+    Fault("params-slots-reversed", "grading", ".view(np.float64)[..., _SLOTS[tag]]",
+          ".view(np.float64)[..., _SLOTS[tag][::-1]]",
+          survivor="the one field a suite builds from coefficients, the prop2 witness, "
+          "stays above its floor with its parameters on other slots",
+          killer="test_fields.py::test_a_tagged_coefficient_is_kept_as_its_projection"),
     Fault("exch4", "grading", "fourth = bb2_a - apply_right_rows(ab, by_b2)",
           "fourth = bb2_a - apply_right_rows(ba, by_b2)", "ab-identities"),
     # --------------------------------------------------------------- lorentz
@@ -133,10 +138,6 @@ FAULTS = [
           "np.multiply(table[..., 1], points,",
           survivor="at the default field degree 2, x * x is the only power formed by a product",
           killer=_ROWS + "test_the_power_table_is_the_running_product_within_a_ceiling_in_ulp"),
-    Fault("strided-copy", "fields", "np.ascontiguousarray(coeffs, dtype=np.complex128)",
-          "np.asarray(coeffs, dtype=np.complex128)",
-          survivor="no suite contracts complex coefficients on a strided axis",
-          killer=_ROWS + "test_field_kernels_give_the_same_bits_on_strided_inputs_as_on_copies"),
     Fault("dexp-taylor", "fields", "z * (1 / 30 -", "z * (1 / 31 -",
           survivor="the changed term is under 1e-5 of the factor, on the few rows that reach it",
           killer="test_fields.py::test_dexp_closed_form_matches_series_oracle"),
@@ -144,10 +145,14 @@ FAULTS = [
           "        )\n    return out * (1 + 1e-9)\n",
           survivor="prop5, lemma3 and lemma4 stay under 1e-8, and prop3 cancels a scale on dexp",
           killer="test_gauge.py::test_transport_rows_matches_the_series_route"),
-    Fault("tagcheck", "fields", "        if tag is not None:\n            require_member(coeffs,",
-          "        if False:\n            require_member(coeffs,",
+    Fault("tagcheck", "fields", '        require_member(coeffs, tag, "a coefficient")\n', "",
           survivor="the one tagged PolyField a suite builds, the prop2 witness, is in its subspace",
           killer="test_fields.py::test_field_validation"),
+    Fault("complex-multiple-keeps-tag", "fields",
+          "tag = self.tag if self.tag in (SubspaceTag.A, SubspaceTag.B) else",
+          "tag = self.tag if True else",
+          survivor="no suite multiplies a field by a scalar",
+          killer="test_fields.py::test_field_algebra_and_tag_propagation"),
     # ----------------------------------------------------------------- gauge
     Fault("transport-sign", "gauge", "- apply_right_rows(dexp_rows(u, du), by_u_inv))",
           "+ apply_right_rows(dexp_rows(u, du), by_u_inv))", "prop3 prop5 lemma4"),
@@ -167,10 +172,10 @@ FAULTS = [
           "np.ones_like(mag)", survivor=_ANY_U, killer=_REFERENCE),
     Fault("cap-0.5", "suites", "GAUGE_PARAM_VALUE_CAP = 0.9", "GAUGE_PARAM_VALUE_CAP = 0.5",
           survivor=_ANY_U, killer=_REFERENCE),
-    Fault("w-tag", "suites", "_jets(SubspaceTag.A_MINUS, table, w[",
-          "_jets(SubspaceTag.A_PLUS, table, w[", "prop3 prop5 lemma4"),
-    Fault("u-tag", "suites", "_jets(SubspaceTag.A_MINUS, u_table, u)",
-          "_jets(SubspaceTag.A_PLUS, u_table, u)", "prop3 prop5 lemma3 lemma4"),
+    Fault("w-tag", "suites", "jets(SubspaceTag.A_MINUS, table, w[",
+          "jets(SubspaceTag.A_PLUS, table, w[", "prop3 prop5 lemma4"),
+    Fault("u-tag", "suites", "jets(SubspaceTag.A_MINUS, u_table, u)",
+          "jets(SubspaceTag.A_PLUS, u_table, u)", "prop3 prop5 lemma3 lemma4"),
     Fault("u-cols", "suites", ".sum(axis=1) <= 2]", ".sum(axis=1) <= 1]",
           "prop3 prop5 lemma3 lemma4"),
     # --------------------------------------------------------- stream reader

@@ -151,6 +151,24 @@ def test_prop1_passes_on_cubic_fields(suite_id, seed):
     assert report.passed, report.max_residual
 
 
+def test_lemma3_reads_the_same_row_at_every_degree_from_tables_of_its_own_degree(monkeypatch):
+    # u, lemma3's only field, has degree min(2, field_degree): its JSON row does not
+    # move with a field degree above 2, and its tables are no wider than degree 2's
+    widths, build = [], suites.monomial_rows
+
+    def recording(exps, points):
+        widths.append(len(exps))
+        return build(exps, points)
+
+    monkeypatch.setattr(suites, "monomial_rows", recording)
+    rows = []
+    for degree in (2, 3, 6, 12):
+        cfg = SuiteConfig(seed=7, field_degree=degree, suites=("lemma3",))
+        rows.append(_strict_json(render_json(run_all(cfg)[0], cfg))["suites"])
+    assert rows[0][0]["passed"] and all(row == rows[0] for row in rows)
+    assert max(widths) == 15
+
+
 def test_run_suite_unknown_id():
     with pytest.raises(UnknownSuite):
         run_suite("nonexistent", SuiteConfig())
